@@ -3,10 +3,9 @@
 from .base import (
     EncodedBatch,
     WriteEncoder,
-    block_energy_costs,
-    block_flip_costs,
+    block_costs,
     pack_bits_to_states,
-    select_states_per_block,
+    select_block_bytes,
     unpack_states_to_bits,
 )
 from .baseline import BaselineEncoder
@@ -54,8 +53,7 @@ __all__ = [
     "WLCWordEncoderBase",
     "WriteEncoder",
     "available_schemes",
-    "block_energy_costs",
-    "block_flip_costs",
+    "block_costs",
     "build_din_mapping",
     "make_four_cosets",
     "make_scheme",
@@ -64,6 +62,6 @@ __all__ = [
     "make_wlc_four_cosets",
     "make_wlc_three_cosets",
     "pack_bits_to_states",
-    "select_states_per_block",
+    "select_block_bytes",
     "unpack_states_to_bits",
 ]

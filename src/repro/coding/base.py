@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -231,153 +231,46 @@ def unpack_states_to_bits(
     return bits[:, :nbits]
 
 
-def select_states_per_block(
-    candidate_states: np.ndarray, choice: np.ndarray, block_cells: int
-) -> np.ndarray:
-    """Gather the chosen candidate's states for every block.
-
-    Parameters
-    ----------
-    candidate_states:
-        Array of shape ``(k, n, cells)`` with the cell states each candidate
-        would program.
-    choice:
-        Array of shape ``(n, blocks)`` with the winning candidate per block,
-        where ``cells == blocks * block_cells``.
-    block_cells:
-        Number of cells per block.
-
-    Returns
-    -------
-    numpy.ndarray
-        Array of shape ``(n, cells)`` with the per-cell states of the winner.
-    """
-    k, n, cells = candidate_states.shape
-    blocks = cells // block_cells
-    if choice.shape != (n, blocks):
-        raise EncodingError("choice has the wrong shape for this block structure")
-    per_cell_choice = np.repeat(choice, block_cells, axis=1)
-    stacked = np.moveaxis(candidate_states, 0, -1)
-    gathered = np.take_along_axis(stacked, per_cell_choice[..., None], axis=-1)
-    return gathered[..., 0]
-
-
-def _per_candidate_energy_cells(
-    candidate: np.ndarray,
-    stored_states: np.ndarray,
-    weights: np.ndarray,
-    active_cells: int,
-) -> np.ndarray:
-    """Per-cell differential-write energy of ONE candidate (``(n, cells)``).
-
-    Cells at or past ``active_cells`` cost 0 (the WLC auxiliary region).
-    Dispatches to the active backend's fused ``diff_energy_cells`` kernel
-    when available; the numpy fallback computes the identical elementwise
-    values (gather x 1.0/0.0 mask), so both are bit-identical.
-    """
-    from ..compression.backend import get_backend, kernel_timer
-
-    backend = get_backend()
-    kernel = backend.compiled.get("diff_energy_cells")
-    if (
-        kernel is not None
-        and candidate.dtype == np.uint8
-        and stored_states.dtype == np.uint8
-        and candidate.flags.c_contiguous
-        and stored_states.flags.c_contiguous
-    ):
-        with kernel_timer(backend.name, "diff_energy_cells"):
-            return kernel(candidate, stored_states, weights, active_cells)
-    per_cell = weights[candidate] * (candidate != stored_states)
-    if active_cells < candidate.shape[1]:
-        per_cell[:, active_cells:] = 0.0
-    return per_cell
-
-
-def block_energy_costs(
-    candidate_states: np.ndarray,
-    stored_states: np.ndarray,
+def block_costs(
+    candidate_bytes: np.ndarray,
+    stored_bytes: np.ndarray,
     energy_model: EnergyModel,
-    block_cells: int,
-    active_cells: Optional[int] = None,
+    block_bytes: int,
 ) -> np.ndarray:
     """Differential-write energy of every block under every candidate.
 
-    Parameters
-    ----------
-    candidate_states:
-        ``(k, n, cells)`` candidate cell states.
-    stored_states:
-        ``(n, cells)`` currently stored states.
-    energy_model:
-        Cell energy model.
-    block_cells:
-        Number of cells per encoding block.
-    active_cells:
-        Cells per row that carry coset-encoded data; cells at or past this
-        index contribute zero cost (WLC's reclaimed auxiliary region).
-        Defaults to every cell.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(k, n, blocks)`` float array of per-block write energies.
-
-    Notes
-    -----
-    The candidate axis is processed one candidate at a time, so the float64
-    per-cell temporary is ``(n, cells)`` instead of ``(k, n, cells)`` --
-    peak memory per sweep drops by ``1/k`` with bit-identical results: each
-    output element reduces the same ``block_cells`` contiguous floats with
-    the same numpy ``.sum`` regardless of how the candidate axis is walked.
+    ``candidate_bytes`` is ``(k, n, width)`` state bytes each candidate would
+    program (see :func:`repro.core.symbols.pack_state_bytes`) and
+    ``stored_bytes`` the ``(n, width)`` bytes currently stored.  Each byte
+    costs one lookup into ``energy_model.byte_cost_table``; blocks of
+    ``block_bytes`` (a power of two) sum pairwise.  Returns ``(k, n, width //
+    block_bytes)`` float64 energies; for an integral model they are exact
+    integers, equal bit for bit under any summation order.
     """
-    k, n, cells = candidate_states.shape
-    active = cells if active_cells is None else active_cells
-    weights = energy_model.write_energy_per_state
-    costs = np.empty((k, n, cells // block_cells), dtype=np.float64)
-    for index in range(k):
-        per_cell = _per_candidate_energy_cells(
-            candidate_states[index], stored_states, weights, active
-        )
-        costs[index] = per_cell.reshape(n, cells // block_cells, block_cells).sum(axis=-1)
-    return costs
+    index_hi = stored_bytes.astype(np.uint16) << 8
+    table = energy_model.byte_cost_table
+    costs = []
+    for candidate in candidate_bytes:
+        sums = table.take(index_hi | candidate).astype(np.float64)
+        width = block_bytes
+        while width > 1:
+            sums = sums[..., 0::2] + sums[..., 1::2]
+            width //= 2
+        costs.append(sums)
+    return np.stack(costs)
 
 
-def block_flip_costs(
-    candidate_states: np.ndarray,
-    stored_states: np.ndarray,
-    block_cells: int,
-    active_cells: Optional[int] = None,
+def select_block_bytes(
+    candidate_bytes: np.ndarray, choice: np.ndarray, block_bytes: int
 ) -> np.ndarray:
-    """Number of rewritten cells per block under every candidate (endurance cost).
+    """State bytes of the winning candidate of every block.
 
-    Like :func:`block_energy_costs` this walks the candidate axis one
-    candidate at a time (bounding the temporary at ``(n, cells)``) and
-    dispatches to the backend's ``flip_blocks`` kernel when one is
-    available; counts are exact integers, so any evaluation order is
-    bit-identical.
+    ``candidate_bytes`` is ``(k, n, width)`` and ``choice`` is the
+    ``(n, width // block_bytes)`` winning candidate per block; returns the
+    ``(n, width)`` winner's bytes.
     """
-    from ..compression.backend import get_backend, kernel_timer
-
-    k, n, cells = candidate_states.shape
-    active = cells if active_cells is None else active_cells
-    backend = get_backend()
-    kernel = backend.compiled.get("flip_blocks")
-    flips = np.empty((k, n, cells // block_cells), dtype=np.int64)
-    for index in range(k):
-        candidate = candidate_states[index]
-        if (
-            kernel is not None
-            and candidate.dtype == np.uint8
-            and stored_states.dtype == np.uint8
-            and candidate.flags.c_contiguous
-            and stored_states.flags.c_contiguous
-        ):
-            with kernel_timer(backend.name, "flip_blocks"):
-                flips[index] = kernel(candidate, stored_states, block_cells, active)
-        else:
-            changed = candidate != stored_states
-            if active < cells:
-                changed[:, active:] = False
-            flips[index] = changed.reshape(n, cells // block_cells, block_cells).sum(axis=-1)
-    return flips
+    n, width = candidate_bytes.shape[1:]
+    if choice.shape != (n, width // block_bytes):
+        raise EncodingError("choice has the wrong shape for this block structure")
+    per_byte = np.repeat(choice, block_bytes, axis=1).astype(np.intp)
+    return np.take_along_axis(candidate_bytes, per_byte[None], axis=0)[0]

@@ -12,10 +12,10 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core.cosets import DEFAULT_MAPPING, apply_mapping, invert_mapping
+from ..core.cosets import DEFAULT_MAPPING, default_states, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.line import LineBatch
-from ..core.symbols import SYMBOLS_PER_LINE
+from ..core.symbols import SYMBOLS_PER_LINE, symbol_bytes
 from .base import WriteEncoder
 
 
@@ -30,7 +30,7 @@ class BaselineEncoder(WriteEncoder):
     def _encode_against_states(
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        states = apply_mapping(DEFAULT_MAPPING, lines.symbols())
+        states = default_states(symbol_bytes(lines.words))
         n = len(lines)
         aux_mask = np.zeros((n, SYMBOLS_PER_LINE), dtype=bool)
         compressed = np.zeros(n, dtype=bool)

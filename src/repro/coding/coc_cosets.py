@@ -26,21 +26,30 @@ import numpy as np
 
 from ..compression.coc import COC_BUDGET_16BIT, COC_BUDGET_32BIT, COCCompressor
 from ..compression.kernels import PackedBits
-from ..core.cosets import DEFAULT_MAPPING, FOUR_COSETS, apply_mapping, invert_mapping
+from ..core.cosets import (
+    DEFAULT_MAPPING,
+    FOUR_COSETS,
+    default_states,
+    invert_mapping,
+    mapping_byte_table,
+)
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.line import LineBatch
 from ..core.symbols import (
     BITS_PER_LINE,
+    BYTES_PER_LINE,
     SYMBOLS_PER_LINE,
-    bits_to_symbols,
+    pack_state_bytes,
+    symbol_bytes,
     symbols_to_bits,
     symbols_to_words,
+    unpack_state_bytes,
 )
 from .base import (
     WriteEncoder,
-    block_energy_costs,
+    block_costs,
     pack_bits_to_states,
-    select_states_per_block,
+    select_block_bytes,
     unpack_states_to_bits,
 )
 from .wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
@@ -100,6 +109,7 @@ class COCFourCosetsEncoder(WriteEncoder):
         self.compressor = COCCompressor()
         self.candidates = FOUR_COSETS
         self.inverse_candidates = np.stack([invert_mapping(c) for c in self.candidates])
+        self.byte_tables = np.stack([mapping_byte_table(c) for c in self.candidates])
 
     @property
     def aux_cells(self) -> int:
@@ -124,10 +134,10 @@ class COCFourCosetsEncoder(WriteEncoder):
             return LAYOUT_32
         return None
 
-    def _packed_symbols(
+    def _payload_bytes(
         self, lines: LineBatch, member_sizes: np.ndarray
     ) -> np.ndarray:
-        """Compressed payloads of a batch, zero-padded to 256 symbols each.
+        """Compressed payloads of a batch as symbol bytes, zero-padded to 64 each.
 
         ``member_sizes`` is the bank-size matrix the caller already computed
         while classifying the batch; passing it through means the bank is
@@ -137,13 +147,13 @@ class COCFourCosetsEncoder(WriteEncoder):
         bits = np.zeros((len(lines), BITS_PER_LINE), dtype=np.uint8)
         width = min(packed.bits.shape[1], BITS_PER_LINE)
         bits[:, :width] = packed.bits[:, :width]
-        return bits_to_symbols(bits)
+        return np.packbits(bits, axis=1, bitorder="little")
 
     def _encode_layout_group(
         self,
         indices: np.ndarray,
-        payload_symbols: np.ndarray,
-        stored_states: np.ndarray,
+        payload_bytes: np.ndarray,
+        stored_bytes: np.ndarray,
         layout: _Layout,
         data_states: np.ndarray,
         aux_mask: np.ndarray,
@@ -151,12 +161,13 @@ class COCFourCosetsEncoder(WriteEncoder):
         """Coset-encode all lines of one layout group (vectorised)."""
         if indices.size == 0:
             return
-        payload = payload_symbols[indices][:, : layout.data_cells]
-        stored = stored_states[indices][:, : layout.data_cells]
-        candidate_states = self.candidates[:, payload]
-        costs = block_energy_costs(candidate_states, stored, self.energy_model, layout.block_cells)
+        data_bytes, block_bytes = layout.data_cells // 4, layout.granularity_bits // 8
+        payload = payload_bytes[indices][:, :data_bytes]
+        stored = stored_bytes[indices][:, :data_bytes]
+        candidates = np.take(self.byte_tables, payload, axis=1)
+        costs = block_costs(candidates, stored, self.energy_model, block_bytes)
         choice = costs.argmin(axis=0).astype(np.uint8)
-        encoded = select_states_per_block(candidate_states, choice, layout.block_cells)
+        encoded = unpack_state_bytes(select_block_bytes(candidates, choice, block_bytes))
         choice_bits = np.zeros((indices.size, layout.aux_bits), dtype=np.uint8)
         choice_bits[:, 0::2] = choice & 1
         choice_bits[:, 1::2] = (choice >> 1) & 1
@@ -177,31 +188,29 @@ class COCFourCosetsEncoder(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        symbols = lines.symbols()
-        raw_states = apply_mapping(DEFAULT_MAPPING, symbols)
+        data_states = default_states(symbol_bytes(lines.words))
         member_sizes = self.compressor.member_sizes(lines)
         sizes = self.compressor.sizes_from_members(member_sizes)
         mode16 = sizes <= LAYOUT_16.budget_bits
         mode32 = (~mode16) & (sizes <= LAYOUT_32.budget_bits)
         compressible = mode16 | mode32
 
-        data_states = raw_states.copy()
         aux_mask = np.zeros((n, self.total_cells), dtype=bool)
 
-        payload_symbols = np.zeros((n, SYMBOLS_PER_LINE), dtype=np.uint8)
+        payload_bytes = np.zeros((n, BYTES_PER_LINE), dtype=np.uint8)
         rows = np.nonzero(compressible)[0]
         if rows.size:
-            payload_symbols[rows] = self._packed_symbols(
+            payload_bytes[rows] = self._payload_bytes(
                 LineBatch(lines.words[rows]), member_sizes[:, rows]
             )
 
-        data_stored = stored_states[:, :SYMBOLS_PER_LINE]
+        stored_bytes = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
         self._encode_layout_group(
-            np.nonzero(mode16)[0], payload_symbols, data_stored, LAYOUT_16, data_states,
+            np.nonzero(mode16)[0], payload_bytes, stored_bytes, LAYOUT_16, data_states,
             aux_mask[:, :SYMBOLS_PER_LINE],
         )
         self._encode_layout_group(
-            np.nonzero(mode32)[0], payload_symbols, data_stored, LAYOUT_32, data_states,
+            np.nonzero(mode32)[0], payload_bytes, stored_bytes, LAYOUT_32, data_states,
             aux_mask[:, :SYMBOLS_PER_LINE],
         )
 

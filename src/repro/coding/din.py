@@ -27,14 +27,14 @@ import numpy as np
 
 from ..compression.fpc_bdi import FPCBDICompressor
 from ..compression.kernels import PackedBits, pack_fields, unpack_fields
-from ..core.cosets import DEFAULT_MAPPING, apply_mapping, invert_mapping
+from ..core.cosets import DEFAULT_MAPPING, default_states, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import EncodingError
 from ..core.line import LineBatch
 from ..core.symbols import (
     BITS_PER_LINE,
     SYMBOLS_PER_LINE,
-    bits_to_symbols,
+    symbol_bytes,
     symbols_to_bits,
     symbols_to_words,
 )
@@ -168,17 +168,14 @@ class DINEncoder(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        symbols = lines.symbols()
-        raw_states = apply_mapping(DEFAULT_MAPPING, symbols)
         sizes = self.compressor.sizes_bits(lines)
         encodable = sizes <= MAX_COMPRESSED_BITS
 
-        data_states = raw_states.copy()
+        data_states = default_states(symbol_bytes(lines.words))
         rows = np.nonzero(encodable)[0]
         if rows.size:
             line_bits = self._encode_lines_bits(LineBatch(lines.words[rows]))
-            line_symbols = bits_to_symbols(line_bits)
-            data_states[rows] = apply_mapping(DEFAULT_MAPPING, line_symbols)
+            data_states[rows] = default_states(np.packbits(line_bits, axis=1, bitorder="little"))
 
         flag_states = np.where(encodable, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
         states = np.concatenate([data_states, flag_states[:, None]], axis=1).astype(np.uint8)

@@ -17,16 +17,22 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core.cosets import DEFAULT_MAPPING, apply_mapping, flipmin_coset_vectors, invert_mapping
+from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, flipmin_coset_vectors, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
-from ..core.symbols import SYMBOLS_PER_LINE, words_to_symbols
+from ..core.symbols import (
+    BYTES_PER_LINE,
+    SYMBOLS_PER_LINE,
+    pack_state_bytes,
+    symbol_bytes,
+    unpack_state_bytes,
+)
 from .base import (
     WriteEncoder,
-    block_energy_costs,
+    block_costs,
     pack_bits_to_states,
-    select_states_per_block,
+    select_block_bytes,
     unpack_states_to_bits,
 )
 
@@ -47,6 +53,7 @@ class FlipMinEncoder(WriteEncoder):
             raise ConfigurationError("num_cosets must be between 2 and 16")
         self.num_cosets = num_cosets
         self.vectors = flipmin_coset_vectors(num_cosets, seed=seed)
+        self.vector_states = DEFAULT_BYTE_TABLE.take(symbol_bytes(self.vectors))
         self.index_bits = max(1, (num_cosets - 1).bit_length())
 
     @property
@@ -54,25 +61,19 @@ class FlipMinEncoder(WriteEncoder):
         """Auxiliary cells holding the coset-vector index (four bits -> two cells)."""
         return (self.index_bits + 1) // 2
 
-    def _candidate_states(self, lines: LineBatch) -> np.ndarray:
-        """States produced by XORing the line with every coset vector."""
-        candidates = []
-        for vector in self.vectors:
-            xored = lines.words ^ vector[None, :]
-            candidates.append(apply_mapping(DEFAULT_MAPPING, words_to_symbols(xored)))
-        return np.stack(candidates)
-
     def _encode_against_states(
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        data_stored = stored_states[:, :SYMBOLS_PER_LINE]
-        candidate_states = self._candidate_states(lines)
-        costs = block_energy_costs(
-            candidate_states, data_stored, self.energy_model, SYMBOLS_PER_LINE
-        )
+        stored = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
+        # The default mapping is linear over GF(2): symbol bits (h, l) become
+        # state bits (l, h ^ l).  So the states of ``line ^ vector`` are the
+        # line's state bytes XOR the vector's: one lookup, then one XOR each.
+        line_states = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
+        candidates = line_states[None] ^ self.vector_states[:, None]  # (k, n, 64)
+        costs = block_costs(candidates, stored, self.energy_model, BYTES_PER_LINE)
         choice = costs.argmin(axis=0)  # (n, 1)
-        data_states = select_states_per_block(candidate_states, choice, SYMBOLS_PER_LINE)
+        data_states = unpack_state_bytes(select_block_bytes(candidates, choice, BYTES_PER_LINE))
         index_bits = np.stack(
             [((choice[:, 0] >> b) & 1).astype(np.uint8) for b in range(self.index_bits)], axis=1
         )

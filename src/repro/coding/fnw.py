@@ -16,16 +16,22 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core.cosets import DEFAULT_MAPPING, apply_mapping, invert_mapping
+from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
-from ..core.symbols import SYMBOLS_PER_LINE, complement_symbols
+from ..core.symbols import (
+    SYMBOLS_PER_LINE,
+    complement_symbols,
+    pack_state_bytes,
+    symbol_bytes,
+    unpack_state_bytes,
+)
 from .base import (
     WriteEncoder,
-    block_energy_costs,
+    block_costs,
     pack_bits_to_states,
-    select_states_per_block,
+    select_block_bytes,
     unpack_states_to_bits,
 )
 
@@ -39,10 +45,11 @@ class FNWEncoder(WriteEncoder):
         energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
     ):
         super().__init__(energy_model)
-        if block_bits % 2 or (SYMBOLS_PER_LINE * 2) % block_bits:
-            raise ConfigurationError("block_bits must evenly divide the 512-bit line")
+        if block_bits % 8 or (SYMBOLS_PER_LINE * 2) % block_bits:
+            raise ConfigurationError("block_bits must be a multiple of 8 dividing 512")
         self.block_bits = block_bits
         self.block_cells = block_bits // 2
+        self.block_bytes = block_bits // 8
         self.num_blocks = SYMBOLS_PER_LINE // self.block_cells
         self.name = f"fnw-{block_bits}"
 
@@ -55,14 +62,13 @@ class FNWEncoder(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        symbols = lines.symbols()
-        data_stored = stored_states[:, :SYMBOLS_PER_LINE]
-        plain = apply_mapping(DEFAULT_MAPPING, symbols)
-        flipped = apply_mapping(DEFAULT_MAPPING, complement_symbols(symbols))
-        candidate_states = np.stack([plain, flipped])
-        costs = block_energy_costs(candidate_states, data_stored, self.energy_model, self.block_cells)
+        data = symbol_bytes(lines.words)
+        stored = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
+        # Complementing every symbol of a byte is complementing the byte.
+        candidates = DEFAULT_BYTE_TABLE.take(np.stack([data, data ^ 0xFF]))
+        costs = block_costs(candidates, stored, self.energy_model, self.block_bytes)
         choice = costs.argmin(axis=0).astype(np.uint8)  # (n, blocks)
-        data_states = select_states_per_block(candidate_states, choice, self.block_cells)
+        data_states = unpack_state_bytes(select_block_bytes(candidates, choice, self.block_bytes))
         aux_states = pack_bits_to_states(choice)
         states = np.concatenate([data_states, aux_states], axis=1)
         aux_mask = np.zeros((n, self.total_cells), dtype=bool)

@@ -25,16 +25,18 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.cosets import FOUR_COSETS, SIX_COSETS, THREE_COSETS, invert_mapping
+from ..core.cosets import FOUR_COSETS, SIX_COSETS, THREE_COSETS, invert_mapping, mapping_byte_table
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
-from ..core.symbols import BITS_PER_LINE, SYMBOLS_PER_LINE
-from .base import (
-    WriteEncoder,
-    block_energy_costs,
-    select_states_per_block,
+from ..core.symbols import (
+    BITS_PER_LINE,
+    SYMBOLS_PER_LINE,
+    pack_state_bytes,
+    symbol_bytes,
+    unpack_state_bytes,
 )
+from .base import WriteEncoder, block_costs, select_block_bytes
 
 
 class AuxCodec:
@@ -96,7 +98,9 @@ class PairCellAuxCodec(AuxCodec):
             key=lambda pair: (weights[pair[0]] + weights[pair[1]], pair),
         )
         self.combos = np.asarray(combos[:num_candidates], dtype=np.uint8)
-        self._lookup = {tuple(combo): index for index, combo in enumerate(self.combos.tolist())}
+        # Candidate index of every (first, second) state pair; unused pairs -> 0.
+        self._lookup = np.zeros(16, dtype=np.uint8)
+        self._lookup[self.combos[:, 0] * 4 + self.combos[:, 1]] = np.arange(num_candidates)
 
     def encode(self, choice: np.ndarray) -> np.ndarray:
         choice = np.asarray(choice)
@@ -106,11 +110,7 @@ class PairCellAuxCodec(AuxCodec):
     def decode(self, aux_states: np.ndarray, blocks: int) -> np.ndarray:
         aux_states = np.asarray(aux_states, dtype=np.uint8)[:, : blocks * 2]
         pairs = aux_states.reshape(aux_states.shape[0], blocks, 2)
-        choice = np.zeros((aux_states.shape[0], blocks), dtype=np.uint8)
-        for n in range(pairs.shape[0]):
-            for b in range(blocks):
-                choice[n, b] = self._lookup.get(tuple(pairs[n, b].tolist()), 0)
-        return choice
+        return self._lookup[pairs[..., 0] * 4 + pairs[..., 1]]
 
 
 class NCosetsEncoder(WriteEncoder):
@@ -131,12 +131,14 @@ class NCosetsEncoder(WriteEncoder):
         candidates = np.asarray(candidates, dtype=np.uint8)
         if candidates.ndim != 2 or candidates.shape[1] != 4:
             raise ConfigurationError("candidates must have shape (k, 4)")
-        if granularity_bits % 2 or BITS_PER_LINE % granularity_bits:
-            raise ConfigurationError("granularity_bits must evenly divide the 512-bit line")
+        if granularity_bits % 8 or BITS_PER_LINE % granularity_bits:
+            raise ConfigurationError("granularity_bits must be a multiple of 8 dividing 512")
         self.candidates = candidates
         self.inverse_candidates = np.stack([invert_mapping(c) for c in candidates])
+        self.byte_tables = np.stack([mapping_byte_table(c) for c in candidates])
         self.granularity_bits = granularity_bits
         self.block_cells = granularity_bits // 2
+        self.block_bytes = granularity_bits // 8
         self.num_blocks = SYMBOLS_PER_LINE // self.block_cells
         if candidates.shape[0] <= 4:
             self.aux_codec: AuxCodec = SingleCellAuxCodec(candidates.shape[0])
@@ -153,12 +155,11 @@ class NCosetsEncoder(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        symbols = lines.symbols()
-        data_stored = stored_states[:, :SYMBOLS_PER_LINE]
-        candidate_states = self.candidates[:, symbols]  # (k, n, cells)
-        costs = block_energy_costs(candidate_states, data_stored, self.energy_model, self.block_cells)
+        stored = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
+        candidates = np.take(self.byte_tables, symbol_bytes(lines.words), axis=1)  # (k, n, 64)
+        costs = block_costs(candidates, stored, self.energy_model, self.block_bytes)
         choice = costs.argmin(axis=0).astype(np.uint8)  # (n, blocks)
-        data_states = select_states_per_block(candidate_states, choice, self.block_cells)
+        data_states = unpack_state_bytes(select_block_bytes(candidates, choice, self.block_bytes))
         aux_states = self.aux_codec.encode(choice)
         states = np.concatenate([data_states, aux_states], axis=1).astype(np.uint8)
         aux_mask = np.zeros((n, self.total_cells), dtype=bool)

@@ -21,16 +21,22 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core.cosets import THREE_COSETS, invert_mapping
+from ..core.cosets import THREE_COSETS, invert_mapping, mapping_byte_table
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
-from ..core.symbols import BITS_PER_LINE, SYMBOLS_PER_LINE
+from ..core.symbols import (
+    BITS_PER_LINE,
+    SYMBOLS_PER_LINE,
+    pack_state_bytes,
+    symbol_bytes,
+    unpack_state_bytes,
+)
 from .base import (
     WriteEncoder,
-    block_energy_costs,
+    block_costs,
     pack_bits_to_states,
-    select_states_per_block,
+    select_block_bytes,
     unpack_states_to_bits,
 )
 
@@ -52,13 +58,15 @@ class RestrictedCosetEncoder(WriteEncoder):
         energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
     ):
         super().__init__(energy_model)
-        if granularity_bits % 2 or BITS_PER_LINE % granularity_bits:
-            raise ConfigurationError("granularity_bits must evenly divide the 512-bit line")
+        if granularity_bits % 8 or BITS_PER_LINE % granularity_bits:
+            raise ConfigurationError("granularity_bits must be a multiple of 8 dividing 512")
         self.granularity_bits = granularity_bits
         self.block_cells = granularity_bits // 2
+        self.block_bytes = granularity_bits // 8
         self.num_blocks = SYMBOLS_PER_LINE // self.block_cells
         self.candidates = THREE_COSETS
         self.inverse_candidates = np.stack([invert_mapping(c) for c in self.candidates])
+        self.byte_tables = np.stack([mapping_byte_table(c) for c in self.candidates])
         self.name = f"3-r-cosets-{granularity_bits}"
 
     @property
@@ -75,10 +83,9 @@ class RestrictedCosetEncoder(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        symbols = lines.symbols()
-        data_stored = stored_states[:, :SYMBOLS_PER_LINE]
-        candidate_states = self.candidates[:, symbols]  # (3, n, cells)
-        costs = block_energy_costs(candidate_states, data_stored, self.energy_model, self.block_cells)
+        stored = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
+        candidates = np.take(self.byte_tables, symbol_bytes(lines.words), axis=1)  # (3, n, 64)
+        costs = block_costs(candidates, stored, self.energy_model, self.block_bytes)
         # costs has shape (3, n, blocks); family 0 = {C1, C2}, family 1 = {C1, C3}.
         family_costs = np.stack(
             [
@@ -90,7 +97,7 @@ class RestrictedCosetEncoder(WriteEncoder):
         alternative = np.where(family[:, None] == 0, costs[1], costs[2])  # (n, blocks)
         selector = (alternative < costs[0]).astype(np.uint8)  # (n, blocks)
         choice = FAMILY_CANDIDATES[family[:, None], selector]  # (n, blocks)
-        data_states = select_states_per_block(candidate_states, choice, self.block_cells)
+        data_states = unpack_state_bytes(select_block_bytes(candidates, choice, self.block_bytes))
         bits = np.concatenate([family[:, None], selector], axis=1).astype(np.uint8)
         aux_states = pack_bits_to_states(bits)
         states = np.concatenate([data_states, aux_states], axis=1).astype(np.uint8)

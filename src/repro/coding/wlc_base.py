@@ -24,13 +24,13 @@ auxiliary bit values and per-block candidate indices
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..compression.wlc import WLCCompressor
-from ..core.cosets import DEFAULT_MAPPING, apply_mapping, invert_mapping
-from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
+from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, invert_mapping, mapping_byte_table
+from ..core.energy import DEFAULT_ENERGY_MODEL, REWRITE_COUNT_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
 from ..core.symbols import (
@@ -38,10 +38,15 @@ from ..core.symbols import (
     SYMBOLS_PER_LINE,
     SYMBOLS_PER_WORD,
     WORDS_PER_LINE,
+    pack_state_bytes,
+    symbol_bytes,
     symbols_to_words,
-    words_to_symbols,
+    unpack_state_bytes,
 )
-from .base import WriteEncoder, block_energy_costs, block_flip_costs
+from .base import WriteEncoder, block_costs, select_block_bytes
+
+#: State-byte -> symbol-byte table of the default mapping (reads raw cells).
+_DEFAULT_INVERSE_BYTE_TABLE = mapping_byte_table(invert_mapping(DEFAULT_MAPPING))
 
 #: Flag-cell state marking a compressed (encoded) line.
 FLAG_COMPRESSED_STATE = 0
@@ -56,6 +61,10 @@ class WLCWordEncoderBase(WriteEncoder):
     # decided per line, so tiled fused-metrics evaluation is bit-identical
     # to a batch encode (covers WLCRC and the WLC+cosets variants).
     supports_fused_metrics = True
+
+    #: Whether :meth:`_select_candidates` reads per-block rewritten-cell
+    #: counts; they are computed only when it does.
+    counts_rewrites: bool = False
 
     def __init__(
         self,
@@ -73,14 +82,20 @@ class WLCWordEncoderBase(WriteEncoder):
         self.granularity_bits = granularity_bits
         self.candidates = np.asarray(candidates, dtype=np.uint8)
         self.inverse_candidates = np.stack([invert_mapping(c) for c in self.candidates])
+        self.byte_tables = np.stack([mapping_byte_table(c) for c in self.candidates])
         self.reclaimed_bits = reclaimed_bits
         self.wlc = WLCCompressor(k=reclaimed_bits + 1)
         self.blocks_per_word = BITS_PER_WORD // granularity_bits
         self.block_cells = granularity_bits // 2
+        self.block_bytes = granularity_bits // 8
         #: Cells at the top of each word that hold auxiliary (reclaimed) bits.
         self.aux_region_cells = (reclaimed_bits + 1) // 2
         #: Cells of each word that carry coset-encoded data.
         self.data_region_cells = SYMBOLS_PER_WORD - self.aux_region_cells
+        #: Per line byte, the bits of its data-region cells.
+        self.data_byte_mask = np.tile(
+            pack_state_bytes(np.where(~self.word_aux_mask(), 3, 0)), WORDS_PER_LINE
+        )
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -109,7 +124,7 @@ class WLCWordEncoderBase(WriteEncoder):
     def _select_candidates(
         self,
         block_costs: np.ndarray,
-        block_flips: np.ndarray,
+        block_flips: Optional[np.ndarray],
         stored_aux_values: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Choose a candidate per block and build per-word auxiliary values.
@@ -119,7 +134,8 @@ class WLCWordEncoderBase(WriteEncoder):
         block_costs:
             ``(k, n, 8, blocks)`` per-block differential-write energies.
         block_flips:
-            ``(k, n, 8, blocks)`` per-block rewritten-cell counts.
+            ``(k, n, 8, blocks)`` per-block rewritten-cell counts, or ``None``
+            unless :attr:`counts_rewrites` is set.
         stored_aux_values:
             ``(n, 8)`` integers currently held in the reclaimed bits of each
             stored word.  Cost ties are broken in favour of the stored
@@ -147,60 +163,38 @@ class WLCWordEncoderBase(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        symbols = lines.symbols()
-        stored_data = stored_states[:, :SYMBOLS_PER_LINE]
+        data = symbol_bytes(lines.words)
+        stored = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
         compressible = self.wlc.line_compressible(lines)
 
-        raw_states = apply_mapping(DEFAULT_MAPPING, symbols)
-
-        word_symbols = symbols.reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
-        stored_words = stored_data.reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
-        candidate_states = self.candidates[:, word_symbols]  # (k, n, 8, 32)
-        # Per-block costs/flips via the shared per-candidate sweep helpers:
-        # words become independent rows of a (k, n*8, 32) view, the auxiliary
-        # region is excluded through active_cells, and the candidate axis is
-        # walked one candidate at a time -- bounding the float temporary at
-        # one candidate's worth.  The per-cell values and the per-block
-        # reductions are elementwise/layout-identical to the historical
-        # inline expressions, so results are bit-identical; flips are exact
-        # 0/1 sums, so the int64 count cast to float64 matches the float sum.
-        k = candidate_states.shape[0]
+        # Candidates keep the stored bits in each word's reclaimed region, so
+        # those cells are unchanged and cost nothing; word blocks are
+        # contiguous bytes, so line-level blocks reshape into per-word ones.
+        keep = self.data_byte_mask
+        candidates = (np.take(self.byte_tables, data, axis=1) & keep) | (stored & ~keep)
+        k = candidates.shape[0]
         shape = (k, n, WORDS_PER_LINE, self.blocks_per_word)
-        flat_candidates = candidate_states.reshape(k, n * WORDS_PER_LINE, SYMBOLS_PER_WORD)
-        flat_stored = np.ascontiguousarray(
-            stored_words.reshape(n * WORDS_PER_LINE, SYMBOLS_PER_WORD)
+        block_energies = block_costs(candidates, stored, self.energy_model, self.block_bytes)
+        block_flips = None
+        if self.counts_rewrites:
+            block_flips = block_costs(
+                candidates, stored, REWRITE_COUNT_MODEL, self.block_bytes
+            ).reshape(shape)
+
+        stored_aux_values = self._stored_aux_values(stored)
+        choice, aux_values = self._select_candidates(
+            block_energies.reshape(shape), block_flips, stored_aux_values
         )
-        block_costs = block_energy_costs(
-            flat_candidates,
-            flat_stored,
-            self.energy_model,
-            self.block_cells,
-            active_cells=self.data_region_cells,
-        ).reshape(shape)
-        block_flips = block_flip_costs(
-            flat_candidates,
-            flat_stored,
-            self.block_cells,
-            active_cells=self.data_region_cells,
-        ).astype(np.float64).reshape(shape)
-
-        stored_aux_values = self._stored_aux_values(stored_words)
-        choice, aux_values = self._select_candidates(block_costs, block_flips, stored_aux_values)
-
-        per_cell_choice = np.repeat(choice, self.block_cells, axis=2)  # (n, 8, 32)
-        stacked = np.moveaxis(candidate_states, 0, -1)  # (n, 8, 32, k)
-        encoded_states = np.take_along_axis(
-            stacked, per_cell_choice[..., None].astype(np.intp), axis=-1
-        )[..., 0]
+        encoded = select_block_bytes(
+            candidates, choice.reshape(n, WORDS_PER_LINE * self.blocks_per_word), self.block_bytes
+        )
         # Auxiliary-region cells store the reclaimed bits under the default mapping.
         words_with_aux = self.wlc.insert_reclaimed(lines.words, aux_values)
-        aux_symbols = words_to_symbols(words_with_aux).reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
-        encoded_states[..., self.data_region_cells:] = apply_mapping(
-            DEFAULT_MAPPING, aux_symbols[..., self.data_region_cells:]
-        )
-        encoded_states = encoded_states.reshape(n, SYMBOLS_PER_LINE).astype(np.uint8)
+        aux_bytes = DEFAULT_BYTE_TABLE.take(symbol_bytes(words_with_aux))
+        encoded = (encoded & keep) | (aux_bytes & ~keep)
 
-        data_states = np.where(compressible[:, None], encoded_states, raw_states).astype(np.uint8)
+        raw = DEFAULT_BYTE_TABLE.take(data)
+        data_states = unpack_state_bytes(np.where(compressible[:, None], encoded, raw))
         flag_states = np.where(compressible, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
         states = np.concatenate([data_states, flag_states[:, None]], axis=1)
 
@@ -210,19 +204,16 @@ class WLCWordEncoderBase(WriteEncoder):
         aux_mask[:, self.flag_cell_index] = True
         return states, aux_mask, compressible, compressible.copy()
 
-    def _stored_aux_values(self, stored_words: np.ndarray) -> np.ndarray:
+    def _stored_aux_values(self, stored_bytes: np.ndarray) -> np.ndarray:
         """Reclaimed-bit values currently stored in each word's auxiliary cells.
 
-        ``stored_words`` is the ``(n, 8, 32)`` array of stored cell states.
-        The auxiliary region is always written under the default mapping, so
-        inverting it recovers the stored selector bits.
+        ``stored_bytes`` is the ``(n, 64)`` array of stored state bytes.  The
+        auxiliary region is always written under the default mapping, so
+        reading the cells back as raw words recovers the stored selector bits.
         """
-        inverse_default = invert_mapping(DEFAULT_MAPPING)
-        aux_symbols = inverse_default[stored_words[..., self.data_region_cells:]]
-        positions = np.arange(self.data_region_cells, SYMBOLS_PER_WORD)
-        shifts = positions.astype(np.uint64) * np.uint64(2)
-        partial_words = (aux_symbols.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
-        return partial_words >> np.uint64(BITS_PER_WORD - self.reclaimed_bits)
+        raw_bytes = _DEFAULT_INVERSE_BYTE_TABLE.take(stored_bytes)
+        words = raw_bytes.view("<u8").astype(np.uint64)
+        return words >> np.uint64(BITS_PER_WORD - self.reclaimed_bits)
 
     # ------------------------------------------------------------------ #
     # Decoding
@@ -238,15 +229,7 @@ class WLCWordEncoderBase(WriteEncoder):
         raw_symbols = inverse_default[data_states]
 
         word_states = data_states.reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
-        # Recover the stored auxiliary (reclaimed-bit) values from the aux region.
-        aux_region_symbols = inverse_default[word_states[..., self.data_region_cells:]]
-        aux_region_positions = np.arange(self.data_region_cells, SYMBOLS_PER_WORD)
-        shifts = (aux_region_positions.astype(np.uint64) * np.uint64(2))
-        partial_words = (aux_region_symbols.astype(np.uint64) << shifts).sum(
-            axis=-1, dtype=np.uint64
-        )
-        aux_values = partial_words >> np.uint64(BITS_PER_WORD - self.reclaimed_bits)
-        choice = self._choices_from_aux(aux_values)
+        choice = self._choices_from_aux(self._stored_aux_values(pack_state_bytes(data_states)))
 
         per_cell_choice = np.repeat(choice, self.block_cells, axis=2)
         inverse = self.inverse_candidates[per_cell_choice]  # (n, 8, 32, 4)
@@ -255,7 +238,9 @@ class WLCWordEncoderBase(WriteEncoder):
         )[..., 0]
         # The aux region (including any data bit sharing a cell with aux bits)
         # was stored under the default mapping.
-        decoded_symbols[..., self.data_region_cells:] = aux_region_symbols
+        decoded_symbols[..., self.data_region_cells:] = inverse_default[
+            word_states[..., self.data_region_cells:]
+        ]
         decoded_words = symbols_to_words(
             decoded_symbols.reshape(n, SYMBOLS_PER_LINE).astype(np.uint8)
         )

@@ -15,7 +15,7 @@ optimum sits at 32-bit blocks while WLCRC's sits at 16-bit blocks.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +54,10 @@ class WLCNCosetsEncoder(WLCWordEncoderBase):
         )
 
     def _select_candidates(
-        self, block_costs: np.ndarray, block_flips: np.ndarray, stored_aux_values: np.ndarray
+        self,
+        block_costs: np.ndarray,
+        block_flips: Optional[np.ndarray],
+        stored_aux_values: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         best = block_costs.argmin(axis=0).astype(np.uint8)  # (n, 8, blocks)
         best_cost = block_costs.min(axis=0)

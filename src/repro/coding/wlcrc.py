@@ -68,6 +68,7 @@ class WLCRCEncoder(WLCWordEncoderBase):
             energy_model=energy_model,
         )
         self.endurance_threshold = endurance_threshold
+        self.counts_rewrites = endurance_threshold is not None
         #: Number of per-block selector bits stored in each word.
         self.selector_bits = min(self.blocks_per_word, self.reclaimed_bits - 1)
 
@@ -75,7 +76,10 @@ class WLCRCEncoder(WLCWordEncoderBase):
     # Candidate selection (Algorithm 1)
     # ------------------------------------------------------------------ #
     def _select_candidates(
-        self, block_costs: np.ndarray, block_flips: np.ndarray, stored_aux_values: np.ndarray
+        self,
+        block_costs: np.ndarray,
+        block_flips: Optional[np.ndarray],
+        stored_aux_values: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         if self.granularity_bits == 64:
             # Degenerate case: unrestricted choice among C1, C2, C3 per word.

@@ -95,12 +95,11 @@ class ArrayBackend:
         Move a device array back to host numpy.  Identity for host backends.
     compiled:
         Optional kernel overrides, keyed by kernel name (``pack_fields``,
-        ``unpack_fields``, ``compact_fill``, ``xor_reduce``, and the fused
-        metric kernels ``energy_cells``, ``diff_energy_cells``,
-        ``flip_blocks``, ``disturb_cells``).  The kernel layer checks this
-        table before falling back to the ``xp`` expression, which is how the
-        numba backend swaps in its ``@njit`` loops without the call sites
-        knowing.
+        ``unpack_fields``, ``compact_fill``, ``xor_reduce``, and the metric
+        kernels ``energy_cells`` and ``disturb_cells``).  The kernel layer
+        checks this table before falling back to the ``xp`` expression, which
+        is how the numba backend swaps in its ``@njit`` loops without the call
+        sites knowing.
     """
 
     name: str
@@ -238,50 +237,22 @@ def _numpy_backend() -> ArrayBackend:
 # --------------------------------------------------------------------------- #
 # Fused metric kernel bodies (plain Python, shared with the numba backend)
 # --------------------------------------------------------------------------- #
-# The fused encode+metrics path (see ``repro.coding.base`` and
-# ``repro.evaluation.runner``) routes its per-cell cost/metric computations
-# through these kernels.  They are deliberately *elementwise only*: every
-# float they produce equals the corresponding numpy expression bit for bit
-# (a gather from an exact table, optionally multiplied by 1.0/0.0), and the
-# order-sensitive float reductions stay in shared numpy ``.sum`` calls -- numpy
-# 2.x uses a SIMD pairwise summation whose accumulation tree cannot be
-# replicated portably in a scalar loop, so the loops below never sum floats.
-# ``flip_blocks`` reduces booleans to int64 counts, which are exact in any
-# order.  Defined at module level (and ``@njit``-wrapped lazily inside
-# ``_compile_numba_kernels``) so the loop logic is testable without numba.
+# The metric reduction (``repro.evaluation.runner.metrics_from_encoded``)
+# routes its per-cell computations through these kernels.  They are
+# deliberately *elementwise only*: every float they produce equals the
+# corresponding numpy expression bit for bit (a gather from an exact table,
+# optionally multiplied by 1.0/0.0), and the order-sensitive float reductions
+# stay in shared numpy ``.sum`` calls -- numpy 2.x uses a SIMD pairwise
+# summation whose accumulation tree cannot be replicated portably in a scalar
+# loop, so the loops below never sum floats.  Defined at module level (and
+# ``@njit``-wrapped lazily inside ``_compile_numba_kernels``) so the loop
+# logic is testable without numba.  The encoders' candidate search needs no
+# kernel: it is table lookups over state bytes (``repro.coding.base``).
 def _energy_cells_impl(states, changed, weights):
     # 1-D: per-cell write energy, ``weights[state]`` where changed else 0.0.
     out = np.empty(states.shape[0], dtype=np.float64)
     for i in range(states.shape[0]):
         out[i] = weights[states[i]] if changed[i] else 0.0
-    return out
-
-
-def _diff_energy_cells_impl(candidate, stored, weights, active):
-    # 2-D: fused differential-write energy of one candidate -- computes the
-    # changed mask inline (no boolean temporary) and zeroes cells at or past
-    # ``active`` (the WLC auxiliary region).
-    n, cells = candidate.shape
-    out = np.empty((n, cells), dtype=np.float64)
-    for row in range(n):
-        for cell in range(cells):
-            if cell < active and candidate[row, cell] != stored[row, cell]:
-                out[row, cell] = weights[candidate[row, cell]]
-            else:
-                out[row, cell] = 0.0
-    return out
-
-
-def _flip_blocks_impl(candidate, stored, block_cells, active):
-    # 2-D: rewritten-cell count per block of one candidate (exact integer
-    # reduction, so the full sum may live in the loop).
-    n, cells = candidate.shape
-    blocks = cells // block_cells
-    out = np.zeros((n, blocks), dtype=np.int64)
-    for row in range(n):
-        for cell in range(cells):
-            if cell < active and candidate[row, cell] != stored[row, cell]:
-                out[row, cell // block_cells] += 1
     return out
 
 
@@ -370,12 +341,10 @@ def _compile_numba_kernels(numba) -> Dict[str, Callable[..., Any]]:
                         out[row, parity] ^= matrix[col, parity]
         return out
 
-    # The fused metric kernels share their loop bodies with the plain-Python
+    # The metric kernels share their loop bodies with the plain-Python
     # implementations above (kept un-jitted so the logic is testable without
     # numba); jitting them here only changes throughput, never a bit.
     energy_cells = njit(cache=True, nogil=True)(_energy_cells_impl)
-    diff_energy_cells = njit(cache=True, nogil=True)(_diff_energy_cells_impl)
-    flip_blocks = njit(cache=True, nogil=True)(_flip_blocks_impl)
     disturb_cells = njit(cache=True, nogil=True)(_disturb_cells_impl)
 
     return {
@@ -384,8 +353,6 @@ def _compile_numba_kernels(numba) -> Dict[str, Callable[..., Any]]:
         "compact_fill": compact_fill,
         "xor_reduce": xor_reduce,
         "energy_cells": energy_cells,
-        "diff_energy_cells": diff_energy_cells,
-        "flip_blocks": flip_blocks,
         "disturb_cells": disturb_cells,
     }
 

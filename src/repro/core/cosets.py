@@ -16,7 +16,8 @@ This module defines:
 
 Mappings are represented as ``numpy`` arrays of length 4 where entry ``s`` is
 the state assigned to symbol ``s``.  ``apply_mapping`` / ``invert_mapping``
-convert between symbols and states in either direction.
+convert between symbols and states in either direction;
+``mapping_byte_table`` maps a whole symbol byte (four cells) at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from .symbols import BITS_PER_LINE
+from .symbols import BITS_PER_LINE, pack_state_bytes, unpack_state_bytes
 
 #: Default mapping (Table I, candidate C1): 00->S1, 01->S4, 10->S2, 11->S3.
 C1 = np.array([0, 3, 1, 2], dtype=np.uint8)
@@ -76,6 +77,21 @@ def invert_mapping(mapping: np.ndarray) -> np.ndarray:
 def states_to_symbols(mapping: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Recover the symbols that were encoded as ``states`` under ``mapping``."""
     return invert_mapping(mapping)[np.asarray(states, dtype=np.uint8)]
+
+
+def mapping_byte_table(mapping: np.ndarray) -> np.ndarray:
+    """256-entry table mapping a symbol byte to its state byte under ``mapping``."""
+    every_byte = unpack_state_bytes(np.arange(256, dtype=np.uint8))
+    return pack_state_bytes(apply_mapping(mapping, every_byte))
+
+
+#: Symbol-byte -> state-byte table of the default mapping (raw writes).
+DEFAULT_BYTE_TABLE = mapping_byte_table(DEFAULT_MAPPING)
+
+
+def default_states(data_bytes: np.ndarray) -> np.ndarray:
+    """Cell states of symbol bytes written raw, under the default mapping."""
+    return unpack_state_bytes(DEFAULT_BYTE_TABLE.take(data_bytes))
 
 
 def six_cosets() -> np.ndarray:

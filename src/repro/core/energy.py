@@ -23,9 +23,12 @@ varies the S3/S4 SET energies).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
+
+from .symbols import unpack_state_bytes
 
 #: Number of distinct resistance states of a 4-level cell.
 NUM_STATES = 4
@@ -64,6 +67,26 @@ class EnergyModel:
     def write_energy_per_state(self) -> np.ndarray:
         """Total energy (RESET + SET) of programming a changed cell to each state."""
         return self.reset_energy_pj + np.asarray(self.set_energy_pj, dtype=np.float64)
+
+    @property
+    def is_integral(self) -> bool:
+        """Whether every write energy is a whole number of pJ (true for every shipped model).
+
+        Block costs are then exact integers far below 2**53, so any summation
+        order gives the same bits and the same cheapest candidate.
+        """
+        weights = self.write_energy_per_state
+        return bool(np.array_equal(weights, np.round(weights)))
+
+    @property
+    def byte_cost_table(self) -> np.ndarray:
+        """Write energy of every (stored, new) state-byte pair, indexed ``stored << 8 | new``.
+
+        Built on first use and cached.  Exact ``uint16`` for an integral model
+        (a byte costs at most four cells' energy); otherwise ``float64``, so
+        block costs round once per byte rather than once per cell.
+        """
+        return _byte_cost_table(self.reset_energy_pj, tuple(self.set_energy_pj), self.is_integral)
 
     def cell_write_energy(self, new_states: np.ndarray, changed: np.ndarray) -> np.ndarray:
         """Per-cell write energy for a differential write.
@@ -119,8 +142,27 @@ class EnergyModel:
         return EnergyModel(reset_energy_pj=self.reset_energy_pj, set_energy_pj=new_set)
 
 
+@lru_cache(maxsize=16)
+def _byte_cost_table(
+    reset_energy_pj: float, set_energy_pj: Tuple[float, ...], integral: bool
+) -> np.ndarray:
+    weights = reset_energy_pj + np.asarray(set_energy_pj, dtype=np.float64)
+    pairs = np.arange(1 << 16)
+    stored = unpack_state_bytes((pairs >> 8).astype(np.uint8)).reshape(-1, 4)
+    new = unpack_state_bytes((pairs & 0xFF).astype(np.uint8)).reshape(-1, 4)
+    table = (weights[new] * (new != stored)).sum(axis=1)
+    if integral and table.max() < 1 << 16:
+        table = table.astype(np.uint16)
+    table.flags.writeable = False
+    return table
+
+
 #: The default energy model used across the paper's evaluation.
 DEFAULT_ENERGY_MODEL = EnergyModel()
+
+#: A model in which every rewritten cell costs 1: its block "energies" are
+#: rewritten-cell counts (the endurance cost).
+REWRITE_COUNT_MODEL = EnergyModel(reset_energy_pj=1.0, set_energy_pj=(0.0, 0.0, 0.0, 0.0))
 
 #: The four intermediate-state energy configurations of Figure 14 as
 #: ``(S3 SET energy, S4 SET energy)`` pairs in pJ.

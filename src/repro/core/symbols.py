@@ -20,6 +20,12 @@ representations used by the code base:
   the least significant byte of word 0.  Used by byte-oriented compressors
   (FPC, BDI, COC).
 
+The coset encoders work on *state bytes*: four cells per byte, cell ``4k+j``
+in bits ``2j..2j+1`` of byte ``k``.  A line's bytes (:func:`symbol_bytes`)
+hold its symbols in exactly that layout, so a 256-entry table maps four
+symbols to four states at once; :func:`pack_state_bytes` and
+:func:`unpack_state_bytes` convert between cell states and state bytes.
+
 All functions are fully vectorised over leading batch dimensions.
 """
 
@@ -47,6 +53,12 @@ SYMBOL_BIT_PATTERNS = ("00", "01", "10", "11")
 
 _SYMBOL_SHIFTS = np.arange(SYMBOLS_PER_WORD, dtype=np.uint64) * np.uint64(2)
 _BYTE_SHIFTS = np.arange(BYTES_PER_WORD, dtype=np.uint64) * np.uint64(8)
+# Entry ``b`` holds the four cells of state byte ``b`` as the little-endian
+# bytes of one uint32, so a single gather unpacks a byte into four cells.
+_CELLS_OF_BYTE = (
+    ((np.arange(256, dtype="<u4")[:, None] >> np.arange(0, 8, 2, dtype="<u4")) & 3)
+    << np.arange(0, 32, 8, dtype="<u4")
+).sum(axis=1, dtype="<u4")
 
 
 def _as_word_array(words: np.ndarray) -> np.ndarray:
@@ -95,10 +107,7 @@ def symbols_to_words(symbols: np.ndarray) -> np.ndarray:
 
 def words_to_bytes(words: np.ndarray) -> np.ndarray:
     """Unpack 64-bit words into bytes (little-endian within each word)."""
-    arr = _as_word_array(words)
-    expanded = arr[..., :, None] >> _BYTE_SHIFTS
-    out = (expanded & np.uint64(0xFF)).astype(np.uint8)
-    return out.reshape(arr.shape[:-1] + (BYTES_PER_LINE,))
+    return symbol_bytes(words).copy()
 
 
 def bytes_to_words(data: np.ndarray) -> np.ndarray:
@@ -113,6 +122,31 @@ def bytes_to_words(data: np.ndarray) -> np.ndarray:
     grouped = arr.reshape(arr.shape[:-1] + (WORDS_PER_LINE, BYTES_PER_WORD))
     shifted = grouped << _BYTE_SHIFTS
     return shifted.sum(axis=-1, dtype=np.uint64)
+
+
+def symbol_bytes(words: np.ndarray) -> np.ndarray:
+    """Read-only ``(..., 64)`` symbol bytes of ``(..., 8)`` words.
+
+    This is the words' little-endian byte view (no copy for contiguous
+    native input): byte ``k`` holds symbols ``4k..4k+3``, symbol ``4k+j`` in
+    bits ``2j..2j+1``, the layout of a state byte.
+    """
+    arr = np.ascontiguousarray(_as_word_array(words), dtype="<u8")
+    view = arr.view(np.uint8).reshape(arr.shape[:-1] + (BYTES_PER_LINE,))
+    view.flags.writeable = False
+    return view
+
+
+def pack_state_bytes(states: np.ndarray) -> np.ndarray:
+    """Pack ``(..., 4m)`` cell states (``0..3``) into ``(..., m)`` state bytes."""
+    arr = np.asarray(states, dtype=np.uint8)
+    cells = arr.reshape(arr.shape[:-1] + (arr.shape[-1] // 4, 4))
+    return cells[..., 0] | (cells[..., 1] << 2) | (cells[..., 2] << 4) | (cells[..., 3] << 6)
+
+
+def unpack_state_bytes(state_bytes: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`pack_state_bytes`: ``(..., m)`` bytes to ``(..., 4m)`` cells."""
+    return _CELLS_OF_BYTE.take(np.asarray(state_bytes, dtype=np.uint8)).view(np.uint8)
 
 
 def words_to_bits(words: np.ndarray) -> np.ndarray:

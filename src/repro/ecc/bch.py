@@ -116,16 +116,21 @@ class BCHCode:
         # Shifted-remainder table: row i is x^(i + r) mod g(x) as LSB-first
         # bits.  Systematic parity is linear over GF(2), so the parity of
         # d(x)*x^r is the XOR of these rows over the set data bits -- the
-        # vectorised form computed by parity_batch as a matmul mod 2.
-        self._remainder_table = np.array(
-            [
-                [
-                    (_gf2_poly_mod(1 << (i + self.parity_bits), self.generator_poly) >> j) & 1
-                    for j in range(self.parity_bits)
-                ]
-                for i in range(self.data_bits)
-            ],
-            dtype=np.uint8,
+        # vectorised form computed by parity_batch as a matmul mod 2.  Each
+        # row follows from the previous one by the shift-register step
+        # (multiply by x, then reduce the degree-r term with g).
+        r = self.parity_bits
+        remainder = _gf2_poly_mod(1 << r, generator)
+        width = (r + 7) // 8
+        rows = bytearray()
+        for _ in range(self.data_bits):
+            rows += remainder.to_bytes(width, "little")
+            remainder <<= 1
+            if (remainder >> r) & 1:
+                remainder ^= generator
+        packed = np.frombuffer(bytes(rows), dtype=np.uint8).reshape(self.data_bits, width)
+        self._remainder_table = np.ascontiguousarray(
+            np.unpackbits(packed, axis=1, bitorder="little")[:, :r]
         )
 
     @property

@@ -5,15 +5,15 @@ import pytest
 
 from repro.coding.base import (
     EncodedBatch,
-    block_energy_costs,
-    block_flip_costs,
+    block_costs,
     pack_bits_to_states,
-    select_states_per_block,
+    select_block_bytes,
     unpack_states_to_bits,
 )
 from repro.coding.baseline import BaselineEncoder
-from repro.core.energy import DEFAULT_ENERGY_MODEL
+from repro.core.energy import DEFAULT_ENERGY_MODEL, REWRITE_COUNT_MODEL
 from repro.core.errors import EncodingError
+from repro.core.symbols import pack_state_bytes
 
 
 class TestBitStatePacking:
@@ -34,36 +34,39 @@ class TestBitStatePacking:
 
 
 class TestBlockSelection:
-    def test_select_states_per_block(self):
-        candidate_states = np.zeros((2, 1, 8), dtype=np.uint8)
-        candidate_states[1] = 3
-        choice = np.array([[0, 1, 1, 0]], dtype=np.uint8)  # four 2-cell blocks
-        selected = select_states_per_block(candidate_states, choice, 2)
-        assert selected[0].tolist() == [0, 0, 3, 3, 3, 3, 0, 0]
+    def test_select_block_bytes(self):
+        candidate_bytes = np.zeros((2, 1, 8), dtype=np.uint8)
+        candidate_bytes[1] = 0xFF
+        choice = np.array([[0, 1, 1, 0]], dtype=np.uint8)  # four 2-byte blocks
+        selected = select_block_bytes(candidate_bytes, choice, 2)
+        assert selected[0].tolist() == [0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0]
 
     def test_select_rejects_bad_choice_shape(self):
         with pytest.raises(EncodingError):
-            select_states_per_block(np.zeros((2, 1, 8), dtype=np.uint8), np.zeros((1, 3), dtype=np.uint8), 2)
+            select_block_bytes(np.zeros((2, 1, 8), dtype=np.uint8), np.zeros((1, 3), dtype=np.uint8), 2)
 
-    def test_block_energy_costs(self):
-        # One line of 4 cells, 2 candidates, block size 2.
-        stored = np.zeros((1, 4), dtype=np.uint8)
-        candidate_states = np.stack([
-            np.array([[0, 0, 3, 3]], dtype=np.uint8),   # candidate 0
-            np.array([[1, 1, 0, 0]], dtype=np.uint8),   # candidate 1
+    def test_block_byte_costs(self):
+        # One line of 8 cells (2 state bytes), 2 candidates, one byte per block.
+        stored = pack_state_bytes(np.zeros((1, 8), dtype=np.uint8))
+        candidate_bytes = np.stack([
+            pack_state_bytes(np.array([[0, 0, 0, 0, 3, 3, 3, 3]], dtype=np.uint8)),
+            pack_state_bytes(np.array([[1, 1, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)),
         ])
-        costs = block_energy_costs(candidate_states, stored, DEFAULT_ENERGY_MODEL, 2)
+        costs = block_costs(candidate_bytes, stored, DEFAULT_ENERGY_MODEL, 1)
         assert costs.shape == (2, 1, 2)
-        assert costs[0, 0, 0] == 0.0                   # unchanged cells cost nothing
-        assert costs[0, 0, 1] == pytest.approx(2 * 583.0)
-        assert costs[1, 0, 0] == pytest.approx(2 * 56.0)
-        assert costs[1, 0, 1] == 0.0
+        assert costs.dtype == np.float64
+        assert costs[0, 0].tolist() == [0.0, 4 * 583.0]  # unchanged cells cost nothing
+        assert costs[1, 0].tolist() == [2 * 56.0, 0.0]
+        assert block_costs(candidate_bytes, stored, DEFAULT_ENERGY_MODEL, 2)[:, 0, 0].tolist() == [
+            4 * 583.0,
+            2 * 56.0,
+        ]
 
-    def test_block_flip_costs(self):
-        stored = np.zeros((1, 4), dtype=np.uint8)
-        candidate_states = np.stack([np.array([[0, 1, 2, 0]], dtype=np.uint8)])
-        flips = block_flip_costs(candidate_states, stored, 2)
-        assert flips[0, 0].tolist() == [1, 1]
+    def test_block_rewrite_counts(self):
+        stored = pack_state_bytes(np.zeros((1, 8), dtype=np.uint8))
+        candidate_bytes = pack_state_bytes(np.array([[[0, 1, 2, 0, 0, 0, 0, 3]]], dtype=np.uint8))
+        flips = block_costs(candidate_bytes, stored, REWRITE_COUNT_MODEL, 1)
+        assert flips[0, 0].tolist() == [2, 1]
 
 
 class TestEncodedBatch:

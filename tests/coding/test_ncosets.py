@@ -44,6 +44,12 @@ class TestAuxCodecs:
         assert states.shape == (2, 6)
         assert np.array_equal(codec.decode(states, 3), choice)
 
+    def test_pair_cell_codec_unmapped_pair_decodes_to_zero(self):
+        codec = PairCellAuxCodec(6)
+        # (S4, S4) is never among the six cheapest combinations.
+        states = np.array([[3, 3] + codec.combos[4].tolist()], dtype=np.uint8)
+        assert codec.decode(states, 2).tolist() == [[0, 4]]
+
     def test_pair_cell_codec_limits(self):
         with pytest.raises(ConfigurationError):
             PairCellAuxCodec(17)

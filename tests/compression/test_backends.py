@@ -369,10 +369,10 @@ class TestSuperbatch:
 
 
 # ---------------------------------------------------------------------- #
-# Fused-metric kernels == the numpy reference expressions
+# Metric kernels == the numpy reference expressions
 # ---------------------------------------------------------------------- #
 class TestMetricKernels:
-    """The per-cell metric kernels behind the fused encode+metrics path.
+    """The per-cell metric kernels behind ``metrics_from_encoded``.
 
     The plain-python loop bodies are the single source of truth for the
     ``@njit``-wrapped numba variants, so both the un-jitted impls and every
@@ -394,29 +394,6 @@ class TestMetricKernels:
         weights = np.array([36.0, 56.0, 343.0, 583.0])
         expected = weights[states] * changed
         assert np.array_equal(_energy_cells_impl(states, changed, weights), expected)
-
-    def test_diff_energy_cells_impl_matches_numpy(self, rng):
-        from repro.compression.backend import _diff_energy_cells_impl
-
-        candidate, stored = self._cells(rng)
-        weights = np.array([36.0, 56.0, 343.0, 583.0])
-        for active in (48, 32, 0):
-            expected = weights[candidate] * (candidate != stored)
-            expected[:, active:] = 0.0
-            got = _diff_energy_cells_impl(candidate, stored, weights, active)
-            assert np.array_equal(got, expected)
-
-    def test_flip_blocks_impl_matches_numpy(self, rng):
-        from repro.compression.backend import _flip_blocks_impl
-
-        candidate, stored = self._cells(rng, cells=48)
-        for active in (48, 36):
-            changed = candidate != stored
-            changed[:, active:] = False
-            expected = changed.reshape(7, 4, 12).sum(axis=-1, dtype=np.int64)
-            got = _flip_blocks_impl(candidate, stored, 12, active)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, expected)
 
     def test_disturb_cells_impl_matches_model(self, rng):
         from repro.compression.backend import _disturb_cells_impl
@@ -443,17 +420,6 @@ class TestMetricKernels:
                 candidate.reshape(-1), changed2d.reshape(-1), weights
             ),
             weights[candidate.reshape(-1)] * changed2d.reshape(-1),
-        )
-        expected = weights[candidate] * changed2d
-        expected[:, 32:] = 0.0
-        assert np.array_equal(
-            kernels["diff_energy_cells"](candidate, stored, weights, 32), expected
-        )
-        flips = changed2d.copy()
-        flips[:, 36:] = False
-        assert np.array_equal(
-            kernels["flip_blocks"](candidate, stored, 12, 36),
-            flips.reshape(7, 4, 12).sum(axis=-1, dtype=np.int64),
         )
         from repro.core.disturbance import DEFAULT_DISTURBANCE_MODEL as model
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ecc.bch import BCHCode
+from repro.ecc.bch import BCHCode, _gf2_poly_mod
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,14 @@ class TestStructure:
         small = BCHCode(m=6, t=2, data_bits=20)
         assert small.parity_bits == 12
         assert small.codeword_bits == 32
+
+    @pytest.mark.parametrize("m, t, data_bits", [(10, 2, 492), (6, 2, 20)])
+    def test_remainder_rows_match_long_division(self, m, t, data_bits):
+        code = BCHCode(m=m, t=t, data_bits=data_bits)
+        r = code.parity_bits
+        for i, row in enumerate(code._remainder_table):
+            expected = _gf2_poly_mod(1 << (i + r), code.generator_poly)
+            assert int(sum(int(bit) << j for j, bit in enumerate(row))) == expected
 
 
 class TestEncoding:
