@@ -95,11 +95,12 @@ class ArrayBackend:
         Move a device array back to host numpy.  Identity for host backends.
     compiled:
         Optional kernel overrides, keyed by kernel name (``pack_fields``,
-        ``unpack_fields``, ``compact_fill``, ``xor_reduce``, and the metric
-        kernels ``energy_cells`` and ``disturb_cells``).  The kernel layer
-        checks this table before falling back to the ``xp`` expression, which
-        is how the numba backend swaps in its ``@njit`` loops without the call
-        sites knowing.
+        ``unpack_fields``, ``compact_fill``, ``xor_reduce``).  The kernel
+        layer checks this table before falling back to the ``xp`` expression,
+        which is how the numba backend swaps in its ``@njit`` loops without
+        the call sites knowing.  The metric reduction and the encoders'
+        candidate search need no kernel: they are exact counts and table
+        lookups in plain numpy.
     """
 
     name: str
@@ -235,43 +236,6 @@ def _numpy_backend() -> ArrayBackend:
 
 
 # --------------------------------------------------------------------------- #
-# Fused metric kernel bodies (plain Python, shared with the numba backend)
-# --------------------------------------------------------------------------- #
-# The metric reduction (``repro.evaluation.runner.metrics_from_encoded``)
-# routes its per-cell computations through these kernels.  They are
-# deliberately *elementwise only*: every float they produce equals the
-# corresponding numpy expression bit for bit (a gather from an exact table,
-# optionally multiplied by 1.0/0.0), and the order-sensitive float reductions
-# stay in shared numpy ``.sum`` calls -- numpy 2.x uses a SIMD pairwise
-# summation whose accumulation tree cannot be replicated portably in a scalar
-# loop, so the loops below never sum floats.  Defined at module level (and
-# ``@njit``-wrapped lazily inside ``_compile_numba_kernels``) so the loop
-# logic is testable without numba.  The encoders' candidate search needs no
-# kernel: it is table lookups over state bytes (``repro.coding.base``).
-def _energy_cells_impl(states, changed, weights):
-    # 1-D: per-cell write energy, ``weights[state]`` where changed else 0.0.
-    out = np.empty(states.shape[0], dtype=np.float64)
-    for i in range(states.shape[0]):
-        out[i] = weights[states[i]] if changed[i] else 0.0
-    return out
-
-
-def _disturb_cells_impl(stored, changed, rates):
-    # 2-D: per-cell expected disturbance errors -- fuses the neighbour test,
-    # the vulnerability mask and the rate gather into one pass per line.
-    n, cells = stored.shape
-    out = np.empty((n, cells), dtype=np.float64)
-    for row in range(n):
-        for cell in range(cells):
-            vulnerable = not changed[row, cell] and (
-                (cell > 0 and changed[row, cell - 1])
-                or (cell + 1 < cells and changed[row, cell + 1])
-            )
-            out[row, cell] = rates[stored[row, cell]] if vulnerable else 0.0
-    return out
-
-
-# --------------------------------------------------------------------------- #
 # numba -- compiled host kernels (optional)
 # --------------------------------------------------------------------------- #
 def _numba_backend() -> ArrayBackend:
@@ -341,19 +305,11 @@ def _compile_numba_kernels(numba) -> Dict[str, Callable[..., Any]]:
                         out[row, parity] ^= matrix[col, parity]
         return out
 
-    # The metric kernels share their loop bodies with the plain-Python
-    # implementations above (kept un-jitted so the logic is testable without
-    # numba); jitting them here only changes throughput, never a bit.
-    energy_cells = njit(cache=True, nogil=True)(_energy_cells_impl)
-    disturb_cells = njit(cache=True, nogil=True)(_disturb_cells_impl)
-
     return {
         "pack_fields": pack_fields,
         "unpack_fields": unpack_fields,
         "compact_fill": compact_fill,
         "xor_reduce": xor_reduce,
-        "energy_cells": energy_cells,
-        "disturb_cells": disturb_cells,
     }
 
 

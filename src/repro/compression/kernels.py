@@ -224,17 +224,12 @@ def compact_segments(
                 out,
             )
             return PackedBits(out, b.to_host(lengths), compressor)
-        # Row-major selection of the valid bits yields them already ordered by
-        # (line, segment, bit); only the destination columns need computing.
+        # Both masks enumerate bits in row-major (line, segment, bit) order,
+        # and row i of each holds lengths[i] of them: assigning the selected
+        # valid bits to the first lengths[i] columns lays them back to back.
         valid = xp.arange(max_width, dtype=xp.int64) < seg_widths[..., None]
-        flat = seg_bits[valid]
         out = xp.zeros((n, width), dtype=xp.uint8)
-        rows = xp.repeat(xp.arange(n, dtype=xp.int64), lengths)
-        starts = xp.concatenate(
-            [xp.zeros(1, dtype=xp.int64), xp.cumsum(lengths, dtype=xp.int64)[:-1]]
-        )
-        cols = xp.arange(flat.shape[0], dtype=xp.int64) - xp.repeat(starts, lengths)
-        out[rows, cols] = flat
+        out[xp.arange(width, dtype=xp.int64) < lengths[:, None]] = seg_bits[valid]
         return PackedBits(b.to_host(out), b.to_host(lengths), compressor)
 
 

@@ -114,32 +114,15 @@ class DisturbanceModel:
         """Per-cell expected disturbance errors (the summand of
         :meth:`expected_errors`).
 
-        Routed through the active array backend's ``disturb_cells`` kernel
-        when one is available: the kernel fuses the neighbour test, the
-        vulnerability mask and the rate gather into a single pass, and is
-        elementwise-exact, so every backend produces bit-identical cells.
-        The order-sensitive float reduction stays in the caller's numpy
-        ``.sum``, shared by all paths.
+        One gather from an 8-entry table, ``[0, 0, 0, 0, DER(S1..S4)]``,
+        indexed by ``stored | vulnerable << 2``.  Every value equals
+        ``rate[stored] * vulnerable`` bit for bit (a rate or ``+0.0``), so the
+        order-sensitive float sums over this array keep their bits.
         """
         stored_states = np.asarray(stored_states)
-        changed = np.asarray(changed, dtype=bool)
-        if stored_states.shape != changed.shape:
-            raise ValueError("stored_states and changed must have the same shape")
-        from ..compression.backend import get_backend, kernel_timer
-
-        backend = get_backend()
-        kernel = backend.compiled.get("disturb_cells")
-        if (
-            kernel is not None
-            and stored_states.ndim == 2
-            and stored_states.dtype == np.uint8
-            and stored_states.flags.c_contiguous
-            and changed.flags.c_contiguous
-        ):
-            with kernel_timer(backend.name, "disturb_cells"):
-                return kernel(stored_states, changed, self.rate_per_state)
         vulnerable = self.vulnerable_mask(stored_states, changed)
-        return self.rate_per_state[stored_states] * vulnerable
+        table = np.concatenate([np.zeros(4), self.rate_per_state])
+        return table[stored_states | (vulnerable.view(np.uint8) << 2)]
 
     def sample_errors(
         self,
@@ -150,12 +133,19 @@ class DisturbanceModel:
         """Monte-Carlo sample of disturbed cells.
 
         Returns a boolean array marking the idle cells that flipped due to
-        disturbance in this write.
+        disturbance in this write: one uniform draw per cell, below the rate
+        of the cell's stored state, on vulnerable cells.  The draws are
+        compared with each nonzero rate in turn, which is cheaper than
+        gathering a float rate per cell and gives the same mask.
         """
-        vulnerable = self.vulnerable_mask(stored_states, changed)
-        probs = self.rate_per_state[np.asarray(stored_states)]
-        draws = rng.random(size=probs.shape)
-        return vulnerable & (draws < probs)
+        stored_states = np.asarray(stored_states)
+        draws = rng.random(size=stored_states.shape)
+        faults = np.zeros(stored_states.shape, dtype=bool)
+        for state, rate in enumerate(self.rates):
+            if rate > 0:
+                faults |= (draws < rate) & (stored_states == state)
+        faults &= self.vulnerable_mask(stored_states, changed)
+        return faults
 
 
 #: The default disturbance model used across the paper's evaluation.

@@ -108,28 +108,6 @@ class EnergyModel:
         changed = np.asarray(changed, dtype=bool)
         if new_states.shape != changed.shape:
             raise ValueError("new_states and changed must have the same shape")
-        # Route through the active array backend's compiled kernel table when
-        # one is available (lazy import: core must not depend on compression
-        # at import time).  The kernel is elementwise -- a table gather where
-        # changed, 0.0 elsewhere -- so it is bit-identical to the numpy
-        # expression below for every backend.
-        from ..compression.backend import get_backend, kernel_timer
-
-        backend = get_backend()
-        kernel = backend.compiled.get("energy_cells")
-        if (
-            kernel is not None
-            and new_states.dtype == np.uint8
-            and new_states.flags.c_contiguous
-            and changed.flags.c_contiguous
-        ):
-            with kernel_timer(backend.name, "energy_cells"):
-                flat = kernel(
-                    new_states.reshape(-1),
-                    changed.reshape(-1),
-                    self.write_energy_per_state,
-                )
-            return flat.reshape(new_states.shape)
         return self.write_energy_per_state[new_states] * changed
 
     def scaled_intermediate_states(self, s3_set_pj: float, s4_set_pj: float) -> "EnergyModel":

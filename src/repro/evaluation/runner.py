@@ -32,6 +32,7 @@ from ..coding.base import EncodedBatch, WriteEncoder
 from ..compression.backend import get_backend, kernel_timer, use_array_backend
 from ..core.config import DEFAULT_EVALUATION_CONFIG, EvaluationConfig
 from ..core.disturbance import DEFAULT_DISTURBANCE_MODEL, DisturbanceModel
+from ..core.energy import NUM_STATES
 from ..core.metrics import WriteMetrics
 from ..obs import count, gauge, is_active, peak_rss_bytes, span
 from ..workloads.trace import WriteTrace
@@ -57,40 +58,44 @@ def metrics_from_encoded(
     disturbance_model:
         Disturbance-rate model; expected-value counting is used unless ``rng``
         is given, in which case errors are Monte-Carlo sampled.
+
+    Energy and updated cells are exact integer counts: ``n_s``, the rewritten
+    cells programmed to state ``s`` (split into data and auxiliary cells),
+    gives ``energy = sum_s w_s * n_s`` and ``updated = sum_s n_s``.  Every
+    shipped energy model is integral, so these equal the per-cell float sums
+    bit for bit whatever the order.  A non-integral model (Python API only)
+    runs the same code and rounds once per state instead of once per cell.
+    Expected disturbance is the one order-sensitive sum: a per-cell float
+    array summed per line, then over lines.  Sampled disturbance is an
+    integer count from one draw per cell.
     """
+    states = encoded.states
     changed = encoded.changed
-    energy = encoder.energy_model.cell_write_energy(encoded.states, changed)
     aux = encoded.aux_mask
-    # One masked-multiply pass replaces the historical pair of np.where
-    # full-array scans.  Bit-identical: ``energy * aux`` equals
-    # ``np.where(aux, energy, 0.0)`` elementwise (bool -> 1.0/0.0, energies
-    # are finite and non-negative), and ``energy - energy*aux`` equals
-    # ``np.where(aux, 0.0, energy)`` elementwise (e - e == +0.0 exactly);
-    # identical elementwise values in identically shaped C-order arrays sum
-    # through the same pairwise tree to the same bits.
-    aux_cells = energy * aux
-    aux_energy = float(aux_cells.sum())
-    np.subtract(energy, aux_cells, out=aux_cells)
-    data_energy = float(aux_cells.sum())
-    # Cell counts are exact integers, so any summation grouping matches the
-    # historical np.where(...).sum() values bit for bit.
-    changed_aux = changed & aux
-    updated_aux = float(changed_aux.sum())
-    updated_data = float((changed & ~aux).sum())
+    rewritten = np.empty(NUM_STATES, dtype=np.int64)
+    rewritten_aux = np.empty(NUM_STATES, dtype=np.int64)
+    for state in range(NUM_STATES):
+        cells = states == state
+        cells &= changed
+        rewritten[state] = np.count_nonzero(cells)
+        cells &= aux
+        rewritten_aux[state] = np.count_nonzero(cells)
+    rewritten_data = rewritten - rewritten_aux
+    weights = encoder.energy_model.write_energy_per_state
     if rng is None:
         disturbance = float(
             disturbance_model.expected_errors(encoded.old_states, changed).sum()
         )
     else:
         disturbance = float(
-            disturbance_model.sample_errors(encoded.old_states, changed, rng).sum()
+            np.count_nonzero(disturbance_model.sample_errors(encoded.old_states, changed, rng))
         )
     return WriteMetrics(
-        requests=int(encoded.states.shape[0]),
-        data_energy_pj=data_energy,
-        aux_energy_pj=aux_energy,
-        updated_data_cells=updated_data,
-        updated_aux_cells=updated_aux,
+        requests=int(states.shape[0]),
+        data_energy_pj=float(weights @ rewritten_data),
+        aux_energy_pj=float(weights @ rewritten_aux),
+        updated_data_cells=float(rewritten_data.sum()),
+        updated_aux_cells=float(rewritten_aux.sum()),
         disturbance_errors=disturbance,
         compressed_lines=int(encoded.compressed.sum()),
         encoded_lines=int(encoded.encoded.sum()),

@@ -94,24 +94,26 @@ class PCMBank:
         row = self._check_row(row)
         if len(data) != 1:
             raise SimulationError("write_line expects a single-line batch")
-        stored = self.states[row:row + 1]
-        encoded = self.encoder.encode_against_stored(data, stored)
-        rng = self.rng if self.sample_disturbance else None
-        metrics = metrics_from_encoded(encoded, self.encoder, self.disturbance_model, rng)
-
-        changed = encoded.changed[0]
-        self.wear[row] += changed
-        self.states[row] = encoded.states[0]
+        encoded = self.encoder.encode_against_stored(data, self.states[row:row + 1])
+        changed = encoded.changed
+        metrics = metrics_from_encoded(encoded, self.encoder, self.disturbance_model)
+        faults = None
         if self.sample_disturbance:
+            # One draw gives both the faults and their count.  It is taken
+            # before the row, which ``encoded.old_states`` views, is overwritten.
             faults = self.disturbance_model.sample_errors(
-                encoded.old_states, encoded.changed, self.rng
+                encoded.old_states, changed, self.rng
             )[0]
-            if faults.any():
-                self.stats.disturbance_events += int(faults.sum())
-                # Disturbance drives idle cells toward the SET state (S2).
-                disturbed = self.states[row].copy()
-                disturbed[faults] = 1
-                self.stats.restore_iterations += self._verify_and_restore(row, encoded.states[0], disturbed)
+            metrics.disturbance_errors = float(np.count_nonzero(faults))
+
+        self.wear[row] += changed[0]
+        self.states[row] = encoded.states[0]
+        if faults is not None and faults.any():
+            self.stats.disturbance_events += int(np.count_nonzero(faults))
+            # Disturbance drives idle cells toward the SET state (S2).
+            disturbed = self.states[row].copy()
+            disturbed[faults] = 1
+            self.stats.restore_iterations += self._verify_and_restore(row, encoded.states[0], disturbed)
         self.written[row] = True
         self.stats.writes += 1
         self.metrics.merge(metrics)

@@ -366,64 +366,3 @@ class TestSuperbatch:
             n_jobs,
         )
         assert grouped.as_dict() == reference.as_dict()
-
-
-# ---------------------------------------------------------------------- #
-# Metric kernels == the numpy reference expressions
-# ---------------------------------------------------------------------- #
-class TestMetricKernels:
-    """The per-cell metric kernels behind ``metrics_from_encoded``.
-
-    The plain-python loop bodies are the single source of truth for the
-    ``@njit``-wrapped numba variants, so both the un-jitted impls and every
-    registered backend's ``compiled`` table are held bit-identical to the
-    numpy expressions the numpy backend evaluates.
-    """
-
-    @staticmethod
-    def _cells(rng_, n=7, cells=48):
-        candidate = rng_.integers(0, 4, size=(n, cells), dtype=np.uint8)
-        stored = rng_.integers(0, 4, size=(n, cells), dtype=np.uint8)
-        return candidate, stored
-
-    def test_energy_cells_impl_matches_numpy(self, rng):
-        from repro.compression.backend import _energy_cells_impl
-
-        states = rng.integers(0, 4, size=300, dtype=np.uint8)
-        changed = rng.random(300) < 0.4
-        weights = np.array([36.0, 56.0, 343.0, 583.0])
-        expected = weights[states] * changed
-        assert np.array_equal(_energy_cells_impl(states, changed, weights), expected)
-
-    def test_disturb_cells_impl_matches_model(self, rng):
-        from repro.compression.backend import _disturb_cells_impl
-        from repro.core.disturbance import DEFAULT_DISTURBANCE_MODEL as model
-
-        stored = rng.integers(0, 4, size=(9, 40), dtype=np.uint8)
-        changed = rng.random((9, 40)) < 0.3
-        expected = model.rate_per_state[stored] * model.vulnerable_mask(stored, changed)
-        got = _disturb_cells_impl(stored, changed, model.rate_per_state)
-        assert np.array_equal(got, expected)
-
-    @pytest.mark.parametrize("backend_name", OPTIONAL_BACKENDS)
-    def test_compiled_kernels_match_reference(self, backend_name, rng):
-        backend = require_backend(backend_name)
-        kernels = backend.compiled
-        if not kernels:
-            pytest.skip(f"backend {backend_name!r} exposes no compiled kernels")
-        candidate, stored = self._cells(rng)
-        weights = np.array([36.0, 56.0, 343.0, 583.0])
-        rates = np.array([0.123, 0.0, 0.276, 0.152])
-        changed2d = candidate != stored
-        assert np.array_equal(
-            kernels["energy_cells"](
-                candidate.reshape(-1), changed2d.reshape(-1), weights
-            ),
-            weights[candidate.reshape(-1)] * changed2d.reshape(-1),
-        )
-        from repro.core.disturbance import DEFAULT_DISTURBANCE_MODEL as model
-
-        assert np.array_equal(
-            kernels["disturb_cells"](stored, changed2d, model.rate_per_state),
-            model.rate_per_state[stored] * model.vulnerable_mask(stored, changed2d),
-        )

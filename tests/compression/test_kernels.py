@@ -75,12 +75,19 @@ class TestPrimitives:
         n, segments, cap = 6, 5, 9
         seg_bits = rng.integers(0, 2, size=(n, segments, cap)).astype(np.uint8)
         widths = rng.integers(0, cap + 1, size=(n, segments)).astype(np.int64)
+        widths[[1, 4]] = 0  # rows with no bits at all
         packed = compact_segments(seg_bits, widths, "test")
+        assert packed.bits.shape == (n, packed.lengths.max())
         for i in range(n):
             expected = np.concatenate(
                 [seg_bits[i, s, : widths[i, s]] for s in range(segments)]
             )
-            assert np.array_equal(packed.line(i).bits, expected)
+            padded = np.zeros(packed.bits.shape[1], dtype=np.uint8)
+            padded[: expected.size] = expected
+            assert packed.lengths[i] == expected.size
+            assert np.array_equal(packed.bits[i], padded)
+        empty = compact_segments(seg_bits, np.zeros_like(widths), "test")
+        assert empty.bits.shape == (n, 0) and not empty.lengths.any()
 
     def test_hstack_bits_concatenates_ragged_rows(self):
         left = PackedBits(

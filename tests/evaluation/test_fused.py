@@ -8,21 +8,15 @@ chunk/tile geometries (including ragged tails and empty groups), Monte-Carlo
 disturbance sampling, every registered array backend (skip-with-reason when
 the optional dependency is absent), and worker counts 1 and 4 -- always
 comparing against the materialising reference path.
-
-The satellite rewrite of :func:`metrics_from_encoded` (single masked-sum pass
-replacing the historical pair of ``np.where`` scans) is held to the same
-standard against the old formulas directly.
 """
 
 import tracemalloc
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding import make_scheme
 from repro.coding.coc_cosets import COCFourCosetsEncoder
 from repro.coding.din import DINEncoder
 from repro.coding.ncosets import make_three_cosets
@@ -43,7 +37,6 @@ from repro.evaluation.runner import (
     evaluate_chunk_group,
     evaluate_trace,
     fused_tile_size,
-    metrics_from_encoded,
 )
 from repro.obs import observation
 from repro.workloads.generator import generate_benchmark_trace
@@ -209,29 +202,6 @@ class TestEndToEndEquality:
             ),
         )
         assert default == disabled == tiled
-
-
-class TestMetricsRewrite:
-    """The masked-sum energy split equals the historical np.where formulas."""
-
-    @pytest.mark.parametrize(
-        "scheme", ["baseline", "din", "3cosets-16", "wlcrc-16", "coc+4cosets"]
-    )
-    def test_against_legacy_formulas(self, scheme, gcc_trace):
-        encoder = make_scheme(scheme)
-        encoded = encoder.encode_batch(gcc_trace.new, gcc_trace.old)
-        metrics = metrics_from_encoded(encoded, encoder)
-        changed = encoded.changed
-        energy = encoder.energy_model.cell_write_energy(encoded.states, changed)
-        aux = encoded.aux_mask
-        assert metrics.data_energy_pj == float(np.where(aux, 0.0, energy).sum())
-        assert metrics.aux_energy_pj == float(np.where(aux, energy, 0.0).sum())
-        assert metrics.updated_data_cells == float(
-            np.where(aux, False, changed).sum()
-        )
-        assert metrics.updated_aux_cells == float(
-            np.where(aux, changed, False).sum()
-        )
 
 
 class TestObservability:

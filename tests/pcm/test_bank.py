@@ -78,6 +78,20 @@ class TestDisturbanceSampling:
             assert bank.read_line(i) == biased_lines[i]
         assert bank.stats.restore_iterations >= 0
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_sampled_faults_are_injected_counted_and_restored(self, biased_lines, seed):
+        """The faults a write injects are the ones its metrics count (one draw)."""
+        bank = PCMBank(
+            make_scheme("baseline"), lines=16, sample_disturbance=True, seed=seed
+        )
+        for i in range(16):
+            bank.write_line(i, biased_lines[i])
+        assert bank.stats.disturbance_events > 0
+        assert bank.stats.disturbance_events == bank.metrics.disturbance_errors
+        assert bank.stats.restore_iterations > 0
+        for i in range(16):
+            assert bank.read_line(i) == biased_lines[i]
+
     def test_invalid_bank_size(self):
         with pytest.raises(SimulationError):
             PCMBank(make_scheme("baseline"), lines=0)
