@@ -3,10 +3,11 @@
 from .base import (
     EncodedBatch,
     WriteEncoder,
-    block_costs,
+    candidate_costs,
+    cost_index,
     pack_bits_to_states,
-    select_block_bytes,
     unpack_states_to_bits,
+    winner_bytes,
 )
 from .baseline import BaselineEncoder
 from .coc_cosets import COCFourCosetsEncoder
@@ -53,8 +54,9 @@ __all__ = [
     "WLCWordEncoderBase",
     "WriteEncoder",
     "available_schemes",
-    "block_costs",
     "build_din_mapping",
+    "candidate_costs",
+    "cost_index",
     "make_four_cosets",
     "make_scheme",
     "make_six_cosets",
@@ -62,6 +64,6 @@ __all__ = [
     "make_wlc_four_cosets",
     "make_wlc_three_cosets",
     "pack_bits_to_states",
-    "select_block_bytes",
     "unpack_states_to_bits",
+    "winner_bytes",
 ]

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.cosets import DEFAULT_MAPPING, apply_mapping, invert_mapping
+from ..core.cosets import DEFAULT_MAPPING, apply_mapping, invert_mapping, mapping_byte_table
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import EncodingError
 from ..core.line import LineBatch
@@ -231,46 +231,83 @@ def unpack_states_to_bits(
     return bits[:, :nbits]
 
 
-def block_costs(
-    candidate_bytes: np.ndarray,
-    stored_bytes: np.ndarray,
-    energy_model: EnergyModel,
-    block_bytes: int,
-) -> np.ndarray:
-    """Differential-write energy of every block under every candidate.
+def cost_index(stored_bytes: np.ndarray, data_bytes: np.ndarray) -> np.ndarray:
+    """``stored << 8 | data`` per byte: the index shared by every cost table."""
+    return (stored_bytes.astype(np.uint16) << 8) | data_bytes
 
-    ``candidate_bytes`` is ``(k, n, width)`` state bytes each candidate would
-    program (see :func:`repro.core.symbols.pack_state_bytes`) and
-    ``stored_bytes`` the ``(n, width)`` bytes currently stored.  Each byte
-    costs one lookup into ``energy_model.byte_cost_table``; blocks of
-    ``block_bytes`` (a power of two) sum pairwise.  Returns ``(k, n, width //
-    block_bytes)`` float64 energies; for an integral model they are exact
-    integers, equal bit for bit under any summation order.
+
+def block_sums(byte_costs: np.ndarray, block_bytes: int) -> np.ndarray:
+    """Sum ``(..., width)`` per-byte costs over blocks of ``block_bytes`` (a power of two).
+
+    Integral (``uint16``) costs sum in ``int32``, exactly: a block of at most
+    64 bytes costs at most 64 * 65,535 < 2**31.  ``float64`` costs (a
+    non-integral model) sum pairwise, always in the same order.
     """
-    index_hi = stored_bytes.astype(np.uint16) << 8
-    table = energy_model.byte_cost_table
+    sums = byte_costs.astype(np.float64 if byte_costs.dtype.kind == "f" else np.int32)
+    while block_bytes > 1:
+        sums = sums[..., 0::2] + sums[..., 1::2]
+        block_bytes //= 2
+    return sums
+
+
+def candidate_costs(
+    energy_model: EnergyModel,
+    candidates: np.ndarray,
+    index: np.ndarray,
+    block_bytes: int,
+    fills: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``(k, n, width // block_bytes)`` block costs of every candidate mapping.
+
+    ``index`` is the ``(n, width)`` :func:`cost_index` of the stored state
+    bytes and the data symbol bytes.  Candidate ``j`` costs one lookup per
+    byte into its composed table
+    (:meth:`~repro.core.energy.EnergyModel.candidate_cost_table`), at
+    ``index | fills[j]`` when per-candidate ``fills`` are given.
+    """
     costs = []
-    for candidate in candidate_bytes:
-        sums = table.take(index_hi | candidate).astype(np.float64)
-        width = block_bytes
-        while width > 1:
-            sums = sums[..., 0::2] + sums[..., 1::2]
-            width //= 2
-        costs.append(sums)
+    for j, mapping in enumerate(candidates):
+        table = energy_model.candidate_cost_table(mapping)
+        byte_costs = table.take(index if fills is None else index | fills[j])
+        costs.append(block_sums(byte_costs, block_bytes))
     return np.stack(costs)
 
 
-def select_block_bytes(
-    candidate_bytes: np.ndarray, choice: np.ndarray, block_bytes: int
-) -> np.ndarray:
-    """State bytes of the winning candidate of every block.
+def cheapest(costs: np.ndarray, stored: Optional[np.ndarray] = None) -> np.ndarray:
+    """The cheapest candidate of every block of ``(k, ...)`` ``costs``, as ``uint8``.
 
-    ``candidate_bytes`` is ``(k, n, width)`` and ``choice`` is the
-    ``(n, width // block_bytes)`` winning candidate per block; returns the
-    ``(n, width)`` winner's bytes.
+    Candidates are scanned in index order and a strictly cheaper one takes
+    over, so the lowest index among the cheapest wins (``argmin``'s rule).
+    Each block's ``stored`` candidate, when given, also takes over on an
+    exact tie, so it wins whenever it is among the cheapest.
     """
-    n, width = candidate_bytes.shape[1:]
-    if choice.shape != (n, width // block_bytes):
-        raise EncodingError("choice has the wrong shape for this block structure")
-    per_byte = np.repeat(choice, block_bytes, axis=1).astype(np.intp)
-    return np.take_along_axis(candidate_bytes, per_byte[None], axis=0)[0]
+    choice = np.zeros(costs.shape[1:], dtype=np.uint8)
+    best = costs[0].copy()
+    for index in range(1, len(costs)):
+        cost = costs[index]
+        takes_over = cost < best
+        if stored is not None:
+            takes_over |= (cost == best) & (stored == index)
+        # Branch-free select; a masked assignment is several times slower.
+        choice += (np.uint8(index) - choice) * takes_over.view(np.uint8)
+        np.minimum(best, cost, out=best)
+    return choice
+
+
+def candidate_byte_tables(candidates: np.ndarray) -> np.ndarray:
+    """The flat ``(k * 256,)`` symbol-byte -> state-byte tables of ``candidates``."""
+    return np.concatenate([mapping_byte_table(mapping) for mapping in candidates])
+
+
+def winner_bytes(
+    byte_tables: np.ndarray, choice: np.ndarray, data_bytes: np.ndarray, block_bytes: int
+) -> np.ndarray:
+    """State bytes of every block's chosen candidate: one gather at ``choice << 8 | data``.
+
+    ``byte_tables`` is the flat ``(k * 256,)`` concatenation of the
+    candidates' :func:`~repro.core.cosets.mapping_byte_table`, ``choice``
+    the ``(n, width // block_bytes)`` winners and ``data_bytes`` the
+    ``(n, width)`` symbol bytes.
+    """
+    per_byte = np.repeat(choice, block_bytes, axis=-1).astype(np.uint16)
+    return byte_tables.take((per_byte << 8) | data_bytes)

@@ -26,13 +26,7 @@ import numpy as np
 
 from ..compression.coc import COC_BUDGET_16BIT, COC_BUDGET_32BIT, COCCompressor
 from ..compression.kernels import PackedBits
-from ..core.cosets import (
-    DEFAULT_MAPPING,
-    FOUR_COSETS,
-    default_states,
-    invert_mapping,
-    mapping_byte_table,
-)
+from ..core.cosets import DEFAULT_MAPPING, FOUR_COSETS, default_states, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.line import LineBatch
 from ..core.symbols import (
@@ -47,10 +41,13 @@ from ..core.symbols import (
 )
 from .base import (
     WriteEncoder,
-    block_costs,
+    candidate_byte_tables,
+    candidate_costs,
+    cheapest,
+    cost_index,
     pack_bits_to_states,
-    select_block_bytes,
     unpack_states_to_bits,
+    winner_bytes,
 )
 from .wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
 
@@ -109,7 +106,7 @@ class COCFourCosetsEncoder(WriteEncoder):
         self.compressor = COCCompressor()
         self.candidates = FOUR_COSETS
         self.inverse_candidates = np.stack([invert_mapping(c) for c in self.candidates])
-        self.byte_tables = np.stack([mapping_byte_table(c) for c in self.candidates])
+        self.byte_tables = candidate_byte_tables(self.candidates)
 
     @property
     def aux_cells(self) -> int:
@@ -162,12 +159,10 @@ class COCFourCosetsEncoder(WriteEncoder):
         if indices.size == 0:
             return
         data_bytes, block_bytes = layout.data_cells // 4, layout.granularity_bits // 8
-        payload = payload_bytes[indices][:, :data_bytes]
-        stored = stored_bytes[indices][:, :data_bytes]
-        candidates = np.take(self.byte_tables, payload, axis=1)
-        costs = block_costs(candidates, stored, self.energy_model, block_bytes)
-        choice = costs.argmin(axis=0).astype(np.uint8)
-        encoded = unpack_state_bytes(select_block_bytes(candidates, choice, block_bytes))
+        payload = payload_bytes[indices, :data_bytes]
+        index = cost_index(stored_bytes[indices, :data_bytes], payload)
+        choice = cheapest(candidate_costs(self.energy_model, self.candidates, index, block_bytes))
+        encoded = unpack_state_bytes(winner_bytes(self.byte_tables, choice, payload, block_bytes))
         choice_bits = np.zeros((indices.size, layout.aux_bits), dtype=np.uint8)
         choice_bits[:, 0::2] = choice & 1
         choice_bits[:, 1::2] = (choice >> 1) & 1

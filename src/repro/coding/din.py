@@ -107,9 +107,10 @@ class DINEncoder(WriteEncoder):
         is vectorised.  Zero padding up to the full 369-bit budget is benign:
         codeword 0 of the DIN table is ``0000`` by construction, so expanding
         the padded groups writes the same zeros the per-line path produced.
-        The BCH parity is batched too: one GF(2) reduction against the code's
-        shifted-remainder table (:meth:`repro.ecc.bch.BCHCode.parity_batch`)
-        replaces the per-line polynomial carry chain.
+        The BCH parity is batched too: one lookup per data byte into the
+        code's table of packed remainders, XOR-reduced per line
+        (:meth:`repro.ecc.bch.BCHCode.parity_batch`), replaces the per-line
+        polynomial carry chain.
         """
         packed = self.compressor.compress_batch(lines)
         sizes = packed.lengths

@@ -30,9 +30,10 @@ from ..core.symbols import (
 )
 from .base import (
     WriteEncoder,
-    block_costs,
+    block_sums,
+    cheapest,
+    cost_index,
     pack_bits_to_states,
-    select_block_bytes,
     unpack_states_to_bits,
 )
 
@@ -65,15 +66,16 @@ class FlipMinEncoder(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        stored = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
         # The default mapping is linear over GF(2): symbol bits (h, l) become
         # state bits (l, h ^ l).  So the states of ``line ^ vector`` are the
-        # line's state bytes XOR the vector's: one lookup, then one XOR each.
+        # line's state bytes XOR the vector's, and a vector's cost is one
+        # lookup per byte at the shared index XOR the vector's state bytes.
         line_states = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
-        candidates = line_states[None] ^ self.vector_states[:, None]  # (k, n, 64)
-        costs = block_costs(candidates, stored, self.energy_model, BYTES_PER_LINE)
-        choice = costs.argmin(axis=0)  # (n, 1)
-        data_states = unpack_state_bytes(select_block_bytes(candidates, choice, BYTES_PER_LINE))
+        index = cost_index(pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE]), line_states)
+        table = self.energy_model.byte_cost_table
+        costs = [block_sums(table.take(index ^ v), BYTES_PER_LINE) for v in self.vector_states]
+        choice = cheapest(np.stack(costs))  # (n, 1)
+        data_states = unpack_state_bytes(line_states ^ self.vector_states[choice[:, 0]])
         index_bits = np.stack(
             [((choice[:, 0] >> b) & 1).astype(np.uint8) for b in range(self.index_bits)], axis=1
         )

@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, invert_mapping
+from ..core.cosets import C1, C3, DEFAULT_MAPPING, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
@@ -29,11 +29,18 @@ from ..core.symbols import (
 )
 from .base import (
     WriteEncoder,
-    block_costs,
+    candidate_byte_tables,
+    candidate_costs,
+    cheapest,
+    cost_index,
     pack_bits_to_states,
-    select_block_bytes,
     unpack_states_to_bits,
+    winner_bytes,
 )
+
+#: A block is written as is (the default mapping C1) or complemented: the
+#: default state of symbol ``3 - s`` is ``C3[s]``, so complementing is C3.
+FNW_CANDIDATES = np.stack([C1, C3])
 
 
 class FNWEncoder(WriteEncoder):
@@ -51,6 +58,7 @@ class FNWEncoder(WriteEncoder):
         self.block_cells = block_bits // 2
         self.block_bytes = block_bits // 8
         self.num_blocks = SYMBOLS_PER_LINE // self.block_cells
+        self.byte_tables = candidate_byte_tables(FNW_CANDIDATES)
         self.name = f"fnw-{block_bits}"
 
     @property
@@ -63,12 +71,13 @@ class FNWEncoder(WriteEncoder):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
         data = symbol_bytes(lines.words)
-        stored = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
-        # Complementing every symbol of a byte is complementing the byte.
-        candidates = DEFAULT_BYTE_TABLE.take(np.stack([data, data ^ 0xFF]))
-        costs = block_costs(candidates, stored, self.energy_model, self.block_bytes)
-        choice = costs.argmin(axis=0).astype(np.uint8)  # (n, blocks)
-        data_states = unpack_state_bytes(select_block_bytes(candidates, choice, self.block_bytes))
+        index = cost_index(pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE]), data)
+        choice = cheapest(
+            candidate_costs(self.energy_model, FNW_CANDIDATES, index, self.block_bytes)
+        )  # (n, blocks)
+        data_states = unpack_state_bytes(
+            winner_bytes(self.byte_tables, choice, data, self.block_bytes)
+        )
         aux_states = pack_bits_to_states(choice)
         states = np.concatenate([data_states, aux_states], axis=1)
         aux_mask = np.zeros((n, self.total_cells), dtype=bool)

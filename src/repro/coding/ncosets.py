@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.cosets import FOUR_COSETS, SIX_COSETS, THREE_COSETS, invert_mapping, mapping_byte_table
+from ..core.cosets import FOUR_COSETS, SIX_COSETS, THREE_COSETS, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
@@ -36,7 +36,14 @@ from ..core.symbols import (
     symbol_bytes,
     unpack_state_bytes,
 )
-from .base import WriteEncoder, block_costs, select_block_bytes
+from .base import (
+    WriteEncoder,
+    candidate_byte_tables,
+    candidate_costs,
+    cheapest,
+    cost_index,
+    winner_bytes,
+)
 
 
 class AuxCodec:
@@ -135,7 +142,7 @@ class NCosetsEncoder(WriteEncoder):
             raise ConfigurationError("granularity_bits must be a multiple of 8 dividing 512")
         self.candidates = candidates
         self.inverse_candidates = np.stack([invert_mapping(c) for c in candidates])
-        self.byte_tables = np.stack([mapping_byte_table(c) for c in candidates])
+        self.byte_tables = candidate_byte_tables(candidates)
         self.granularity_bits = granularity_bits
         self.block_cells = granularity_bits // 2
         self.block_bytes = granularity_bits // 8
@@ -155,11 +162,14 @@ class NCosetsEncoder(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        stored = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
-        candidates = np.take(self.byte_tables, symbol_bytes(lines.words), axis=1)  # (k, n, 64)
-        costs = block_costs(candidates, stored, self.energy_model, self.block_bytes)
-        choice = costs.argmin(axis=0).astype(np.uint8)  # (n, blocks)
-        data_states = unpack_state_bytes(select_block_bytes(candidates, choice, self.block_bytes))
+        data = symbol_bytes(lines.words)
+        index = cost_index(pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE]), data)
+        choice = cheapest(
+            candidate_costs(self.energy_model, self.candidates, index, self.block_bytes)
+        )  # (n, blocks)
+        data_states = unpack_state_bytes(
+            winner_bytes(self.byte_tables, choice, data, self.block_bytes)
+        )
         aux_states = self.aux_codec.encode(choice)
         states = np.concatenate([data_states, aux_states], axis=1).astype(np.uint8)
         aux_mask = np.zeros((n, self.total_cells), dtype=bool)

@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core.cosets import THREE_COSETS, invert_mapping, mapping_byte_table
+from ..core.cosets import THREE_COSETS, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
@@ -34,10 +34,12 @@ from ..core.symbols import (
 )
 from .base import (
     WriteEncoder,
-    block_costs,
+    candidate_byte_tables,
+    candidate_costs,
+    cost_index,
     pack_bits_to_states,
-    select_block_bytes,
     unpack_states_to_bits,
+    winner_bytes,
 )
 
 #: Candidate index used by each (family, selector-bit) combination.
@@ -66,7 +68,7 @@ class RestrictedCosetEncoder(WriteEncoder):
         self.num_blocks = SYMBOLS_PER_LINE // self.block_cells
         self.candidates = THREE_COSETS
         self.inverse_candidates = np.stack([invert_mapping(c) for c in self.candidates])
-        self.byte_tables = np.stack([mapping_byte_table(c) for c in self.candidates])
+        self.byte_tables = candidate_byte_tables(self.candidates)
         self.name = f"3-r-cosets-{granularity_bits}"
 
     @property
@@ -83,9 +85,9 @@ class RestrictedCosetEncoder(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        stored = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
-        candidates = np.take(self.byte_tables, symbol_bytes(lines.words), axis=1)  # (3, n, 64)
-        costs = block_costs(candidates, stored, self.energy_model, self.block_bytes)
+        data = symbol_bytes(lines.words)
+        index = cost_index(pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE]), data)
+        costs = candidate_costs(self.energy_model, self.candidates, index, self.block_bytes)
         # costs has shape (3, n, blocks); family 0 = {C1, C2}, family 1 = {C1, C3}.
         family_costs = np.stack(
             [
@@ -97,7 +99,9 @@ class RestrictedCosetEncoder(WriteEncoder):
         alternative = np.where(family[:, None] == 0, costs[1], costs[2])  # (n, blocks)
         selector = (alternative < costs[0]).astype(np.uint8)  # (n, blocks)
         choice = FAMILY_CANDIDATES[family[:, None], selector]  # (n, blocks)
-        data_states = unpack_state_bytes(select_block_bytes(candidates, choice, self.block_bytes))
+        data_states = unpack_state_bytes(
+            winner_bytes(self.byte_tables, choice, data, self.block_bytes)
+        )
         bits = np.concatenate([family[:, None], selector], axis=1).astype(np.uint8)
         aux_states = pack_bits_to_states(bits)
         states = np.concatenate([data_states, aux_states], axis=1).astype(np.uint8)

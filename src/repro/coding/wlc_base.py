@@ -43,7 +43,13 @@ from ..core.symbols import (
     symbols_to_words,
     unpack_state_bytes,
 )
-from .base import WriteEncoder, block_costs, select_block_bytes
+from .base import (
+    WriteEncoder,
+    candidate_byte_tables,
+    candidate_costs,
+    cost_index,
+    winner_bytes,
+)
 
 #: State-byte -> symbol-byte table of the default mapping (reads raw cells).
 _DEFAULT_INVERSE_BYTE_TABLE = mapping_byte_table(invert_mapping(DEFAULT_MAPPING))
@@ -82,7 +88,7 @@ class WLCWordEncoderBase(WriteEncoder):
         self.granularity_bits = granularity_bits
         self.candidates = np.asarray(candidates, dtype=np.uint8)
         self.inverse_candidates = np.stack([invert_mapping(c) for c in self.candidates])
-        self.byte_tables = np.stack([mapping_byte_table(c) for c in self.candidates])
+        self.byte_tables = candidate_byte_tables(self.candidates)
         self.reclaimed_bits = reclaimed_bits
         self.wlc = WLCCompressor(k=reclaimed_bits + 1)
         self.blocks_per_word = BITS_PER_WORD // granularity_bits
@@ -95,6 +101,14 @@ class WLCWordEncoderBase(WriteEncoder):
         #: Per line byte, the bits of its data-region cells.
         self.data_byte_mask = np.tile(
             pack_state_bytes(np.where(~self.word_aux_mask(), 3, 0)), WORDS_PER_LINE
+        )
+        #: Per candidate and line byte, the symbol the candidate maps to S1 in
+        #: every reclaimed cell (ORed into the data half of the cost index).
+        self.reclaimed_fills = np.stack(
+            [
+                np.uint8(0x55 * int(invert_mapping(c)[0])) & ~self.data_byte_mask
+                for c in self.candidates
+            ]
         )
         self.name = name
 
@@ -132,10 +146,11 @@ class WLCWordEncoderBase(WriteEncoder):
         Parameters
         ----------
         block_costs:
-            ``(k, n, 8, blocks)`` per-block differential-write energies.
+            ``(k, n, 8, blocks)`` per-block differential-write energies
+            (exact ``int32`` for an integral model).
         block_flips:
-            ``(k, n, 8, blocks)`` per-block rewritten-cell counts, or ``None``
-            unless :attr:`counts_rewrites` is set.
+            ``(k, n, 8, blocks)`` ``int32`` per-block rewritten-cell counts,
+            or ``None`` unless :attr:`counts_rewrites` is set.
         stored_aux_values:
             ``(n, 8)`` integers currently held in the reclaimed bits of each
             stored word.  Cost ties are broken in favour of the stored
@@ -163,38 +178,15 @@ class WLCWordEncoderBase(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        data = symbol_bytes(lines.words)
-        stored = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
         compressible = self.wlc.line_compressible(lines)
-
-        # Candidates keep the stored bits in each word's reclaimed region, so
-        # those cells are unchanged and cost nothing; word blocks are
-        # contiguous bytes, so line-level blocks reshape into per-word ones.
-        keep = self.data_byte_mask
-        candidates = (np.take(self.byte_tables, data, axis=1) & keep) | (stored & ~keep)
-        k = candidates.shape[0]
-        shape = (k, n, WORDS_PER_LINE, self.blocks_per_word)
-        block_energies = block_costs(candidates, stored, self.energy_model, self.block_bytes)
-        block_flips = None
-        if self.counts_rewrites:
-            block_flips = block_costs(
-                candidates, stored, REWRITE_COUNT_MODEL, self.block_bytes
-            ).reshape(shape)
-
-        stored_aux_values = self._stored_aux_values(stored)
-        choice, aux_values = self._select_candidates(
-            block_energies.reshape(shape), block_flips, stored_aux_values
-        )
-        encoded = select_block_bytes(
-            candidates, choice.reshape(n, WORDS_PER_LINE * self.blocks_per_word), self.block_bytes
-        )
-        # Auxiliary-region cells store the reclaimed bits under the default mapping.
-        words_with_aux = self.wlc.insert_reclaimed(lines.words, aux_values)
-        aux_bytes = DEFAULT_BYTE_TABLE.take(symbol_bytes(words_with_aux))
-        encoded = (encoded & keep) | (aux_bytes & ~keep)
-
-        raw = DEFAULT_BYTE_TABLE.take(data)
-        data_states = unpack_state_bytes(np.where(compressible[:, None], encoded, raw))
+        # Lines WLC cannot compress are written raw; only the others are searched.
+        line_bytes = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
+        rows = np.flatnonzero(compressible)
+        if rows.size:
+            line_bytes[rows] = self._encode_words(
+                lines.words[rows], pack_state_bytes(stored_states[rows, :SYMBOLS_PER_LINE])
+            )
+        data_states = unpack_state_bytes(line_bytes)
         flag_states = np.where(compressible, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
         states = np.concatenate([data_states, flag_states[:, None]], axis=1)
 
@@ -203,6 +195,36 @@ class WLCWordEncoderBase(WriteEncoder):
         aux_mask[:, :SYMBOLS_PER_LINE] = compressible[:, None] & line_aux[None, :]
         aux_mask[:, self.flag_cell_index] = True
         return states, aux_mask, compressible, compressible.copy()
+
+    def _encode_words(self, words: np.ndarray, stored: np.ndarray) -> np.ndarray:
+        """State bytes of compressible lines ``words`` written over state bytes ``stored``.
+
+        Each word's reclaimed cells are cleared in both halves of the shared
+        cost index, and candidate ``j`` fills their data half with the symbol
+        it maps to S1 (:attr:`reclaimed_fills`): they read as S1 over S1,
+        unchanged and free, so one cost table per mapping serves every
+        granularity.  Word blocks are contiguous bytes, so line-level blocks
+        reshape into per-word ones.
+        """
+        n = words.shape[0]
+        data = symbol_bytes(words)
+        keep = self.data_byte_mask
+        index = cost_index(stored & keep, data & keep)
+        search = (self.candidates, index, self.block_bytes, self.reclaimed_fills)
+        shape = (len(self.candidates), n, WORDS_PER_LINE, self.blocks_per_word)
+        block_flips = None
+        if self.counts_rewrites:
+            block_flips = candidate_costs(REWRITE_COUNT_MODEL, *search).reshape(shape)
+        choice, aux_values = self._select_candidates(
+            candidate_costs(self.energy_model, *search).reshape(shape),
+            block_flips,
+            self._stored_aux_values(stored),
+        )
+        encoded = winner_bytes(self.byte_tables, choice.reshape(n, -1), data, self.block_bytes)
+        # Auxiliary-region cells store the reclaimed bits under the default mapping.
+        words_with_aux = self.wlc.insert_reclaimed(words, aux_values)
+        aux_bytes = DEFAULT_BYTE_TABLE.take(symbol_bytes(words_with_aux))
+        return (encoded & keep) | (aux_bytes & ~keep)
 
     def _stored_aux_values(self, stored_bytes: np.ndarray) -> np.ndarray:
         """Reclaimed-bit values currently stored in each word's auxiliary cells.

@@ -22,6 +22,7 @@ import numpy as np
 from ..core.cosets import FOUR_COSETS, THREE_COSETS
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
+from .base import cheapest
 from .wlc_base import WLCWordEncoderBase
 
 #: Auxiliary bits per data block (candidate index) for the unrestricted schemes.
@@ -59,15 +60,9 @@ class WLCNCosetsEncoder(WLCWordEncoderBase):
         block_flips: Optional[np.ndarray],
         stored_aux_values: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        best = block_costs.argmin(axis=0).astype(np.uint8)  # (n, 8, blocks)
-        best_cost = block_costs.min(axis=0)
         # Prefer the candidate already recorded in the stored auxiliary bits on
         # exact cost ties, so rewriting identical data touches no cells.
-        stored_choice = self._choices_from_aux(stored_aux_values)
-        stored_cost = np.take_along_axis(
-            np.moveaxis(block_costs, 0, -1), stored_choice[..., None].astype(np.intp), axis=-1
-        )[..., 0]
-        choice = np.where(stored_cost <= best_cost, stored_choice, best).astype(np.uint8)
+        choice = cheapest(block_costs, self._choices_from_aux(stored_aux_values))
         aux_values = np.zeros(choice.shape[:2], dtype=np.uint64)
         for block in range(self.blocks_per_word):
             aux_values |= choice[..., block].astype(np.uint64) << np.uint64(BITS_PER_BLOCK * block)

@@ -32,6 +32,7 @@ import numpy as np
 from ..core.cosets import THREE_COSETS
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
+from .base import cheapest
 from .wlc_base import WLCWordEncoderBase
 
 #: Candidate index used by each (family, selector-bit) combination:
@@ -83,13 +84,7 @@ class WLCRCEncoder(WLCWordEncoderBase):
     ) -> Tuple[np.ndarray, np.ndarray]:
         if self.granularity_bits == 64:
             # Degenerate case: unrestricted choice among C1, C2, C3 per word.
-            stored_choice = np.minimum(stored_aux_values.astype(np.uint8), 2)[..., None]
-            best = block_costs.argmin(axis=0).astype(np.uint8)  # (n, 8, 1)
-            stored_cost = np.take_along_axis(
-                np.moveaxis(block_costs, 0, -1), stored_choice[..., None].astype(np.intp), axis=-1
-            )[..., 0]
-            best_cost = block_costs.min(axis=0)
-            choice = np.where(stored_cost <= best_cost, stored_choice, best)
+            choice = cheapest(block_costs, self._choices_from_aux(stored_aux_values))
             aux_values = choice[..., 0].astype(np.uint64)
             return choice, aux_values
 

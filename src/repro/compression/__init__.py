@@ -7,7 +7,6 @@ from .kernels import (
     hstack_bits,
     pack_fields,
     unpack_fields,
-    xor_reduce,
 )
 from .bdi import (
     BDICompressor,
@@ -61,5 +60,4 @@ __all__ = [
     "unpack_bits_lsb_first",
     "unpack_fields",
     "words32_to_line",
-    "xor_reduce",
 ]

@@ -95,7 +95,7 @@ class ArrayBackend:
         Move a device array back to host numpy.  Identity for host backends.
     compiled:
         Optional kernel overrides, keyed by kernel name (``pack_fields``,
-        ``unpack_fields``, ``compact_fill``, ``xor_reduce``).  The kernel
+        ``unpack_fields``, ``compact_fill``).  The kernel
         layer checks this table before falling back to the ``xp`` expression,
         which is how the numba backend swaps in its ``@njit`` loops without
         the call sites knowing.  The metric reduction and the encoders'
@@ -293,23 +293,10 @@ def _compile_numba_kernels(numba) -> Dict[str, Callable[..., Any]]:
                     cursor += 1
         return out
 
-    @njit(cache=True, nogil=True)
-    def xor_reduce(bits, matrix):  # (n, k) x (k, r) -> (n, r), GF(2)
-        n, k = bits.shape
-        r = matrix.shape[1]
-        out = np.zeros((n, r), dtype=np.uint8)
-        for row in range(n):
-            for col in range(k):
-                if bits[row, col]:
-                    for parity in range(r):
-                        out[row, parity] ^= matrix[col, parity]
-        return out
-
     return {
         "pack_fields": pack_fields,
         "unpack_fields": unpack_fields,
         "compact_fill": compact_fill,
-        "xor_reduce": xor_reduce,
     }
 
 

@@ -14,9 +14,7 @@ same streams for a whole :class:`~repro.core.line.LineBatch` at once:
   :func:`pack_fields`) -- broadcasting shifts instead of per-bit loops;
 * ragged compaction (:func:`compact_segments`) -- lay out per-line segments
   of varying widths (e.g. FPC's 16 prefix+payload fields) back to back,
-  which is the one genuinely irregular step of variable-length compression;
-* GF(2) matrix reduction (:func:`xor_reduce`) -- XOR of selected rows of a
-  bit matrix, expressed as an integer matmul mod 2 (the BCH parity kernel).
+  which is the one genuinely irregular step of variable-length compression.
 
 Array math is routed through the active
 :class:`~repro.compression.backend.ArrayBackend`: every kernel accepts an
@@ -49,7 +47,6 @@ __all__ = [
     "pack_fields",
     "compact_segments",
     "hstack_bits",
-    "xor_reduce",
     "single_line_batch",
     "single_stream",
 ]
@@ -249,38 +246,3 @@ def hstack_bits(
         seg_bits[:, index, : part.bits.shape[1]] = part.bits
         seg_widths[:, index] = part.lengths
     return compact_segments(seg_bits, seg_widths, compressor, backend=backend)
-
-
-def xor_reduce(bits, matrix, backend: Optional[ArrayBackend] = None):
-    """GF(2) reduction: XOR together ``matrix`` rows selected by set ``bits``.
-
-    ``bits`` is ``(n, k)`` with 0/1 entries, ``matrix`` is ``(k, r)``; the
-    result is the ``(n, r)`` ``uint8`` matrix whose row ``i`` is the XOR of
-    every ``matrix[j]`` with ``bits[i, j] == 1`` -- i.e. the bit-matrix
-    product over GF(2), computed as an integer matmul with the parity taken
-    mod 2.  This is the vectorised form of a polynomial remainder over GF(2)
-    with a precomputed shifted-remainder table (see
-    :meth:`repro.ecc.bch.BCHCode.parity_batch`).
-    """
-    b = backend or get_backend()
-    xp = b.xp
-    bits = xp.asarray(bits, dtype=xp.uint8)
-    matrix = xp.asarray(matrix, dtype=xp.uint8)
-    if bits.ndim != 2 or matrix.ndim != 2 or bits.shape[1] != matrix.shape[0]:
-        raise CompressionError(
-            f"xor_reduce needs (n, k) bits and (k, r) matrix, got "
-            f"{bits.shape} and {matrix.shape}"
-        )
-    # Empty-batch guard: an (0, k) @ (k, r) matmul is well-defined, but the
-    # compiled kernels reject zero-sized views and cupy allocates a stream
-    # for it -- short-circuit to the empty host answer instead.
-    if bits.shape[0] == 0:
-        return xp.zeros((0, matrix.shape[1]), dtype=xp.uint8)
-    with kernel_timer(b.name, "xor_reduce"):
-        kernel = b.compiled.get("xor_reduce")
-        if kernel is not None:
-            return kernel(np.ascontiguousarray(bits), np.ascontiguousarray(matrix))
-        # uint64 accumulators: popcounts along k can reach k (> 255), so the
-        # matmul must not run in the uint8 input dtype.
-        products = bits.astype(xp.uint64) @ matrix.astype(xp.uint64)
-        return (products & xp.uint64(1)).astype(xp.uint8)

@@ -28,6 +28,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .cosets import mapping_byte_table
 from .symbols import unpack_state_bytes
 
 #: Number of distinct resistance states of a 4-level cell.
@@ -88,6 +89,18 @@ class EnergyModel:
         """
         return _byte_cost_table(self.reset_energy_pj, tuple(self.set_energy_pj), self.is_integral)
 
+    def candidate_cost_table(self, mapping: np.ndarray) -> np.ndarray:
+        """Cost of writing data byte ``d`` under coset ``mapping`` over stored state byte ``s``.
+
+        Indexed ``s << 8 | d``: entry ``byte_cost_table[s << 8 |
+        mapping_byte_table(mapping)[d]]``, so pricing a candidate is one
+        lookup per byte.  Read-only, built on first use and cached at module
+        level once per (model, mapping), with the dtype of
+        :attr:`byte_cost_table`.  Never keep it on an encoder: encoders are
+        pickled into every worker task.
+        """
+        return _candidate_cost_table(self, np.asarray(mapping, dtype=np.uint8).tobytes())
+
     def cell_write_energy(self, new_states: np.ndarray, changed: np.ndarray) -> np.ndarray:
         """Per-cell write energy for a differential write.
 
@@ -133,6 +146,14 @@ def _byte_cost_table(
         table = table.astype(np.uint16)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=64)
+def _candidate_cost_table(model: EnergyModel, mapping: bytes) -> np.ndarray:
+    states = mapping_byte_table(np.frombuffer(mapping, dtype=np.uint8))
+    composed = model.byte_cost_table.reshape(256, 256)[:, states].reshape(-1)
+    composed.flags.writeable = False
+    return composed
 
 
 #: The default energy model used across the paper's evaluation.

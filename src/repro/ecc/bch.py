@@ -18,6 +18,7 @@ occupy the high-degree positions ``r .. r+k-1`` and parity the low positions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -74,6 +75,44 @@ def _gf2_poly_divmod(dividend: int, divisor: int) -> Tuple[int, int]:
     return quotient, remainder
 
 
+def _remainder_rows(generator: int, parity_bits: int, data_bits: int) -> List[int]:
+    """Row ``i`` is ``x^(i + r) mod g(x)`` as an integer bit mask.
+
+    Systematic parity is linear over GF(2), so the parity of ``d(x) * x^r``
+    is the XOR of these rows over the set data bits.  Each row follows from
+    the previous one by the shift-register step (multiply by x, then reduce
+    the degree-r term with g).
+    """
+    rows = []
+    remainder = _gf2_poly_mod(1 << parity_bits, generator)
+    for _ in range(data_bits):
+        rows.append(remainder)
+        remainder <<= 1
+        if (remainder >> parity_bits) & 1:
+            remainder ^= generator
+    return rows
+
+
+@lru_cache(maxsize=8)
+def _parity_byte_table(generator: int, parity_bits: int, data_bits: int) -> np.ndarray:
+    """``(ceil(data_bits / 8), 256)`` packed remainders of every data byte value.
+
+    Entry ``[p, v]`` is the XOR of the :func:`_remainder_rows` of the set
+    bits of data byte ``p`` when it holds ``v``.  Read-only and cached at
+    module level per code, never kept on a :class:`BCHCode`: DIN's encoder
+    holds one and is pickled into every worker task.
+    """
+    nbytes = -(-data_bits // 8)
+    rows = np.zeros(nbytes * 8, dtype=np.uint64)
+    rows[:data_bits] = _remainder_rows(generator, parity_bits, data_bits)
+    shifts = np.arange(8, dtype=np.uint64)
+    bits = (np.arange(256, dtype=np.uint64)[:, None] >> shifts) & np.uint64(1)  # (256, 8)
+    table = np.bitwise_xor.reduce(rows.reshape(nbytes, 1, 8) * bits, axis=-1)
+    table = table.astype(np.min_scalar_type((1 << parity_bits) - 1))
+    table.flags.writeable = False
+    return table
+
+
 @dataclass
 class DecodeResult:
     """Outcome of a BCH decode attempt."""
@@ -113,25 +152,6 @@ class BCHCode:
                 f"exceeds the natural length {self.natural_length}"
             )
         self.data_bits = data_bits
-        # Shifted-remainder table: row i is x^(i + r) mod g(x) as LSB-first
-        # bits.  Systematic parity is linear over GF(2), so the parity of
-        # d(x)*x^r is the XOR of these rows over the set data bits -- the
-        # vectorised form computed by parity_batch as a matmul mod 2.  Each
-        # row follows from the previous one by the shift-register step
-        # (multiply by x, then reduce the degree-r term with g).
-        r = self.parity_bits
-        remainder = _gf2_poly_mod(1 << r, generator)
-        width = (r + 7) // 8
-        rows = bytearray()
-        for _ in range(self.data_bits):
-            rows += remainder.to_bytes(width, "little")
-            remainder <<= 1
-            if (remainder >> r) & 1:
-                remainder ^= generator
-        packed = np.frombuffer(bytes(rows), dtype=np.uint8).reshape(self.data_bits, width)
-        self._remainder_table = np.ascontiguousarray(
-            np.unpackbits(packed, axis=1, bitorder="little")[:, :r]
-        )
 
     @property
     def codeword_bits(self) -> int:
@@ -151,23 +171,22 @@ class BCHCode:
     def parity_batch(self, data: np.ndarray) -> np.ndarray:
         """Parity bits of a whole ``(n, data_bits)`` bit matrix at once.
 
-        One GF(2) reduction against the precomputed shifted-remainder table
-        replaces the per-line carry chain of long division -- this is what
-        keeps the DIN encode path free of per-line Python loops (see
-        :func:`repro.compression.kernels.xor_reduce`).
+        Table-driven, like a CRC: the data bits are packed into bytes, each
+        byte is one lookup into the code's table of packed remainders
+        (:func:`_parity_byte_table`), and XOR-reducing the lookups gives each
+        line's remainder -- no per-line carry chain of long division.
         """
-        from ..compression.backend import get_backend
-        from ..compression.kernels import xor_reduce
-
         data = np.asarray(data, dtype=np.uint8)
         if data.ndim != 2 or data.shape[1] != self.data_bits:
             raise ValueError(
                 f"expected (n, {self.data_bits}) data bits, got {data.shape}"
             )
-        backend = get_backend()
-        return backend.to_host(
-            xor_reduce(backend.to_device(data), self._remainder_table, backend=backend)
-        )
+        table = _parity_byte_table(self.generator_poly, self.parity_bits, self.data_bits)
+        packed = np.packbits(data, axis=1, bitorder="little")
+        offsets = np.arange(packed.shape[1]) * 256
+        remainders = np.bitwise_xor.reduce(table.take(packed + offsets), axis=1)
+        shifts = np.arange(self.parity_bits, dtype=remainders.dtype)
+        return ((remainders[:, None] >> shifts) & 1).astype(np.uint8)
 
     def encode(self, data: Sequence[int]) -> np.ndarray:
         """Systematic codeword: parity bits (positions ``0..r-1``) then data bits."""

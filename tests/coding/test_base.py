@@ -5,12 +5,24 @@ import pytest
 
 from repro.coding.base import (
     EncodedBatch,
-    block_costs,
+    block_sums,
+    candidate_byte_tables,
+    candidate_costs,
+    cheapest,
+    cost_index,
     pack_bits_to_states,
-    select_block_bytes,
     unpack_states_to_bits,
+    winner_bytes,
 )
 from repro.coding.baseline import BaselineEncoder
+from repro.core.cosets import (
+    C1,
+    C2,
+    DEFAULT_BYTE_TABLE,
+    FOUR_COSETS,
+    invert_mapping,
+    mapping_byte_table,
+)
 from repro.core.energy import DEFAULT_ENERGY_MODEL, REWRITE_COUNT_MODEL
 from repro.core.errors import EncodingError
 from repro.core.symbols import pack_state_bytes
@@ -35,38 +47,62 @@ class TestBitStatePacking:
 
 class TestBlockSelection:
     def test_select_block_bytes(self):
-        candidate_bytes = np.zeros((2, 1, 8), dtype=np.uint8)
-        candidate_bytes[1] = 0xFF
+        tables = candidate_byte_tables(np.stack([C1, C2]))
+        data = np.arange(8, dtype=np.uint8)[None]
         choice = np.array([[0, 1, 1, 0]], dtype=np.uint8)  # four 2-byte blocks
-        selected = select_block_bytes(candidate_bytes, choice, 2)
-        assert selected[0].tolist() == [0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0]
+        c1, c2 = mapping_byte_table(C1)[data[0]], mapping_byte_table(C2)[data[0]]
+        expected = np.concatenate([c1[:2], c2[2:6], c1[6:]])
+        assert winner_bytes(tables, choice, data, 2).tolist() == [expected.tolist()]
 
     def test_select_rejects_bad_choice_shape(self):
-        with pytest.raises(EncodingError):
-            select_block_bytes(np.zeros((2, 1, 8), dtype=np.uint8), np.zeros((1, 3), dtype=np.uint8), 2)
+        tables = candidate_byte_tables(np.stack([C1, C2]))
+        data = np.zeros((1, 8), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            winner_bytes(tables, np.zeros((1, 3), dtype=np.uint8), data, 2)
 
     def test_block_byte_costs(self):
-        # One line of 8 cells (2 state bytes), 2 candidates, one byte per block.
-        stored = pack_state_bytes(np.zeros((1, 8), dtype=np.uint8))
-        candidate_bytes = np.stack([
-            pack_state_bytes(np.array([[0, 0, 0, 0, 3, 3, 3, 3]], dtype=np.uint8)),
-            pack_state_bytes(np.array([[1, 1, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)),
-        ])
-        costs = block_costs(candidate_bytes, stored, DEFAULT_ENERGY_MODEL, 1)
+        # One line of 8 cells (2 bytes) over S1 cells: C1 writes symbols 00 as
+        # S1 (free) and symbols 01 as S4; C2 maps 11 to S1 and 00 to S2.
+        data = pack_state_bytes(np.array([[0, 0, 0, 0, 1, 1, 1, 1]], dtype=np.uint8))
+        stored = np.zeros((1, 2), dtype=np.uint8)
+        index = cost_index(stored, data)
+        candidates = np.stack([C1, C2])
+        costs = candidate_costs(DEFAULT_ENERGY_MODEL, candidates, index, 1)
         assert costs.shape == (2, 1, 2)
-        assert costs.dtype == np.float64
-        assert costs[0, 0].tolist() == [0.0, 4 * 583.0]  # unchanged cells cost nothing
-        assert costs[1, 0].tolist() == [2 * 56.0, 0.0]
-        assert block_costs(candidate_bytes, stored, DEFAULT_ENERGY_MODEL, 2)[:, 0, 0].tolist() == [
-            4 * 583.0,
-            2 * 56.0,
-        ]
+        assert costs.dtype == np.int32
+        assert costs[0, 0].tolist() == [0, 4 * 583]  # unchanged cells cost nothing
+        assert costs[1, 0].tolist() == [4 * 56, 4 * 583]
+        blocks = candidate_costs(DEFAULT_ENERGY_MODEL, candidates, index, 2)
+        assert blocks[:, 0, 0].tolist() == [4 * 583, 4 * 56 + 4 * 583]
 
     def test_block_rewrite_counts(self):
-        stored = pack_state_bytes(np.zeros((1, 8), dtype=np.uint8))
-        candidate_bytes = pack_state_bytes(np.array([[[0, 1, 2, 0, 0, 0, 0, 3]]], dtype=np.uint8))
-        flips = block_costs(candidate_bytes, stored, REWRITE_COUNT_MODEL, 1)
+        stored = np.zeros((1, 2), dtype=np.uint8)
+        # Symbols written under C1 as states S1, S2, S3, S1 | S1, S1, S1, S4.
+        data = pack_state_bytes(invert_mapping(C1)[np.array([[0, 1, 2, 0, 0, 0, 0, 3]])])
+        flips = candidate_costs(REWRITE_COUNT_MODEL, C1[None], cost_index(stored, data), 1)
         assert flips[0, 0].tolist() == [2, 1]
+
+    def test_block_sums_are_exact_int32(self):
+        byte_costs = np.full((1, 64), 65535, dtype=np.uint16)
+        sums = block_sums(byte_costs, 64)
+        assert sums.dtype == np.int32 and sums.tolist() == [[64 * 65535]]
+        assert block_sums(byte_costs.astype(np.float64), 64).tolist() == [[64.0 * 65535]]
+
+    def test_cheapest_lowest_index_wins_ties(self):
+        costs = np.array([[[5, 3, 4]], [[5, 2, 4]], [[1, 2, 4]]], dtype=np.int32)
+        assert cheapest(costs).tolist() == [[2, 1, 0]]
+        assert np.array_equal(cheapest(costs), costs.argmin(axis=0))
+
+    def test_cheapest_prefers_the_stored_candidate_on_ties(self):
+        costs = np.array([[[5, 3, 4]], [[5, 2, 4]], [[1, 2, 4]]], dtype=np.int32)
+        stored = np.array([[1, 2, 2]], dtype=np.uint8)
+        assert cheapest(costs, stored).tolist() == [[2, 2, 2]]
+        assert stored.tolist() == [[1, 2, 2]]  # not written through
+
+    def test_candidate_byte_tables_are_flat(self):
+        tables = candidate_byte_tables(FOUR_COSETS)
+        assert tables.shape == (4 * 256,) and tables.dtype == np.uint8
+        assert np.array_equal(tables[:256], DEFAULT_BYTE_TABLE)
 
 
 class TestEncodedBatch:

@@ -1,14 +1,19 @@
 """The byte-domain candidate search equals the per-cell float reference.
 
-Every coset encoder prices its candidates with lookups over 4-cell state
-bytes (:func:`repro.coding.base.block_costs`) and picks winners in bytes.
-The reference here is the per-cell float64 search the encoders used before:
-candidate cell states, one energy per cell (``weights[state]`` where the
-cell changes), block sums, and the same selection rules.  For every coset
-scheme the two must give identical ``(states, aux_mask, compressed,
-encoded)`` on benchmark, random and adversarial lines, against both fresh
-and reference-encoded stored states.
+Every coset encoder prices a candidate with one lookup per 4-cell byte into
+a composed table (:meth:`repro.core.energy.EnergyModel.candidate_cost_table`)
+at a shared ``stored << 8 | data`` index, sums blocks in ``int32`` and picks
+winners in bytes.  The reference here is the per-cell float64 search the
+encoders used before: candidate cell states, one energy per cell
+(``weights[state]`` where the cell changes), block sums, and the same
+selection rules.  For every coset scheme the two must give identical
+``(states, aux_mask, compressed, encoded)`` on benchmark, random and
+adversarial lines, against both fresh and reference-encoded stored states;
+the WLC family also on batches with no, only, one or zero compressible
+lines.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -20,15 +25,34 @@ from repro.coding import (
     NCosetsEncoder,
     RestrictedCosetEncoder,
     WLCWordEncoderBase,
-    block_costs,
+    available_schemes,
+    candidate_costs,
+    cost_index,
     make_scheme,
     pack_bits_to_states,
 )
 from repro.coding.coc_cosets import LAYOUT_16, LAYOUT_32
+from repro.coding.fnw import FNW_CANDIDATES
 from repro.coding.restricted import FAMILY_CANDIDATES
 from repro.coding.wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
-from repro.core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, apply_mapping, invert_mapping
-from repro.core.energy import DEFAULT_ENERGY_MODEL, EnergyModel, figure14_energy_models
+from repro.core.cosets import (
+    C1,
+    C3,
+    DEFAULT_BYTE_TABLE,
+    DEFAULT_MAPPING,
+    FOUR_COSETS,
+    SIX_COSETS,
+    apply_mapping,
+    invert_mapping,
+    mapping_byte_table,
+)
+from repro.core.energy import (
+    DEFAULT_ENERGY_MODEL,
+    REWRITE_COUNT_MODEL,
+    EnergyModel,
+    _candidate_cost_table,
+    figure14_energy_models,
+)
 from repro.core.errors import ConfigurationError
 from repro.core.line import LineBatch
 from repro.core.symbols import (
@@ -51,6 +75,10 @@ COSET_SCHEMES = (
     + [f"{p}-{g}" for p in ("wlc+4cosets", "wlc+3cosets", "wlcrc") for g in WLC_GRANULARITIES]
     + [f"wlcrc-{g}-mo" for g in WLC_GRANULARITIES]
 )
+WLC_SCHEMES = [scheme for scheme in COSET_SCHEMES if scheme.startswith(("wlc", "wlcrc"))]
+#: Every candidate mapping a registered coset encoder searches.
+CANDIDATE_MAPPINGS = np.unique(np.concatenate([FOUR_COSETS, SIX_COSETS, FNW_CANDIDATES]), axis=0)
+MODELS = (DEFAULT_ENERGY_MODEL, REWRITE_COUNT_MODEL) + figure14_energy_models()
 
 
 # ---------------------------------------------------------------------- #
@@ -64,7 +92,7 @@ def ref_block_costs(candidate_states, stored, energy_model, block_cells, active_
     for index in range(k):
         per_cell = weights[candidate_states[index]] * (candidate_states[index] != stored)
         per_cell[:, cells if active_cells is None else active_cells:] = 0.0
-        costs[index] = per_cell.reshape(n, -1, block_cells).sum(axis=-1)
+        costs[index] = per_cell.reshape(n, cells // block_cells, block_cells).sum(axis=-1)
     return costs
 
 
@@ -124,11 +152,11 @@ def ref_fnw(enc, lines, stored):
     return _appended_aux(len(lines), data, pack_bits_to_states(choice), enc.total_cells)
 
 
-def ref_wlc(enc, lines, stored):
+def ref_wlc_costs(enc, lines, stored):
+    """Candidate cell states, and ``(k, n, 8, blocks)`` energies and rewrite
+    counts of every word block in which only the data-region cells count."""
     n = len(lines)
-    symbols = lines.symbols()
-    compressible = enc.wlc.line_compressible(lines)
-    word_symbols = symbols.reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
+    word_symbols = lines.symbols().reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
     stored_words = stored[:, :SYMBOLS_PER_LINE].reshape(n * WORDS_PER_LINE, SYMBOLS_PER_WORD)
     candidates = enc.candidates[:, word_symbols]
     k = candidates.shape[0]
@@ -138,15 +166,24 @@ def ref_wlc(enc, lines, stored):
     costs = ref_block_costs(flat, stored_words, enc.energy_model, enc.block_cells, active)
     changed = flat != stored_words
     changed[..., active:] = False
-    flips = changed.reshape(k, n * WORDS_PER_LINE, -1, enc.block_cells).sum(axis=-1)
+    blocks = (k, n * WORDS_PER_LINE, enc.blocks_per_word, enc.block_cells)
+    flips = changed.reshape(blocks).sum(axis=-1)
+    return candidates, costs.reshape(shape), flips.astype(np.float64).reshape(shape)
+
+
+def ref_wlc(enc, lines, stored):
+    n = len(lines)
+    symbols = lines.symbols()
+    compressible = enc.wlc.line_compressible(lines)
+    candidates, costs, flips = ref_wlc_costs(enc, lines, stored)
+    active = enc.data_region_cells
     inverse = invert_mapping(DEFAULT_MAPPING)
-    aux_symbols = inverse[stored_words.reshape(n, WORDS_PER_LINE, -1)[..., active:]]
+    stored_words = stored[:, :SYMBOLS_PER_LINE].reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
+    aux_symbols = inverse[stored_words[..., active:]]
     shifts = np.arange(active, SYMBOLS_PER_WORD).astype(np.uint64) * np.uint64(2)
     partial = (aux_symbols.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
     stored_aux = partial >> np.uint64(64 - enc.reclaimed_bits)
-    choice, aux_values = enc._select_candidates(
-        costs.reshape(shape), flips.astype(np.float64).reshape(shape), stored_aux
-    )
+    choice, aux_values = enc._select_candidates(costs, flips, stored_aux)
     encoded = ref_select(candidates, choice, enc.block_cells)
     with_aux = words_to_symbols(enc.wlc.insert_reclaimed(lines.words, aux_values))
     with_aux = with_aux.reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
@@ -309,14 +346,150 @@ def test_non_integral_model_costs_match_reference_closely():
     model = EnergyModel(reset_energy_pj=36.3, set_energy_pj=(0.0, 20.7, 307.1, 547.9))
     assert not model.is_integral
     assert model.byte_cost_table.dtype == np.float64
+    assert model.candidate_cost_table(C1).dtype == np.float64
     rng = np.random.default_rng(3)
-    candidates = rng.integers(0, 4, size=(3, 20, SYMBOLS_PER_LINE), dtype=np.uint8)
+    symbols = rng.integers(0, 4, size=(20, SYMBOLS_PER_LINE), dtype=np.uint8)
     stored = rng.integers(0, 4, size=(20, SYMBOLS_PER_LINE), dtype=np.uint8)
-    candidate_bytes, stored_bytes = pack_state_bytes(candidates), pack_state_bytes(stored)
+    index = cost_index(pack_state_bytes(stored), pack_state_bytes(symbols))
     for block_cells in (4, 32, 256):
-        got = block_costs(candidate_bytes, stored_bytes, model, block_cells // 4)
-        expected = ref_block_costs(candidates, stored, model, block_cells)
+        got = candidate_costs(model, FOUR_COSETS, index, block_cells // 4)
+        expected = ref_block_costs(FOUR_COSETS[:, symbols], stored, model, block_cells)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
+
+
+# ---------------------------------------------------------------------- #
+# Composed candidate cost tables
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "model", MODELS, ids=lambda m: f"r{m.reset_energy_pj:g}-s3-{m.set_energy_pj[2]:g}"
+)
+def test_candidate_table_composes_byte_cost_table(model):
+    every = np.arange(1 << 16)
+    stored, data = every >> 8, every & 0xFF
+    for mapping in CANDIDATE_MAPPINGS:
+        table = model.candidate_cost_table(mapping)
+        assert table.dtype == model.byte_cost_table.dtype == np.uint16
+        expected = model.byte_cost_table[stored << 8 | mapping_byte_table(mapping)[data]]
+        assert np.array_equal(table, expected)
+
+
+def test_fnw_candidates_are_default_and_complement():
+    symbols = np.arange(4)
+    assert np.array_equal(FNW_CANDIDATES, np.stack([C1, C3]))
+    assert np.array_equal(DEFAULT_MAPPING[3 - symbols], C3[symbols])
+
+
+@pytest.mark.parametrize("scheme", WLC_SCHEMES)
+def test_masked_index_prices_reclaimed_cells_as_kept(scheme):
+    """Clearing the reclaimed cells and filling each candidate's S1 symbol
+    costs every byte what the candidate byte keeping the stored bits did."""
+    encoder = make_scheme(scheme)
+    keep = encoder.data_byte_mask
+    rng = np.random.default_rng(11)
+    data = rng.integers(0, 256, size=(40, 64), dtype=np.uint8)
+    stored = rng.integers(0, 256, size=(40, 64), dtype=np.uint8)
+    stored[-2:] = [[0x00], [0xFF]]  # all-S1 and all-S4 stored bytes
+    index = cost_index(stored & keep, data & keep)
+    for model in (DEFAULT_ENERGY_MODEL, REWRITE_COUNT_MODEL):
+        for mapping, fill in zip(encoder.candidates, encoder.reclaimed_fills):
+            kept = (mapping_byte_table(mapping)[data] & keep) | (stored & ~keep)
+            expected = model.byte_cost_table.take(cost_index(stored, kept))
+            assert np.array_equal(model.candidate_cost_table(mapping).take(index | fill), expected)
+
+
+@pytest.mark.parametrize("scheme", WLC_SCHEMES)
+def test_wlc_search_prices_reclaimed_cells_at_zero(scheme, write_requests, monkeypatch):
+    """The block costs (and rewrite counts) a WLC encoder selects on are the
+    per-cell reference's for its compressible lines: reclaimed cells cost 0."""
+    encoder = make_scheme(scheme)
+    old, new = write_requests
+    stored = reference_encode(encoder, old, encoder.fresh_states(len(old)))[0]
+    seen = []
+    select = encoder._select_candidates
+
+    def spy(block_costs, block_flips, stored_aux_values):
+        seen.append((block_costs, block_flips))
+        return select(block_costs, block_flips, stored_aux_values)
+
+    monkeypatch.setattr(encoder, "_select_candidates", spy)
+    encoder._encode_against_states(new, stored)
+    (costs, flips), = seen
+    rows = encoder.wlc.line_compressible(new)
+    _, expected_costs, expected_flips = ref_wlc_costs(encoder, new, stored)
+    assert np.array_equal(costs, expected_costs[:, rows])
+    if encoder.counts_rewrites:
+        assert np.array_equal(flips, expected_flips[:, rows])
+
+
+def test_candidate_tables_are_read_only_and_built_once():
+    model = EnergyModel()
+    before = _candidate_cost_table.cache_info().misses
+    first = DEFAULT_ENERGY_MODEL.candidate_cost_table(FOUR_COSETS[1])
+    assert model.candidate_cost_table(FOUR_COSETS[1].copy()) is first
+    assert _candidate_cost_table.cache_info().misses - before <= 1
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1
+
+
+@pytest.mark.parametrize("scheme", available_schemes())
+def test_encoding_leaves_the_pickled_encoder_unchanged(scheme, write_requests):
+    """Cost tables are module-level caches, never encoder attributes: the
+    encoder pickled into every worker task does not grow by encoding."""
+    encoder = make_scheme(scheme)
+    size = len(pickle.dumps(encoder))
+    old, new = write_requests
+    encoder.encode_batch(new, old)
+    assert len(pickle.dumps(encoder)) == size
+
+
+# ---------------------------------------------------------------------- #
+# WLC edge batches: the search runs on compressible lines only
+# ---------------------------------------------------------------------- #
+EDGE_BATCHES = ("none-compressible", "all-compressible", "single-line", "empty")
+
+
+def _wlc_edge_batch(kind):
+    rng = np.random.default_rng(17)
+    lines = generate_benchmark_trace("mcf", length=24, seed=9).new.words
+    # Top 20 bits all-0 or all-1 per word: compressible for every WLC scheme.
+    low = lines & np.uint64((1 << 44) - 1)
+    ones = rng.integers(0, 2, size=low.shape).astype(bool)
+    compressible = np.where(ones, low | np.uint64(((1 << 20) - 1) << 44), low)
+    random = LineBatch.random(12, rng).words
+    random[:, 0] |= np.uint64(1) << np.uint64(63)
+    random[:, 0] &= ~(np.uint64(1) << np.uint64(62))  # top bits differ: never compressible
+    batches = {
+        "none-compressible": random,
+        "all-compressible": compressible,
+        "single-line": lines[:1],
+        "empty": lines[:0],
+    }
+    return LineBatch(batches[kind])
+
+
+@pytest.mark.parametrize("kind", EDGE_BATCHES)
+@pytest.mark.parametrize("scheme", WLC_SCHEMES)
+def test_wlc_edge_batch_matches_reference_on_fresh_cells(scheme, kind):
+    encoder = make_scheme(scheme)
+    new = _wlc_edge_batch(kind)
+    expected_compressible = {"none-compressible": False, "all-compressible": True}.get(kind)
+    if expected_compressible is not None:
+        assert (encoder.wlc.line_compressible(new) == expected_compressible).all()
+    fresh = encoder.fresh_states(len(new))
+    expected = reference_encode(encoder, new, fresh)
+    _assert_same(encoder._encode_against_states(new, fresh), expected)
+
+
+@pytest.mark.parametrize("kind", EDGE_BATCHES)
+@pytest.mark.parametrize("scheme", WLC_SCHEMES)
+def test_wlc_edge_batch_matches_reference_on_stored_cells(scheme, kind, write_requests):
+    encoder = make_scheme(scheme)
+    new = _wlc_edge_batch(kind)
+    old = LineBatch(write_requests[0].words[: len(new)])
+    stored = reference_encode(encoder, old, encoder.fresh_states(len(old)))[0]
+    expected = reference_encode(encoder, new, stored)
+    _assert_same(encoder._encode_against_states(new, stored), expected)
 
 
 @pytest.mark.parametrize(

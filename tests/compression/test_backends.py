@@ -23,7 +23,6 @@ from repro.compression import (
     RawLineCompressor,
     WLCCompressor,
     compact_segments,
-    xor_reduce,
 )
 from repro.compression.backend import (
     ENV_VAR,
@@ -38,7 +37,7 @@ from repro.compression.backend import (
     use_array_backend,
 )
 from repro.core.config import EvaluationConfig
-from repro.core.errors import CompressionError, ConfigurationError
+from repro.core.errors import ConfigurationError
 from repro.core.line import LineBatch
 from repro.workloads.generator import generate_benchmark_trace
 
@@ -251,51 +250,6 @@ class TestBackendIdentity:
             packed = compact_segments(seg_bits, seg_widths, "test")
         assert np.array_equal(packed.bits, reference.bits)
         assert np.array_equal(packed.lengths, reference.lengths)
-
-    def test_din_parity_identical(self, backend_name):
-        backend = require_backend(backend_name)
-        from repro.ecc.bch import BCHCode
-
-        code = BCHCode(m=10, t=2, data_bits=492)
-        data = np.random.default_rng(5).integers(0, 2, size=(40, 492)).astype(np.uint8)
-        reference = code.parity_batch(data)
-        with use_array_backend(backend.name):
-            parity = code.parity_batch(data)
-        assert np.array_equal(parity, reference)
-
-
-# ---------------------------------------------------------------------- #
-# XOR-reduction helper (dtype hygiene satellite)
-# ---------------------------------------------------------------------- #
-class TestXorReduce:
-    def test_matches_python_reference(self, rng):
-        bits = rng.integers(0, 2, size=(6, 37)).astype(np.uint8)
-        matrix = rng.integers(0, 2, size=(37, 11)).astype(np.uint8)
-        expected = np.zeros((6, 11), dtype=np.uint8)
-        for row in range(6):
-            for col in range(37):
-                if bits[row, col]:
-                    expected[row] ^= matrix[col]
-        assert np.array_equal(xor_reduce(bits, matrix), expected)
-
-    def test_empty_batch_guard(self):
-        matrix = np.ones((16, 4), dtype=np.uint8)
-        out = xor_reduce(np.zeros((0, 16), dtype=np.uint8), matrix)
-        assert out.shape == (0, 4)
-        assert out.dtype == np.uint8
-
-    def test_shape_validation(self):
-        with pytest.raises(CompressionError):
-            xor_reduce(np.zeros((2, 3), dtype=np.uint8), np.zeros((4, 2), dtype=np.uint8))
-        with pytest.raises(CompressionError):
-            xor_reduce(np.zeros(3, dtype=np.uint8), np.zeros((3, 2), dtype=np.uint8))
-
-    def test_wide_inputs_do_not_overflow(self):
-        # Popcounts beyond 255 must not wrap: an all-ones 492-bit row against
-        # an all-ones column is 492 terms, parity 0.
-        bits = np.ones((1, 492), dtype=np.uint8)
-        matrix = np.ones((492, 1), dtype=np.uint8)
-        assert xor_reduce(bits, matrix)[0, 0] == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -1,11 +1,16 @@
 """Tests of the 2-error-correcting BCH code used by DIN."""
 
+import ast
+import inspect
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ecc.bch import BCHCode, _gf2_poly_mod
+from repro.ecc import bch
+from repro.ecc.bch import BCHCode, _gf2_poly_mod, _parity_byte_table, _remainder_rows
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +36,55 @@ class TestStructure:
     def test_remainder_rows_match_long_division(self, m, t, data_bits):
         code = BCHCode(m=m, t=t, data_bits=data_bits)
         r = code.parity_bits
-        for i, row in enumerate(code._remainder_table):
-            expected = _gf2_poly_mod(1 << (i + r), code.generator_poly)
-            assert int(sum(int(bit) << j for j, bit in enumerate(row))) == expected
+        rows = _remainder_rows(code.generator_poly, r, data_bits)
+        assert len(rows) == data_bits
+        for i, row in enumerate(rows):
+            assert row == _gf2_poly_mod(1 << (i + r), code.generator_poly)
+
+
+class TestByteTableParity:
+    @pytest.mark.parametrize("m, t, data_bits", [(10, 2, 492), (6, 2, 20)])
+    def test_matches_xor_of_rows_and_long_division(self, m, t, data_bits):
+        code = BCHCode(m=m, t=t, data_bits=data_bits)
+        r = code.parity_bits
+        rows = _remainder_rows(code.generator_poly, r, data_bits)
+        rng = np.random.default_rng(m)
+        data = np.concatenate(
+            [
+                rng.integers(0, 2, size=(12, data_bits)),
+                np.ones((1, data_bits)),
+                np.zeros((1, data_bits)),
+                np.eye(data_bits)[[0, data_bits - 1]],
+            ]
+        ).astype(np.uint8)
+        parity = code.parity_batch(data)
+        assert parity.shape == (len(data), r) and parity.dtype == np.uint8
+        for bits, got in zip(data, parity):
+            xor_of_rows = 0
+            for i in np.flatnonzero(bits):
+                xor_of_rows ^= rows[i]
+            dividend = sum(int(bit) << (i + r) for i, bit in enumerate(bits))
+            assert sum(int(bit) << j for j, bit in enumerate(got)) == xor_of_rows
+            assert xor_of_rows == _gf2_poly_mod(dividend, code.generator_poly)
+
+    @pytest.mark.parametrize("m, t, data_bits", [(10, 2, 492), (6, 2, 20)])
+    def test_empty_batch(self, m, t, data_bits):
+        code = BCHCode(m=m, t=t, data_bits=data_bits)
+        parity = code.parity_batch(np.zeros((0, data_bits), dtype=np.uint8))
+        assert parity.shape == (0, code.parity_bits) and parity.dtype == np.uint8
+
+    def test_table_is_a_read_only_module_cache(self, code):
+        table = _parity_byte_table(code.generator_poly, code.parity_bits, code.data_bits)
+        assert table.shape == (62, 256) and table.dtype == np.uint32
+        assert not table.flags.writeable
+        assert _parity_byte_table(code.generator_poly, code.parity_bits, code.data_bits) is table
+        # Nothing table-sized rides along when the code is pickled.
+        assert len(pickle.dumps(code)) < table.nbytes // 4
+
+    def test_ecc_does_not_import_compression(self):
+        tree = ast.parse(inspect.getsource(bch))
+        modules = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not any("compression" in module for module in modules)
 
 
 class TestEncoding:
