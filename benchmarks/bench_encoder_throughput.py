@@ -13,12 +13,7 @@ batch-over-scalar speedup -- and asserts the kernel contract:
 * at the default 4096-line batch, BDI, FPC and the DIN payload encoder
   (whose BCH parity is one batched GF(2) reduction, not a per-line
   polynomial carry chain) run at least **5x** faster through the batch
-  paths than through the per-line loops; and
-* every *available* array backend (numpy reference, numba-compiled, cupy)
-  produces bit-identical batch streams, with a per-backend throughput
-  column recorded for the perf gate.  Backends whose optional dependency is
-  not installed are skipped; their gates are declared ``optional`` so a
-  runner without the extra warns instead of failing.
+  paths than through the per-line loops.
 
 ``REPRO_BENCH_KERNEL_LINES`` overrides the batch size (the speedup assert
 only applies from 2048 lines up, where kernel start-up cost is amortised).
@@ -41,7 +36,6 @@ from repro.compression import (
     FPCCompressor,
     WLCCompressor,
 )
-from repro.compression.backend import available_backends, use_array_backend
 from repro.core.line import LineBatch
 from repro.core.symbols import BITS_PER_LINE
 from repro.evaluation import format_series_table
@@ -56,7 +50,6 @@ BENCHMARK = BenchSpec(
         "BENCH_encoder_throughput.json",
     ),
     env=("REPRO_BENCH_KERNEL_LINES", "REPRO_BENCH_SEED"),
-    backend_sensitive=True,
     gates=(
         Gate(
             artifact="BENCH_encoder_throughput.json",
@@ -85,25 +78,6 @@ BENCHMARK = BenchSpec(
             direction="higher",
             tolerance_pct=75.0,
             context=("lines",),
-        ),
-        # Per-backend columns only exist when the optional dependency is
-        # installed, so their gates warn (not fail) when the metric or its
-        # baseline is absent.
-        Gate(
-            artifact="BENCH_encoder_throughput.json",
-            metric="backend_lines_per_s.numba.fpc",
-            direction="higher",
-            tolerance_pct=75.0,
-            context=("lines",),
-            optional=True,
-        ),
-        Gate(
-            artifact="BENCH_encoder_throughput.json",
-            metric="backend_lines_per_s.numba.bdi",
-            direction="higher",
-            tolerance_pct=75.0,
-            context=("lines",),
-            optional=True,
         ),
     ),
 )
@@ -177,22 +151,7 @@ def bench_encoder_throughput(benchmark):
                 assert np.array_equal(packed.line(i).bits, scalar_streams[i].bits)
             assert np.array_equal(compressor.decompress_batch(packed), words)
 
-            backends = {}
-            for backend_name in available_backends():
-                with use_array_backend(backend_name):
-                    compressor.compress_batch(sub)  # warm-up (numba JIT, GPU init)
-                    start = time.perf_counter()
-                    per_backend = compressor.compress_batch(sub)
-                    backends[backend_name] = time.perf_counter() - start
-                assert np.array_equal(per_backend.bits, packed.bits)
-                assert np.array_equal(per_backend.lengths, packed.lengths)
-
-            results[name] = {
-                "lines": len(sub),
-                "scalar_s": scalar_s,
-                "batch_s": batch_s,
-                "backend_s": backends,
-            }
+            results[name] = {"lines": len(sub), "scalar_s": scalar_s, "batch_s": batch_s}
 
         # DIN payload encode: the 3-to-4 expansion plus the batched BCH
         # parity (one GF(2) reduction over the whole batch) against the
@@ -210,22 +169,15 @@ def bench_encoder_throughput(benchmark):
         scalar_s = (time.perf_counter() - start) * (len(sub) / scalar_count)
         for i in range(0, scalar_count, max(1, scalar_count // VERIFY_LINES)):
             assert np.array_equal(batch_bits[i], scalar_bits[i])
-        results["din"] = {
-            "lines": len(sub),
-            "scalar_s": scalar_s,
-            "batch_s": batch_s,
-            "backend_s": {},
-        }
+        results["din"] = {"lines": len(sub), "scalar_s": scalar_s, "batch_s": batch_s}
         return results
 
     results = run_once(benchmark, measure)
 
     payload = {
         "lines": lines,
-        "array_backends": sorted(available_backends()),
         "scalar_lines_per_s": {},
         "batch_lines_per_s": {},
-        "backend_lines_per_s": {},
         "speedup": {},
     }
     rows = {}
@@ -241,10 +193,6 @@ def bench_encoder_throughput(benchmark):
             "batch_lines_per_s": batch_rate,
             "speedup": speedup,
         }
-        for backend_name, seconds in cell["backend_s"].items():
-            rate = cell["lines"] / seconds if seconds else 0.0
-            payload["backend_lines_per_s"].setdefault(backend_name, {})[name] = rate
-            rows[name][f"{backend_name}_lines_per_s"] = rate
     write_json("encoder_throughput", payload)
     write_result(
         "encoder_throughput",

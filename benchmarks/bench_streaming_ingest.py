@@ -29,12 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench import BenchSpec, Gate, run_once, write_json, write_result
-from repro.coding.ncosets import make_three_cosets
-from repro.core.config import EvaluationConfig
 from repro.evaluation import format_series_table
-from repro.evaluation.runner import evaluate_trace
 from repro.traces.ingest import ingest_trace_file, stream_ingest_to_wtrc
-from repro.traces.store import load_trace, read_trace_header, save_trace
+from repro.traces.store import read_trace_header, save_trace
 
 # tracemalloc peaks are near-deterministic for a fixed input size (40 %
 # headroom covers Python/numpy version drift); throughput only gates
@@ -67,23 +64,8 @@ BENCHMARK = BenchSpec(
             tolerance_pct=75.0,
             context=("input_lines", "synthesis_chunk_lines"),
         ),
-        Gate(
-            artifact="BENCH_streaming_ingest.json",
-            metric="fused512_peak_ratio",
-            direction="higher",
-            tolerance_pct=40.0,
-            context=("input_lines", "synthesis_chunk_lines"),
-        ),
     ),
 )
-
-#: Lines of the 512-bit fused-evaluation column (capped so the bench stays
-#: bounded); the tile is deliberately much smaller than the super-batch so
-#: the peak-memory contrast measures the tiling, not the trace size.
-FUSED_EVAL_LINES = 24_576
-FUSED_TILE_LINES = 2_048
-FUSED_CHUNK_LINES = 512
-
 
 def _synthetic_ascii_trace(path: Path, n_lines: int, seed: int) -> Path:
     """A ramulator2-style trace with a skewed (reuse-heavy) address mix."""
@@ -138,33 +120,6 @@ def bench_streaming_ingest(benchmark, tmp_path_factory):
     assert (tmp / "memory.wtrc").read_bytes() == (tmp / "streamed.wtrc").read_bytes()
     assert stream_peak <= memory_peak * 1.2
 
-    # 512-bit fused encode+metrics column: evaluate the ingested trace with
-    # a whole-trace super-batch at the paper's largest granularity, tiled vs
-    # materialising.  The fused path must peak >= 2x lower while producing
-    # bit-identical metrics -- the repo-level gate of the fused subsystem.
-    eval_lines = min(read_trace_header(tmp / "streamed.wtrc").n_lines, FUSED_EVAL_LINES)
-    trace512 = load_trace(tmp / "streamed.wtrc")[:eval_lines]
-    encoder512 = make_three_cosets(512)
-
-    def evaluate512(tile):
-        config = EvaluationConfig(
-            chunk_size=FUSED_CHUNK_LINES,
-            superbatch_size=eval_lines,
-            fused_tile_lines=tile,
-            sample_disturbance=True,
-            seed=2018,
-        )
-        return evaluate_trace(encoder512, trace512, config)
-
-    fused_metrics, fused_s, fused_peak = _traced(lambda: evaluate512(FUSED_TILE_LINES))
-    full_metrics, full_s, full_peak = _traced(lambda: evaluate512(None))
-    assert fused_metrics == full_metrics, "fused metrics diverged from reference"
-    fused_ratio = full_peak / fused_peak if fused_peak else 0.0
-    assert fused_ratio >= 2.0, (
-        f"fused 512-bit peak {fused_peak} not >=2x under materialising "
-        f"peak {full_peak} (ratio {fused_ratio:.2f})"
-    )
-
     rows = {
         "in-memory": {
             "wall_clock_s": memory_s,
@@ -180,21 +135,6 @@ def bench_streaming_ingest(benchmark, tmp_path_factory):
             "wall_clock_s": 0.0,
             "lines_per_s": 0.0,
             "tracemalloc_peak_mib": memory_peak / stream_peak if stream_peak else 0.0,
-        },
-        "512b eval, materialised": {
-            "wall_clock_s": full_s,
-            "lines_per_s": eval_lines / full_s if full_s else 0.0,
-            "tracemalloc_peak_mib": full_peak / (1 << 20),
-        },
-        "512b eval, fused tiles": {
-            "wall_clock_s": fused_s,
-            "lines_per_s": eval_lines / fused_s if fused_s else 0.0,
-            "tracemalloc_peak_mib": fused_peak / (1 << 20),
-        },
-        "peak ratio (full/fused)": {
-            "wall_clock_s": 0.0,
-            "lines_per_s": 0.0,
-            "tracemalloc_peak_mib": fused_ratio,
         },
     }
     write_result(
@@ -218,12 +158,5 @@ def bench_streaming_ingest(benchmark, tmp_path_factory):
             "in_memory_lines_per_s": n_lines / memory_s if memory_s else 0.0,
             "streamed_lines_per_s": n_lines / stream_s if stream_s else 0.0,
             "peak_ratio": memory_peak / stream_peak if stream_peak else 0.0,
-            "fused512_eval_lines": eval_lines,
-            "fused512_tile_lines": FUSED_TILE_LINES,
-            "fused512_peak_bytes": fused_peak,
-            "fused512_full_peak_bytes": full_peak,
-            "fused512_peak_ratio": fused_ratio,
-            "fused512_s": fused_s,
-            "fused512_full_s": full_s,
         },
     )

@@ -21,7 +21,6 @@ be noise, not signal.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
@@ -29,17 +28,12 @@ from typing import Dict, List, Mapping, Optional
 from ..core.errors import BenchError
 from .registry import BenchSpec, Gate
 
-logger = logging.getLogger(__name__)
-
 #: Schema marker of the baseline files.
 BASELINE_SCHEMA = 1
 
 #: Gate states.  ``regression``, ``missing-result`` and ``missing-metric``
 #: always fail the gate; ``missing-baseline`` and ``context-mismatch`` only
-#: warn unless strict mode is on.  For *optional* gates (metrics that only
-#: exist when an optional dependency like numba or cupy is installed) a
-#: missing metric or missing baseline warns instead of failing, even under
-#: ``--strict`` -- a runner without the extra must not trip the perf gate.
+#: warn unless strict mode is on.
 OK = "ok"
 REGRESSION = "regression"
 MISSING_BASELINE = "missing-baseline"
@@ -61,7 +55,6 @@ class GateCheck:
     baseline: Optional[float] = None
     current: Optional[float] = None
     detail: str = ""
-    optional: bool = False
 
     @property
     def change_pct(self) -> Optional[float]:
@@ -81,7 +74,6 @@ class GateCheck:
             "current": self.current,
             "change_pct": self.change_pct,
             "detail": self.detail,
-            "optional": self.optional,
         }
 
 
@@ -97,15 +89,7 @@ class CompareReport:
         failing = {REGRESSION, MISSING_RESULT, MISSING_METRIC}
         if self.strict:
             failing |= {MISSING_BASELINE, CONTEXT_MISMATCH}
-        # Optional gates (metrics behind an optional dependency) never fail on
-        # absence -- only on an actual regression of a value that is present.
-        soft_when_optional = {MISSING_METRIC, MISSING_BASELINE, MISSING_RESULT}
-        return [
-            check
-            for check in self.checks
-            if check.status in failing
-            and not (check.optional and check.status in soft_when_optional)
-        ]
+        return [check for check in self.checks if check.status in failing]
 
     @property
     def ok(self) -> bool:
@@ -174,27 +158,12 @@ def update_baselines(
         for gate in spec.gates:
             payload = _load_artifact(Path(results_dir), gate.artifact)
             if payload is None:
-                if gate.optional:
-                    logger.warning(
-                        "bench %r: optional artifact %r missing; baseline not updated",
-                        name,
-                        gate.artifact,
-                    )
-                    continue
                 raise BenchError(
                     f"bench {name!r}: cannot update baseline, artifact "
                     f"{gate.artifact!r} missing from {results_dir}"
                 )
             value = extract_metric(payload, gate.metric)
             if value is None:
-                if gate.optional:
-                    logger.warning(
-                        "bench %r: optional metric %r absent from %r; baseline not updated",
-                        name,
-                        gate.metric,
-                        gate.artifact,
-                    )
-                    continue
                 raise BenchError(
                     f"bench {name!r}: metric {gate.metric!r} not found in "
                     f"{gate.artifact!r}"
@@ -242,7 +211,6 @@ def compare(
                 direction=gate.direction,
                 tolerance_pct=gate.tolerance_pct,
                 status=OK,
-                optional=gate.optional,
             )
             checks.append(check)
             if baseline is None:

@@ -45,10 +45,6 @@ class Gate:
     payload keys that must match between the run and the baseline for the
     comparison to be meaningful (e.g. the input trace length); on a mismatch
     the gate is skipped with a warning instead of comparing apples to pears.
-    ``optional`` gates guard metrics that only exist when an optional
-    dependency is installed (e.g. a per-array-backend throughput column that
-    needs ``numba``); a missing metric or missing baseline downgrades to a
-    warning instead of failing the comparison.
     """
 
     artifact: str
@@ -56,7 +52,6 @@ class Gate:
     direction: str
     tolerance_pct: float
     context: Tuple[str, ...] = ()
-    optional: bool = False
 
     def __post_init__(self) -> None:
         if self.direction not in ("lower", "higher"):
@@ -82,9 +77,6 @@ class BenchSpec:
     defaults to the bench's own name.  ``cost`` is the measured standalone
     runtime in seconds at the default trace length -- only the relative
     magnitudes matter, they steer the greedy bin-packing.
-    ``backend_sensitive`` marks benches whose measurements depend on the
-    active array backend (``repro bench ls`` surfaces them so CI legs with
-    compiled/GPU backends know what to re-run).
     """
 
     figure: str
@@ -95,7 +87,6 @@ class BenchSpec:
     env: Tuple[str, ...] = ()
     gates: Tuple[Gate, ...] = ()
     group: str = ""
-    backend_sensitive: bool = False
     # Filled in by discovery:
     name: str = ""
     module: str = ""

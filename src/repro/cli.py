@@ -668,34 +668,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "small sweeps); results are bit-identical either way",
     )
     parser.add_argument(
-        "--array-backend",
-        default=None,
-        metavar="NAME",
-        help="array backend of the compression kernels: 'numpy' (reference), "
-        "'numba' (compiled hot kernels) or 'cupy' (GPU); results are "
-        "bit-identical for every backend, only throughput changes "
-        "(default: the REPRO_ARRAY_BACKEND env var, else numpy)",
-    )
-    parser.add_argument(
-        "--superbatch",
-        type=_positive_int,
-        default=None,
-        metavar="LINES",
-        help="coalesce evaluation chunks into encoder batches of at least "
-        "this many lines before encoding (results stay bit-identical; "
-        "large values feed compiled/GPU backends better)",
-    )
-    parser.add_argument(
-        "--fused-tile-lines",
-        type=int,
-        default=8192,
-        metavar="LINES",
-        help="tile size of the fused encode+metrics path: chunk groups "
-        "larger than this are encoded tile by tile with metrics accumulated "
-        "in the same pass, bounding peak memory (results stay bit-identical; "
-        "0 disables tiling; default: 8192)",
-    )
-    parser.add_argument(
         "--trace-dir",
         default=None,
         metavar="DIR",
@@ -761,32 +733,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         backend=args.backend,
         trace_dir=args.trace_dir,
         trace_cache_budget=args.trace_cache_budget,
-        array_backend=args.array_backend,
-        superbatch_size=args.superbatch,
-        fused_tile_lines=args.fused_tile_lines if args.fused_tile_lines > 0 else None,
         results_dir=args.results_dir,
         task_timeout=args.task_timeout,
     )
-
-
-def _check_array_backend(name: Optional[str]) -> Optional[int]:
-    """Validate an ``--array-backend`` value; exit code 2 on a bad one.
-
-    Unknown names get the CLI's usual did-you-mean treatment; registered but
-    unavailable backends (e.g. ``numba`` without the compiled extra
-    installed) fail with the backend's own installation hint.
-    """
-    if name is None:
-        return None
-    from .compression.backend import backend_names, get_backend
-
-    if name not in backend_names():
-        return _unknown_name("array backend", name, backend_names())
-    try:
-        get_backend(name)
-    except ReproError as exc:
-        return _fail(str(exc))
-    return None
 
 
 def _fail(message: str, candidates: Sequence[str] = ()) -> int:
@@ -1125,7 +1074,6 @@ def _cmd_bench_ls(args: argparse.Namespace) -> int:
                 "artifacts": list(bench.spec.artifacts),
                 "perf_artifacts": list(bench.spec.perf_artifacts),
                 "gates": len(bench.spec.gates),
-                "backend_sensitive": bench.spec.backend_sensitive,
                 **({"shard": shard_of[name]} if name in shard_of else {}),
             }
             for name, bench in registry.items()
@@ -1140,7 +1088,6 @@ def _cmd_bench_ls(args: argparse.Namespace) -> int:
             "group": bench.spec.group if bench.spec.group != name else "-",
             "artifacts": len(bench.spec.all_artifacts),
             "gates": len(bench.spec.gates),
-            "backend": "sensitive" if bench.spec.backend_sensitive else "-",
         }
         if name in shard_of:
             row["shard"] = f"{shard_of[name]}/{args.shards}"
@@ -1341,9 +1288,6 @@ def _load_evaluation_trace(args: argparse.Namespace):
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    error = _check_array_backend(args.array_backend)
-    if error is not None:
-        return error
     config = _config_from_args(args)
     try:
         encoder = make_scheme(args.scheme)
@@ -1647,9 +1591,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_docs(args)
 
     experiment_name = args.experiment if args.command == "run" else args.command
-    error = _check_array_backend(args.array_backend)
-    if error is not None:
-        return error
     config = _config_from_args(args)
     try:
         with _observation_scope(args, f"experiment-{experiment_name}"):

@@ -89,11 +89,8 @@ class EncodedBatch:
     def window(self, start: int, stop: int) -> "EncodedBatch":
         """View of the requests in ``[start, stop)`` (no copies).
 
-        Encoding is per-line, so a window of a super-batch encode is exactly
-        the encode of those lines alone; the evaluation layer slices each
-        coalesced encoder batch back into its original ``chunk_size`` windows
-        to keep metric accumulation (and its float rounding) identical to the
-        per-chunk path.
+        Encoding is per line, so a window of a batch encode is exactly the
+        encode of those lines alone.
         """
         return EncodedBatch(
             states=self.states[start:stop],
@@ -109,15 +106,6 @@ class WriteEncoder(ABC):
 
     #: Scheme identifier used by the registry, reports and benches.
     name: str = "encoder"
-
-    #: Whether the evaluation layer may drive this encoder through the fused
-    #: tiled encode+metrics path (``repro.evaluation.runner
-    #: .encode_metrics_batch``).  Opting in asserts that encoding is strictly
-    #: *per line* -- encoding any subset of a batch yields exactly the rows a
-    #: full-batch encode would -- which is what makes tile-wise encoding
-    #: bit-identical to a single super-batch encode.  Encoders with cross-line
-    #: state must leave this ``False`` to keep the materialising path.
-    supports_fused_metrics: bool = False
 
     def __init__(self, energy_model: EnergyModel = DEFAULT_ENERGY_MODEL):
         self.energy_model = energy_model

@@ -97,9 +97,6 @@ class COCFourCosetsEncoder(WriteEncoder):
     """COC compression followed by unrestricted 4cosets encoding."""
 
     name = "coc+4cosets"
-    # Compression, layout classification and coset choice are all per line,
-    # so tiled fused-metrics evaluation is bit-identical to a batch encode.
-    supports_fused_metrics = True
 
     def __init__(self, energy_model: EnergyModel = DEFAULT_ENERGY_MODEL):
         super().__init__(energy_model)

@@ -123,10 +123,6 @@ class PairCellAuxCodec(AuxCodec):
 class NCosetsEncoder(WriteEncoder):
     """Generic unrestricted coset encoder over a fixed candidate family."""
 
-    # Every block's candidate choice depends only on its own line, so tiled
-    # (fused encode+metrics) evaluation is bit-identical to a batch encode.
-    supports_fused_metrics = True
-
     def __init__(
         self,
         candidates: np.ndarray,

@@ -50,10 +50,6 @@ FAMILY_CANDIDATES = np.array([[0, 1], [0, 2]], dtype=np.uint8)
 class RestrictedCosetEncoder(WriteEncoder):
     """Line-scope restricted coset coding over candidates C1, C2 and C3."""
 
-    # Family selection is per line (the restriction scope IS the line), so
-    # tiled fused-metrics evaluation is bit-identical to a batch encode.
-    supports_fused_metrics = True
-
     def __init__(
         self,
         granularity_bits: int = 16,

@@ -63,11 +63,6 @@ FLAG_RAW_STATE = 1
 class WLCWordEncoderBase(WriteEncoder):
     """Base class of the word-level compressed coset encoders."""
 
-    # Compressibility, candidate selection and the raw fallback are all
-    # decided per line, so tiled fused-metrics evaluation is bit-identical
-    # to a batch encode (covers WLCRC and the WLC+cosets variants).
-    supports_fused_metrics = True
-
     #: Whether :meth:`_select_candidates` reads per-block rewritten-cell
     #: counts; they are computed only when it does.
     counts_rewrites: bool = False

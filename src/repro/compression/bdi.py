@@ -23,7 +23,6 @@ import numpy as np
 from ..core.errors import CompressionError
 from ..core.line import LineBatch
 from ..core.symbols import BITS_PER_LINE, BYTES_PER_LINE, WORDS_PER_LINE
-from .backend import get_backend
 from .base import CompressedLine, Compressor
 from .kernels import (
     PackedBits,
@@ -35,33 +34,33 @@ from .kernels import (
 )
 
 
-def line_elements(words: np.ndarray, element_bytes: int, xp=np) -> np.ndarray:
+def line_elements(words: np.ndarray, element_bytes: int) -> np.ndarray:
     """View line words as an array of unsigned elements of ``element_bytes`` bytes."""
-    words = xp.asarray(words, dtype=np.uint64)
+    words = np.asarray(words, dtype=np.uint64)
     if element_bytes == 8:
         return words
     if element_bytes == 4:
         low = (words & np.uint64(0xFFFFFFFF)).astype(np.uint32)
         high = (words >> np.uint64(32)).astype(np.uint32)
-        return xp.stack([low, high], axis=-1).reshape(
+        return np.stack([low, high], axis=-1).reshape(
             words.shape[:-1] + (words.shape[-1] * 2,)
         )
     if element_bytes == 2:
         parts = [
             ((words >> np.uint64(16 * i)) & np.uint64(0xFFFF)).astype(np.uint16) for i in range(4)
         ]
-        return xp.stack(parts, axis=-1).reshape(
+        return np.stack(parts, axis=-1).reshape(
             words.shape[:-1] + (words.shape[-1] * 4,)
         )
     raise CompressionError(f"unsupported element size: {element_bytes} bytes")
 
 
-def elements_to_line(elements: np.ndarray, element_bytes: int, xp=np) -> np.ndarray:
+def elements_to_line(elements: np.ndarray, element_bytes: int) -> np.ndarray:
     """Rebuild 64-bit line words from an array of unsigned elements."""
-    elements = xp.asarray(elements, dtype=np.uint64)
+    elements = np.asarray(elements, dtype=np.uint64)
     per_word = 8 // element_bytes
     grouped = elements.reshape(elements.shape[:-1] + (WORDS_PER_LINE, per_word))
-    shifts = (xp.arange(per_word, dtype=np.uint64) * np.uint64(8 * element_bytes))
+    shifts = (np.arange(per_word, dtype=np.uint64) * np.uint64(8 * element_bytes))
     return (grouped << shifts).sum(axis=-1, dtype=np.uint64)
 
 
@@ -76,10 +75,8 @@ class ZeroLineCompressor(Compressor):
     name: str = "zero-line"
 
     def sizes_bits(self, batch: LineBatch) -> np.ndarray:
-        b = get_backend()
-        xp = b.xp
-        zero = xp.all(b.to_device(batch.words) == 0, axis=1)
-        return b.to_host(xp.where(zero, 0, BITS_PER_LINE).astype(np.int64))
+        zero = np.all(batch.words == 0, axis=1)
+        return np.where(zero, 0, BITS_PER_LINE).astype(np.int64)
 
     def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
         if not validated and bool(np.any(batch.words != 0)):
@@ -107,19 +104,16 @@ class RepeatedValueCompressor(Compressor):
     name: str = "repeated-8byte"
 
     def sizes_bits(self, batch: LineBatch) -> np.ndarray:
-        b = get_backend()
-        xp = b.xp
-        words = b.to_device(batch.words)
-        repeated = xp.all(words == words[:, :1], axis=1)
-        return b.to_host(xp.where(repeated, 64, BITS_PER_LINE).astype(np.int64))
+        words = batch.words
+        repeated = np.all(words == words[:, :1], axis=1)
+        return np.where(repeated, 64, BITS_PER_LINE).astype(np.int64)
 
     def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
-        b = get_backend()
-        words = b.to_device(batch.words)
-        if not validated and bool(b.xp.any(words != words[:, :1])):
+        words = batch.words
+        if not validated and bool(np.any(words != words[:, :1])):
             raise CompressionError("line is not a repeated 8-byte value")
         return PackedBits(
-            bits=b.to_host(unpack_fields(words[:, 0], 64, backend=b)),
+            bits=unpack_fields(words[:, 0], 64),
             lengths=np.full(len(batch), 64, dtype=np.int64),
             compressor=self.name,
         )
@@ -129,12 +123,8 @@ class RepeatedValueCompressor(Compressor):
             raise CompressionError("repeated-value stream must be at least 64 bits")
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        b = get_backend()
-        xp = b.xp
-        values = pack_fields(b.to_device(packed.bits[:, :64]), backend=b)
-        return b.to_host(
-            xp.broadcast_to(values[:, None], (len(packed), WORDS_PER_LINE))
-        ).copy()
+        values = pack_fields(packed.bits[:, :64])
+        return np.broadcast_to(values[:, None], (len(packed), WORDS_PER_LINE)).copy()
 
     def compress_line(self, words: np.ndarray) -> CompressedLine:
         return self.compress_batch(single_line_batch(words)).line(0)
@@ -177,44 +167,29 @@ class BDIVariant(Compressor):
         wrapped = (elements - base).astype(elements.dtype)
         return wrapped.astype(_signed_dtype(self.base_bytes))
 
-    def _fits_device(self, words, xp) -> np.ndarray:
-        elements = line_elements(words, self.base_bytes, xp=xp)
-        deltas = self._deltas(elements)
-        limit = 1 << (8 * self.delta_bytes - 1)
-        return xp.all((deltas >= -limit) & (deltas < limit), axis=-1)
-
     def fits(self, batch: LineBatch) -> np.ndarray:
         """Per-line test: do all wrapped deltas fit in ``delta_bytes`` bytes?"""
-        b = get_backend()
-        return b.to_host(self._fits_device(b.to_device(batch.words), b.xp))
+        deltas = self._deltas(line_elements(batch.words, self.base_bytes))
+        limit = 1 << (8 * self.delta_bytes - 1)
+        return np.all((deltas >= -limit) & (deltas < limit), axis=-1)
 
     def sizes_bits(self, batch: LineBatch) -> np.ndarray:
-        b = get_backend()
-        xp = b.xp
-        fits = self._fits_device(b.to_device(batch.words), xp)
-        return b.to_host(
-            xp.where(fits, self.compressed_bits, BITS_PER_LINE).astype(np.int64)
+        return np.where(self.fits(batch), self.compressed_bits, BITS_PER_LINE).astype(
+            np.int64
         )
 
     def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
-        b = get_backend()
-        xp = b.xp
-        words = b.to_device(batch.words)
-        if not validated and not bool(self._fits_device(words, xp).all()):
+        if not validated and not bool(self.fits(batch).all()):
             raise CompressionError(f"line does not fit {self.name}")
-        elements = line_elements(words, self.base_bytes, xp=xp)
+        elements = line_elements(batch.words, self.base_bytes)
         deltas = self._deltas(elements)
         delta_mask = np.uint64((1 << (self.delta_bytes * 8)) - 1)
         encoded = deltas.astype(np.uint64) & delta_mask
-        base_bits = unpack_fields(
-            elements[:, 0].astype(np.uint64), self.base_bytes * 8, backend=b
-        )
-        delta_bits = unpack_fields(encoded, self.delta_bytes * 8, backend=b)
-        bits = xp.concatenate(
-            [base_bits, delta_bits.reshape(len(batch), -1)], axis=1
-        )
+        base_bits = unpack_fields(elements[:, 0].astype(np.uint64), self.base_bytes * 8)
+        delta_bits = unpack_fields(encoded, self.delta_bytes * 8)
+        bits = np.concatenate([base_bits, delta_bits.reshape(len(batch), -1)], axis=1)
         return PackedBits(
-            bits=b.to_host(bits),
+            bits=bits,
             lengths=np.full(len(batch), self.compressed_bits, dtype=np.int64),
             compressor=self.name,
         )
@@ -227,25 +202,22 @@ class BDIVariant(Compressor):
             )
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        b = get_backend()
-        xp = b.xp
-        bits = b.to_device(packed.bits)
+        bits = packed.bits
         base_width = self.base_bytes * 8
         delta_width = self.delta_bytes * 8
-        base = pack_fields(bits[:, :base_width], backend=b)
+        base = pack_fields(bits[:, :base_width])
         raw = pack_fields(
             bits[
                 :, base_width : base_width + self.elements_per_line * delta_width
-            ].reshape(len(packed), self.elements_per_line, delta_width),
-            backend=b,
+            ].reshape(len(packed), self.elements_per_line, delta_width)
         )
         sign_bit = np.uint64(1 << (delta_width - 1))
         full = np.uint64(1 << delta_width) if delta_width < 64 else np.uint64(0)
         # Modular arithmetic: adding (raw - 2^w) mod 2^64 reverses the wrap.
-        delta = xp.where((raw & sign_bit).astype(bool), raw - full, raw)
+        delta = np.where((raw & sign_bit).astype(bool), raw - full, raw)
         element_mask = np.uint64((1 << base_width) - 1) if base_width < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
         elements = (base[:, None] + delta) & element_mask
-        return b.to_host(elements_to_line(elements, self.base_bytes, xp=xp))
+        return elements_to_line(elements, self.base_bytes)
 
     def compress_line(self, words: np.ndarray) -> CompressedLine:
         return self.compress_batch(single_line_batch(words)).line(0)

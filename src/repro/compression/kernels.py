@@ -16,30 +16,23 @@ same streams for a whole :class:`~repro.core.line.LineBatch` at once:
   of varying widths (e.g. FPC's 16 prefix+payload fields) back to back,
   which is the one genuinely irregular step of variable-length compression.
 
-Array math is routed through the active
-:class:`~repro.compression.backend.ArrayBackend`: every kernel accepts an
-optional ``backend`` argument (defaulting to :func:`.backend.get_backend`),
-performs its work in ``backend.xp``, and consults ``backend.compiled`` for a
-substituted compiled loop.  :class:`PackedBits` is the *host* boundary: its
-``bits``/``lengths`` are always numpy arrays, so device storage never leaks
-past the kernel layer.
+Each kernel call is timed into the ``kernel_ms{kernel}`` histogram while
+an observation is active: kernels run far too often for one span each.
 
 Dtype discipline matters here: every intermediate carries an explicit
-``uint64``/``int64``/``uint8`` dtype.  Implicit upcasts (numpy quietly
-promoting a python-int literal or a ``sum`` to platform int) are exactly the
-kind of behaviour other array libraries do *not* replicate, and they broke
-the first cupy port of :func:`compact_segments`.
+``uint64``/``int64``/``uint8`` dtype, so no result depends on numpy quietly
+promoting a python-int literal or a ``sum`` to platform int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..core.errors import CompressionError
-from .backend import ArrayBackend, get_backend, kernel_timer
+from ..obs import timer
 
 __all__ = [
     "PackedBits",
@@ -66,9 +59,6 @@ class PackedBits:
         ``(n,)`` ``int64`` array of per-line stream lengths in bits.
     compressor:
         Name of the compressor that produced the streams.
-
-    ``PackedBits`` always lives in host (numpy) memory -- it is the boundary
-    across which the array backend's device storage never escapes.
     """
 
     bits: np.ndarray
@@ -134,48 +124,32 @@ def single_stream(compressed, name: str) -> PackedBits:
     return PackedBits(bits=bits, lengths=np.array([bits.shape[1]]), compressor=name)
 
 
-def unpack_fields(
-    values, width: int, backend: Optional[ArrayBackend] = None
-):
+def unpack_fields(values, width: int) -> np.ndarray:
     """Unpack integers into their ``width`` least-significant bits, LSB first.
 
     ``values`` of shape ``(...,)`` becomes a ``uint8`` array of shape
     ``(..., width)``; consecutive fields of a line are meant to be unpacked
-    separately and concatenated (or reshaped) along the last axis.  Device
-    arrays stay on device.
+    separately and concatenated (or reshaped) along the last axis.
     """
-    b = backend or get_backend()
-    xp = b.xp
-    values = xp.asarray(values, dtype=xp.uint64)
-    with kernel_timer(b.name, "unpack_fields"):
-        kernel = b.compiled.get("unpack_fields")
-        if kernel is not None:
-            return kernel(np.ascontiguousarray(values), width)
-        shifts = xp.arange(width, dtype=xp.uint64)
-        return ((values[..., None] >> shifts) & xp.uint64(1)).astype(xp.uint8)
+    values = np.asarray(values, dtype=np.uint64)
+    with timer("kernel_ms", kernel="unpack_fields"):
+        shifts = np.arange(width, dtype=np.uint64)
+        return ((values[..., None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
-def pack_fields(bits, backend: Optional[ArrayBackend] = None):
+def pack_fields(bits) -> np.ndarray:
     """Pack LSB-first bits along the last axis back into ``uint64`` integers."""
-    b = backend or get_backend()
-    xp = b.xp
     # Explicit uint64 up-front: letting `<<` promote uint8 operands would
-    # produce int64 intermediates on numpy and overflow-prone uint8 math on
-    # stricter backends.
-    bits = xp.asarray(bits, dtype=xp.uint64)
+    # produce int64 intermediates.
+    bits = np.asarray(bits, dtype=np.uint64)
     if bits.shape[-1] > 64:
         raise CompressionError("cannot pack more than 64 bits into one field")
-    with kernel_timer(b.name, "pack_fields"):
-        kernel = b.compiled.get("pack_fields")
-        if kernel is not None:
-            return kernel(np.ascontiguousarray(bits))
-        shifts = xp.arange(bits.shape[-1], dtype=xp.uint64)
-        return (bits << shifts).sum(axis=-1, dtype=xp.uint64)
+    with timer("kernel_ms", kernel="pack_fields"):
+        shifts = np.arange(bits.shape[-1], dtype=np.uint64)
+        return (bits << shifts).sum(axis=-1, dtype=np.uint64)
 
 
-def compact_segments(
-    seg_bits, seg_widths, compressor: str, backend: Optional[ArrayBackend] = None
-) -> PackedBits:
+def compact_segments(seg_bits, seg_widths, compressor: str) -> PackedBits:
     """Concatenate per-line variable-width segments into dense streams.
 
     Parameters
@@ -190,49 +164,30 @@ def compact_segments(
     -------
     PackedBits
         The per-line concatenation of every segment's bits, in segment
-        order -- exactly what a scalar cursor loop would build.  The result
-        is host-resident regardless of where the inputs live.
+        order -- exactly what a scalar cursor loop would build.
     """
-    b = backend or get_backend()
-    xp = b.xp
-    seg_bits = xp.asarray(seg_bits, dtype=xp.uint8)
-    seg_widths = xp.asarray(seg_widths, dtype=xp.int64)
+    seg_bits = np.asarray(seg_bits, dtype=np.uint8)
+    seg_widths = np.asarray(seg_widths, dtype=np.int64)
     n, segments, max_width = seg_bits.shape
     if seg_widths.shape != (n, segments):
         raise CompressionError("segment widths must align with the segment bits")
-    if seg_widths.size and int(seg_widths.max(initial=0) if xp is np else seg_widths.max()) > max_width:
+    if seg_widths.size and int(seg_widths.max(initial=0)) > max_width:
         raise CompressionError("segment widths exceed the segment bit capacity")
-    # int64 explicitly: `sum` over int64 stays int64 on every backend, but a
-    # default-dtype reduction over smaller width arrays silently upcasts to
-    # platform int on numpy and not elsewhere.
-    lengths = seg_widths.sum(axis=1, dtype=xp.int64)
+    lengths = seg_widths.sum(axis=1, dtype=np.int64)
     if n == 0:
-        return PackedBits(
-            np.zeros((0, 0), dtype=np.uint8), b.to_host(lengths), compressor
-        )
+        return PackedBits(np.zeros((0, 0), dtype=np.uint8), lengths, compressor)
     width = int(lengths.max())
-    with kernel_timer(b.name, "compact_fill"):
-        kernel = b.compiled.get("compact_fill")
-        if kernel is not None:
-            out = np.zeros((n, width), dtype=np.uint8)
-            kernel(
-                np.ascontiguousarray(seg_bits),
-                np.ascontiguousarray(seg_widths),
-                out,
-            )
-            return PackedBits(out, b.to_host(lengths), compressor)
+    with timer("kernel_ms", kernel="compact_fill"):
         # Both masks enumerate bits in row-major (line, segment, bit) order,
         # and row i of each holds lengths[i] of them: assigning the selected
         # valid bits to the first lengths[i] columns lays them back to back.
-        valid = xp.arange(max_width, dtype=xp.int64) < seg_widths[..., None]
-        out = xp.zeros((n, width), dtype=xp.uint8)
-        out[xp.arange(width, dtype=xp.int64) < lengths[:, None]] = seg_bits[valid]
-        return PackedBits(b.to_host(out), b.to_host(lengths), compressor)
+        valid = np.arange(max_width, dtype=np.int64) < seg_widths[..., None]
+        out = np.zeros((n, width), dtype=np.uint8)
+        out[np.arange(width, dtype=np.int64) < lengths[:, None]] = seg_bits[valid]
+        return PackedBits(out, lengths, compressor)
 
 
-def hstack_bits(
-    parts: Sequence[PackedBits], compressor: str, backend: Optional[ArrayBackend] = None
-) -> PackedBits:
+def hstack_bits(parts: Sequence[PackedBits], compressor: str) -> PackedBits:
     """Concatenate several packed-bit blocks line-wise (ragged-aware)."""
     if not parts:
         raise CompressionError("hstack_bits needs at least one part")
@@ -245,4 +200,4 @@ def hstack_bits(
             raise CompressionError("hstack_bits parts must have equal line counts")
         seg_bits[:, index, : part.bits.shape[1]] = part.bits
         seg_widths[:, index] = part.lengths
-    return compact_segments(seg_bits, seg_widths, compressor, backend=backend)
+    return compact_segments(seg_bits, seg_widths, compressor)

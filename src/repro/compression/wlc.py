@@ -23,7 +23,6 @@ import numpy as np
 from ..core.errors import CompressionError
 from ..core.line import LineBatch
 from ..core.symbols import BITS_PER_LINE, BITS_PER_WORD, WORDS_PER_LINE
-from .backend import get_backend
 from .base import CompressedLine, Compressor
 from .kernels import single_line_batch, single_stream
 from .kernels import PackedBits, pack_fields, unpack_fields
@@ -156,13 +155,10 @@ class WLCCompressor(Compressor):
         """Keep-bit packing: drop the reclaimed top bits of every word at once."""
         if not validated and not bool(self.word_compressible(batch.words).all()):
             raise CompressionError("line is not WLC-compressible at this k")
-        b = get_backend()
         keep = BITS_PER_WORD - self.reclaimed_bits_per_word
-        bits = unpack_fields(b.to_device(batch.words), keep, backend=b).reshape(
-            len(batch), keep * WORDS_PER_LINE
-        )
+        bits = unpack_fields(batch.words, keep).reshape(len(batch), keep * WORDS_PER_LINE)
         return PackedBits(
-            bits=b.to_host(bits),
+            bits=bits,
             lengths=np.full(len(batch), keep * WORDS_PER_LINE, dtype=np.int64),
             compressor=self.name,
         )
@@ -174,14 +170,10 @@ class WLCCompressor(Compressor):
             raise CompressionError("compressed stream is too short")
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        b = get_backend()
         words = pack_fields(
-            b.to_device(packed.bits[:, : keep * WORDS_PER_LINE]).reshape(
-                len(packed), WORDS_PER_LINE, keep
-            ),
-            backend=b,
+            packed.bits[:, : keep * WORDS_PER_LINE].reshape(len(packed), WORDS_PER_LINE, keep)
         )
-        return self.sign_extend(b.to_host(words))
+        return self.sign_extend(words)
 
     def compress_line(self, words: np.ndarray) -> CompressedLine:
         """Compress a single line by dropping the reclaimed bits of every word.

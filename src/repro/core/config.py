@@ -10,7 +10,6 @@ passed around, hashed, and printed in reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .disturbance import DisturbanceModel, DEFAULT_DISTURBANCE_MODEL
 from .energy import EnergyModel, DEFAULT_ENERGY_MODEL
@@ -79,30 +78,6 @@ class EvaluationConfig:
     #: When ``True`` disturbance errors are Monte-Carlo sampled instead of
     #: using the deterministic expected-value count.
     sample_disturbance: bool = False
-    #: Array backend the compression kernels run on (``"numpy"``, ``"numba"``,
-    #: ``"cupy"``); ``None`` keeps whatever backend is already active (the
-    #: ``REPRO_ARRAY_BACKEND`` env var or the numpy reference).  Results are
-    #: bit-identical for every backend -- this knob only moves throughput.
-    array_backend: Optional[str] = None
-    #: Coalesce streaming chunks into encoder batches of at least this many
-    #: lines (the *super-batch* accumulator) before calling ``encode_batch``.
-    #: Metrics are still computed per original ``chunk_size`` window with the
-    #: per-chunk RNG streams and merged in chunk order, so results stay
-    #: bit-identical to the per-chunk path; only the kernel batch size -- and
-    #: hence compiled/GPU backend utilisation -- changes.  ``None`` disables
-    #: coalescing (one ``encode_batch`` call per chunk, the historical
-    #: behaviour).
-    superbatch_size: Optional[int] = None
-    #: Tile size (in lines) of the fused encode+metrics path.  When a chunk
-    #: group is larger than this, encoders that opt in
-    #: (``WriteEncoder.supports_fused_metrics``) are driven tile by tile --
-    #: each tile is encoded, its per-chunk-window metrics accumulated, and
-    #: its states discarded before the next tile -- so peak memory is bounded
-    #: by the tile instead of the super-batch while results stay bit-identical
-    #: (tiles align to chunk windows and encoding is per line).  ``None`` or
-    #: a non-positive value disables tiling (the materialising reference
-    #: path).  The value is rounded up to whole chunks.
-    fused_tile_lines: Optional[int] = 8192
 
     def with_trace_length(self, trace_length: int) -> "EvaluationConfig":
         """Copy of this config with a different trace length."""

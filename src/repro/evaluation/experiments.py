@@ -77,21 +77,6 @@ class ExperimentConfig:
     #: evicted after each cache miss so ``cache/`` cannot grow without
     #: bound; ``repro trace gc`` runs the same collection from the CLI.
     trace_cache_budget: Optional[int] = None
-    #: Array backend the compression kernels run on (``"numpy"``, ``"numba"``,
-    #: ``"cupy"``); ``None`` keeps whatever backend is already active.  Every
-    #: backend is bit-identical to the numpy reference, so the experiment
-    #: caches ignore it -- like ``n_jobs`` and ``backend``, it only moves
-    #: throughput.
-    array_backend: Optional[str] = None
-    #: Coalesce evaluation chunks into encoder super-batches of at least this
-    #: many lines (see :class:`repro.core.config.EvaluationConfig`).  Results
-    #: are bit-identical for any value, so the caches ignore it too.
-    superbatch_size: Optional[int] = None
-    #: Tile size (in lines) of the fused encode+metrics path (see
-    #: :class:`repro.core.config.EvaluationConfig`).  Bit-identical to the
-    #: materialising path, so the caches ignore it -- it only bounds peak
-    #: memory when super-batched chunk groups outgrow one tile.
-    fused_tile_lines: Optional[int] = 8192
     #: Optional result-store directory (see :class:`repro.serve.results
     #: .ResultStore`).  When set, every driver fan-out consults the
     #: content-addressed result cache before dispatching and writes misses
@@ -121,9 +106,6 @@ class ExperimentConfig:
             trace_length=self.trace_length,
             chunk_size=self.chunk_size,
             seed=self.seed,
-            array_backend=self.array_backend,
-            superbatch_size=self.superbatch_size,
-            fused_tile_lines=self.fused_tile_lines,
         )
 
 

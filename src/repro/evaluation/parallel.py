@@ -20,7 +20,7 @@ Determinism is a hard guarantee, not a best effort:
 * Monte-Carlo disturbance sampling draws from per-chunk
   :class:`numpy.random.SeedSequence` streams spawned from
   ``(config.seed, unit_index)`` (see
-  :func:`~repro.evaluation.runner.chunk_streams`), so sampled error counts do
+  :func:`~repro.evaluation.runner.chunk_stream`), so sampled error counts do
   not depend on scheduling either.
 
 ``n_jobs=1`` (the default) executes the exact serial path in-process -- no
@@ -58,7 +58,6 @@ import time
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from contextlib import nullcontext
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import (
@@ -81,7 +80,6 @@ import numpy as np
 from ..coding.base import WriteEncoder
 from ..core.config import DEFAULT_EVALUATION_CONFIG, EvaluationConfig
 from ..core.disturbance import DEFAULT_DISTURBANCE_MODEL, DisturbanceModel
-from ..compression.backend import use_array_backend
 from ..core.errors import ConfigurationError
 from ..core.metrics import WriteMetrics
 from ..faults import FaultAction, TransientError
@@ -90,13 +88,7 @@ from ..faults import take as _take_fault
 from ..obs import ObsPayload, TaskContext, absorb, collect, count, observe, span, task_context
 from ..traces.transport import TraceDescriptor, TraceExporter, attach_trace
 from ..workloads.trace import ChunkSource, WriteTrace
-from .runner import (
-    chunk_group_size,
-    chunk_stream,
-    chunk_streams,
-    evaluate_chunk_group,
-    n_chunks_of,
-)
+from .runner import chunk_stream, evaluate_chunk, n_chunks_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (serve layers above this)
     from ..serve.results import ResultStore
@@ -141,37 +133,28 @@ class WorkUnit:
 
 @dataclass(frozen=True)
 class _Shard:
-    """One chunk *group* of one work unit -- the granularity of dispatch.
+    """One evaluation chunk of one work unit -- the granularity of dispatch.
 
-    A shard spans one or more consecutive evaluation chunks (several when the
-    config's super-batch accumulator coalesces them); ``chunk_index`` is the
-    first chunk of the group and ``streams`` carries one RNG stream per
-    member chunk.  The group's data travels either inline (``chunk``, the
-    pickled fallback and the serial path) or by reference (``descriptor``
-    naming a shared segment or corpus file plus the ``[start, stop)`` line
-    range); the two are mutually exclusive.  ``array_backend`` re-selects the
-    parent's kernel backend inside the worker process (the selection is
-    thread-local state that does not travel with the fork/spawn).
-    ``obs_ctx`` carries the parent's observation context (when tracing is
-    active at dispatch) so the worker's spans stitch under the dispatching
-    span; it is ``None`` -- and costs nothing -- otherwise.
+    ``stream`` is the chunk's disturbance-sampling stream and ``[start,
+    stop)`` its line range in the unit's trace.  The chunk's data travels
+    either inline (``chunk``, the pickled fallback and the serial path) or
+    by reference (``descriptor`` naming a shared segment or corpus file);
+    the two are mutually exclusive.  ``obs_ctx`` carries the parent's
+    observation context (when tracing is active at dispatch) so the
+    worker's spans stitch under the dispatching span; it is ``None`` -- and
+    costs nothing -- otherwise.
     """
 
     unit_index: int
     chunk_index: int
     encoder: WriteEncoder
     disturbance_model: DisturbanceModel
-    streams: Tuple[Optional[np.random.SeedSequence], ...]
-    chunk_size: int
+    stream: Optional[np.random.SeedSequence]
     chunk: Optional[WriteTrace] = None
     descriptor: Optional[TraceDescriptor] = None
     start: int = 0
     stop: int = 0
-    array_backend: Optional[str] = None
     obs_ctx: Optional[TaskContext] = None
-    #: ``config.fused_tile_lines`` of the owning unit -- lets the worker
-    #: route an over-tile-sized group through the fused encode+metrics path.
-    tile_lines: Optional[int] = None
     #: Fired fault directive riding on this dispatch (chaos testing only).
     #: Attached by the parent at shard-generation time -- dispatch order is
     #: deterministic, worker scheduling is not -- and stripped whenever the
@@ -182,18 +165,16 @@ class _Shard:
 
 def _evaluate_shard(
     shard: _Shard,
-) -> Tuple[int, int, List[WriteMetrics], Optional[ObsPayload]]:
+) -> Tuple[int, int, WriteMetrics, Optional[ObsPayload]]:
     """Evaluate one shard; runs in a worker process (or inline when serial).
 
-    The group is encoded in one ``encode_batch`` call; metrics come back *per
-    chunk window* (not pre-merged), so the parent merges every chunk of every
-    shard in exactly the serial submission order -- grouping chunks therefore
-    cannot change a single float rounding, whatever the group size.
-
-    The fourth element is the worker's observability payload: ``None`` unless
-    the shard ran in a separate process during an active observation, in
-    which case the parent absorbs it in the same submission order as the
-    metrics, keeping the span/metric aggregation deterministic too.
+    The parent merges every shard's metrics in submission order, which is
+    the serial chunk order, so the reduction is the same for any worker
+    count.  The fourth element is the worker's observability payload:
+    ``None`` unless the shard ran in a separate process during an active
+    observation, in which case the parent absorbs it in the same submission
+    order as the metrics, keeping the span/metric aggregation deterministic
+    too.
     """
     if shard.inject is not None:
         _execute_fault(shard.inject)
@@ -207,22 +188,9 @@ def _evaluate_shard(
             chunk = shard.chunk
             if chunk is None:
                 chunk = attach_trace(shard.descriptor)[shard.start:shard.stop]
-            scope = (
-                use_array_backend(shard.array_backend)
-                if shard.array_backend is not None
-                else nullcontext()
+            metrics = evaluate_chunk(
+                shard.encoder, chunk, shard.stream, shard.disturbance_model
             )
-            with scope:
-                metrics = list(
-                    evaluate_chunk_group(
-                        shard.encoder,
-                        chunk,
-                        shard.streams,
-                        shard.chunk_size,
-                        shard.disturbance_model,
-                        tile_lines=shard.tile_lines,
-                    )
-                )
     return shard.unit_index, shard.chunk_index, metrics, collector.payload()
 
 
@@ -302,12 +270,6 @@ class ParallelRunner:
     n_jobs:
         Worker processes.  ``1`` (default) runs the exact serial path in the
         current process; ``None``, ``0`` or ``-1`` use every available core.
-    executor_chunksize:
-        Historical ``Executor.map`` batching knob, accepted for backward
-        compatibility and ignored: the self-healing engine dispatches tasks
-        as individual futures so lost work can be resubmitted precisely.
-        Shards are chunk *groups* (super-batches), so per-task dispatch
-        overhead is already amortised.
     backend:
         ``"process"`` (default) fans shards out over a
         :class:`~concurrent.futures.ProcessPoolExecutor`; ``"thread"`` uses a
@@ -385,7 +347,6 @@ class ParallelRunner:
     def __init__(
         self,
         n_jobs: int = 1,
-        executor_chunksize: Optional[int] = None,
         transport: str = "auto",
         persistent: bool = False,
         window: Optional[int] = None,
@@ -397,7 +358,6 @@ class ParallelRunner:
         retry_backoff_s: float = 0.1,
     ):
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.executor_chunksize = executor_chunksize
         if transport not in ("auto", "mmap", "shm", "pickle"):
             raise ConfigurationError(f"unknown transport {transport!r}")
         self.transport = transport
@@ -469,52 +429,37 @@ class ParallelRunner:
         obs_ctx: Optional[TaskContext] = None,
         rng_indices: Optional[Sequence[int]] = None,
     ) -> Iterator[_Shard]:
+        """One shard per evaluation chunk, unit by unit, in serial order.
+
+        Materialised and streaming units share this generator: chunks come
+        from ``unit.trace.chunks``, lazily, so a streaming source advances
+        only as fast as the consumer pulls.  A unit with a transport
+        descriptor ships each chunk as its ``[start, stop)`` line range
+        instead of its data.
+        """
         # ``rng_indices`` decouples a unit's RNG identity from its position
         # in this call: when the result store serves some units from cache,
         # the misses still seed their disturbance streams from the index
         # they hold in the *full* unit list, keeping sampled results
         # bit-identical to an uncached run.
         for unit_index, unit in enumerate(units):
-            n_chunks = n_chunks_of(unit.trace, unit.config)
             rng_index = rng_indices[unit_index] if rng_indices is not None else unit_index
-            streams = chunk_streams(unit.config, n_chunks, rng_index)
             descriptor = descriptors[unit_index] if descriptors else None
             chunk_size = unit.config.chunk_size
-            group_chunks = chunk_group_size(unit.config)
-            for first in range(0, n_chunks, group_chunks):
-                members = range(first, min(n_chunks, first + group_chunks))
-                group_streams = tuple(streams[index] for index in members)
-                start = first * chunk_size
-                stop = min(len(unit.trace), (first + len(members)) * chunk_size)
-                if descriptor is not None:
-                    shard = _Shard(
-                        unit_index=unit_index,
-                        chunk_index=first,
-                        encoder=unit.encoder,
-                        disturbance_model=unit.disturbance_model,
-                        streams=group_streams,
-                        chunk_size=chunk_size,
-                        descriptor=descriptor,
-                        start=start,
-                        stop=stop,
-                        array_backend=unit.config.array_backend,
-                        obs_ctx=obs_ctx,
-                        tile_lines=unit.config.fused_tile_lines,
-                    )
-                else:
-                    shard = _Shard(
-                        unit_index=unit_index,
-                        chunk_index=first,
-                        encoder=unit.encoder,
-                        disturbance_model=unit.disturbance_model,
-                        streams=group_streams,
-                        chunk_size=chunk_size,
-                        chunk=unit.trace[start:stop],
-                        array_backend=unit.config.array_backend,
-                        obs_ctx=obs_ctx,
-                        tile_lines=unit.config.fused_tile_lines,
-                    )
-                yield _arm_shard(shard)
+            for chunk_index, chunk in enumerate(unit.trace.chunks(chunk_size)):
+                start = chunk_index * chunk_size
+                yield _arm_shard(_Shard(
+                    unit_index=unit_index,
+                    chunk_index=chunk_index,
+                    encoder=unit.encoder,
+                    disturbance_model=unit.disturbance_model,
+                    stream=chunk_stream(unit.config, rng_index, chunk_index),
+                    chunk=chunk if descriptor is None else None,
+                    descriptor=descriptor,
+                    start=start,
+                    stop=start + len(chunk),
+                    obs_ctx=obs_ctx,
+                ))
 
     def map(self, units: Sequence[WorkUnit]) -> List[WriteMetrics]:
         """Evaluate every unit and return one :class:`WriteMetrics` per unit.
@@ -582,10 +527,7 @@ class ParallelRunner:
             map_span.__enter__()
             obs_ctx = task_context()
             descriptors = None
-            total_shards = sum(
-                -(-n_chunks_of(unit.trace, unit.config) // chunk_group_size(unit.config))
-                for unit in units
-            )
+            total_shards = sum(n_chunks_of(unit.trace, unit.config) for unit in units)
             # Export only when _execute will actually dispatch to worker
             # *processes*; thread workers share the parent's memory, so the
             # shm copy (and the parent-side attachment it would leave in the
@@ -599,12 +541,9 @@ class ParallelRunner:
                 exporter = self._acquire_exporter()
                 descriptors = [exporter.export(unit.trace) for unit in units]
             shards = list(self._shards(units, descriptors, obs_ctx, rng_indices))
-            for unit_index, _, group_metrics, payload in self._execute(
-                _evaluate_shard, shards
-            ):
+            for unit_index, _, metrics, payload in self._execute(_evaluate_shard, shards):
                 absorb(payload)
-                for metrics in group_metrics:
-                    per_unit[unit_index].merge(metrics)
+                per_unit[unit_index].merge(metrics)
         finally:
             map_span.__exit__(None, None, None)
             if exporter is not None and exporter is not self._exporter:
@@ -649,62 +588,15 @@ class ParallelRunner:
         to the serial path for any ``n_jobs``.
         """
         per_unit = [WriteMetrics() for _ in units]
-
         with span(
             "map_streaming", units=len(units), n_jobs=self.n_jobs, backend=self.backend
         ):
-            obs_ctx = task_context()
-
-            def shards() -> Iterator[_Shard]:
-                for unit_index, unit in enumerate(units):
-                    rng_index = (
-                        rng_indices[unit_index]
-                        if rng_indices is not None
-                        else unit_index
-                    )
-                    chunk_size = unit.config.chunk_size
-                    group_chunks = chunk_group_size(unit.config)
-                    buffer: List[WriteTrace] = []
-                    first_index = 0
-
-                    def group_shard() -> _Shard:
-                        group = (
-                            buffer[0] if len(buffer) == 1 else WriteTrace.concat(buffer)
-                        )
-                        return _arm_shard(_Shard(
-                            unit_index=unit_index,
-                            chunk_index=first_index,
-                            encoder=unit.encoder,
-                            disturbance_model=unit.disturbance_model,
-                            streams=tuple(
-                                chunk_stream(
-                                    unit.config, rng_index, first_index + offset
-                                )
-                                for offset in range(len(buffer))
-                            ),
-                            chunk_size=chunk_size,
-                            chunk=group,
-                            array_backend=unit.config.array_backend,
-                            obs_ctx=obs_ctx,
-                            tile_lines=unit.config.fused_tile_lines,
-                        ))
-
-                    for chunk_index, chunk in enumerate(unit.trace.chunks(chunk_size)):
-                        if not buffer:
-                            first_index = chunk_index
-                        buffer.append(chunk)
-                        if len(buffer) >= group_chunks:
-                            yield group_shard()
-                            buffer = []
-                    if buffer:
-                        yield group_shard()
-
-            for unit_index, _, group_metrics, payload in self._execute_windowed(
-                _evaluate_shard, shards()
+            shards = self._shards(units, obs_ctx=task_context(), rng_indices=rng_indices)
+            for unit_index, _, metrics, payload in self._execute_windowed(
+                _evaluate_shard, shards
             ):
                 absorb(payload)
-                for metrics in group_metrics:
-                    per_unit[unit_index].merge(metrics)
+                per_unit[unit_index].merge(metrics)
         return per_unit
 
     def run(self, units: Sequence[WorkUnit]) -> Dict[Hashable, WriteMetrics]:
@@ -1021,20 +913,3 @@ def shutdown_shared_runners() -> None:
 
 
 atexit.register(shutdown_shared_runners)
-
-
-# ---------------------------------------------------------------------- #
-# Convenience wrappers
-# ---------------------------------------------------------------------- #
-def parallel_map_metrics(
-    units: Sequence[WorkUnit], n_jobs: int = 1
-) -> List[WriteMetrics]:
-    """One-shot :meth:`ParallelRunner.map` with a throwaway runner."""
-    return ParallelRunner(n_jobs).map(units)
-
-
-def parallel_reduce_metrics(
-    units: Sequence[WorkUnit], n_jobs: int = 1
-) -> Dict[Hashable, WriteMetrics]:
-    """One-shot :meth:`ParallelRunner.run` with a throwaway runner."""
-    return ParallelRunner(n_jobs).run(units)

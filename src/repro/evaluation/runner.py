@@ -12,7 +12,7 @@ own :class:`numpy.random.SeedSequence` stream derived from
 ``(config.seed, unit_index, chunk_index)``, so results do not depend on how
 chunks are scheduled.  This is what lets the parallel engine in
 :mod:`repro.evaluation.parallel` produce bit-identical results for any worker
-count -- see :func:`chunk_streams`.
+count -- see :func:`chunk_stream`.
 
 The multi-scheme helpers (:func:`evaluate_schemes`,
 :func:`evaluate_benchmarks`) accept an ``n_jobs`` argument and fan their work
@@ -23,13 +23,11 @@ exact serial path.
 from __future__ import annotations
 
 import tracemalloc
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..coding.base import EncodedBatch, WriteEncoder
-from ..compression.backend import get_backend, kernel_timer, use_array_backend
 from ..core.config import DEFAULT_EVALUATION_CONFIG, EvaluationConfig
 from ..core.disturbance import DEFAULT_DISTURBANCE_MODEL, DisturbanceModel
 from ..core.energy import NUM_STATES
@@ -107,44 +105,12 @@ def n_chunks_of(trace: WriteTrace, config: EvaluationConfig) -> int:
     return -(-len(trace) // config.chunk_size) if len(trace) else 0
 
 
-def chunk_group_size(config: EvaluationConfig) -> int:
-    """Chunks coalesced per encoder super-batch (1 = the per-chunk path).
-
-    ``config.superbatch_size`` names a *line* target; the accumulator rounds
-    it up to whole chunks so group boundaries land exactly on the chunk grid
-    and the per-chunk RNG streams / metric windows stay well defined.
-    """
-    if config.superbatch_size is None:
-        return 1
-    return max(1, -(-config.superbatch_size // config.chunk_size))
-
-
-def array_backend_scope(config: EvaluationConfig):
-    """Context manager activating ``config.array_backend`` (no-op when unset)."""
-    if config.array_backend is None:
-        return nullcontext()
-    return use_array_backend(config.array_backend)
-
-
-def fused_tile_size(tile_lines: Optional[int], chunk_size: int) -> Optional[int]:
-    """Normalise a ``fused_tile_lines`` request to whole chunk windows.
-
-    Returns ``None`` when tiling is disabled (``None`` or non-positive);
-    otherwise the requested line count rounded *up* to a multiple of
-    ``chunk_size``, so every chunk window -- and therefore every per-chunk
-    RNG stream -- lies entirely inside one tile.
-    """
-    if tile_lines is None or tile_lines <= 0:
-        return None
-    return max(1, -(-tile_lines // chunk_size)) * chunk_size
-
-
 def _record_peak_memory() -> None:
     """Gauge this process's peak memory (no-op unless observing).
 
     ``peak_rss_bytes`` max-merges across worker processes into the run-wide
-    peak; the tracemalloc gauge only exists when the caller (e.g. the
-    streaming-ingest bench) already traces allocations.
+    peak; the tracemalloc gauge only exists when the caller already traces
+    allocations.
     """
     if not is_active():
         return
@@ -156,101 +122,25 @@ def _record_peak_memory() -> None:
         gauge("tracemalloc_peak_bytes", float(peak))
 
 
-def encode_metrics_batch(
+def evaluate_chunk(
     encoder: WriteEncoder,
-    group: WriteTrace,
-    streams: Sequence[Optional[np.random.SeedSequence]],
-    chunk_size: int,
+    chunk: WriteTrace,
+    stream: Optional[np.random.SeedSequence],
     disturbance_model: DisturbanceModel = DEFAULT_DISTURBANCE_MODEL,
-    tile_lines: int = 8192,
-) -> Iterator[WriteMetrics]:
-    """Fused encode+metrics: walk ``group`` in tiles, never materialising it.
+) -> WriteMetrics:
+    """Encode one chunk with one ``encode_batch`` call and reduce its metrics.
 
-    The tiled candidate-evaluation path: each tile of ``tile_lines`` lines
-    (rounded up to whole chunk windows) is encoded on its own, its
-    per-chunk-window metrics are accumulated in the same pass, and its
-    states are dropped before the next tile is touched -- so peak memory is
-    bounded by the tile size while the full-batch ``EncodedBatch`` (and the
-    encoders' candidate state bytes) never exist at super-batch scale.
-
-    Bit-identity with the materialising path follows from three facts: the
-    opted-in encoders (``WriteEncoder.supports_fused_metrics``) encode
-    strictly per line, so a tile's rows equal the same rows of a full-batch
-    encode; tiles are aligned to chunk windows, so window ``i`` still spans
-    one contiguous same-shape slice and draws from ``streams[i]`` exactly as
-    before; and the metric reduction is the shared
-    :func:`metrics_from_encoded` either way.
+    This is the unit of work shared by the serial runner and the parallel
+    engine.  ``stream`` is the chunk's disturbance-sampling stream
+    (:func:`chunk_stream`), or ``None`` for expected-value counting.
     """
-    tile = fused_tile_size(tile_lines, chunk_size)
-    if tile is None:
-        raise ValueError("encode_metrics_batch needs a positive tile_lines")
-    backend_name = get_backend().name
-    n_tiles = -(-len(group) // tile) if len(group) else 0
-    with span(
-        "encode_metrics_batch", scheme=encoder.name, lines=len(group), tiles=n_tiles
-    ):
-        for index, stream in enumerate(streams):
-            start = index * chunk_size
-            if start % tile == 0:
-                tile_stop = min(len(group), start + tile)
-                with kernel_timer(backend_name, "fused_tile"):
-                    tile_trace = group[start:tile_stop]
-                    encoded = encoder.encode_batch(tile_trace.new, tile_trace.old)
-                count("lines_encoded", len(encoded), scheme=encoder.name)
-            local = start % tile
-            window = encoded.window(local, min(len(encoded), local + chunk_size))
-            rng = np.random.default_rng(stream) if stream is not None else None
-            yield metrics_from_encoded(window, encoder, disturbance_model, rng)
+    with span("encode_batch", scheme=encoder.name, lines=len(chunk)):
+        encoded = encoder.encode_batch(chunk.new, chunk.old)
+    count("lines_encoded", len(chunk), scheme=encoder.name)
+    rng = np.random.default_rng(stream) if stream is not None else None
+    metrics = metrics_from_encoded(encoded, encoder, disturbance_model, rng)
     _record_peak_memory()
-
-
-def evaluate_chunk_group(
-    encoder: WriteEncoder,
-    group: WriteTrace,
-    streams: Sequence[Optional[np.random.SeedSequence]],
-    chunk_size: int,
-    disturbance_model: DisturbanceModel = DEFAULT_DISTURBANCE_MODEL,
-    tile_lines: Optional[int] = None,
-) -> Iterator[WriteMetrics]:
-    """Encode a coalesced chunk group once; yield per-chunk-window metrics.
-
-    This is the super-batch accumulator's unit of work, shared by the serial
-    runner and the parallel engine.  The whole group feeds *one*
-    ``encode_batch`` call (so compiled/GPU array backends see >=256k-line
-    batches), but the metric reduction still happens per original
-    ``chunk_size`` window -- window ``i`` of the group uses ``streams[i]``,
-    the very stream chunk ``first + i`` draws on the per-chunk path, and a
-    window's arrays have the same shape and layout a standalone chunk's
-    would, so every float accumulates in the same order.  That is what keeps
-    super-batched results bit-identical to the per-chunk path.
-
-    When ``tile_lines`` is set, the group is larger than one tile, and the
-    encoder opts in via ``supports_fused_metrics``, the call is routed
-    through the fused tiled path (:func:`encode_metrics_batch`) instead --
-    metrics are bit-identical, only the peak memory changes.  The
-    materialising path below stays both the fallback (encoders without the
-    flag, tiling disabled, group already tile-sized) and the reference
-    oracle the fused property tests compare against.
-    """
-    tile = fused_tile_size(tile_lines, chunk_size)
-    if (
-        tile is not None
-        and encoder.supports_fused_metrics
-        and len(group) > tile
-    ):
-        yield from encode_metrics_batch(
-            encoder, group, streams, chunk_size, disturbance_model, tile
-        )
-        return
-    with span("encode_batch", scheme=encoder.name, lines=len(group)):
-        encoded = encoder.encode_batch(group.new, group.old)
-    count("lines_encoded", len(group), scheme=encoder.name)
-    for index, stream in enumerate(streams):
-        start = index * chunk_size
-        window = encoded.window(start, min(len(encoded), start + chunk_size))
-        rng = np.random.default_rng(stream) if stream is not None else None
-        yield metrics_from_encoded(window, encoder, disturbance_model, rng)
-    _record_peak_memory()
+    return metrics
 
 
 def chunk_stream(
@@ -276,13 +166,6 @@ def chunk_stream(
     )
 
 
-def chunk_streams(
-    config: EvaluationConfig, n_chunks: int, unit_index: int = 0
-) -> List[Optional[np.random.SeedSequence]]:
-    """Per-chunk RNG streams for a known chunk count (see :func:`chunk_stream`)."""
-    return [chunk_stream(config, unit_index, c) for c in range(max(0, n_chunks))]
-
-
 def evaluate_trace(
     encoder: WriteEncoder,
     trace,
@@ -294,44 +177,16 @@ def evaluate_trace(
 
     ``trace`` is a :class:`~repro.workloads.trace.WriteTrace` or any
     :class:`~repro.workloads.trace.ChunkSource` -- the loop only ever holds
-    one chunk group (one chunk unless ``config.superbatch_size`` coalesces
-    several), so evaluating a streaming source keeps memory bounded
+    one chunk, so evaluating a streaming source keeps memory bounded
     regardless of the trace length.  ``unit_index`` selects the
     disturbance-sampling stream when the trace is one of several work units
     evaluated together (see :mod:`.parallel`); the default of 0 matches a
     standalone run.
     """
     total = WriteMetrics()
-    group_chunks = chunk_group_size(config)
-    with array_backend_scope(config):
-        buffer: List[WriteTrace] = []
-        first_index = 0
-
-        def flush() -> None:
-            group = buffer[0] if len(buffer) == 1 else WriteTrace.concat(buffer)
-            streams = [
-                chunk_stream(config, unit_index, first_index + offset)
-                for offset in range(len(buffer))
-            ]
-            for metrics in evaluate_chunk_group(
-                encoder,
-                group,
-                streams,
-                config.chunk_size,
-                disturbance_model,
-                tile_lines=config.fused_tile_lines,
-            ):
-                total.merge(metrics)
-
-        for chunk_index, chunk in enumerate(trace.chunks(config.chunk_size)):
-            if not buffer:
-                first_index = chunk_index
-            buffer.append(chunk)
-            if len(buffer) >= group_chunks:
-                flush()
-                buffer = []
-        if buffer:
-            flush()
+    for chunk_index, chunk in enumerate(trace.chunks(config.chunk_size)):
+        stream = chunk_stream(config, unit_index, chunk_index)
+        total.merge(evaluate_chunk(encoder, chunk, stream, disturbance_model))
     return total
 
 

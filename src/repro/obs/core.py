@@ -22,8 +22,8 @@ Three primitives:
     (e.g. ``peak_rss_bytes``) aggregates to the fleet-wide peak.
 ``timer(name, **labels)``
     A context manager recording a region's duration into a histogram (used
-    for the per-backend kernel timings, where one span per kernel call would
-    drown the trace).
+    for the per-kernel compression timings, where one span per kernel call
+    would drown the trace).
 
 Cross-process stitching mirrors the engine's determinism contract: the
 parent captures a picklable :class:`TaskContext` (trace id + parent span id)

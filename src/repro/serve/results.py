@@ -26,10 +26,9 @@ Cache-key semantics (see ``docs/serving.md`` for the rationale):
   ``sample_disturbance`` always participate.  ``seed`` and the unit index
   join the key only when ``sample_disturbance`` is on (the deterministic
   expected-value path never draws from the RNG streams).  ``n_jobs``, pool
-  backend, array backend, super-batching, fused tiling, transport and trace
-  cache budgets are deliberately *excluded*: the engine proves results
-  bit-identical across all of them, so entries written under one
-  parallelisation serve every other;
+  backend, transport and trace cache budgets are deliberately *excluded*:
+  the engine proves results bit-identical across all of them, so entries
+  written under one parallelisation serve every other;
 * :data:`~repro.workloads.generator.GENERATOR_VERSION` folds in so that a
   generator change -- which redefines what a ``(profile, length, seed)``
   request means -- cannot resurrect stale results even for callers that

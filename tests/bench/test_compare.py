@@ -155,6 +155,17 @@ class TestCompare:
         assert not report.ok
         assert {check.status for check in report.checks} == {MISSING_METRIC}
 
+    def test_no_gate_is_optional(self):
+        # A missing metric always fails (above); there is no soft-miss gate.
+        with pytest.raises(TypeError, match="optional"):
+            Gate(artifact=ARTIFACT, metric="throughput", direction="higher",
+                 tolerance_pct=1.0, optional=True)
+
+    def test_specs_carry_no_backend_sensitivity(self):
+        with pytest.raises(TypeError, match="backend_sensitive"):
+            BenchSpec(figure="speed", title="Speed fixture", cost=1.0,
+                      backend_sensitive=True)
+
     def test_context_mismatch_skips_the_gate(self, tmp_path):
         baselines = self._baseline(tmp_path, lines=60000)
         _write_result(tmp_path, throughput=1.0, peak=10**9, lines=400000)

@@ -31,6 +31,7 @@ from repro.compression import (
     pack_fields,
     unpack_fields,
 )
+from repro.compression.backend import get_backend
 from repro.core.errors import CompressionError
 from repro.core.line import LineBatch
 from repro.core.symbols import BITS_PER_LINE
@@ -112,6 +113,15 @@ class TestPrimitives:
         )
         assert packed.bits.shape == (2, 3)
         assert list(packed.lengths) == [1, 3]
+
+    def test_kernels_run_on_numpy(self, biased_lines):
+        # The recorded array-library name is numpy, and so is every output.
+        assert get_backend().name == "numpy"
+        for compressor in UNIVERSAL_COMPRESSORS:
+            packed = compressor.compress_batch(biased_lines[:4])
+            assert type(packed.bits) is np.ndarray
+            assert type(packed.lengths) is np.ndarray
+            assert type(compressor.decompress_batch(packed)) is np.ndarray
 
 
 # ---------------------------------------------------------------------- #

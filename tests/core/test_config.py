@@ -1,5 +1,7 @@
 """Tests of the system / evaluation configuration objects."""
 
+import pytest
+
 from repro.core.config import (
     CPUConfig,
     DEFAULT_SYSTEM_CONFIG,
@@ -57,6 +59,14 @@ class TestEvaluationConfig:
         assert longer.trace_length == 5000
         assert longer.seed == 9
         assert config.trace_length == 100
+
+    @pytest.mark.parametrize(
+        "field", ["array_backend", "superbatch_size", "fused_tile_lines"]
+    )
+    def test_batching_fields_are_gone(self, field):
+        # Each chunk is one numpy encode; nothing regroups or retiles it.
+        with pytest.raises(TypeError, match=field):
+            EvaluationConfig(**{field: None})
 
 
 class TestGranularities:

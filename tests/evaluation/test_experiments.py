@@ -29,6 +29,13 @@ class TestTraceConstruction:
     def test_random_trace_length(self):
         assert len(experiments.random_trace(TINY)) == 80
 
+    @pytest.mark.parametrize(
+        "field", ["array_backend", "superbatch_size", "fused_tile_lines"]
+    )
+    def test_batching_fields_are_gone(self, field):
+        with pytest.raises(TypeError, match=field):
+            ExperimentConfig(**{field: None})
+
 
 class TestMotivationFigures:
     def test_figure1_shapes(self):

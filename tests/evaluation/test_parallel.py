@@ -100,6 +100,33 @@ class TestRunnerSemantics:
         expected = WriteMetrics.combine(runner.map(units))
         assert reduced["total"] == expected
 
+    def test_streaming_and_materialised_units_shard_alike(self, gcc_trace):
+        """One shard per chunk, carrying that chunk's lines and RNG stream."""
+        trace = gcc_trace[:100]
+
+        class Source:
+            name = "src"
+
+            def chunks(self, chunk_size):
+                return trace.chunks(chunk_size)
+
+        encoder = make_scheme("baseline")
+        runner = ParallelRunner(n_jobs=1)
+        materialised = list(runner._shards([WorkUnit("m", encoder, trace, MC_CONFIG)]))
+        streamed = list(runner._shards([WorkUnit("s", encoder, Source(), MC_CONFIG)]))
+        ranges = [(0, 0, 32), (1, 32, 64), (2, 64, 96), (3, 96, 100)]
+        for shards in (materialised, streamed):
+            assert [(s.chunk_index, s.start, s.stop) for s in shards] == ranges
+            assert [s.stream.spawn_key for s in shards] == [(0, c) for c, _, _ in ranges]
+            for shard in shards:
+                assert shard.chunk.new == trace.new[shard.start:shard.stop]
+                assert shard.chunk.old == trace.old[shard.start:shard.stop]
+
+    def test_executor_chunksize_is_gone(self):
+        # Shards are dispatched one chunk each; there is no batching knob.
+        with pytest.raises(TypeError, match="executor_chunksize"):
+            ParallelRunner(n_jobs=2, executor_chunksize=4)
+
     def test_empty_units(self):
         assert ParallelRunner(n_jobs=1).run([]) == {}
         assert ParallelRunner(n_jobs=4).run([]) == {}

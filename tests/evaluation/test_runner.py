@@ -1,9 +1,12 @@
 """Tests of the trace-driven evaluation runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.coding import make_scheme
+from repro.coding.ncosets import make_three_cosets
 from repro.core.config import EvaluationConfig
 from repro.core.disturbance import DisturbanceModel
 from repro.evaluation.runner import (
@@ -13,6 +16,8 @@ from repro.evaluation.runner import (
     evaluate_trace,
     metrics_from_encoded,
 )
+from repro.obs import observation
+from repro.workloads.generator import generate_benchmark_trace
 
 
 class TestMetricsFromEncoded:
@@ -59,6 +64,25 @@ class TestEvaluateTrace:
         config = EvaluationConfig(sample_disturbance=True, seed=3)
         metrics = evaluate_trace(make_scheme("baseline"), gcc_trace[:64], config)
         assert metrics.disturbance_errors >= 0
+
+
+class TestObservability:
+    def test_peak_memory_gauges_recorded(self):
+        encoder = make_three_cosets(64)
+        trace = generate_benchmark_trace("gcc", 600, seed=3)
+        tracemalloc.start()
+        try:
+            with observation("runner-test") as session:
+                evaluate_trace(encoder, trace, EvaluationConfig())
+        finally:
+            tracemalloc.stop()
+        snapshot = session.metrics.snapshot()
+        rss = snapshot.get("peak_rss_bytes")
+        traced = snapshot.get("tracemalloc_peak_bytes")
+        assert rss is not None and rss["type"] == "gauge" and rss["value"] > 0
+        assert traced is not None and traced["value"] > 0
+        spans = {record.name for record in session.spans}
+        assert "encode_batch" in spans
 
 
 class TestMultiSchemeHelpers:

@@ -172,11 +172,11 @@ class TestObservation:
     def test_counters_and_timers_record(self):
         with observation() as session:
             count("lines", 8, scheme="fpc")
-            with timer("kernel_ms", backend="numpy", kernel="pack"):
+            with timer("kernel_ms", kernel="pack"):
                 pass
         snapshot = session.metrics.snapshot()
         assert snapshot["lines{scheme=fpc}"]["value"] == 8
-        assert snapshot["kernel_ms{backend=numpy,kernel=pack}"]["count"] == 1
+        assert snapshot["kernel_ms{kernel=pack}"]["count"] == 1
 
     def test_nested_observation_reuses_session(self):
         with observation("outer") as outer:

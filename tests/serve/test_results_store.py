@@ -40,17 +40,9 @@ def _key(trace, **overrides):
 
 class TestKeyCanonicalisation:
     def test_orchestration_knobs_do_not_change_the_key(self, gcc_trace):
-        """Backend / batching / tiling knobs are absent from the key."""
-        base = _key(gcc_trace)
-        for overrides in (
-            {"array_backend": "numpy"},
-            {"superbatch_size": 8},
-            {"fused_tile_lines": 128},
-            {"fused_tile_lines": None},
-            {"trace_length": 999},
-        ):
-            variant = EvaluationConfig(chunk_size=CONFIG.chunk_size, **overrides)
-            assert _key(gcc_trace, config=variant).digest == base.digest, overrides
+        """Knobs that cannot change a result are absent from the key."""
+        variant = EvaluationConfig(chunk_size=CONFIG.chunk_size, trace_length=999)
+        assert _key(gcc_trace, config=variant).digest == _key(gcc_trace).digest
 
     def test_seed_ignored_on_the_deterministic_path(self, gcc_trace):
         """The expected-value path never draws RNG: seed must not key."""

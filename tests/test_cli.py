@@ -48,6 +48,25 @@ class TestEvaluateCommand:
         assert "baseline" in payload
         assert payload["baseline"]["requests"] == 60
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--array-backend", "numpy"), ("--superbatch", "8"), ("--fused-tile-lines", "128")],
+    )
+    def test_batching_flags_are_gone(self, capsys, flag, value):
+        # Every chunk is one encode on numpy; no flag resizes or reroutes it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--scheme", "baseline", "--trace-length", "40", flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_array_backend_env_var_is_ignored(self, capsys, monkeypatch):
+        argv = ["evaluate", "--scheme", "baseline", "--trace-length", "40", "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_ARRAY_BACKEND", "not-a-backend")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestExperimentCommands:
     def test_table1(self, capsys):
@@ -390,6 +409,14 @@ class TestBenchCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mini"]["figure"] == "mini"
         assert payload["mini"]["shard"] in (1, 2)
+
+    def test_bench_ls_has_no_backend_column(self, capsys):
+        assert main(["bench", "ls", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all("backend_sensitive" not in spec for spec in payload.values())
+        assert main(["bench", "ls"]) == 0
+        header = capsys.readouterr().out.splitlines()[0].split()
+        assert header == ["bench", "figure", "cost_s", "group", "artifacts", "gates"]
 
     def test_bench_run_merge_compare_roundtrip(self, capsys, tmp_path):
         suite = self._suite(tmp_path)
