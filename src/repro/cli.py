@@ -378,174 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--json", action="store_true", help="emit JSON")
 
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the evaluation service: an HTTP/JSON front-end with a "
-        "content-addressed result store (see docs/serving.md)",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
-    )
-    serve.add_argument(
-        "--port",
-        type=_nonnegative_int,
-        default=8787,
-        help="TCP port; 0 picks an ephemeral port, printed on stdout "
-        "(default: 8787)",
-    )
-    serve.add_argument(
-        "--results-dir",
-        required=True,
-        metavar="DIR",
-        help="result-store directory (created if missing); also hosts trace "
-        "uploads under traces/",
-    )
-    serve.add_argument(
-        "--results-budget",
-        type=_size_argument,
-        default=None,
-        metavar="SIZE",
-        help="byte budget of the result store; least-recently-used records "
-        "are evicted past it (bytes or K/M/G/T suffix)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=_jobs_argument,
-        default=1,
-        help="worker processes of the evaluation pool requests drain into "
-        "(1 = serial, 0 or -1 = all cores)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=["process", "thread"],
-        default="process",
-        help="worker-pool backend of the evaluation pool (default: process)",
-    )
-    serve.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="trace-corpus directory: enables {'corpus': name} trace "
-        "references and caches generated traces across requests",
-    )
-    serve.add_argument(
-        "--queue-size",
-        type=_positive_int,
-        default=64,
-        metavar="N",
-        help="bound of the evaluation queue; requests past it get 503 "
-        "with a Retry-After hint (default: 64)",
-    )
-    serve.add_argument(
-        "--drain-workers",
-        type=_positive_int,
-        default=1,
-        metavar="M",
-        help="supervised drain workers popping the evaluation queue; each "
-        "is restarted if it crashes (default: 1 -- one evaluation at a "
-        "time, so the store and worker pool are never contended)",
-    )
-    serve.add_argument(
-        "--inject-faults",
-        default=None,
-        metavar="PLAN",
-        help="deterministic chaos testing of the service, e.g. "
-        "'worker-crash@drain:1,conn-drop@evaluate:2' "
-        "(see docs/robustness.md; also the REPRO_FAULTS env var)",
-    )
-
-    submit = subparsers.add_parser(
-        "submit",
-        help="submit one evaluation request to a running 'repro serve'",
-    )
-    submit.add_argument(
-        "--url",
-        default="http://127.0.0.1:8787",
-        help="server base URL (default: http://127.0.0.1:8787)",
-    )
-    submit.add_argument("--scheme", default="wlcrc-16", help="scheme name (see 'list')")
-    source = submit.add_mutually_exclusive_group()
-    source.add_argument(
-        "--benchmark",
-        default=None,
-        help="evaluate a generated benchmark trace "
-        f"(one of: {', '.join(ALL_BENCHMARKS)}; the default, as 'gcc')",
-    )
-    source.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="upload this .wtrc trace first, then evaluate it by digest",
-    )
-    source.add_argument(
-        "--trace-digest",
-        default=None,
-        metavar="DIGEST",
-        help="evaluate a previously uploaded trace by its content digest",
-    )
-    source.add_argument(
-        "--corpus-name",
-        default=None,
-        metavar="NAME",
-        help="evaluate a trace of the server's --trace-dir corpus by name",
-    )
-    submit.add_argument(
-        "--trace-length",
-        type=_positive_int,
-        default=20_000,
-        help="write requests of a generated --benchmark trace (default: 20000)",
-    )
-    submit.add_argument(
-        "--seed",
-        type=_nonnegative_int,
-        default=2018,
-        help="trace-generation seed of a --benchmark trace (default: 2018)",
-    )
-    submit.add_argument(
-        "--chunk-size",
-        type=_positive_int,
-        default=2048,
-        help="evaluation chunk size (output-affecting; default: 2048)",
-    )
-    submit.add_argument(
-        "--sample-disturbance",
-        action="store_true",
-        help="Monte-Carlo sample disturbance errors instead of the "
-        "deterministic expected-value count",
-    )
-    submit.add_argument(
-        "--timeout",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="client-side request timeout (default: 600)",
-    )
-    submit.add_argument(
-        "--retries",
-        type=_nonnegative_int,
-        default=0,
-        metavar="N",
-        help="extra attempts after a transient failure (503, connection "
-        "refused/dropped), spaced by exponential backoff and honouring the "
-        "server's Retry-After header (default: 0)",
-    )
-    submit.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="base of the jittered exponential retry backoff (default: 0.5)",
-    )
-    submit.add_argument(
-        "--deadline-ms",
-        type=_positive_int,
-        default=None,
-        metavar="MS",
-        help="server-side deadline of the evaluation request: the server "
-        "answers 504 if the result is not ready within it",
-    )
-    submit.add_argument("--json", action="store_true", help="emit the raw JSON response")
-
     docs = subparsers.add_parser(
         "docs",
         help="generate and check the docs/ tree (CLI reference, link checker)",
@@ -688,7 +520,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         help="content-addressed result-store directory: evaluation results "
         "are memoised there keyed by (trace content, scheme, config), so "
         "repeated identical runs skip recomputation; store hits are "
-        "bit-identical to fresh computation (see docs/serving.md)",
+        "bit-identical to fresh computation (see docs/architecture.md)",
     )
     parser.add_argument(
         "--task-timeout",
@@ -1365,138 +1197,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# Serve / submit
-# ---------------------------------------------------------------------- #
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .serve import ResultStore
-    from .serve.service import EvaluationService
-
-    store = ResultStore(Path(args.results_dir), max_bytes=args.results_budget)
-    service = EvaluationService(
-        store,
-        n_jobs=args.jobs,
-        backend=args.backend,
-        trace_dir=Path(args.trace_dir) if args.trace_dir else None,
-        queue_size=args.queue_size,
-        drain_workers=args.drain_workers,
-    )
-
-    async def _serve() -> None:
-        await service.start(args.host, args.port)
-        # The bound address goes to stdout (machine-parseable, like every
-        # other stdout line of this CLI) so scripts using --port 0 can read
-        # the ephemeral port; diagnostics stay on stderr.
-        print(f"http://{args.host}:{service.port}", flush=True)
-        _LOG.info(
-            "serving on %s:%s (jobs=%s backend=%s store=%s)",
-            args.host, service.port, args.jobs, args.backend, store.root,
-        )
-        try:
-            await service.serve_forever()
-        finally:
-            await service.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        _LOG.info("interrupted; shutting down")
-    except OSError as exc:
-        return _fail(f"cannot serve on {args.host}:{args.port}: {exc}")
-    finally:
-        from .evaluation.parallel import shutdown_shared_runners
-
-        shutdown_shared_runners()
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from .serve.service import submit_request
-
-    trace_ref: Dict[str, object]
-    if args.trace is not None:
-        path = Path(args.trace)
-        if not path.is_file():
-            return _fail(f"trace file not found: {path}")
-        if path.suffix != ".wtrc":
-            return _fail(
-                f"only .wtrc traces upload directly: {path} "
-                "(convert first with 'repro trace convert')"
-            )
-        try:
-            status, response = submit_request(
-                args.url,
-                "/traces",
-                body=path.read_bytes(),
-                timeout=args.timeout,
-                retries=args.retries,
-                backoff_s=args.retry_backoff,
-            )
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot reach {args.url}: {exc}")
-        if status == 0:
-            return _fail(
-                f"cannot reach {args.url}: {response.get('message', response)}"
-            )
-        if status != 200:
-            return _fail(f"upload failed ({status}): {response}")
-        trace_ref = {"digest": response["digest"]}
-    elif args.trace_digest is not None:
-        trace_ref = {"digest": args.trace_digest}
-    elif args.corpus_name is not None:
-        trace_ref = {"corpus": args.corpus_name}
-    else:
-        trace_ref = {
-            "profile": args.benchmark or "gcc",
-            "length": args.trace_length,
-            "seed": args.seed,
-        }
-    payload = {
-        "scheme": args.scheme,
-        "trace": trace_ref,
-        "config": {
-            "chunk_size": args.chunk_size,
-            "seed": args.seed,
-            "sample_disturbance": args.sample_disturbance,
-        },
-    }
-    if args.deadline_ms is not None:
-        payload["deadline_ms"] = args.deadline_ms
-    try:
-        status, response = submit_request(
-            args.url,
-            "/evaluate",
-            payload=payload,
-            timeout=args.timeout,
-            retries=args.retries,
-            backoff_s=args.retry_backoff,
-        )
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot reach {args.url}: {exc}")
-    if status == 0:
-        return _fail(f"cannot reach {args.url}: {response.get('message', response)}")
-    if status != 200:
-        return _fail(
-            f"evaluation failed ({status} {response.get('error', '?')}): "
-            f"{response.get('message', response)}"
-        )
-    if args.json:
-        print(json.dumps(response, indent=2, sort_keys=True))
-    else:
-        rows = {
-            args.scheme: {
-                "cached": response["cached"],
-                "requests": response["requests"],
-                **{k: round(v, 6) for k, v in response["summary"].items()},
-            }
-        }
-        print(format_series_table(rows, title="Evaluation", row_header="scheme"))
-        _LOG.info("result key %s (%.3fs)", response["key"], response["elapsed_s"])
-    return 0
-
-
-# ---------------------------------------------------------------------- #
 # Docs
 # ---------------------------------------------------------------------- #
 def _cmd_docs(args: argparse.Namespace) -> int:
@@ -1580,12 +1280,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "profile":
         return _cmd_profile(args)
-
-    if args.command == "serve":
-        return _cmd_serve(args)
-
-    if args.command == "submit":
-        return _cmd_submit(args)
 
     if args.command == "docs":
         return _cmd_docs(args)

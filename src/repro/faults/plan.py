@@ -2,7 +2,7 @@
 
 A *fault plan* is a comma-separated list of fault specifications::
 
-    worker-crash@task:7,worker-hang@task:12:30s,store-corrupt@put:3,conn-drop@evaluate:2
+    worker-crash@task:7,worker-hang@task:12:30s,store-corrupt@put:3,attach-fail@attach:2
 
 Each specification is ``<kind>@<site>:<n>[:<duration>]``:
 
@@ -10,17 +10,14 @@ Each specification is ``<kind>@<site>:<n>[:<duration>]``:
     What goes wrong.  ``worker-crash`` (the worker process dies hard, as an
     OOM kill would), ``worker-hang`` (the worker stalls for ``duration``),
     ``store-corrupt`` (the result-store record's bytes are scribbled over),
-    ``conn-drop`` (the server closes the client's connection without a
-    response), ``attach-fail`` (the zero-copy trace attachment raises a
-    transient error).
+    ``attach-fail`` (the zero-copy trace attachment raises a transient
+    error).
 ``site``
     Where it goes wrong.  Each site is one instrumented code location that
     asks the injector "does this invocation fault?": ``task`` (parallel-engine
     shard dispatch), ``attach`` (trace-transport attachment, counted per
     dispatched shard), ``put`` / ``get`` (:class:`~repro.serve.results
-    .ResultStore` writes/reads), ``evaluate`` (the ``repro serve`` connection
-    handler for ``POST /evaluate``), ``drain`` (the service's drain workers,
-    counted per drained request).
+    .ResultStore` writes/reads).
 ``n``
     The 1-based invocation ordinal of the site at which the fault fires --
     ``worker-crash@task:3`` kills the worker executing the third dispatched
@@ -45,7 +42,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ReproError
@@ -83,10 +80,9 @@ CRASH_EXIT_CODE = 87
 
 #: kind -> sites it may be planted at.
 KIND_SITES: Dict[str, Tuple[str, ...]] = {
-    "worker-crash": ("task", "drain"),
+    "worker-crash": ("task",),
     "worker-hang": ("task",),
     "store-corrupt": ("put", "get"),
-    "conn-drop": ("evaluate",),
     "attach-fail": ("attach",),
 }
 
@@ -244,10 +240,10 @@ class FaultInjector:
 
     ``take(site)`` advances the site's invocation counter and returns the
     :class:`FaultAction` of a spec whose ordinal just came up (consuming it),
-    or ``None``.  Counting is lock-protected -- the serve drain workers and
-    concurrent runner calls may share one injector -- but the determinism
-    guarantee only covers single-driver runs, where sites are consulted in
-    the dispatcher's serial order.
+    or ``None``.  Counting is lock-protected -- concurrent runner calls in
+    one process may share one injector -- but the determinism guarantee
+    only covers single-driver runs, where sites are consulted in the
+    dispatcher's serial order.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -275,7 +271,7 @@ class FaultInjector:
         return None
 
     def injected_counts(self) -> Dict[str, int]:
-        """Faults fired so far, keyed by site (for ``/metrics`` and tests)."""
+        """Faults fired so far, keyed by site."""
         with self._lock:
             return dict(self._injected)
 

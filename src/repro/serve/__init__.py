@@ -1,18 +1,13 @@
-"""Evaluation-as-a-service: result memoisation and the HTTP front-end.
+"""Result memoisation, layered strictly *above* the evaluation engine.
 
-Two pieces, layered strictly *above* the evaluation engine:
+:mod:`repro.serve.results` holds :class:`ResultStore`, a content-addressed
+on-disk cache of evaluation metrics keyed by ``(trace content, scheme +
+params, output-affecting config, GENERATOR_VERSION)``.  The experiment
+drivers, ``evaluate`` and ``repro bench run`` all consult the same store
+(``--results-dir``), so identical evaluations cost one JSON read instead of
+an encode pass.
 
-* :mod:`repro.serve.results` -- :class:`ResultStore`, a content-addressed
-  on-disk cache of evaluation metrics keyed by
-  ``(trace content, scheme + params, output-affecting config,
-  GENERATOR_VERSION)``.  The experiment drivers, ``repro bench run`` and the
-  server all consult the same store (``--results-dir``), so identical
-  requests cost one JSON read instead of an encode pass.
-* :mod:`repro.serve.service` -- ``repro serve``, a zero-dependency asyncio
-  HTTP/JSON front-end draining a bounded job queue into the shared worker
-  pools, plus the ``repro submit`` client.
-
-See ``docs/serving.md`` for the wire protocol and the cache-key rules.
+See ``docs/architecture.md`` ("The result store") for the cache-key rules.
 """
 
 from .results import (

@@ -1,7 +1,7 @@
-"""Content-addressed result store: the memoisation layer behind ``repro serve``.
+"""Content-addressed result store: memoised evaluation metrics on disk.
 
-:class:`TraceCorpus` (PR 2) content-addresses *traces*; this module extends
-the same idea to evaluation *results*.  A :class:`ResultStore` maps a
+:class:`TraceCorpus` content-addresses *traces*; this module extends the
+same idea to evaluation *results*.  A :class:`ResultStore` maps a
 canonical digest of
 
 ``(trace content hash, scheme + its parameters, output-affecting
@@ -12,7 +12,8 @@ to the eight raw accumulator fields of a
 the common case in CI's sharded bench matrix and in repeated figure runs --
 become one JSON read instead of a full encode pass.
 
-Cache-key semantics (see ``docs/serving.md`` for the rationale):
+Cache-key semantics (``docs/architecture.md``, "The result store", gives
+the rationale):
 
 * the **trace** participates through a SHA-256 over its old/new line words
   (addresses, name and metadata are excluded: the evaluation metrics depend
@@ -34,11 +35,10 @@ Cache-key semantics (see ``docs/serving.md`` for the rationale):
   request means -- cannot resurrect stale results even for callers that
   address traces by specification rather than by content.
 
-On-disk layout mirrors the trace corpus: ``index.json`` plus one
-``results/<digest>.json`` record per entry, written with the same
-flock-serialised read-modify-write and unique-temp-then-``os.replace``
-atomicity, so concurrent CI shards can share one store directory.  Floats
-round-trip through JSON via ``repr`` exactly, which is what makes store hits
+On disk each entry is one ``results/<digest>.json`` record, written to a
+unique temporary file and moved into place with ``os.replace``, so
+concurrent CI shards can share one store directory.  Floats round-trip
+through JSON via ``repr`` exactly, which is what makes store hits
 *bit*-identical to fresh computation, not merely close.
 """
 
@@ -51,7 +51,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from ..coding.base import WriteEncoder
 from ..core.config import EvaluationConfig
@@ -66,17 +66,9 @@ from ..workloads.trace import WriteTrace
 
 logger = logging.getLogger(__name__)
 
-try:  # POSIX advisory locking for concurrent store writers (CI shards)
-    import fcntl as _fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    _fcntl = None
-
 #: Version of the key derivation *and* the record layout.  Bump on any change
 #: to either; old entries then miss instead of being misread.
 RESULT_STORE_VERSION = 1
-
-#: Name of the store index file.
-RESULT_INDEX_NAME = "index.json"
 
 #: Lines hashed per block when digesting a (possibly memory-mapped) trace,
 #: so multi-GB corpus traces digest without materialising in RAM.
@@ -84,7 +76,7 @@ _DIGEST_BLOCK_LINES = 1 << 16
 
 
 class ResultStoreError(ReproError):
-    """A result-store record or index is unusable."""
+    """A result-store record is unusable."""
 
 
 # ---------------------------------------------------------------------- #
@@ -215,33 +207,24 @@ class ResultStore:
 
     Layout::
 
-        <root>/index.json              digest -> record file, sizes, labels
         <root>/results/<digest>.json   {"key": ..., "metrics": ...}
+        <root>/corrupt/<digest>.json   quarantined unparseable records
 
-    :meth:`get` is lock-free (one file read keyed directly by digest);
-    :meth:`put` and :meth:`gc` serialise index updates behind an flock, so
-    any number of processes -- CI shards, a long-lived ``repro serve``, ad
-    hoc CLI runs -- can share one store.  ``max_bytes`` turns on LRU
-    eviction after every write; recency is ``max(atime, mtime)``, with
-    :meth:`get` advancing the atime on each hit.
+    :meth:`get` is one file read keyed directly by digest; :meth:`put`
+    replaces one record atomically.  No shared file is rewritten, so any
+    number of processes -- CI shards, ad hoc CLI runs -- can share one
+    store without locking.
     """
 
-    def __init__(self, root: Union[str, Path], max_bytes: Optional[int] = None):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        if max_bytes is not None and max_bytes < 0:
-            raise ResultStoreError("max_bytes must be non-negative")
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.corrupted = 0
 
     # ------------------------------------------------------------------ #
-    # Paths and locking
+    # Paths
     # ------------------------------------------------------------------ #
-    @property
-    def index_path(self) -> Path:
-        return self.root / RESULT_INDEX_NAME
-
     def results_dir(self) -> Path:
         return self.root / "results"
 
@@ -252,8 +235,8 @@ class ResultStore:
     def _record_path(self, digest: str) -> Path:
         return self.results_dir() / f"{digest}.json"
 
-    def _quarantine(self, digest: str, path: Path, reason: str) -> None:
-        """Move an unparseable record aside and drop it from the index.
+    def _quarantine(self, path: Path, reason: str) -> None:
+        """Move an unparseable record aside.
 
         Counts as a miss (the caller re-evaluates and rewrites the entry),
         but unlike a plain miss the event is loud -- ``result_store_corrupt``
@@ -265,7 +248,7 @@ class ResultStore:
         try:
             self.corrupt_dir().mkdir(parents=True, exist_ok=True)
             os.replace(path, target)
-        except OSError:  # pragma: no cover - raced with gc/another reader
+        except OSError:  # pragma: no cover - raced with another reader
             with contextlib.suppress(OSError):
                 path.unlink()
         logger.warning(
@@ -275,62 +258,10 @@ class ResultStore:
         self.misses += 1
         count("result_store_corrupt")
         count("result_store", result="miss")
-        with self._index_lock():
-            entries = self._read_index()
-            if entries.pop(digest, None) is not None:
-                self._write_index(entries)
-
-    @contextlib.contextmanager
-    def _index_lock(self):
-        """Exclusive advisory lock serialising index read-modify-write."""
-        if _fcntl is None:  # pragma: no cover - non-POSIX platforms
-            yield
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.root / ".index.lock", "w") as lock:
-            _fcntl.flock(lock, _fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                _fcntl.flock(lock, _fcntl.LOCK_UN)
-
-    def _read_index(self) -> Dict[str, Dict[str, Any]]:
-        if not self.index_path.exists():
-            return {}
-        try:
-            raw = json.loads(self.index_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ResultStoreError(
-                f"corrupt result-store index {self.index_path}: {exc}"
-            ) from exc
-        return dict(raw.get("results", {}))
-
-    def _write_index(self, entries: Dict[str, Dict[str, Any]]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
-            self.index_path,
-            "w",
-            lambda fh: json.dump(
-                {"version": RESULT_STORE_VERSION, "results": entries},
-                fh,
-                indent=2,
-                sort_keys=True,
-            ),
-        )
 
     # ------------------------------------------------------------------ #
     # Key helpers
     # ------------------------------------------------------------------ #
-    def key_for(
-        self,
-        encoder: WriteEncoder,
-        trace: WriteTrace,
-        config: EvaluationConfig,
-        disturbance_model: DisturbanceModel = DEFAULT_DISTURBANCE_MODEL,
-        unit_index: int = 0,
-    ) -> ResultKey:
-        return result_cache_key(encoder, trace, config, disturbance_model, unit_index)
-
     def unit_key(self, unit: Any, unit_index: int = 0) -> Optional[ResultKey]:
         """The key of a :class:`~repro.evaluation.parallel.WorkUnit`.
 
@@ -341,24 +272,23 @@ class ResultStore:
         """
         if not isinstance(unit.trace, WriteTrace):
             return None
-        return self.key_for(
+        return result_cache_key(
             unit.encoder, unit.trace, unit.config, unit.disturbance_model, unit_index
         )
 
     # ------------------------------------------------------------------ #
-    # get / put / gc
+    # get / put
     # ------------------------------------------------------------------ #
     def get(self, key: ResultKey) -> Optional[WriteMetrics]:
         """The memoised metrics for ``key``, or ``None`` on a miss.
 
-        A hit advances the record's atime (the LRU recency signal) and
-        verifies the stored key payload against the requested one, so a
-        digest collision serves a miss rather than wrong numbers.  A record
-        that exists but cannot be parsed is *quarantined* -- moved to
-        ``<root>/corrupt/`` and dropped from the index, with a
-        ``result_store_corrupt`` counter and a logged warning -- instead of
-        silently missing forever: the next evaluation rewrites the entry,
-        and the damaged bytes stay on disk for diagnosis.
+        A hit verifies the stored key payload against the requested one, so
+        a digest collision serves a miss rather than wrong numbers.  A
+        record that exists but cannot be parsed is *quarantined* -- moved to
+        ``<root>/corrupt/``, with a ``result_store_corrupt`` counter and a
+        logged warning -- instead of silently missing forever: the next
+        evaluation rewrites the entry, and the damaged bytes stay on disk
+        for diagnosis.
         """
         path = self._record_path(key.digest)
         action = _take_fault("get")
@@ -371,7 +301,7 @@ class ResultStore:
             count("result_store", result="miss")
             return None
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._quarantine(key.digest, path, f"invalid JSON: {exc}")
+            self._quarantine(path, f"invalid JSON: {exc}")
             return None
         if record.get("key") != key.payload:
             # A different key's record under this digest: a collision (or a
@@ -382,13 +312,8 @@ class ResultStore:
         try:
             metrics = metrics_from_payload(record.get("metrics", {}))
         except ResultStoreError as exc:
-            self._quarantine(key.digest, path, str(exc))
+            self._quarantine(path, str(exc))
             return None
-        try:
-            stat = path.stat()
-            os.utime(path, ns=(max(stat.st_atime_ns, stat.st_mtime_ns), stat.st_mtime_ns))
-        except OSError:  # pragma: no cover - raced with concurrent gc
-            pass
         self.hits += 1
         count("result_store", result="hit")
         return metrics
@@ -412,80 +337,7 @@ class ResultStore:
         action = _take_fault("put")
         if action is not None and action.kind == "store-corrupt":
             _corrupt_file(path)
-        entry = {
-            "file": str(path.relative_to(self.root)),
-            "bytes": path.stat().st_size,
-            "scheme": key.payload["scheme"]["scheme"],
-            "trace": key.payload["trace"],
-        }
-        with self._index_lock():
-            entries = self._read_index()
-            entries[key.digest] = entry
-            self._write_index(entries)
-        if self.max_bytes is not None:
-            self.gc(self.max_bytes)
         return path
-
-    def gc(
-        self, max_bytes: Optional[int] = None, dry_run: bool = False
-    ) -> Dict[str, Any]:
-        """Evict least-recently-used records until the store fits.
-
-        Same contract as :meth:`TraceCorpus.gc`: recency is
-        ``max(atime, mtime)`` (hits touch the atime), eviction is oldest
-        first, and the returned report carries ``budget_bytes``, ``removed``
-        (digests, oldest first), ``freed_bytes``, ``kept_bytes`` and
-        ``dry_run``.
-        """
-        budget = self.max_bytes if max_bytes is None else max_bytes
-        if budget is None:
-            raise ResultStoreError(
-                "result-store gc needs a byte budget (constructor max_bytes "
-                "or the max_bytes argument)"
-            )
-        if budget < 0:
-            raise ResultStoreError("gc max_bytes must be non-negative")
-        with self._index_lock():
-            files = []
-            if self.results_dir().is_dir():
-                for path in self.results_dir().glob("*.json"):
-                    try:
-                        stat = path.stat()
-                    except OSError:  # raced with a concurrent eviction
-                        continue
-                    recency = max(stat.st_atime_ns, stat.st_mtime_ns)
-                    files.append((recency, path.stem, path, stat.st_size))
-            files.sort()
-            total = sum(size for _, _, _, size in files)
-            removed: List[str] = []
-            freed = 0
-            for _, digest, path, size in files:
-                if total <= budget:
-                    break
-                if not dry_run:
-                    try:
-                        path.unlink()
-                    except OSError:  # pragma: no cover - concurrent eviction
-                        continue
-                removed.append(digest)
-                total -= size
-                freed += size
-            if not dry_run and removed:
-                entries = self._read_index()
-                kept = {
-                    digest: entry
-                    for digest, entry in entries.items()
-                    if digest not in removed
-                }
-                if kept != entries:
-                    self._write_index(kept)
-        return {
-            "budget_bytes": int(budget),
-            "removed": removed,
-            "freed_bytes": int(freed),
-            "kept_bytes": int(total),
-            "dry_run": bool(dry_run),
-        }
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -16,19 +16,20 @@ from repro.faults import (
     InjectedWorkerCrash,
     TransientError,
 )
+from repro.faults.plan import KIND_SITES
 
 
 class TestGrammar:
     def test_parses_the_docstring_example(self):
         plan = FaultPlan.parse(
             "worker-crash@task:7,worker-hang@task:12:30s,"
-            "store-corrupt@put:3,conn-drop@evaluate:2"
+            "store-corrupt@put:3,attach-fail@attach:2"
         )
         assert plan.specs == (
             FaultSpec("worker-crash", "task", 7),
             FaultSpec("worker-hang", "task", 12, duration_s=30.0),
             FaultSpec("store-corrupt", "put", 3),
-            FaultSpec("conn-drop", "evaluate", 2),
+            FaultSpec("attach-fail", "attach", 2),
         )
 
     @pytest.mark.parametrize(
@@ -64,19 +65,34 @@ class TestGrammar:
             "worker-hang@task:1:soon",   # unparseable duration
             "worker-hang@task:1:-2s",    # negative duration
             "worker-crash",              # no site at all
+            "conn-drop@evaluate:1",      # unknown kind
+            "worker-crash@drain:1",      # unknown site
+            "conn-drop@task:1",          # unknown kind at a live site
+            "store-corrupt@evaluate:1",  # unknown site for a live kind
+            "worker-hang@drain:1:1s",    # unknown site, even with a duration
         ],
     )
     def test_rejects_malformed_specs(self, text):
         with pytest.raises(FaultPlanError):
             FaultPlan.parse(text)
 
+    @pytest.mark.parametrize(
+        "kind, site",
+        [(kind, site) for kind, sites in KIND_SITES.items() for site in sites],
+    )
+    def test_every_declared_site_parses(self, kind, site):
+        """Every site the table declares is plantable for its kind."""
+        plan = FaultPlan.parse(f"{kind}@{site}:2")
+        assert (plan.specs[0].kind, plan.specs[0].site, plan.specs[0].nth) == (kind, site, 2)
+        assert FaultPlan.parse(plan.render()) == plan
+
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
         assert FaultPlan.from_env() is None
         monkeypatch.setenv(faults.FAULTS_ENV, "  ")
         assert FaultPlan.from_env() is None
-        monkeypatch.setenv(faults.FAULTS_ENV, "conn-drop@evaluate:1")
-        assert FaultPlan.from_env().specs[0].kind == "conn-drop"
+        monkeypatch.setenv(faults.FAULTS_ENV, "attach-fail@attach:1")
+        assert FaultPlan.from_env().specs[0].kind == "attach-fail"
 
 
 class TestInjector:
@@ -124,14 +140,14 @@ class TestInstallation:
         assert faults.injected_counts() == {}
 
     def test_env_adopted_lazily_after_clear(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULTS_ENV, "conn-drop@evaluate:1")
+        monkeypatch.setenv(faults.FAULTS_ENV, "attach-fail@attach:1")
         faults.clear()
         injector = faults.active_injector()
         assert injector is not None
-        assert injector.plan.specs[0].kind == "conn-drop"
+        assert injector.plan.specs[0].kind == "attach-fail"
 
     def test_explicit_none_beats_the_env(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULTS_ENV, "conn-drop@evaluate:1")
+        monkeypatch.setenv(faults.FAULTS_ENV, "attach-fail@attach:1")
         faults.clear()
         faults.install(None)
         assert faults.active_injector() is None

@@ -578,66 +578,17 @@ class TestObservability:
         assert "FAILED" not in captured.out  # diagnostics never on stdout
 
 
-class TestServeSubmitDocs:
-    """CLI surface of the serving and docs subsystems.
-
-    The protocol itself is covered in tests/serve/; these tests drive the
-    argparse layer, the subprocess server lifecycle and the docs commands.
-    """
+class TestResultsDirAndDocs:
+    """CLI surface of the result store and the docs commands."""
 
     REPO = Path(__file__).resolve().parents[1]
 
-    def test_serve_submit_round_trip(self, tmp_path):
-        """A real server subprocess: submit twice, second answer cached."""
-        import os
-        import subprocess
-        import sys
-
-        env = {**os.environ, "PYTHONPATH": str(self.REPO / "src")}
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--results-dir", str(tmp_path / "store")],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            env=env, text=True, cwd=str(tmp_path),
-        )
-        try:
-            url = server.stdout.readline().strip()
-            assert url.startswith("http://127.0.0.1:")
-            from repro.serve.service import submit_request
-
-            request = ["submit", "--url", url, "--scheme", "wlcrc-16",
-                       "--benchmark", "gcc", "--trace-length", "120", "--json"]
-            # Drive the real client main() in-process against the subprocess.
-            import contextlib
-            import io
-
-            def run(argv):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    assert main(argv) == 0
-                return json.loads(out.getvalue())
-
-            first = run(request)
-            second = run(request)
-            assert first["cached"] is False
-            assert second["cached"] is True
-            assert second["metrics"] == first["metrics"]
-            status, health = submit_request(url, "/healthz")
-            assert (status, health["status"]) == (200, "ok")
-        finally:
-            server.terminate()
-            server.wait(timeout=30)
-
-    def test_submit_unreachable_server(self, capsys):
-        assert main(["submit", "--url", "http://127.0.0.1:9",
-                     "--timeout", "2"]) == 2
-        assert "cannot reach" in capsys.readouterr().err
-
-    def test_submit_rejects_non_wtrc_upload(self, capsys, tmp_path):
-        trace = tmp_path / "x.trace"
-        trace.write_text("W 0x0 64\n")
-        assert main(["submit", "--trace", str(trace)]) == 2
-        assert ".wtrc" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    def test_service_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_evaluate_results_dir_memoises(self, capsys, tmp_path):
         store = tmp_path / "store"
@@ -649,6 +600,18 @@ class TestServeSubmitDocs:
         experiments.clear_cache()
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    def test_evaluate_profile_reports_the_store_hit(self, capsys, tmp_path):
+        argv = ["evaluate", "--scheme", "flipmin", "--benchmark", "gcc",
+                "--trace-length", "80", "--results-dir", str(tmp_path / "store"),
+                "--profile"]
+        assert main(argv) == 0
+        assert "result_store{result=miss}" in capsys.readouterr().err
+        experiments.clear_cache()
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "result_store{result=hit}" in err
+        assert "result_store{result=miss}" not in err
 
     def test_docs_cli_prints_and_checks(self, capsys, tmp_path):
         assert main(["docs", "cli", "--docs-dir", str(tmp_path)]) == 0
