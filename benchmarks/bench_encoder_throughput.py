@@ -1,10 +1,11 @@
 """Encode-throughput benchmark: scalar per-line loops vs the batch kernels.
 
-Every compression front-end now exposes a vectorised ``compress_batch`` /
+Every compression front-end exposes a vectorised ``compress_batch`` /
 ``decompress_batch`` pair (``src/repro/compression/kernels.py``) that the
 encoders consume whole layout groups at a time; the scalar
-``compress_line`` path survives as a thin per-line wrapper for the PCM
-device model and the round-trip tests.  This benchmark measures both paths
+``compress_line`` path survives as a thin per-line wrapper for tests and
+one-off inspection (the PCM device model goes through
+``encode_against_stored``, never through it).  This benchmark measures both paths
 on the same biased-content lines -- lines/s per scheme plus the
 batch-over-scalar speedup -- and asserts the kernel contract:
 
@@ -155,20 +156,19 @@ def bench_encoder_throughput(benchmark):
 
         # DIN payload encode: the 3-to-4 expansion plus the batched BCH
         # parity (one GF(2) reduction over the whole batch) against the
-        # per-line wrapper.  DIN has no public scalar API -- the wrapper is
-        # what the PCM device model uses for single-line writes.
+        # per-line wrapper, which runs the same path one line at a time.
         encoder = DINEncoder()
         words = _din_eligible_lines(encoder, pool, lines)
         sub = LineBatch(words)
         start = time.perf_counter()
-        batch_bits = encoder._encode_lines_bits(sub)
+        batch_bytes = encoder._encode_lines_bytes(sub)
         batch_s = time.perf_counter() - start
         scalar_count = max(1, len(sub) // 8)  # per-line path is slow; sample
         start = time.perf_counter()
-        scalar_bits = [encoder._encode_line_bits(words[i]) for i in range(scalar_count)]
+        scalar_bytes = [encoder._encode_line_bytes(words[i]) for i in range(scalar_count)]
         scalar_s = (time.perf_counter() - start) * (len(sub) / scalar_count)
         for i in range(0, scalar_count, max(1, scalar_count // VERIFY_LINES)):
-            assert np.array_equal(batch_bits[i], scalar_bits[i])
+            assert np.array_equal(batch_bytes[i], scalar_bytes[i])
         results["din"] = {"lines": len(sub), "scalar_s": scalar_s, "batch_s": batch_s}
         return results
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -285,6 +286,25 @@ def cheapest(costs: np.ndarray, stored: Optional[np.ndarray] = None) -> np.ndarr
 def candidate_byte_tables(candidates: np.ndarray) -> np.ndarray:
     """The flat ``(k * 256,)`` symbol-byte -> state-byte tables of ``candidates``."""
     return np.concatenate([mapping_byte_table(mapping) for mapping in candidates])
+
+
+def inverse_byte_tables(candidates: np.ndarray) -> np.ndarray:
+    """The flat ``(k * 256,)`` state-byte -> symbol-byte tables of ``candidates``.
+
+    The inverse of :func:`candidate_byte_tables`: gathered by
+    :func:`winner_bytes` at ``choice << 8 | state_byte``, they decode state
+    bytes.  Read-only and cached at module level per candidate set, never
+    kept on an encoder (encoders are pickled into every worker task).
+    """
+    return _inverse_byte_tables(np.asarray(candidates, dtype=np.uint8).tobytes())
+
+
+@lru_cache(maxsize=16)
+def _inverse_byte_tables(candidates: bytes) -> np.ndarray:
+    mappings = np.frombuffer(candidates, dtype=np.uint8).reshape(-1, 4)
+    tables = candidate_byte_tables([invert_mapping(mapping) for mapping in mappings])
+    tables.flags.writeable = False
+    return tables
 
 
 def winner_bytes(

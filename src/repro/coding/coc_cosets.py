@@ -33,10 +33,10 @@ from ..core.symbols import (
     BITS_PER_LINE,
     BYTES_PER_LINE,
     SYMBOLS_PER_LINE,
+    WORDS_PER_LINE,
+    bytes_to_words,
     pack_state_bytes,
     symbol_bytes,
-    symbols_to_bits,
-    symbols_to_words,
     unpack_state_bytes,
 )
 from .base import (
@@ -45,8 +45,7 @@ from .base import (
     candidate_costs,
     cheapest,
     cost_index,
-    pack_bits_to_states,
-    unpack_states_to_bits,
+    inverse_byte_tables,
     winner_bytes,
 )
 from .wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
@@ -83,8 +82,12 @@ class _Layout:
 
     @property
     def aux_cells(self) -> int:
-        """Cells holding the candidate indices, right after the payload region."""
-        return (self.aux_bits + 1) // 2
+        """Cells holding the candidate indices, right after the payload region.
+
+        One cell per block: its symbol (default mapping) is the block's
+        candidate index.
+        """
+        return self.num_blocks
 
 
 #: 16-bit-granularity mode (compressed size <= 448 bits).
@@ -102,7 +105,6 @@ class COCFourCosetsEncoder(WriteEncoder):
         super().__init__(energy_model)
         self.compressor = COCCompressor()
         self.candidates = FOUR_COSETS
-        self.inverse_candidates = np.stack([invert_mapping(c) for c in self.candidates])
         self.byte_tables = candidate_byte_tables(self.candidates)
 
     @property
@@ -129,19 +131,22 @@ class COCFourCosetsEncoder(WriteEncoder):
         return None
 
     def _payload_bytes(
-        self, lines: LineBatch, member_sizes: np.ndarray
+        self, lines: LineBatch, member_sizes: np.ndarray, fpc_patterns: np.ndarray
     ) -> np.ndarray:
         """Compressed payloads of a batch as symbol bytes, zero-padded to 64 each.
 
-        ``member_sizes`` is the bank-size matrix the caller already computed
-        while classifying the batch; passing it through means the bank is
-        never re-evaluated per line (the pre-validated batch entry point).
+        ``member_sizes`` and ``fpc_patterns`` are the bank classification
+        the caller already computed; passing them through means the bank is
+        never re-evaluated (the pre-validated batch entry point).  The bytes
+        are the little-endian view of the payload words.
         """
-        packed = self.compressor.compress_batch(lines, member_sizes=member_sizes)
-        bits = np.zeros((len(lines), BITS_PER_LINE), dtype=np.uint8)
-        width = min(packed.bits.shape[1], BITS_PER_LINE)
-        bits[:, :width] = packed.bits[:, :width]
-        return np.packbits(bits, axis=1, bitorder="little")
+        packed = self.compressor.compress_batch(
+            lines, member_sizes=member_sizes, fpc_patterns=fpc_patterns
+        )
+        words = np.zeros((len(lines), WORDS_PER_LINE), dtype=np.uint64)
+        width = min(packed.words.shape[1], WORDS_PER_LINE)
+        words[:, :width] = packed.words[:, :width]
+        return symbol_bytes(words)
 
     def _encode_layout_group(
         self,
@@ -160,15 +165,11 @@ class COCFourCosetsEncoder(WriteEncoder):
         index = cost_index(stored_bytes[indices, :data_bytes], payload)
         choice = cheapest(candidate_costs(self.energy_model, self.candidates, index, block_bytes))
         encoded = unpack_state_bytes(winner_bytes(self.byte_tables, choice, payload, block_bytes))
-        choice_bits = np.zeros((indices.size, layout.aux_bits), dtype=np.uint8)
-        choice_bits[:, 0::2] = choice & 1
-        choice_bits[:, 1::2] = (choice >> 1) & 1
-        aux_states = pack_bits_to_states(choice_bits)
 
         group_states = np.zeros((indices.size, SYMBOLS_PER_LINE), dtype=np.uint8)
         group_states[:, : layout.data_cells] = encoded
-        aux_end = layout.data_cells + aux_states.shape[1]
-        group_states[:, layout.data_cells:aux_end] = aux_states
+        aux_end = layout.data_cells + layout.aux_cells
+        group_states[:, layout.data_cells:aux_end] = DEFAULT_MAPPING[choice]
         group_states[:, self.MODE_CELL] = DEFAULT_MAPPING[layout.mode_symbol]
         data_states[indices] = group_states
         aux_mask[indices, layout.data_cells:SYMBOLS_PER_LINE] = True
@@ -181,7 +182,7 @@ class COCFourCosetsEncoder(WriteEncoder):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
         data_states = default_states(symbol_bytes(lines.words))
-        member_sizes = self.compressor.member_sizes(lines)
+        member_sizes, fpc_patterns = self.compressor.classify(lines)
         sizes = self.compressor.sizes_from_members(member_sizes)
         mode16 = sizes <= LAYOUT_16.budget_bits
         mode32 = (~mode16) & (sizes <= LAYOUT_32.budget_bits)
@@ -193,7 +194,7 @@ class COCFourCosetsEncoder(WriteEncoder):
         rows = np.nonzero(compressible)[0]
         if rows.size:
             payload_bytes[rows] = self._payload_bytes(
-                LineBatch(lines.words[rows]), member_sizes[:, rows]
+                LineBatch(lines.words[rows]), member_sizes[:, rows], fpc_patterns[rows]
             )
 
         stored_bytes = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
@@ -213,12 +214,11 @@ class COCFourCosetsEncoder(WriteEncoder):
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)
-        inverse_default = invert_mapping(DEFAULT_MAPPING)
-        flag = states[:, self.flag_cell_index]
-        words = symbols_to_words(inverse_default[states[:, :SYMBOLS_PER_LINE]].astype(np.uint8))
-        compressed = np.nonzero(flag == FLAG_COMPRESSED_STATE)[0]
+        state_bytes = pack_state_bytes(states[:, :SYMBOLS_PER_LINE])
+        words = bytes_to_words(inverse_byte_tables(DEFAULT_MAPPING).take(state_bytes))
+        compressed = np.nonzero(states[:, self.flag_cell_index] == FLAG_COMPRESSED_STATE)[0]
         if compressed.size:
-            mode_symbols = inverse_default[states[compressed, self.MODE_CELL]]
+            mode_symbols = invert_mapping(DEFAULT_MAPPING)[states[compressed, self.MODE_CELL]]
             mode16 = mode_symbols == LAYOUT_16.mode_symbol
             for layout, rows in (
                 (LAYOUT_16, compressed[mode16]),
@@ -226,26 +226,27 @@ class COCFourCosetsEncoder(WriteEncoder):
             ):
                 if rows.size:
                     words[rows] = self._decode_layout_group(
-                        states[rows, :SYMBOLS_PER_LINE], layout
+                        states[rows, :SYMBOLS_PER_LINE], state_bytes[rows], layout
                     )
         return LineBatch(words)
 
-    def _decode_layout_group(self, line_states: np.ndarray, layout: _Layout) -> np.ndarray:
-        """Decode every line of one layout group at once (vectorised)."""
+    def _decode_layout_group(
+        self, line_states: np.ndarray, state_bytes: np.ndarray, layout: _Layout
+    ) -> np.ndarray:
+        """Decode every line of one layout group at once (vectorised).
+
+        Each payload block's state bytes go through its chosen candidate's
+        inverse byte table (one gather), giving the payload symbol bytes.
+        """
         n = line_states.shape[0]
-        aux_states = line_states[:, layout.data_cells:layout.data_cells + layout.aux_cells]
-        choice_bits = unpack_states_to_bits(aux_states, layout.aux_bits)
-        choice = (choice_bits[:, 0::2] | (choice_bits[:, 1::2] << 1)).astype(np.uint8)
-        per_cell_choice = np.repeat(choice, layout.block_cells, axis=1)
-        inverse = self.inverse_candidates[per_cell_choice]
-        payload_states = line_states[:, : layout.data_cells]
-        payload_symbols = np.take_along_axis(
-            inverse, payload_states[..., None].astype(np.intp), axis=-1
-        )[..., 0]
-        full_symbols = np.zeros((n, SYMBOLS_PER_LINE), dtype=np.uint8)
-        full_symbols[:, : layout.data_cells] = payload_symbols
-        bits = symbols_to_bits(full_symbols)
+        aux_states = line_states[:, layout.data_cells : layout.data_cells + layout.aux_cells]
+        choice = invert_mapping(DEFAULT_MAPPING)[aux_states]
+        data_bytes, block_bytes = layout.data_cells // 4, layout.granularity_bits // 8
+        payload = np.zeros((n, BYTES_PER_LINE), dtype=np.uint8)
+        payload[:, :data_bytes] = winner_bytes(
+            inverse_byte_tables(self.candidates), choice, state_bytes[:, :data_bytes], block_bytes
+        )
         packed = PackedBits(
-            bits, np.full(n, BITS_PER_LINE, dtype=np.int64), self.compressor.name
+            bytes_to_words(payload), np.full(n, BITS_PER_LINE), self.compressor.name
         )
         return self.compressor.decompress_batch(packed)

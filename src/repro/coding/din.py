@@ -21,25 +21,25 @@ itself must fit in 360 bits.
 
 from __future__ import annotations
 
-from typing import Tuple
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..compression.fpc_bdi import FPCBDICompressor
-from ..compression.kernels import PackedBits, pack_fields, unpack_fields
-from ..core.cosets import DEFAULT_MAPPING, default_states, invert_mapping
+from ..compression.kernels import PackedBits, prepend_field, split_field
+from ..core.cosets import DEFAULT_MAPPING, default_states
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import EncodingError
 from ..core.line import LineBatch
 from ..core.symbols import (
-    BITS_PER_LINE,
     SYMBOLS_PER_LINE,
+    bytes_to_words,
+    pack_state_bytes,
     symbol_bytes,
-    symbols_to_bits,
-    symbols_to_words,
 )
 from ..ecc.bch import BCHCode
-from .base import WriteEncoder
+from .base import WriteEncoder, inverse_byte_tables
 from .wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
 
 #: Bits reserved for the compressed-length header inside the encoded payload.
@@ -50,6 +50,10 @@ MAX_COMPRESSED_BITS = 360
 EXPANDED_BITS = 492
 #: Number of BCH parity bits appended per encoded line.
 BCH_PARITY_BITS = 20
+#: Words holding the 369-bit header + stream before expansion.
+PAYLOAD_WORDS = 6
+#: Bytes holding the expanded bits (the BCH code's data bytes).
+EXPANDED_BYTES = -(-EXPANDED_BITS // 8)
 
 
 def build_din_mapping(energy_model: EnergyModel = DEFAULT_ENERGY_MODEL) -> Tuple[np.ndarray, np.ndarray]:
@@ -76,6 +80,27 @@ def build_din_mapping(energy_model: EnergyModel = DEFAULT_ENERGY_MODEL) -> Tuple
     return forward, inverse
 
 
+@lru_cache(maxsize=8)
+def _expansion_tables(expand: bytes, contract: bytes) -> Tuple[np.ndarray, np.ndarray]:
+    """The 12-to-16-bit expansion and the byte contraction tables of one DIN mapping.
+
+    Entry ``v`` of the first holds the four 4-bit codewords of the four
+    3-bit groups of ``v`` (LSB first); entry ``b`` of the second holds the
+    6 payload bits of the two codewords in expanded byte ``b``.  Read-only
+    and cached at module level per mapping, never kept on an encoder.
+    """
+    forward = np.frombuffer(expand, dtype=np.uint8)
+    inverse = np.frombuffer(contract, dtype=np.uint8)
+    groups = (np.arange(1 << 12)[:, None] >> np.arange(0, 12, 3)) & 7
+    codewords = forward[groups].astype("<u2") << np.arange(0, 16, 4, dtype="<u2")
+    expand12 = np.bitwise_or.reduce(codewords, axis=1).astype("<u2")
+    every_byte = np.arange(256)
+    contract_bytes = inverse[every_byte & 15] | (inverse[every_byte >> 4] << 3)
+    for table in (expand12, contract_bytes):
+        table.flags.writeable = False
+    return expand12, contract_bytes
+
+
 class DINEncoder(WriteEncoder):
     """DIN baseline: FPC+BDI gating, 3-to-4-bit expansion and BCH protection."""
 
@@ -100,67 +125,74 @@ class DINEncoder(WriteEncoder):
     # ------------------------------------------------------------------ #
     # Batched encode / decode of the DIN payload
     # ------------------------------------------------------------------ #
-    def _encode_lines_bits(self, lines: LineBatch) -> np.ndarray:
-        """Build the 512-bit encoded payloads of a batch of compressible lines.
+    def _byte_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        return _expansion_tables(self.expand_table.tobytes(), self.contract_table.tobytes())
 
-        The whole pipeline -- compression, length header, 3-to-4 expansion --
-        is vectorised.  Zero padding up to the full 369-bit budget is benign:
-        codeword 0 of the DIN table is ``0000`` by construction, so expanding
-        the padded groups writes the same zeros the per-line path produced.
-        The BCH parity is batched too: one lookup per data byte into the
-        code's table of packed remainders, XOR-reduced per line
-        (:meth:`repro.ecc.bch.BCHCode.parity_batch`), replaces the per-line
-        polynomial carry chain.
+    def _encode_lines_bytes(
+        self,
+        lines: LineBatch,
+        patterns: Optional[np.ndarray] = None,
+        variant_sizes: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """The ``(n, 64)`` encoded data bytes of a batch of compressible lines.
+
+        ``patterns``/``variant_sizes`` take the caller's FPC+BDI
+        classification.  The length header goes in front of the stream on
+        packed words; each 24-bit triple of payload bytes holds two 12-bit
+        chunks of four 3-bit groups, and one lookup in a 4,096-entry table
+        expands a chunk to its 16 bits.  Zero padding up to the full 369-bit
+        budget is benign: codeword 0 of the DIN table is ``0000`` by
+        construction.  The BCH parity is one lookup per expanded byte,
+        XOR-reduced per line (:meth:`repro.ecc.bch.BCHCode.parity_of_bytes`).
         """
-        packed = self.compressor.compress_batch(lines)
+        packed = self.compressor.compress_batch(
+            lines, patterns=patterns, variant_sizes=variant_sizes
+        )
         sizes = packed.lengths
         if np.any(sizes > MAX_COMPRESSED_BITS):
             raise EncodingError("line exceeds the DIN compression budget")
         n = len(lines)
-        budget = LENGTH_HEADER_BITS + MAX_COMPRESSED_BITS
-        payload = np.zeros((n, budget), dtype=np.uint8)
-        payload[:, :LENGTH_HEADER_BITS] = unpack_fields(
-            sizes.astype(np.uint64), LENGTH_HEADER_BITS
-        )
-        width = min(packed.bits.shape[1], MAX_COMPRESSED_BITS)
-        payload[:, LENGTH_HEADER_BITS:LENGTH_HEADER_BITS + width] = packed.bits[:, :width]
-        groups = payload.reshape(n, -1, 3)
-        values = groups[..., 0] | (groups[..., 1] << 1) | (groups[..., 2] << 2)
-        codewords = self.expand_table[values]
-        expanded = unpack_fields(codewords.astype(np.uint64), 4).reshape(n, -1)
-        line_bits = np.zeros((n, BITS_PER_LINE), dtype=np.uint8)
-        line_bits[:, :expanded.shape[1]] = expanded
-        line_bits[:, EXPANDED_BITS:EXPANDED_BITS + BCH_PARITY_BITS] = (
-            self.bch.parity_batch(line_bits[:, :EXPANDED_BITS])
-        )
-        return line_bits
+        framed = prepend_field(packed, sizes, LENGTH_HEADER_BITS)
+        payload = np.zeros((n, PAYLOAD_WORDS), dtype="<u8")
+        payload[:, : framed.words.shape[1]] = framed.words
+        triples = payload.view(np.uint8).reshape(n, -1, 3).astype(np.uint32)
+        pairs = triples[..., 0] | (triples[..., 1] << 8) | (triples[..., 2] << 16)
+        chunks = np.stack([pairs & 0xFFF, pairs >> 12], axis=-1).reshape(n, -1)
+        expand12, _ = self._byte_tables()
+        line_bytes = expand12.take(chunks).view(np.uint8)
+        parity = self.bch.parity_of_bytes(line_bytes[:, :EXPANDED_BYTES]).astype(np.uint64)
+        line_bytes.view("<u8")[:, EXPANDED_BITS // 64] |= parity << np.uint64(EXPANDED_BITS % 64)
+        return line_bytes
 
-    def _encode_line_bits(self, words: np.ndarray) -> np.ndarray:
-        """Build the 512-bit encoded payload of one compressible line."""
-        return self._encode_lines_bits(
+    def _encode_line_bytes(self, words: np.ndarray) -> np.ndarray:
+        """The 64 encoded data bytes of one compressible line."""
+        return self._encode_lines_bytes(
             LineBatch(np.asarray(words, dtype=np.uint64).reshape(1, -1))
         )[0]
 
-    def _decode_lines_bits(self, line_bits: np.ndarray) -> np.ndarray:
-        """Recover the original words of a batch of encoded lines."""
-        line_bits = np.asarray(line_bits, dtype=np.uint8)
-        n = line_bits.shape[0]
-        expanded = line_bits[:, :EXPANDED_BITS]
-        codewords = pack_fields(expanded.reshape(n, -1, 4))
-        values = self.contract_table[codewords.astype(np.intp)]
-        payload = unpack_fields(values.astype(np.uint64), 3).reshape(n, -1)
-        sizes = pack_fields(payload[:, :LENGTH_HEADER_BITS]).astype(np.int64)
+    def _decode_lines_bytes(self, line_bytes: np.ndarray) -> np.ndarray:
+        """Recover the original words of a batch of encoded data bytes."""
+        n = line_bytes.shape[0]
+        _, contract = self._byte_tables()
+        sixes = np.zeros((n, PAYLOAD_WORDS * 64 // 6), dtype=np.uint32)
+        # The last expanded byte's high nibble is parity: it contracts into
+        # bits 369..371, past every stream, which no decoder reads.
+        sixes[:, :EXPANDED_BYTES] = contract.take(line_bytes[:, :EXPANDED_BYTES])
+        quads = sixes.reshape(n, -1, 4)
+        pairs = quads[..., 0] | (quads[..., 1] << 6) | (quads[..., 2] << 12) | (quads[..., 3] << 18)
+        payload = pairs.astype("<u4").view(np.uint8).reshape(n, -1, 4)[..., :3].reshape(n, -1)
+        framed = PackedBits(
+            np.ascontiguousarray(payload).view("<u8"),
+            np.full(n, LENGTH_HEADER_BITS + MAX_COMPRESSED_BITS),
+            self.compressor.name,
+        )
+        sizes, stream = split_field(framed, LENGTH_HEADER_BITS)
         bad = sizes[sizes > MAX_COMPRESSED_BITS]
         if bad.size:
             raise EncodingError(f"invalid DIN length header: {int(bad[0])}")
-        packed = PackedBits(
-            payload[:, LENGTH_HEADER_BITS:], sizes, self.compressor.name
+        return self.compressor.decompress_batch(
+            PackedBits(stream.words, sizes, self.compressor.name)
         )
-        return self.compressor.decompress_batch(packed)
-
-    def _decode_line_bits(self, line_bits: np.ndarray) -> np.ndarray:
-        """Recover the original words of one encoded line."""
-        return self._decode_lines_bits(np.asarray(line_bits, dtype=np.uint8)[None, :])[0]
 
     # ------------------------------------------------------------------ #
     # WriteEncoder interface
@@ -169,14 +201,17 @@ class DINEncoder(WriteEncoder):
         self, lines: LineBatch, stored_states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(lines)
-        sizes = self.compressor.sizes_bits(lines)
+        patterns, variant_sizes = self.compressor.classify(lines)
+        sizes = self.compressor.sizes_from_classes(patterns, variant_sizes)
         encodable = sizes <= MAX_COMPRESSED_BITS
 
         data_states = default_states(symbol_bytes(lines.words))
         rows = np.nonzero(encodable)[0]
         if rows.size:
-            line_bits = self._encode_lines_bits(LineBatch(lines.words[rows]))
-            data_states[rows] = default_states(np.packbits(line_bits, axis=1, bitorder="little"))
+            line_bytes = self._encode_lines_bytes(
+                LineBatch(lines.words[rows]), patterns[rows], variant_sizes[:, rows]
+            )
+            data_states[rows] = default_states(line_bytes)
 
         flag_states = np.where(encodable, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
         states = np.concatenate([data_states, flag_states[:, None]], axis=1).astype(np.uint8)
@@ -191,13 +226,10 @@ class DINEncoder(WriteEncoder):
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)
-        inverse = invert_mapping(DEFAULT_MAPPING)
-        data_symbols = inverse[states[:, :SYMBOLS_PER_LINE]]
-        flag = states[:, self.flag_cell_index]
-        words = symbols_to_words(data_symbols.astype(np.uint8))
-        decoded = words.copy()
-        rows = np.nonzero(flag == FLAG_COMPRESSED_STATE)[0]
+        state_bytes = pack_state_bytes(states[:, :SYMBOLS_PER_LINE])
+        data_bytes = inverse_byte_tables(DEFAULT_MAPPING).take(state_bytes)
+        words = bytes_to_words(data_bytes)
+        rows = np.nonzero(states[:, self.flag_cell_index] == FLAG_COMPRESSED_STATE)[0]
         if rows.size:
-            line_bits = symbols_to_bits(data_symbols[rows])
-            decoded[rows] = self._decode_lines_bits(line_bits)
-        return LineBatch(decoded)
+            words[rows] = self._decode_lines_bytes(data_bytes[rows])
+        return LineBatch(words)

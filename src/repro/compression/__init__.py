@@ -1,13 +1,7 @@
 """Memory-line compression substrates: WLC, FPC, BDI, FPC+BDI and COC."""
 
-from .base import CompressedLine, Compressor, pack_bits_lsb_first, unpack_bits_lsb_first
-from .kernels import (
-    PackedBits,
-    compact_segments,
-    hstack_bits,
-    pack_fields,
-    unpack_fields,
-)
+from .base import CompressedLine, Compressor
+from .kernels import PackedBits, lay_fields, prepend_field, split_field, take_fields
 from .bdi import (
     BDICompressor,
     BDIVariant,
@@ -48,16 +42,14 @@ __all__ = [
     "WordDeltaCompressor",
     "ZeroLineCompressor",
     "classify_words32",
-    "compact_segments",
     "default_coc_members",
     "elements_to_line",
-    "hstack_bits",
+    "lay_fields",
     "line_elements",
     "line_to_words32",
     "msb_run_compressible",
-    "pack_bits_lsb_first",
-    "pack_fields",
-    "unpack_bits_lsb_first",
-    "unpack_fields",
+    "prepend_field",
+    "split_field",
+    "take_fields",
     "words32_to_line",
 ]

@@ -1,15 +1,20 @@
 """Compressor interface shared by all line-compression substrates.
 
-A compressor operates on 512-bit memory lines.  Two views are exposed:
+A compressor operates on 512-bit memory lines.  Three views are exposed:
 
 * a **vectorised size query** (:meth:`Compressor.sizes_bits`) that returns the
   compressed size of every line of a batch in bits -- this is what the
-  encoding schemes use to decide whether a line can host auxiliary bits; and
-* a **bit-exact single-line path** (:meth:`Compressor.compress_line` /
-  :meth:`Compressor.decompress_line`) that produces the actual compressed bit
-  stream.  Schemes whose memory layout depends on the compressed stream (DIN,
-  COC+4cosets) use this path, which is what lets the evaluation capture the
-  loss of bit locality those schemes suffer under differential write.
+  encoding schemes use to decide whether a line can host auxiliary bits;
+* the **batch kernels** (:meth:`Compressor.compress_batch` /
+  :meth:`Compressor.decompress_batch`) that produce and read the actual
+  compressed bit streams of a whole batch as packed words
+  (:class:`~repro.compression.kernels.PackedBits`).  Schemes whose memory
+  layout depends on the compressed stream (DIN, COC+4cosets) store these
+  streams, which is what lets the evaluation capture the loss of bit
+  locality those schemes suffer under differential write; and
+* a **single-line path** (:meth:`Compressor.compress_line` /
+  :meth:`Compressor.decompress_line`) over a bit array, a thin wrapper
+  around the batch kernels kept for tests and one-off inspection.
 """
 
 from __future__ import annotations
@@ -48,7 +53,13 @@ class CompressedLine:
 
 
 class Compressor(ABC):
-    """Base class of all memory-line compressors."""
+    """Base class of all memory-line compressors.
+
+    A subclass implements :meth:`sizes_bits` and either the batch pair
+    (:meth:`compress_batch` / :meth:`decompress_batch`, as every built-in
+    compressor does) or the single-line pair; the base class derives the
+    other pair from it.
+    """
 
     #: Short identifier used in reports and compressed-line tags.
     name: str = "compressor"
@@ -57,13 +68,14 @@ class Compressor(ABC):
     def sizes_bits(self, batch: LineBatch) -> np.ndarray:
         """Compressed size in bits of every line of ``batch`` (vectorised)."""
 
-    @abstractmethod
     def compress_line(self, words: np.ndarray) -> CompressedLine:
         """Compress a single line given as an ``(8,)`` ``uint64`` array."""
+        batch = LineBatch(np.asarray(words, dtype=np.uint64).reshape(1, -1))
+        return self.compress_batch(batch).line(0)
 
-    @abstractmethod
     def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
         """Recover the original ``(8,)`` ``uint64`` line from a compressed stream."""
+        return self.decompress_batch(PackedBits.from_streams([compressed.bits], self.name))[0]
 
     # ------------------------------------------------------------------ #
     # Batch kernels
@@ -109,49 +121,3 @@ class Compressor(ABC):
     def roundtrip(self, words: np.ndarray) -> np.ndarray:
         """Compress then decompress a single line (used by tests)."""
         return self.decompress_line(self.compress_line(words))
-
-
-def pack_bits_lsb_first(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Pack integer fields into a bit stream, least significant bit first.
-
-    Parameters
-    ----------
-    values:
-        1-D array of non-negative integers (one per field).
-    widths:
-        1-D array of field widths in bits, aligned with ``values``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``uint8`` array of bits of total length ``widths.sum()``.
-    """
-    values = np.asarray(values, dtype=np.uint64)
-    widths = np.asarray(widths, dtype=np.int64)
-    if values.shape != widths.shape:
-        raise CompressionError("values and widths must be aligned")
-    total = int(widths.sum())
-    bits = np.zeros(total, dtype=np.uint8)
-    cursor = 0
-    for value, width in zip(values, widths):
-        for b in range(int(width)):
-            bits[cursor + b] = (int(value) >> b) & 1
-        cursor += int(width)
-    return bits
-
-
-def unpack_bits_lsb_first(bits: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_bits_lsb_first`; returns one integer per field."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    widths = np.asarray(widths, dtype=np.int64)
-    if int(widths.sum()) > bits.shape[0]:
-        raise CompressionError("bit stream too short for requested fields")
-    values = np.zeros(widths.shape[0], dtype=np.uint64)
-    cursor = 0
-    for i, width in enumerate(widths):
-        value = 0
-        for b in range(int(width)):
-            value |= int(bits[cursor + b]) << b
-        values[i] = value
-        cursor += int(width)
-    return values

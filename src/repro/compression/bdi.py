@@ -16,21 +16,21 @@ wins" front-end used in the FPC+BDI comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import CompressionError
 from ..core.line import LineBatch
 from ..core.symbols import BITS_PER_LINE, BYTES_PER_LINE, WORDS_PER_LINE
-from .base import CompressedLine, Compressor
+from .base import Compressor
 from .kernels import (
     PackedBits,
-    hstack_bits,
-    pack_fields,
-    single_line_batch,
-    single_stream,
-    unpack_fields,
+    lay_fields,
+    merge_rows,
+    prepend_field,
+    split_field,
+    take_fields,
 )
 
 
@@ -82,19 +82,13 @@ class ZeroLineCompressor(Compressor):
         if not validated and bool(np.any(batch.words != 0)):
             raise CompressionError("line is not all zero")
         return PackedBits(
-            bits=np.zeros((len(batch), 0), dtype=np.uint8),
+            words=np.zeros((len(batch), 0), dtype=np.uint64),
             lengths=np.zeros(len(batch), dtype=np.int64),
             compressor=self.name,
         )
 
     def decompress_batch(self, packed: PackedBits) -> np.ndarray:
         return np.zeros((len(packed), WORDS_PER_LINE), dtype=np.uint64)
-
-    def compress_line(self, words: np.ndarray) -> CompressedLine:
-        return self.compress_batch(single_line_batch(words)).line(0)
-
-    def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
-        return self.decompress_batch(single_stream(compressed, self.name))[0]
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ class RepeatedValueCompressor(Compressor):
         if not validated and bool(np.any(words != words[:, :1])):
             raise CompressionError("line is not a repeated 8-byte value")
         return PackedBits(
-            bits=unpack_fields(words[:, 0], 64),
+            words=words[:, :1].copy(),
             lengths=np.full(len(batch), 64, dtype=np.int64),
             compressor=self.name,
         )
@@ -123,14 +117,7 @@ class RepeatedValueCompressor(Compressor):
             raise CompressionError("repeated-value stream must be at least 64 bits")
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        values = pack_fields(packed.bits[:, :64])
-        return np.broadcast_to(values[:, None], (len(packed), WORDS_PER_LINE)).copy()
-
-    def compress_line(self, words: np.ndarray) -> CompressedLine:
-        return self.compress_batch(single_line_batch(words)).line(0)
-
-    def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
-        return self.decompress_batch(single_stream(compressed, self.name))[0]
+        return np.repeat(packed.words[:, :1], WORDS_PER_LINE, axis=1)
 
 
 @dataclass(frozen=True)
@@ -178,21 +165,22 @@ class BDIVariant(Compressor):
             np.int64
         )
 
+    @property
+    def field_widths(self) -> np.ndarray:
+        """Stream layout: the base, then one delta per element."""
+        return np.array(
+            [8 * self.base_bytes] + [8 * self.delta_bytes] * self.elements_per_line,
+            dtype=np.int64,
+        )
+
     def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
         if not validated and not bool(self.fits(batch).all()):
             raise CompressionError(f"line does not fit {self.name}")
         elements = line_elements(batch.words, self.base_bytes)
-        deltas = self._deltas(elements)
-        delta_mask = np.uint64((1 << (self.delta_bytes * 8)) - 1)
-        encoded = deltas.astype(np.uint64) & delta_mask
-        base_bits = unpack_fields(elements[:, 0].astype(np.uint64), self.base_bytes * 8)
-        delta_bits = unpack_fields(encoded, self.delta_bytes * 8)
-        bits = np.concatenate([base_bits, delta_bits.reshape(len(batch), -1)], axis=1)
-        return PackedBits(
-            bits=bits,
-            lengths=np.full(len(batch), self.compressed_bits, dtype=np.int64),
-            compressor=self.name,
+        fields = np.concatenate(
+            [elements[:, :1].astype(np.uint64), self._deltas(elements).astype(np.uint64)], axis=1
         )
+        return lay_fields(fields, self.field_widths, self.name)
 
     def decompress_batch(self, packed: PackedBits) -> np.ndarray:
         short = packed.lengths[packed.lengths < self.compressed_bits]
@@ -202,28 +190,17 @@ class BDIVariant(Compressor):
             )
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        bits = packed.bits
-        base_width = self.base_bytes * 8
-        delta_width = self.delta_bytes * 8
-        base = pack_fields(bits[:, :base_width])
-        raw = pack_fields(
-            bits[
-                :, base_width : base_width + self.elements_per_line * delta_width
-            ].reshape(len(packed), self.elements_per_line, delta_width)
-        )
+        widths = self.field_widths
+        fields = take_fields(packed.words, np.cumsum(widths) - widths, widths)
+        base, raw = fields[:, :1], fields[:, 1:]
+        delta_width = 8 * self.delta_bytes
         sign_bit = np.uint64(1 << (delta_width - 1))
-        full = np.uint64(1 << delta_width) if delta_width < 64 else np.uint64(0)
+        full = np.uint64(1 << delta_width)
         # Modular arithmetic: adding (raw - 2^w) mod 2^64 reverses the wrap.
         delta = np.where((raw & sign_bit).astype(bool), raw - full, raw)
-        element_mask = np.uint64((1 << base_width) - 1) if base_width < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-        elements = (base[:, None] + delta) & element_mask
+        element_mask = np.uint64((1 << (8 * self.base_bytes)) - 1)
+        elements = (base + delta) & element_mask if self.base_bytes < 8 else base + delta
         return elements_to_line(elements, self.base_bytes)
-
-    def compress_line(self, words: np.ndarray) -> CompressedLine:
-        return self.compress_batch(single_line_batch(words)).line(0)
-
-    def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
-        return self.decompress_batch(single_stream(compressed, self.name))[0]
 
 
 #: The six delta variants of the standard BDI family.
@@ -252,72 +229,54 @@ class BDICompressor(Compressor):
         """Per-variant compressed sizes, shape ``(variants, lines)``."""
         return np.stack([v.sizes_bits(batch) for v in self.variants])
 
-    def sizes_bits(self, batch: LineBatch) -> np.ndarray:
-        best = self.variant_sizes(batch).min(axis=0)
+    def sizes_from_variants(self, variant_sizes: np.ndarray) -> np.ndarray:
+        """Per-line sizes (incl. tag) from a precomputed :meth:`variant_sizes` matrix."""
+        best = np.asarray(variant_sizes).min(axis=0)
         return np.where(best < BITS_PER_LINE, best + self.tag_bits, BITS_PER_LINE).astype(np.int64)
 
-    def _best_variant(self, words: np.ndarray) -> Tuple[int, Compressor]:
-        sizes = self.variant_sizes(single_line_batch(words))[:, 0]
-        index = int(np.argmin(sizes))
-        return index, self.variants[index]
+    def sizes_bits(self, batch: LineBatch) -> np.ndarray:
+        return self.sizes_from_variants(self.variant_sizes(batch))
 
-    def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
+    def compress_batch(
+        self,
+        batch: LineBatch,
+        validated: bool = False,
+        variant_sizes: Optional[np.ndarray] = None,
+    ) -> PackedBits:
         """Vectorised best-of-family compression.
 
-        The per-variant classification runs once for the whole batch; each
-        variant's kernel then compresses only the lines that chose it, with
-        the classification marked validated so it is never re-run per line.
+        The per-variant classification runs once for the whole batch (or
+        comes from the caller as ``variant_sizes``); each variant's kernel
+        then compresses only the lines that chose it, with the
+        classification marked validated so it is never re-run per line.
         """
-        sizes = self.variant_sizes(batch)
+        sizes = self.variant_sizes(batch) if variant_sizes is None else variant_sizes
         choice = sizes.argmin(axis=0)
         if np.any(sizes.min(axis=0) >= BITS_PER_LINE):
             raise CompressionError("line is not BDI-compressible")
-        n = len(batch)
-        inner_bits = np.zeros((n, 0), dtype=np.uint8)
-        inner_lengths = np.zeros(n, dtype=np.int64)
+        parts = []
         for index, variant in enumerate(self.variants):
             rows = np.nonzero(choice == index)[0]
-            if rows.size == 0:
-                continue
-            part = variant.compress_batch(LineBatch(batch.words[rows]), validated=True)
-            if part.bits.shape[1] > inner_bits.shape[1]:
-                grown = np.zeros((n, part.bits.shape[1]), dtype=np.uint8)
-                grown[:, : inner_bits.shape[1]] = inner_bits
-                inner_bits = grown
-            inner_bits[rows, : part.bits.shape[1]] = part.bits
-            inner_lengths[rows] = part.lengths
-        inner = PackedBits(inner_bits, inner_lengths, self.name)
-        tag = PackedBits(
-            unpack_fields(choice.astype(np.uint64), self.tag_bits),
-            np.full(n, self.tag_bits, dtype=np.int64),
-            self.name,
-        )
-        return hstack_bits([tag, inner], self.name)
+            if rows.size:
+                parts.append(
+                    (rows, variant.compress_batch(LineBatch(batch.words[rows]), validated=True))
+                )
+        inner = merge_rows(len(batch), parts, self.name)
+        return prepend_field(inner, choice, self.tag_bits)
 
     def decompress_batch(self, packed: PackedBits) -> np.ndarray:
         if np.any(packed.lengths < self.tag_bits):
             raise CompressionError("truncated BDI stream")
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        tags = pack_fields(packed.bits[:, : self.tag_bits]).astype(np.int64)
+        tags, inner = split_field(packed, self.tag_bits)
+        tags = tags.astype(np.int64)
         bad = tags[tags >= len(self.variants)]
         if bad.size:
             raise CompressionError(f"unknown BDI variant tag {int(bad[0])}")
         words = np.zeros((len(packed), WORDS_PER_LINE), dtype=np.uint64)
         for index, variant in enumerate(self.variants):
             rows = np.nonzero(tags == index)[0]
-            if rows.size == 0:
-                continue
-            inner = PackedBits(
-                packed.bits[rows, self.tag_bits :],
-                packed.lengths[rows] - self.tag_bits,
-                variant.name,
-            )
-            words[rows] = variant.decompress_batch(inner)
+            if rows.size:
+                words[rows] = variant.decompress_batch(inner.rows(rows))
         return words
-
-    def compress_line(self, words: np.ndarray) -> CompressedLine:
-        return self.compress_batch(single_line_batch(words)).line(0)
-
-    def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
-        return self.decompress_batch(single_stream(compressed, self.name))[0]

@@ -27,16 +27,16 @@ import numpy as np
 from ..core.errors import CompressionError
 from ..core.line import LineBatch
 from ..core.symbols import BITS_PER_LINE, WORDS_PER_LINE
-from .base import CompressedLine, Compressor
+from .base import Compressor
 from .bdi import RepeatedValueCompressor, STANDARD_BDI_VARIANTS, ZeroLineCompressor
 from .fpc import FPCCompressor
 from .kernels import (
     PackedBits,
-    hstack_bits,
-    pack_fields,
-    single_line_batch,
-    single_stream,
-    unpack_fields,
+    lay_fields,
+    merge_rows,
+    prepend_field,
+    split_field,
+    take_fields,
 )
 
 #: Compression budget for 16-bit-granularity COC+4cosets encoding.
@@ -55,9 +55,8 @@ class RawLineCompressor(Compressor):
         return np.full(len(batch), BITS_PER_LINE, dtype=np.int64)
 
     def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
-        bits = unpack_fields(batch.words, 64)
         return PackedBits(
-            bits=bits.reshape(len(batch), BITS_PER_LINE),
+            words=batch.words.copy(),
             lengths=np.full(len(batch), BITS_PER_LINE, dtype=np.int64),
             compressor=self.name,
         )
@@ -67,14 +66,7 @@ class RawLineCompressor(Compressor):
             raise CompressionError("raw stream must be at least 512 bits")
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        grouped = packed.bits[:, :BITS_PER_LINE].reshape(len(packed), WORDS_PER_LINE, 64)
-        return pack_fields(grouped)
-
-    def compress_line(self, words: np.ndarray) -> CompressedLine:
-        return self.compress_batch(single_line_batch(words)).line(0)
-
-    def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
-        return self.decompress_batch(single_stream(compressed, self.name))[0]
+        return packed.words[:, :WORDS_PER_LINE].copy()
 
 
 @dataclass(frozen=True)
@@ -101,51 +93,30 @@ class WordDeltaCompressor(Compressor):
             np.int64
         )
 
+    @property
+    def field_widths(self) -> np.ndarray:
+        """Stream layout: word 0, then one delta per later word."""
+        return np.array([64] + [self.delta_bits] * (WORDS_PER_LINE - 1), dtype=np.int64)
+
     def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
         if not validated and not bool(self.fits(batch).all()):
             raise CompressionError("line does not fit word-delta compression")
         words = batch.words
-        mask = np.uint64((1 << self.delta_bits) - 1)
-        deltas = (words[:, 1:] - words[:, :1]) & mask
-        bits = np.concatenate(
-            [
-                unpack_fields(words[:, 0], 64),
-                unpack_fields(deltas, self.delta_bits).reshape(len(batch), -1),
-            ],
-            axis=1,
-        )
-        return PackedBits(
-            bits=bits,
-            lengths=np.full(len(batch), self.compressed_bits, dtype=np.int64),
-            compressor=self.name,
-        )
+        fields = np.concatenate([words[:, :1], words[:, 1:] - words[:, :1]], axis=1)
+        return lay_fields(fields, self.field_widths, self.name)
 
     def decompress_batch(self, packed: PackedBits) -> np.ndarray:
         if np.any(packed.lengths < self.compressed_bits):
             raise CompressionError("word-delta stream is too short")
-        n = len(packed)
-        if n == 0:
+        if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        bits = packed.bits
-        base = pack_fields(bits[:, :64])
-        raw = pack_fields(
-            bits[:, 64 : 64 + (WORDS_PER_LINE - 1) * self.delta_bits].reshape(
-                n, WORDS_PER_LINE - 1, self.delta_bits
-            )
-        )
+        widths = self.field_widths
+        fields = take_fields(packed.words, np.cumsum(widths) - widths, widths)
+        base, raw = fields[:, :1], fields[:, 1:]
         sign = np.uint64(1 << (self.delta_bits - 1))
         full = np.uint64(1 << self.delta_bits)
         delta = np.where((raw & sign).astype(bool), raw - full, raw)
-        words = np.zeros((n, WORDS_PER_LINE), dtype=np.uint64)
-        words[:, 0] = base
-        words[:, 1:] = base[:, None] + delta
-        return words
-
-    def compress_line(self, words: np.ndarray) -> CompressedLine:
-        return self.compress_batch(single_line_batch(words)).line(0)
-
-    def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
-        return self.decompress_batch(single_stream(compressed, self.name))[0]
+        return np.concatenate([base, base + delta], axis=1)
 
 
 def default_coc_members() -> Tuple[Compressor, ...]:
@@ -173,9 +144,25 @@ class COCCompressor(Compressor):
         if len(self.members) > (1 << self.tag_bits):
             raise CompressionError("too many COC members for the tag width")
 
+    def classify(self, batch: LineBatch) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The :meth:`member_sizes` matrix and the FPC patterns it was sized from.
+
+        The patterns are ``None`` when the bank has no FPC member.
+        """
+        patterns = None
+        sizes = []
+        for member in self.members:
+            if isinstance(member, FPCCompressor):
+                if patterns is None:
+                    patterns = member.classify(batch)
+                sizes.append(member.sizes_from_patterns(patterns))
+            else:
+                sizes.append(member.sizes_bits(batch))
+        return np.stack(sizes), patterns
+
     def member_sizes(self, batch: LineBatch) -> np.ndarray:
         """Matrix of per-member compressed sizes, shape ``(members, lines)``."""
-        return np.stack([m.sizes_bits(batch) for m in self.members])
+        return self.classify(batch)[0]
 
     def sizes_from_members(self, member_sizes: np.ndarray) -> np.ndarray:
         """Per-line best size (incl. tag) from a precomputed bank-size matrix."""
@@ -195,7 +182,7 @@ class COCCompressor(Compressor):
         :meth:`compress_batch(member_sizes=...) <compress_batch>` instead,
         which evaluates the bank once for the whole batch.
         """
-        sizes = self.member_sizes(single_line_batch(words))[:, 0]
+        sizes = self.member_sizes(LineBatch(np.asarray(words, dtype=np.uint64)[None]))[:, 0]
         index = int(np.argmin(sizes))
         if sizes[index] >= BITS_PER_LINE:
             for fallback_index, member in enumerate(self.members):
@@ -225,61 +212,46 @@ class COCCompressor(Compressor):
         batch: LineBatch,
         validated: bool = False,
         member_sizes: Optional[np.ndarray] = None,
+        fpc_patterns: Optional[np.ndarray] = None,
     ) -> PackedBits:
         """Vectorised COC: evaluate the bank once, dispatch lines per member.
 
         ``member_sizes`` accepts a precomputed ``(members, lines)`` matrix
         (e.g. from the caller's compressibility classification) so the bank
-        is sized exactly once per batch rather than once per member per line.
+        is sized exactly once per batch rather than once per member per line;
+        ``fpc_patterns`` (from :meth:`classify`) likewise reaches the FPC
+        member, which then does not classify its lines again.
         """
-        sizes = member_sizes if member_sizes is not None else self.member_sizes(batch)
-        choice = self._member_choice(sizes)
-        n = len(batch)
-        inner_bits = np.zeros((n, 0), dtype=np.uint8)
-        inner_lengths = np.zeros(n, dtype=np.int64)
+        if member_sizes is None:
+            member_sizes, fpc_patterns = self.classify(batch)
+        choice = self._member_choice(member_sizes)
+        parts = []
         for index, member in enumerate(self.members):
             rows = np.nonzero(choice == index)[0]
             if rows.size == 0:
                 continue
-            part = member.compress_batch(LineBatch(batch.words[rows]), validated=True)
-            if part.bits.shape[1] > inner_bits.shape[1]:
-                grown = np.zeros((n, part.bits.shape[1]), dtype=np.uint8)
-                grown[:, : inner_bits.shape[1]] = inner_bits
-                inner_bits = grown
-            inner_bits[rows, : part.bits.shape[1]] = part.bits
-            inner_lengths[rows] = part.lengths
-        inner = PackedBits(inner_bits, inner_lengths, self.name)
-        tag = PackedBits(
-            unpack_fields(choice.astype(np.uint64), self.tag_bits),
-            np.full(n, self.tag_bits, dtype=np.int64),
-            self.name,
-        )
-        return hstack_bits([tag, inner], self.name)
+            sub = LineBatch(batch.words[rows])
+            if isinstance(member, FPCCompressor) and fpc_patterns is not None:
+                part = member.compress_batch(sub, validated=True, patterns=fpc_patterns[rows])
+            else:
+                part = member.compress_batch(sub, validated=True)
+            parts.append((rows, part))
+        inner = merge_rows(len(batch), parts, self.name)
+        return prepend_field(inner, choice, self.tag_bits)
 
     def decompress_batch(self, packed: PackedBits) -> np.ndarray:
         if np.any(packed.lengths < self.tag_bits):
             raise CompressionError("truncated COC stream")
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        tags = pack_fields(packed.bits[:, : self.tag_bits]).astype(np.int64)
+        tags, inner = split_field(packed, self.tag_bits)
+        tags = tags.astype(np.int64)
         bad = tags[tags >= len(self.members)]
         if bad.size:
             raise CompressionError(f"unknown COC member tag {int(bad[0])}")
         words = np.zeros((len(packed), WORDS_PER_LINE), dtype=np.uint64)
         for index, member in enumerate(self.members):
             rows = np.nonzero(tags == index)[0]
-            if rows.size == 0:
-                continue
-            inner = PackedBits(
-                packed.bits[rows, self.tag_bits :],
-                packed.lengths[rows] - self.tag_bits,
-                member.name,
-            )
-            words[rows] = member.decompress_batch(inner)
+            if rows.size:
+                words[rows] = member.decompress_batch(inner.rows(rows))
         return words
-
-    def compress_line(self, words: np.ndarray) -> CompressedLine:
-        return self.compress_batch(single_line_batch(words)).line(0)
-
-    def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
-        return self.decompress_batch(single_stream(compressed, self.name))[0]

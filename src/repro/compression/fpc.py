@@ -12,15 +12,15 @@ Figure 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from ..core.errors import CompressionError
 from ..core.line import LineBatch
 from ..core.symbols import WORDS_PER_LINE
-from .base import CompressedLine, Compressor
-from .kernels import single_line_batch, single_stream
-from .kernels import PackedBits, compact_segments, pack_fields, unpack_fields
+from .base import Compressor
+from .kernels import PackedBits, lay_fields, take_fields
 
 #: Number of 32-bit words per 512-bit line.
 WORDS32_PER_LINE = 16
@@ -188,70 +188,63 @@ class FPCCompressor(Compressor):
 
     name: str = "fpc"
 
-    def sizes_bits(self, batch: LineBatch) -> np.ndarray:
-        """Compressed size of every line: 3-bit prefix + payload per 32-bit word."""
-        patterns = classify_words32(line_to_words32(batch.words))
+    @staticmethod
+    def classify(batch: LineBatch) -> np.ndarray:
+        """The ``(n, 16)`` FPC pattern (prefix value) of every 32-bit word."""
+        return classify_words32(line_to_words32(batch.words))
+
+    @staticmethod
+    def sizes_from_patterns(patterns: np.ndarray) -> np.ndarray:
+        """Compressed sizes from precomputed :meth:`classify` patterns."""
         payload = np.asarray(PATTERN_PAYLOAD_BITS, dtype=np.int64)[patterns]
         return (payload + PREFIX_BITS).sum(axis=-1, dtype=np.int64)
 
-    def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
-        """Vectorised FPC: classify, gather payloads, compact the ragged fields.
+    def sizes_bits(self, batch: LineBatch) -> np.ndarray:
+        """Compressed size of every line: 3-bit prefix + payload per 32-bit word."""
+        return self.sizes_from_patterns(self.classify(batch))
 
-        Every 32-bit word contributes one ``prefix + payload`` segment whose
-        width depends on its pattern; :func:`~repro.compression.kernels
-        .compact_segments` lays the segments back to back exactly like the
-        scalar cursor loop.  FPC applies to every line, so ``validated`` is
-        irrelevant here.
+    def compress_batch(
+        self,
+        batch: LineBatch,
+        validated: bool = False,
+        patterns: Optional[np.ndarray] = None,
+    ) -> PackedBits:
+        """Vectorised FPC: classify, gather payloads, lay the ragged fields out.
+
+        Every 32-bit word contributes one ``prefix | payload << 3`` field
+        whose width depends on its pattern; :func:`~repro.compression.kernels
+        .lay_fields` lays the fields back to back exactly like the scalar
+        cursor loop.  ``patterns`` takes the caller's :meth:`classify` result
+        so the batch is classified once.  FPC applies to every line, so
+        ``validated`` is irrelevant here.
         """
         words32 = line_to_words32(batch.words)
-        patterns = classify_words32(words32)
-        payloads = payloads_for_patterns(words32, patterns)
-        seg_bits = np.concatenate(
-            [
-                unpack_fields(patterns.astype(np.uint64), PREFIX_BITS),
-                unpack_fields(payloads.astype(np.uint64), 32),
-            ],
-            axis=-1,
-        )
+        if patterns is None:
+            patterns = classify_words32(words32)
+        payloads = payloads_for_patterns(words32, patterns).astype(np.uint64)
+        fields = patterns.astype(np.uint64) | (payloads << np.uint64(PREFIX_BITS))
         widths = PREFIX_BITS + np.asarray(PATTERN_PAYLOAD_BITS, dtype=np.int64)[patterns]
-        return compact_segments(seg_bits, widths, self.name)
+        return lay_fields(fields, widths, self.name)
 
     def decompress_batch(self, packed: PackedBits) -> np.ndarray:
         """Vectorised FPC decode: one cursor per line, sixteen lockstep steps."""
         n = len(packed)
         if n == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        bits = packed.bits
-        lengths = packed.lengths
+        lengths = packed.lengths[:, None]
         payload_widths = np.asarray(PATTERN_PAYLOAD_BITS, dtype=np.int64)
-        cursor = np.zeros(n, dtype=np.int64)
+        cursor = np.zeros((n, 1), dtype=np.int64)
         words32 = np.zeros((n, WORDS32_PER_LINE), dtype=np.uint32)
-        column_cap = bits.shape[1] - 1
+        widest = PREFIX_BITS + max(PATTERN_PAYLOAD_BITS)
         for i in range(WORDS32_PER_LINE):
-            if bool(np.any(cursor + PREFIX_BITS > lengths)):
-                raise CompressionError("truncated FPC stream")
-            prefix_cols = cursor[:, None] + np.arange(PREFIX_BITS, dtype=np.int64)
-            patterns = pack_fields(
-                np.take_along_axis(bits, np.minimum(prefix_cols, column_cap), axis=1)
-            ).astype(np.uint8)
-            cursor = cursor + PREFIX_BITS
-            widths = payload_widths[patterns]
+            # One read covers the prefix and the widest payload;
+            # words_from_payloads keeps only the bits the pattern owns.
+            field = take_fields(packed.words, cursor, widest)
+            patterns = (field & np.uint64(7)).astype(np.uint8)
+            widths = PREFIX_BITS + payload_widths[patterns]
             if bool(np.any(cursor + widths > lengths)):
                 raise CompressionError("truncated FPC stream")
-            payload_cols = cursor[:, None] + np.arange(32, dtype=np.int64)
-            payload_bits = np.take_along_axis(
-                bits, np.minimum(payload_cols, column_cap), axis=1
-            )
-            payload_bits = payload_bits * (np.arange(32, dtype=np.int64) < widths[:, None])
-            payloads = pack_fields(payload_bits).astype(np.uint32)
             cursor = cursor + widths
-            words32[:, i] = words_from_payloads(payloads, patterns)
+            payloads = (field[:, 0] >> np.uint64(PREFIX_BITS)).astype(np.uint32)
+            words32[:, i] = words_from_payloads(payloads, patterns[:, 0])
         return words32_to_line(words32)
-
-    def compress_line(self, words: np.ndarray) -> CompressedLine:
-        """Produce the bit-exact FPC stream of one line."""
-        return self.compress_batch(single_line_batch(words)).line(0)
-
-    def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
-        """Rebuild a line from an FPC stream."""
-        return self.decompress_batch(single_stream(compressed, self.name))[0]

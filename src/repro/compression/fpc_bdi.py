@@ -9,16 +9,17 @@ about 30 % of memory lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import CompressionError
 from ..core.line import LineBatch
 from ..core.symbols import BITS_PER_LINE, WORDS_PER_LINE
-from .base import CompressedLine, Compressor
+from .base import Compressor
 from .bdi import BDICompressor
 from .fpc import FPCCompressor
-from .kernels import PackedBits, hstack_bits, single_line_batch, single_stream
+from .kernels import PackedBits, merge_rows, prepend_field, split_field
 
 #: Compression budget (bits) that DIN requires to apply its 3-to-4-bit expansion.
 DIN_COMPRESSION_BUDGET_BITS = 369
@@ -32,61 +33,63 @@ class FPCBDICompressor(Compressor):
     fpc: FPCCompressor = field(default_factory=FPCCompressor)
     bdi: BDICompressor = field(default_factory=BDICompressor)
 
-    def sizes_bits(self, batch: LineBatch) -> np.ndarray:
-        """Per-line minimum of the FPC and BDI sizes (plus the selector bit)."""
-        fpc_sizes = self.fpc.sizes_bits(batch)
-        bdi_sizes = self.bdi.sizes_bits(batch)
-        best = np.minimum(fpc_sizes, bdi_sizes)
+    def classify(self, batch: LineBatch) -> Tuple[np.ndarray, np.ndarray]:
+        """The FPC patterns and BDI variant sizes every size and stream derive from."""
+        return self.fpc.classify(batch), self.bdi.variant_sizes(batch)
+
+    def sizes_from_classes(self, patterns: np.ndarray, variant_sizes: np.ndarray) -> np.ndarray:
+        """Per-line sizes (incl. the selector bit) from a :meth:`classify` result."""
+        best = np.minimum(
+            self.fpc.sizes_from_patterns(patterns), self.bdi.sizes_from_variants(variant_sizes)
+        )
         return np.minimum(best + 1, BITS_PER_LINE).astype(np.int64)
 
-    def compress_batch(self, batch: LineBatch, validated: bool = False) -> PackedBits:
-        """Vectorised best-of: classify both once, compress each sub-batch once."""
-        n = len(batch)
-        fpc_sizes = self.fpc.sizes_bits(batch)
-        bdi_sizes = self.bdi.sizes_bits(batch)
+    def sizes_bits(self, batch: LineBatch) -> np.ndarray:
+        """Per-line minimum of the FPC and BDI sizes (plus the selector bit)."""
+        return self.sizes_from_classes(*self.classify(batch))
+
+    def compress_batch(
+        self,
+        batch: LineBatch,
+        validated: bool = False,
+        patterns: Optional[np.ndarray] = None,
+        variant_sizes: Optional[np.ndarray] = None,
+    ) -> PackedBits:
+        """Vectorised best-of: classify once, compress each sub-batch once.
+
+        ``patterns`` and ``variant_sizes`` take the caller's :meth:`classify`
+        result; the FPC and BDI kernels receive their rows' slices of it, so
+        no line is classified twice.
+        """
+        if patterns is None:
+            patterns = self.fpc.classify(batch)
+        if variant_sizes is None:
+            variant_sizes = self.bdi.variant_sizes(batch)
+        fpc_sizes = self.fpc.sizes_from_patterns(patterns)
+        bdi_sizes = self.bdi.sizes_from_variants(variant_sizes)
         use_bdi = (bdi_sizes < fpc_sizes) & (bdi_sizes < BITS_PER_LINE)
-        inner_bits = np.zeros((n, 0), dtype=np.uint8)
-        inner_lengths = np.zeros(n, dtype=np.int64)
-        for selector, compressor in ((0, self.fpc), (1, self.bdi)):
-            rows = np.nonzero(use_bdi == bool(selector))[0]
-            if rows.size == 0:
-                continue
-            part = compressor.compress_batch(LineBatch(batch.words[rows]), validated=True)
-            if part.bits.shape[1] > inner_bits.shape[1]:
-                grown = np.zeros((n, part.bits.shape[1]), dtype=np.uint8)
-                grown[:, : inner_bits.shape[1]] = inner_bits
-                inner_bits = grown
-            inner_bits[rows, : part.bits.shape[1]] = part.bits
-            inner_lengths[rows] = part.lengths
-        tag = PackedBits(
-            use_bdi.astype(np.uint8).reshape(n, 1),
-            np.ones(n, dtype=np.int64),
-            self.name,
-        )
-        inner = PackedBits(inner_bits, inner_lengths, self.name)
-        return hstack_bits([tag, inner], self.name)
+        fpc_rows, bdi_rows = np.nonzero(~use_bdi)[0], np.nonzero(use_bdi)[0]
+        parts = []
+        if fpc_rows.size:
+            sub = LineBatch(batch.words[fpc_rows])
+            parts.append((fpc_rows, self.fpc.compress_batch(sub, patterns=patterns[fpc_rows])))
+        if bdi_rows.size:
+            sub = LineBatch(batch.words[bdi_rows])
+            parts.append(
+                (bdi_rows, self.bdi.compress_batch(sub, variant_sizes=variant_sizes[:, bdi_rows]))
+            )
+        inner = merge_rows(len(batch), parts, self.name)
+        return prepend_field(inner, use_bdi, 1)
 
     def decompress_batch(self, packed: PackedBits) -> np.ndarray:
         if np.any(packed.lengths < 1):
             raise CompressionError("empty FPC+BDI stream")
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        selector = packed.bits[:, 0]
+        selector, inner = split_field(packed, 1)
         words = np.zeros((len(packed), WORDS_PER_LINE), dtype=np.uint64)
         for value, compressor in ((0, self.fpc), (1, self.bdi)):
             rows = np.nonzero(selector == value)[0]
-            if rows.size == 0:
-                continue
-            inner = PackedBits(
-                packed.bits[rows, 1:], packed.lengths[rows] - 1, compressor.name
-            )
-            words[rows] = compressor.decompress_batch(inner)
+            if rows.size:
+                words[rows] = compressor.decompress_batch(inner.rows(rows))
         return words
-
-    def compress_line(self, words: np.ndarray) -> CompressedLine:
-        """Compress a single line with whichever of FPC / BDI is smaller."""
-        return self.compress_batch(single_line_batch(words)).line(0)
-
-    def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
-        """Recover the line; the first stream bit selects the inner compressor."""
-        return self.decompress_batch(single_stream(compressed, self.name))[0]

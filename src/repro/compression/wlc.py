@@ -23,9 +23,8 @@ import numpy as np
 from ..core.errors import CompressionError
 from ..core.line import LineBatch
 from ..core.symbols import BITS_PER_LINE, BITS_PER_WORD, WORDS_PER_LINE
-from .base import CompressedLine, Compressor
-from .kernels import single_line_batch, single_stream
-from .kernels import PackedBits, pack_fields, unpack_fields
+from .base import Compressor
+from .kernels import PackedBits, lay_fields, take_fields
 
 
 def msb_run_compressible(words: np.ndarray, k: int) -> np.ndarray:
@@ -156,12 +155,7 @@ class WLCCompressor(Compressor):
         if not validated and not bool(self.word_compressible(batch.words).all()):
             raise CompressionError("line is not WLC-compressible at this k")
         keep = BITS_PER_WORD - self.reclaimed_bits_per_word
-        bits = unpack_fields(batch.words, keep).reshape(len(batch), keep * WORDS_PER_LINE)
-        return PackedBits(
-            bits=bits,
-            lengths=np.full(len(batch), keep * WORDS_PER_LINE, dtype=np.int64),
-            compressor=self.name,
-        )
+        return lay_fields(batch.words, np.full(WORDS_PER_LINE, keep), self.name)
 
     def decompress_batch(self, packed: PackedBits) -> np.ndarray:
         """Rebuild the lines by sign-extending each truncated word."""
@@ -170,21 +164,5 @@ class WLCCompressor(Compressor):
             raise CompressionError("compressed stream is too short")
         if len(packed) == 0:
             return np.zeros((0, WORDS_PER_LINE), dtype=np.uint64)
-        words = pack_fields(
-            packed.bits[:, : keep * WORDS_PER_LINE].reshape(len(packed), WORDS_PER_LINE, keep)
-        )
-        return self.sign_extend(words)
-
-    def compress_line(self, words: np.ndarray) -> CompressedLine:
-        """Compress a single line by dropping the reclaimed bits of every word.
-
-        Raises
-        ------
-        CompressionError
-            If any word of the line is not compressible at this ``k``.
-        """
-        return self.compress_batch(single_line_batch(words)).line(0)
-
-    def decompress_line(self, compressed: CompressedLine) -> np.ndarray:
-        """Rebuild the original line by sign-extending each truncated word."""
-        return self.decompress_batch(single_stream(compressed, self.name))[0]
+        cursors = keep * np.arange(WORDS_PER_LINE, dtype=np.int64)
+        return self.sign_extend(take_fields(packed.words, cursors, keep))

@@ -52,7 +52,6 @@ BYTES_PER_WORD = 8
 SYMBOL_BIT_PATTERNS = ("00", "01", "10", "11")
 
 _SYMBOL_SHIFTS = np.arange(SYMBOLS_PER_WORD, dtype=np.uint64) * np.uint64(2)
-_BYTE_SHIFTS = np.arange(BYTES_PER_WORD, dtype=np.uint64) * np.uint64(8)
 # Entry ``b`` holds the four cells of state byte ``b`` as the little-endian
 # bytes of one uint32, so a single gather unpacks a byte into four cells.
 _CELLS_OF_BYTE = (
@@ -111,17 +110,16 @@ def words_to_bytes(words: np.ndarray) -> np.ndarray:
 
 
 def bytes_to_words(data: np.ndarray) -> np.ndarray:
-    """Pack bytes back into 64-bit words (inverse of :func:`words_to_bytes`)."""
-    arr = np.asarray(data)
+    """Pack bytes back into 64-bit words (inverse of :func:`words_to_bytes`).
+
+    The little-endian word view of the bytes, returned as a fresh array.
+    """
+    arr = np.ascontiguousarray(data, dtype=np.uint8)
     if arr.shape[-1] != BYTES_PER_LINE:
         raise ValueError(
             f"expected last dimension of {BYTES_PER_LINE} bytes, got shape {arr.shape}"
         )
-    if arr.dtype != np.uint64:
-        arr = arr.astype(np.uint64)
-    grouped = arr.reshape(arr.shape[:-1] + (WORDS_PER_LINE, BYTES_PER_WORD))
-    shifted = grouped << _BYTE_SHIFTS
-    return shifted.sum(axis=-1, dtype=np.uint64)
+    return arr.view("<u8").astype(np.uint64)
 
 
 def symbol_bytes(words: np.ndarray) -> np.ndarray:

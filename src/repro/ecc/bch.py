@@ -169,24 +169,33 @@ class BCHCode:
         return self.parity_batch(data.reshape(1, -1))[0]
 
     def parity_batch(self, data: np.ndarray) -> np.ndarray:
-        """Parity bits of a whole ``(n, data_bits)`` bit matrix at once.
-
-        Table-driven, like a CRC: the data bits are packed into bytes, each
-        byte is one lookup into the code's table of packed remainders
-        (:func:`_parity_byte_table`), and XOR-reducing the lookups gives each
-        line's remainder -- no per-line carry chain of long division.
-        """
+        """Parity bits of a whole ``(n, data_bits)`` bit matrix at once."""
         data = np.asarray(data, dtype=np.uint8)
         if data.ndim != 2 or data.shape[1] != self.data_bits:
             raise ValueError(
                 f"expected (n, {self.data_bits}) data bits, got {data.shape}"
             )
-        table = _parity_byte_table(self.generator_poly, self.parity_bits, self.data_bits)
-        packed = np.packbits(data, axis=1, bitorder="little")
-        offsets = np.arange(packed.shape[1]) * 256
-        remainders = np.bitwise_xor.reduce(table.take(packed + offsets), axis=1)
+        remainders = self.parity_of_bytes(np.packbits(data, axis=1, bitorder="little"))
         shifts = np.arange(self.parity_bits, dtype=remainders.dtype)
         return ((remainders[:, None] >> shifts) & 1).astype(np.uint8)
+
+    def parity_of_bytes(self, data_bytes: np.ndarray) -> np.ndarray:
+        """Packed parity (bit ``j`` = parity bit ``j``) of ``(n, ceil(data_bits / 8))`` bytes.
+
+        Table-driven, like a CRC: byte ``p`` holds data bits ``8p..8p+7``
+        (LSB first), each byte is one lookup into the code's table of packed
+        remainders (:func:`_parity_byte_table`), and XOR-reducing the lookups
+        gives each line's remainder -- no per-line carry chain of long
+        division.  Bits past ``data_bits`` in the last byte are ignored.
+        """
+        table = _parity_byte_table(self.generator_poly, self.parity_bits, self.data_bits)
+        data_bytes = np.asarray(data_bytes, dtype=np.uint8)
+        if data_bytes.ndim != 2 or data_bytes.shape[1] != table.shape[0]:
+            raise ValueError(
+                f"expected (n, {table.shape[0]}) data bytes, got {data_bytes.shape}"
+            )
+        offsets = np.arange(table.shape[0]) * 256
+        return np.bitwise_xor.reduce(table.take(data_bytes + offsets), axis=1)
 
     def encode(self, data: Sequence[int]) -> np.ndarray:
         """Systematic codeword: parity bits (positions ``0..r-1``) then data bits."""

@@ -59,7 +59,6 @@ from repro.core.symbols import (
     SYMBOLS_PER_LINE,
     SYMBOLS_PER_WORD,
     WORDS_PER_LINE,
-    bits_to_symbols,
     complement_symbols,
     pack_state_bytes,
     words_to_symbols,
@@ -216,9 +215,9 @@ def ref_coc(enc, lines, stored):
         packed = enc.compressor.compress_batch(
             LineBatch(lines.words[rows]), member_sizes=member_sizes[:, rows]
         )
-        bits = np.zeros((rows.size, 512), dtype=np.uint8)
-        bits[:, : min(packed.bits.shape[1], 512)] = packed.bits[:, :512]
-        payload = bits_to_symbols(bits)[:, : layout.data_cells]
+        words = np.zeros((rows.size, 8), dtype=np.uint64)
+        words[:, : min(packed.words.shape[1], 8)] = packed.words[:, :8]
+        payload = LineBatch(words).symbols()[:, : layout.data_cells]
         candidates = enc.candidates[:, payload]
         group_stored = stored[rows, : layout.data_cells]
         costs = ref_block_costs(candidates, group_stored, enc.energy_model, layout.block_cells)

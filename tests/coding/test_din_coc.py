@@ -1,6 +1,7 @@
 """Tests of the DIN and COC+4cosets baselines."""
 
 import numpy as np
+import pytest
 
 from repro.coding.coc_cosets import COCFourCosetsEncoder, LAYOUT_16, LAYOUT_32
 from repro.coding.din import (
@@ -13,6 +14,8 @@ from repro.coding.din import (
 )
 from repro.coding.wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
 from repro.core.cosets import DEFAULT_MAPPING
+from repro.core.errors import EncodingError
+from repro.core.line import LineBatch
 from repro.core.symbols import SYMBOLS_PER_LINE
 
 
@@ -123,3 +126,45 @@ class TestCOCFourCosets:
                 assert states[i, encoder.MODE_CELL] == DEFAULT_MAPPING[LAYOUT_16.mode_symbol]
             elif sizes[i] <= LAYOUT_32.budget_bits:
                 assert states[i, encoder.MODE_CELL] == DEFAULT_MAPPING[LAYOUT_32.mode_symbol]
+
+
+def _din_reference_bits(encoder, lines):
+    """The bit-matrix DIN payload: header | stream, 3-to-4 expansion, BCH parity."""
+    packed = encoder.compressor.compress_batch(lines)
+    n = len(lines)
+    stream = np.unpackbits(
+        np.ascontiguousarray(packed.words, dtype="<u8").view(np.uint8), axis=1, bitorder="little"
+    )
+    payload = np.zeros((n, LENGTH_HEADER_BITS + MAX_COMPRESSED_BITS), dtype=np.uint8)
+    payload[:, :LENGTH_HEADER_BITS] = (packed.lengths[:, None] >> np.arange(LENGTH_HEADER_BITS)) & 1
+    width = min(stream.shape[1], MAX_COMPRESSED_BITS)
+    payload[:, LENGTH_HEADER_BITS : LENGTH_HEADER_BITS + width] = stream[:, :width]
+    groups = payload.reshape(n, -1, 3)
+    codewords = encoder.expand_table[groups[..., 0] | (groups[..., 1] << 1) | (groups[..., 2] << 2)]
+    line_bits = np.zeros((n, 512), dtype=np.uint8)
+    line_bits[:, :EXPANDED_BITS] = ((codewords[..., None] >> np.arange(4)) & 1).reshape(n, -1)
+    line_bits[:, EXPANDED_BITS:] = encoder.bch.parity_batch(line_bits[:, :EXPANDED_BITS])
+    return line_bits
+
+
+class TestDINBytesMatchBitMatrix:
+    """DIN's byte-table expansion and parity equal the per-bit construction."""
+
+    def test_encoded_bytes(self, biased_lines):
+        encoder = DINEncoder()
+        sizes = encoder.compressor.sizes_bits(biased_lines)
+        lines = LineBatch(biased_lines.words[sizes <= MAX_COMPRESSED_BITS][:64])
+        assert len(lines) > 8
+        expected = np.packbits(_din_reference_bits(encoder, lines), axis=1, bitorder="little")
+        assert np.array_equal(encoder._encode_lines_bytes(lines), expected)
+        assert np.array_equal(encoder._decode_lines_bytes(expected), lines.words)
+
+    def test_corrupt_length_header_raises(self, biased_lines):
+        encoder = DINEncoder()
+        sizes = encoder.compressor.sizes_bits(biased_lines)
+        lines = LineBatch(biased_lines.words[sizes <= MAX_COMPRESSED_BITS][:1])
+        line_bits = _din_reference_bits(encoder, lines)
+        # Three groups of 0b111 make the 9-bit length header 511 > 360.
+        line_bits[:, :12] = np.tile((encoder.expand_table[0b111] >> np.arange(4)) & 1, 3)
+        with pytest.raises(EncodingError):
+            encoder._decode_lines_bytes(np.packbits(line_bits, axis=1, bitorder="little"))

@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.errors import CompressionError
 from repro.core.line import LineBatch
-from repro.compression.base import pack_bits_lsb_first, unpack_bits_lsb_first
 from repro.compression.wlc import WLCCompressor
+
+from .bit_oracle import pack_bits_lsb_first, unpack_bits_lsb_first
 
 
 class TestBitPacking:

@@ -26,10 +26,6 @@ from repro.compression import (
     WLCCompressor,
     WordDeltaCompressor,
     ZeroLineCompressor,
-    compact_segments,
-    hstack_bits,
-    pack_fields,
-    unpack_fields,
 )
 from repro.compression.backend import get_backend
 from repro.core.errors import CompressionError
@@ -61,57 +57,23 @@ def assert_batch_equals_scalar(compressor, batch: LineBatch) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Bit-matrix primitives
+# PackedBits container
 # ---------------------------------------------------------------------- #
 class TestPrimitives:
-    def test_pack_unpack_roundtrip(self, rng):
-        values = rng.integers(0, 2**64, size=(5, 7), dtype=np.uint64)
-        assert np.array_equal(pack_fields(unpack_fields(values, 64)), values)
-
-    def test_pack_rejects_overwide_fields(self):
-        with pytest.raises(CompressionError):
-            pack_fields(np.zeros((1, 65), dtype=np.uint8))
-
-    def test_compact_segments_matches_cursor_loop(self, rng):
-        n, segments, cap = 6, 5, 9
-        seg_bits = rng.integers(0, 2, size=(n, segments, cap)).astype(np.uint8)
-        widths = rng.integers(0, cap + 1, size=(n, segments)).astype(np.int64)
-        widths[[1, 4]] = 0  # rows with no bits at all
-        packed = compact_segments(seg_bits, widths, "test")
-        assert packed.bits.shape == (n, packed.lengths.max())
-        for i in range(n):
-            expected = np.concatenate(
-                [seg_bits[i, s, : widths[i, s]] for s in range(segments)]
-            )
-            padded = np.zeros(packed.bits.shape[1], dtype=np.uint8)
-            padded[: expected.size] = expected
-            assert packed.lengths[i] == expected.size
-            assert np.array_equal(packed.bits[i], padded)
-        empty = compact_segments(seg_bits, np.zeros_like(widths), "test")
-        assert empty.bits.shape == (n, 0) and not empty.lengths.any()
-
-    def test_hstack_bits_concatenates_ragged_rows(self):
-        left = PackedBits(
-            np.array([[1, 0], [1, 1]], dtype=np.uint8), np.array([1, 2]), "l"
-        )
-        right = PackedBits(
-            np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8), np.array([3, 1]), "r"
-        )
-        stacked = hstack_bits([left, right], "s")
-        assert np.array_equal(stacked.line(0).bits, [1, 0, 1, 1])
-        assert np.array_equal(stacked.line(1).bits, [1, 1, 1])
-
     def test_packed_bits_validates_shapes(self):
+        # The word invariant: lengths <= 64 * n_words.
         with pytest.raises(CompressionError):
-            PackedBits(np.zeros((2, 3), dtype=np.uint8), np.array([4, 1]), "bad")
+            PackedBits(np.zeros((2, 1), dtype=np.uint64), np.array([65, 1]), "bad")
+        PackedBits(np.zeros((2, 1), dtype=np.uint64), np.array([64, 1]), "ok")
         with pytest.raises(CompressionError):
-            PackedBits(np.zeros(3, dtype=np.uint8), np.array([1]), "bad")
+            PackedBits(np.zeros(3, dtype=np.uint64), np.array([1]), "bad")
 
     def test_from_streams_pads_rows(self):
         packed = PackedBits.from_streams(
             [np.array([1], dtype=np.uint8), np.array([0, 1, 1], dtype=np.uint8)], "p"
         )
-        assert packed.bits.shape == (2, 3)
+        assert packed.words.shape == (2, 1)
+        assert list(packed.words[:, 0]) == [1, 6]
         assert list(packed.lengths) == [1, 3]
 
     def test_kernels_run_on_numpy(self, biased_lines):
@@ -119,7 +81,7 @@ class TestPrimitives:
         assert get_backend().name == "numpy"
         for compressor in UNIVERSAL_COMPRESSORS:
             packed = compressor.compress_batch(biased_lines[:4])
-            assert type(packed.bits) is np.ndarray
+            assert type(packed.words) is np.ndarray
             assert type(packed.lengths) is np.ndarray
             assert type(compressor.decompress_batch(packed)) is np.ndarray
 
@@ -228,20 +190,16 @@ class TestValidation:
     def test_truncated_streams_raise(self):
         fpc = FPCCompressor()
         with pytest.raises(CompressionError):
-            fpc.decompress_batch(
-                PackedBits(np.zeros((1, 4), dtype=np.uint8), np.array([4]), "fpc")
-            )
+            fpc.decompress_batch(PackedBits.from_streams([np.zeros(4, dtype=np.uint8)], "fpc"))
         coc = COCCompressor()
         with pytest.raises(CompressionError):
-            coc.decompress_batch(
-                PackedBits(np.zeros((1, 2), dtype=np.uint8), np.array([2]), "coc")
-            )
+            coc.decompress_batch(PackedBits.from_streams([np.zeros(2, dtype=np.uint8)], "coc"))
 
     def test_unknown_tags_raise(self):
         coc = COCCompressor()
-        bad_tag = np.array([[1, 1, 1, 1, 1] + [0] * 600], dtype=np.uint8)
+        bad_tag = np.array([1, 1, 1, 1, 1] + [0] * 600, dtype=np.uint8)
         with pytest.raises(CompressionError):
-            coc.decompress_batch(PackedBits(bad_tag, np.array([605]), "coc"))
+            coc.decompress_batch(PackedBits.from_streams([bad_tag], "coc"))
 
     def test_empty_batches(self):
         for compressor in UNIVERSAL_COMPRESSORS + (BDICompressor(), WLCCompressor(6)):
@@ -258,7 +216,7 @@ class TestValidation:
         generic = Compressor.compress_batch(fpc, biased_lines[:8])
         fast = fpc.compress_batch(biased_lines[:8])
         assert np.array_equal(generic.lengths, fast.lengths)
-        assert np.array_equal(generic.bits, fast.bits)
+        assert np.array_equal(generic.words, fast.words)
         assert np.array_equal(
             Compressor.decompress_batch(fpc, fast), biased_lines[:8].words
         )
@@ -333,7 +291,7 @@ def test_decompress_accepts_padded_streams(lines):
     packed = coc.compress_batch(batch)
     padded = PackedBits(
         np.concatenate(
-            [packed.bits, np.zeros((len(batch), 64), dtype=np.uint8)], axis=1
+            [packed.words, np.zeros((len(batch), 1), dtype=np.uint64)], axis=1
         ),
         packed.lengths,
         packed.compressor,

@@ -158,5 +158,5 @@ def test_numpy_kernels_release_the_gil(biased_lines):
     with ThreadPoolExecutor(4) as pool:
         results = list(pool.map(lambda _: coc.compress_batch(biased_lines), range(8)))
     for packed in results:
-        assert np.array_equal(packed.bits, reference.bits)
+        assert np.array_equal(packed.words, reference.words)
         assert np.array_equal(packed.lengths, reference.lengths)
