@@ -27,25 +27,29 @@ Determinism is a hard guarantee, not a best effort:
 executor, no pickling -- which makes it both the fallback and the reference
 the property tests compare the parallel path against bit-for-bit.
 
-Two scalability features ride on top of the executor:
+Every call -- materialised traces, streaming sources, or a mix; ``map`` or
+``starmap`` -- takes one dispatch path:
 
-* **zero-copy trace transport** -- instead of pickling each chunk's arrays
-  into its task, the runner exports every unit's trace once through
-  :class:`repro.traces.transport.TraceExporter` (shared-memory segment for
-  in-memory traces, mmap descriptor for corpus-backed ones) and ships workers
-  ``(descriptor, start, stop)`` triples; pickling remains the transparent
-  fallback and every transport is bit-identical by construction;
-* **a persistent worker pool** -- used as a context manager (or with
-  ``persistent=True``) the runner keeps one
-  :class:`~concurrent.futures.ProcessPoolExecutor` alive across ``run()``
-  calls, so sweep helpers and experiment drivers stop paying pool start-up
-  per call (see :func:`shared_runner`);
-* **streaming dispatch with backpressure** -- a work unit may carry a
-  :class:`~repro.workloads.trace.ChunkSource` instead of a materialised
-  trace; its chunks are then produced lazily and submitted with at most
-  ``window`` in flight, so a trace larger than RAM evaluates with memory
-  bounded by ``window x chunk_size`` lines while the submission-order
-  reduction keeps the result bit-identical to the serial path.
+* **shards** -- :meth:`ParallelRunner._shards` yields one task per chunk,
+  lazily and in serial order, for a materialised :class:`WriteTrace` and a
+  streaming :class:`~repro.workloads.trace.ChunkSource` alike;
+* **zero-copy trace transport** -- when a call dispatches to worker
+  processes, each materialised trace is exported once through
+  :class:`repro.traces.transport.TraceExporter` (mmap descriptor for a
+  corpus-backed trace, shared-memory segment for an in-memory one, pickling
+  only where neither is possible) and workers receive ``(descriptor, start,
+  stop)`` triples; every transport is bit-identical by construction;
+* **bounded dispatch** -- :meth:`ParallelRunner._execute` runs a call with
+  ``n_jobs=1`` or a single task inline and otherwise keeps at most
+  ``window`` tasks in flight, so a trace larger than RAM evaluates with
+  memory bounded by ``window x chunk_size`` lines while the
+  submission-order reduction keeps the result bit-identical to the serial
+  path;
+* **one pool owner** -- the worker pool and the exporter live on the runner.
+  A persistent runner (a context manager, ``persistent=True``, or
+  :func:`shared_runner`) keeps them across calls, so sweep helpers and
+  experiment drivers stop paying pool start-up per call; a one-shot runner
+  closes them at the end of each call.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPool
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -69,6 +74,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -119,9 +125,8 @@ class WorkUnit:
     ``(sweep-point, role)`` tuple.
 
     ``trace`` is a materialised :class:`WriteTrace` or any re-iterable
-    :class:`~repro.workloads.trace.ChunkSource`; units carrying a streaming
-    source are dispatched through the bounded-window streaming path (see
-    :meth:`ParallelRunner.map`).
+    :class:`~repro.workloads.trace.ChunkSource`; both are dispatched the
+    same way (see :meth:`ParallelRunner.map`).
     """
 
     key: Hashable
@@ -281,27 +286,18 @@ class ParallelRunner:
         short-lived runners.  Both backends share the submission-order
         reduction, so results are bit-identical across backends and worker
         counts.
-    transport:
-        How chunk data reaches the workers: ``"auto"`` (mmap for
-        corpus-backed traces, shared memory for in-memory ones, pickling as
-        fallback), ``"mmap"`` or ``"shm"`` to *request* exactly one
-        descriptor kind (traces that cannot travel that way -- e.g. an
-        in-memory trace under ``"mmap"`` -- silently fall back to pickling),
-        or ``"pickle"`` to force the legacy behaviour everywhere.  The
-        transport benchmark compares all three.  The thread backend ignores
-        transport: chunks are shared memory already.
     persistent:
-        Keep the process pool alive across ``run()``/``map()`` calls until
+        Keep the worker pool and the trace exports alive across calls until
         :meth:`close` (entering the runner as a context manager implies
-        this).  One-shot runners keep the historical
-        build-and-tear-down-per-call behaviour.
+        this).  A one-shot runner is the same runner closing itself at the
+        end of every ``map()``/``run()``/``starmap()`` call.
     window:
-        In-flight task cap of the *streaming* dispatch path (work units whose
-        trace is a :class:`~repro.workloads.trace.ChunkSource` rather than a
-        materialised trace).  At most ``window`` chunks exist between the
-        producing iterator and the reducer at any moment -- the backpressure
-        that bounds memory by ``window x chunk_size`` lines no matter how
-        long the stream is.  Defaults to ``4 x n_jobs``.
+        In-flight task cap of every pooled call.  Tasks are produced lazily
+        and at most ``window`` exist between the producer and the reducer at
+        any moment -- the backpressure that bounds a streaming
+        :class:`~repro.workloads.trace.ChunkSource` to ``window x
+        chunk_size`` lines no matter how long it is.  Defaults to
+        ``4 x n_jobs``.
     results_store:
         Optional :class:`~repro.serve.results.ResultStore` memoising
         per-unit metrics.  When set, :meth:`map` consults it before
@@ -338,16 +334,16 @@ class ParallelRunner:
     ``pool_rebuilds``/``tasks_retried``/``task_timeouts`` observability
     counters (and a logged warning when the runner degrades to serial).
 
-    Results are bit-identical for every ``n_jobs`` value *and* every
-    transport -- see the module docstring for how seeding and reduction order
-    guarantee this.  Store hits are bit-identical too: records round-trip
-    the raw metric accumulators through JSON ``repr`` exactly.
+    Results are bit-identical for every ``n_jobs`` value, backend and trace
+    transport -- see the module docstring for how seeding and reduction
+    order guarantee this.  Store hits are bit-identical too: records
+    round-trip the raw metric accumulators through JSON ``repr`` exactly.
     """
 
     def __init__(
         self,
         n_jobs: int = 1,
-        transport: str = "auto",
+        *,
         persistent: bool = False,
         window: Optional[int] = None,
         backend: str = "process",
@@ -358,9 +354,6 @@ class ParallelRunner:
         retry_backoff_s: float = 0.1,
     ):
         self.n_jobs = resolve_n_jobs(n_jobs)
-        if transport not in ("auto", "mmap", "shm", "pickle"):
-            raise ConfigurationError(f"unknown transport {transport!r}")
-        self.transport = transport
         if backend not in ("process", "thread"):
             raise ConfigurationError(
                 f"unknown backend {backend!r} (choose 'process' or 'thread')"
@@ -411,13 +404,27 @@ class ParallelRunner:
         self.persistent = self._persistent_before_enter
 
     def close(self) -> None:
-        """Shut down the persistent worker pool and exports (idempotent)."""
+        """Shut down the worker pool and release the trace exports (idempotent)."""
         if self._executor is not None:
-            self._executor.shutdown()
+            self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
         if self._exporter is not None:
             self._exporter.release()
             self._exporter = None
+
+    def _end_call(self, values: Iterable[Any]) -> None:
+        """Close a one-shot runner; prune a persistent one's exports to ``values``.
+
+        A persistent runner keeps the exports of the traces this call used,
+        so the next call over the same (memoised) traces reuses one segment
+        per trace and the workers' attachment caches hit.  Every other
+        export is unlinked -- even when this call exported nothing -- so
+        looping over ever-new traces cannot grow /dev/shm.
+        """
+        if not self.persistent:
+            self.close()
+        elif self._exporter is not None:
+            self._exporter.prune(id(value) for value in values)
 
     # ------------------------------------------------------------------ #
     # Work-unit evaluation
@@ -425,7 +432,7 @@ class ParallelRunner:
     def _shards(
         self,
         units: Sequence[WorkUnit],
-        descriptors: Optional[Sequence[Optional[TraceDescriptor]]] = None,
+        descriptors: Optional[Mapping[int, TraceDescriptor]] = None,
         obs_ctx: Optional[TaskContext] = None,
         rng_indices: Optional[Sequence[int]] = None,
     ) -> Iterator[_Shard]:
@@ -433,8 +440,9 @@ class ParallelRunner:
 
         Materialised and streaming units share this generator: chunks come
         from ``unit.trace.chunks``, lazily, so a streaming source advances
-        only as fast as the consumer pulls.  A unit with a transport
-        descriptor ships each chunk as its ``[start, stop)`` line range
+        only as fast as the consumer pulls.  A unit whose trace has a
+        transport descriptor (``descriptors`` is keyed by ``id(trace)``, see
+        :meth:`_export`) ships each chunk as its ``[start, stop)`` line range
         instead of its data.
         """
         # ``rng_indices`` decouples a unit's RNG identity from its position
@@ -444,7 +452,7 @@ class ParallelRunner:
         # bit-identical to an uncached run.
         for unit_index, unit in enumerate(units):
             rng_index = rng_indices[unit_index] if rng_indices is not None else unit_index
-            descriptor = descriptors[unit_index] if descriptors else None
+            descriptor = descriptors.get(id(unit.trace)) if descriptors else None
             chunk_size = unit.config.chunk_size
             for chunk_index, chunk in enumerate(unit.trace.chunks(chunk_size)):
                 start = chunk_index * chunk_size
@@ -466,15 +474,13 @@ class ParallelRunner:
 
         ``map(units)[i]`` equals
         ``evaluate_trace(units[i].encoder, units[i].trace, ..., unit_index=i)``
-        exactly, for any ``n_jobs`` and any transport.
+        exactly, for any ``n_jobs``, backend and trace transport.
 
-        Units whose trace is a streaming :class:`~repro.workloads.trace
-        .ChunkSource` (no ``len``, chunks produced on the fly) are dispatched
-        through the bounded-window streaming path; a call mixing streaming
-        and materialised units runs entirely on that path (materialised
-        traces then travel pickled per chunk instead of zero-copy, which is
-        correct but slower -- keep streaming sources in their own call when
-        that matters).
+        Materialised units and streaming :class:`~repro.workloads.trace
+        .ChunkSource` units -- alone or mixed in one call -- take the same
+        path: lazily generated shards (:meth:`_shards`), materialised traces
+        exported once when the call dispatches to worker processes
+        (:meth:`_export`), and bounded-window execution (:meth:`_execute`).
 
         With a :attr:`results_store` attached, units whose key hits the
         store return memoised metrics without dispatching (streaming units
@@ -516,88 +522,52 @@ class ParallelRunner:
         list (``None`` means positions); disturbance-sampling streams are
         seeded from it so cache-partial calls reproduce the uncached run.
         """
-        if any(not isinstance(unit.trace, WriteTrace) for unit in units):
-            return self._map_streaming(units, rng_indices)
         per_unit = [WriteMetrics() for _ in units]
-        exporter = None
-        map_span = span(
-            "parallel_map", units=len(units), n_jobs=self.n_jobs, backend=self.backend
-        )
+        traces = [unit.trace for unit in units]
         try:
-            map_span.__enter__()
-            obs_ctx = task_context()
-            descriptors = None
-            total_shards = sum(n_chunks_of(unit.trace, unit.config) for unit in units)
-            # Export only when _execute will actually dispatch to worker
-            # *processes*; thread workers share the parent's memory, so the
-            # shm copy (and the parent-side attachment it would leave in the
-            # worker cache) would be pure waste for them too.
-            if (
-                self.backend == "process"
-                and self.n_jobs > 1
-                and total_shards > 1
-                and self.transport != "pickle"
+            with span(
+                "parallel_map", units=len(units), n_jobs=self.n_jobs, backend=self.backend
             ):
-                exporter = self._acquire_exporter()
-                descriptors = [exporter.export(unit.trace) for unit in units]
-            shards = list(self._shards(units, descriptors, obs_ctx, rng_indices))
-            for unit_index, _, metrics, payload in self._execute(_evaluate_shard, shards):
-                absorb(payload)
-                per_unit[unit_index].merge(metrics)
+                # A streaming unit counts as one task: its length is unknown
+                # until it is read.
+                n_tasks = sum(
+                    n_chunks_of(unit.trace, unit.config)
+                    if isinstance(unit.trace, WriteTrace)
+                    else 1
+                    for unit in units
+                )
+                shards = self._shards(
+                    units, self._export(traces, n_tasks), task_context(), rng_indices
+                )
+                for unit_index, _, metrics, payload in self._execute(_evaluate_shard, shards):
+                    absorb(payload)
+                    per_unit[unit_index].merge(metrics)
         finally:
-            map_span.__exit__(None, None, None)
-            if exporter is not None and exporter is not self._exporter:
-                exporter.release()
-            elif self._exporter is not None:
-                # Keep this call's exports for reuse next run(); drop the
-                # rest so looping over ever-new traces can't grow /dev/shm.
-                # This prunes even when *this* call exported nothing, so a
-                # persistent runner that did one big exporting sweep cannot
-                # pin that trace's shm segment through later small calls.
-                self._exporter.prune(id(unit.trace) for unit in units)
+            self._end_call(traces)
         return per_unit
 
-    def _acquire_exporter(self) -> TraceExporter:
-        """The exporter for this call: cached for persistent runners.
+    def _export(self, values: Sequence[Any], n_tasks: int) -> Dict[int, TraceDescriptor]:
+        """Transport descriptors of the traces among ``values``, by ``id``.
 
-        A persistent runner keeps one exporter for its whole lifetime, so
-        repeated ``run()`` calls over the same (memoised) traces reuse one
-        shared-memory segment per trace -- stable descriptors also mean the
-        workers' attachment caches hit instead of accumulating stale
-        segments.  One-shot runners release their exports per call.
+        Only a call that hands its ``n_tasks`` tasks to worker *processes*
+        exports anything: serial and single-task calls run inline, and
+        thread workers share the parent's memory.  Each materialised
+        :class:`WriteTrace` is exported once -- an mmap descriptor when it is
+        corpus-backed, else a shared-memory segment; a trace neither can
+        carry is left out and its chunks travel pickled.  Streaming sources
+        and other values are never exported.
         """
-        if self.persistent:
-            if self._exporter is None:
-                self._exporter = TraceExporter(self.transport)
-            return self._exporter
-        return TraceExporter(self.transport)
-
-    def _map_streaming(
-        self,
-        units: Sequence[WorkUnit],
-        rng_indices: Optional[Sequence[int]] = None,
-    ) -> List[WriteMetrics]:
-        """Evaluate units whose chunks are produced on the fly.
-
-        Shards are generated lazily -- unit by unit, chunk by chunk, in
-        exactly the serial order -- and dispatched with at most
-        :attr:`window` in flight (:meth:`_execute_windowed`), so ingest and
-        synthesis advance only as fast as the workers drain them and the
-        whole pipeline never holds more than ``window`` chunks.  Results are
-        reduced in submission order, which keeps the metrics bit-identical
-        to the serial path for any ``n_jobs``.
-        """
-        per_unit = [WriteMetrics() for _ in units]
-        with span(
-            "map_streaming", units=len(units), n_jobs=self.n_jobs, backend=self.backend
-        ):
-            shards = self._shards(units, obs_ctx=task_context(), rng_indices=rng_indices)
-            for unit_index, _, metrics, payload in self._execute_windowed(
-                _evaluate_shard, shards
-            ):
-                absorb(payload)
-                per_unit[unit_index].merge(metrics)
-        return per_unit
+        if self.backend != "process" or not self._pooled(n_tasks):
+            return {}
+        if self._exporter is None:
+            self._exporter = TraceExporter()
+        exported: Dict[int, TraceDescriptor] = {}
+        for value in values:
+            if isinstance(value, WriteTrace):
+                descriptor = self._exporter.export(value)
+                if descriptor is not None:
+                    exported[id(value)] = descriptor
+        return exported
 
     def run(self, units: Sequence[WorkUnit]) -> Dict[Hashable, WriteMetrics]:
         """Evaluate every unit and reduce the results by ``unit.key``.
@@ -622,107 +592,68 @@ class ParallelRunner:
         compression-coverage study).  ``func`` must be picklable
         (module-level) when ``n_jobs > 1``.
 
-        Any :class:`WriteTrace` argument rides the zero-copy transport: the
-        parent exports it once (shared-memory segment or mmap descriptor,
-        per the runner's ``transport`` policy) and workers receive a
-        ~100-byte handle they resolve via the per-process attachment cache,
-        instead of each task pickling the trace's arrays.  Traces the policy
-        cannot carry fall back to pickling transparently; results are
-        identical either way.
+        Any :class:`WriteTrace` argument rides the zero-copy transport
+        exactly like a :meth:`map` unit's trace (:meth:`_export`): workers
+        receive a ~100-byte handle they resolve via the per-process
+        attachment cache instead of each task pickling the trace's arrays.
+        Results are identical either way.
         """
         tasks = [tuple(args) for args in tasks]
-        dispatching = (
-            self.backend == "process"
-            and self.n_jobs > 1
-            and len(tasks) > 1
-            and self.transport != "pickle"
-        )
-        with span("starmap", tasks=len(tasks), n_jobs=self.n_jobs, backend=self.backend):
-            obs_ctx = task_context()
-            if not dispatching:
-                return self._collect_star(
-                    self._execute(_call_star, [(func, args, obs_ctx) for args in tasks])
-                )
-            exporter = self._acquire_exporter()
-            try:
-                wrapped = [
-                    (
-                        func,
-                        tuple(self._export_arg(arg, exporter) for arg in args),
-                        obs_ctx,
-                    )
+        values = [arg for args in tasks for arg in args]
+        try:
+            with span("starmap", tasks=len(tasks), n_jobs=self.n_jobs, backend=self.backend):
+                shipped = {
+                    key: _ExportedTrace(descriptor)
+                    for key, descriptor in self._export(values, len(tasks)).items()
+                }
+                obs_ctx = task_context()
+                calls = [
+                    (func, tuple(shipped.get(id(arg), arg) for arg in args), obs_ctx)
                     for args in tasks
                 ]
-                return self._collect_star(self._execute(_call_star, wrapped))
-            finally:
-                if exporter is not self._exporter:
-                    exporter.release()
-                elif self._exporter is not None:
-                    self._exporter.prune(
-                        id(arg) for args in tasks for arg in args
-                        if isinstance(arg, WriteTrace)
-                    )
-
-    @staticmethod
-    def _collect_star(results: Iterator[Tuple[Any, Optional[ObsPayload]]]) -> List[Any]:
-        """Unwrap ``_call_star`` results, absorbing worker payloads in order."""
-        values = []
-        for value, payload in results:
-            absorb(payload)
-            values.append(value)
-        return values
-
-    @staticmethod
-    def _export_arg(arg: Any, exporter: TraceExporter) -> Any:
-        if isinstance(arg, WriteTrace):
-            descriptor = exporter.export(arg)
-            if descriptor is not None:
-                return _ExportedTrace(descriptor)
-        return arg
+                results = []
+                for result, payload in self._execute(_call_star, calls):
+                    absorb(payload)
+                    results.append(result)
+                return results
+        finally:
+            self._end_call(values)
 
     # ------------------------------------------------------------------ #
     # Execution backend
     # ------------------------------------------------------------------ #
-    def _make_executor(self, max_workers: int) -> Executor:
-        """Build the worker pool of the configured :attr:`backend`."""
-        if self.backend == "thread":
-            return ThreadPoolExecutor(max_workers=max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
+    def _pooled(self, n_tasks: int) -> bool:
+        """Whether a call of ``n_tasks`` tasks goes to the pool (else inline)."""
+        return self.n_jobs > 1 and n_tasks > 1
 
-    def _execute(self, worker: Callable[[Any], Any], items: Sequence[Any]) -> Iterator[Any]:
-        """Run ``worker`` over ``items`` serially or on the worker pool.
+    def _pool(self) -> Executor:
+        """The runner's worker pool of the configured :attr:`backend`, built lazily."""
+        if self._executor is None:
+            kind = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
+            self._executor = kind(max_workers=self.n_jobs)
+        return self._executor
 
-        Always yields results in input order, which the metric reduction
-        relies on for float determinism -- on both backends.  A persistent
-        runner reuses one lazily created pool across calls; a one-shot
-        runner builds and tears the pool down per call, as before.  Worker
-        failures self-heal (see the class docstring).
+    def _execute(self, worker: Callable[[Any], Any], items: Iterable[Any]) -> Iterator[Any]:
+        """Run ``worker`` over ``items`` and yield the results in input order.
+
+        ``items`` may be a lazy stream.  With ``n_jobs=1``, or when the call
+        has a single task, everything runs inline, one item at a time.
+        Otherwise items are pulled only while fewer than :attr:`window`
+        (default ``4 x n_jobs``) tasks are in flight, so the producer, the
+        pool and the reducer stay within a bounded number of tasks of each
+        other however long the stream is.  Results come back in submission
+        order on both backends, which the metric reduction relies on for
+        float determinism; worker failures self-heal (see the class
+        docstring).
         """
-        if self.n_jobs == 1 or len(items) <= 1:
+        items = iter(items)
+        head = list(islice(items, 2))
+        items = chain(head, items)
+        if not self._pooled(len(head)):
             for item in items:
                 yield self._run_serial_item(worker, item)
             return
-        yield from self._run_resilient(worker, iter(items), window=len(items))
-
-    def _execute_windowed(
-        self, worker: Callable[[Any], Any], items: Iterable[Any]
-    ) -> Iterator[Any]:
-        """Run ``worker`` over a lazily produced stream with backpressure.
-
-        Unlike :meth:`_execute` (which materialises its items and submits
-        everything upfront), this pulls from ``items`` only while fewer than
-        :attr:`window` tasks are in flight and yields results in submission
-        order -- the producer, the pool and the reducer stay within a bounded
-        number of chunks of each other no matter how long the stream is.
-        ``n_jobs=1`` consumes the stream inline, one item at a time.
-        """
-        if self.n_jobs == 1:
-            for item in items:
-                yield self._run_serial_item(worker, item)
-            return
-        yield from self._run_resilient(
-            worker, iter(items), window=self.window or 4 * self.n_jobs
-        )
+        yield from self._run_resilient(worker, items, window=self.window or 4 * self.n_jobs)
 
     def _run_serial_item(self, worker: Callable[[Any], Any], item: Any) -> Any:
         """Execute one task inline, retrying bounded transient failures."""
@@ -758,33 +689,14 @@ class ParallelRunner:
         pending: "deque[List[Any]]" = deque()  # [item, future] in submit order
         exhausted = False
         consecutive_rebuilds = 0
-        executor: Optional[Executor] = None
-
-        def pool() -> Executor:
-            nonlocal executor
-            if self.persistent:
-                if self._executor is None:
-                    self._executor = self._make_executor(self.n_jobs)
-                return self._executor
-            if executor is None:
-                executor = self._make_executor(self.n_jobs)
-            return executor
-
-        def discard_pool() -> None:
-            nonlocal executor
-            if self.persistent:
-                if self._executor is not None:
-                    _terminate_executor(self._executor)
-                    self._executor = None
-            elif executor is not None:
-                _terminate_executor(executor)
-                executor = None
 
         def rebuild_and_resubmit(reason: str) -> bool:
             """Heal a dead pool; False once the rebuild budget is spent."""
             nonlocal consecutive_rebuilds
             consecutive_rebuilds += 1
-            discard_pool()
+            if self._executor is not None:
+                _terminate_executor(self._executor)
+                self._executor = None
             if consecutive_rebuilds > self.max_pool_rebuilds:
                 return False
             count("pool_rebuilds")
@@ -800,56 +712,52 @@ class ParallelRunner:
             time.sleep(backoff * (0.5 + random.random()))
             for entry in pending:
                 entry[0] = _strip_inject(entry[0])
-                entry[1] = pool().submit(worker, entry[0])
+                entry[1] = self._pool().submit(worker, entry[0])
             return True
 
-        try:
-            while True:
-                while not exhausted and len(pending) < window:
-                    try:
-                        item = next(items)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    pending.append([item, pool().submit(worker, item)])
-                    observe("window_occupancy", len(pending))
-                if not pending:
-                    return
-                if not exhausted and len(pending) >= window:
-                    # The producer is ahead of the drain: the blocking wait
-                    # below is the backpressure that bounds streaming memory.
-                    count("backpressure_stalls")
-                head = pending[0]
-                future: Future = head[1]
+        while True:
+            while not exhausted and len(pending) < window:
                 try:
-                    result = future.result(timeout=self.task_timeout)
-                except FuturesTimeoutError:
-                    count("task_timeouts")
-                    if not rebuild_and_resubmit(
-                        f"task exceeded task_timeout={self.task_timeout:g}s"
-                    ):
-                        break
-                except BrokenProcessPool:
-                    if not rebuild_and_resubmit("broken process pool"):
-                        break
-                except TransientError:
-                    # Only this task failed; retry it alone (bounded), still
-                    # waiting on it first so the yield order is unchanged.
-                    if len(head) < 3:
-                        head.append(0)
-                    head[2] += 1
-                    if head[2] > self.task_retries:
-                        raise
-                    count("tasks_retried")
-                    head[0] = _strip_inject(head[0])
-                    head[1] = pool().submit(worker, head[0])
-                else:
-                    consecutive_rebuilds = 0
-                    pending.popleft()
-                    yield result
-        finally:
-            if not self.persistent and executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
+                    item = next(items)
+                except StopIteration:
+                    exhausted = True
+                    break
+                pending.append([item, self._pool().submit(worker, item)])
+                observe("window_occupancy", len(pending))
+            if not pending:
+                return
+            if not exhausted and len(pending) >= window:
+                # The producer is ahead of the drain: the blocking wait
+                # below is the backpressure that bounds streaming memory.
+                count("backpressure_stalls")
+            head = pending[0]
+            future: Future = head[1]
+            try:
+                result = future.result(timeout=self.task_timeout)
+            except FuturesTimeoutError:
+                count("task_timeouts")
+                if not rebuild_and_resubmit(
+                    f"task exceeded task_timeout={self.task_timeout:g}s"
+                ):
+                    break
+            except BrokenProcessPool:
+                if not rebuild_and_resubmit("broken process pool"):
+                    break
+            except TransientError:
+                # Only this task failed; retry it alone (bounded), still
+                # waiting on it first so the yield order is unchanged.
+                if len(head) < 3:
+                    head.append(0)
+                head[2] += 1
+                if head[2] > self.task_retries:
+                    raise
+                count("tasks_retried")
+                head[0] = _strip_inject(head[0])
+                head[1] = self._pool().submit(worker, head[0])
+            else:
+                consecutive_rebuilds = 0
+                pending.popleft()
+                yield result
 
         # Rebuild budget exhausted: degrade to serial for everything left
         # rather than failing the run.  Outstanding futures were discarded

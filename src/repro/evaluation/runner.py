@@ -23,7 +23,8 @@ exact serial path.
 from __future__ import annotations
 
 import tracemalloc
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from ..workloads.trace import WriteTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (serve layers above this)
     from ..serve.results import ResultStore
+    from .parallel import ParallelRunner
 
 
 def metrics_from_encoded(
@@ -190,6 +192,35 @@ def evaluate_trace(
     return total
 
 
+@contextmanager
+def _engine(
+    runner: Optional["ParallelRunner"],
+    n_jobs: int,
+    backend: str,
+    results_store: Optional["ResultStore"],
+    task_timeout: Optional[float],
+) -> Iterator["ParallelRunner"]:
+    """The runner for one multi-unit helper call, with its policies bound.
+
+    ``runner`` (or a one-shot runner of ``n_jobs`` x ``backend``) gets
+    ``results_store`` and ``task_timeout`` for this call only: a caller's
+    runner gets its previous values back afterwards, so its later calls do
+    not memoise into a store they never asked for.
+    """
+    from .parallel import ParallelRunner
+
+    engine = runner or ParallelRunner(n_jobs, backend=backend)
+    saved = engine.results_store, engine.task_timeout
+    if results_store is not None:
+        engine.results_store = results_store
+    if task_timeout is not None:
+        engine.task_timeout = task_timeout
+    try:
+        yield engine
+    finally:
+        engine.results_store, engine.task_timeout = saved
+
+
 def evaluate_schemes(
     encoders: Sequence[WriteEncoder],
     trace: WriteTrace,
@@ -210,20 +241,16 @@ def evaluate_schemes(
     pool's executor kind (results are bit-identical either way).  A
     ``results_store`` memoises per-unit metrics across calls and processes
     (store hits are bit-identical to fresh computation); when given it is
-    bound to whichever runner executes the call.
+    bound to whichever runner executes the call, for that call only.
     """
-    from .parallel import ParallelRunner, WorkUnit
+    from .parallel import WorkUnit
 
     units = [
         WorkUnit(encoder.name, encoder, trace, config, disturbance_model)
         for encoder in encoders
     ]
-    engine = runner or ParallelRunner(n_jobs, backend=backend)
-    if results_store is not None:
-        engine.results_store = results_store
-    if task_timeout is not None:
-        engine.task_timeout = task_timeout
-    per_unit = engine.map(units)
+    with _engine(runner, n_jobs, backend, results_store, task_timeout) as engine:
+        per_unit = engine.map(units)
     return {encoder.name: metrics for encoder, metrics in zip(encoders, per_unit)}
 
 
@@ -239,18 +266,14 @@ def evaluate_benchmarks(
     task_timeout: Optional[float] = None,
 ) -> Dict[str, WriteMetrics]:
     """Evaluate one scheme across a set of per-benchmark traces."""
-    from .parallel import ParallelRunner, WorkUnit
+    from .parallel import WorkUnit
 
     units = [
         WorkUnit(name, encoder, trace, config, disturbance_model)
         for name, trace in traces.items()
     ]
-    engine = runner or ParallelRunner(n_jobs, backend=backend)
-    if results_store is not None:
-        engine.results_store = results_store
-    if task_timeout is not None:
-        engine.task_timeout = task_timeout
-    return engine.run(units)
+    with _engine(runner, n_jobs, backend, results_store, task_timeout) as engine:
+        return engine.run(units)
 
 
 def average_metrics(per_benchmark: Mapping[str, WriteMetrics]) -> WriteMetrics:

@@ -106,17 +106,15 @@ def energy_level_sweep(
     return results
 
 
-def _coverage_cell(compressor: Compressor, lines, budget_bits: int) -> float:
+def _coverage_cell(compressor: Compressor, trace: WriteTrace, budget_bits: int) -> float:
     """Coverage of one (compressor, benchmark) cell as a percentage.
 
-    ``lines`` is a :class:`LineBatch` or a whole :class:`WriteTrace` -- the
-    latter when the parallel engine's ``starmap`` ships the trace by
+    Coverage is measured on the new-data side of ``trace``.  The whole trace
+    is the argument so the parallel engine's ``starmap`` can ship it by
     zero-copy transport descriptor instead of pickling arrays into every
-    task; coverage is measured on the new-data side either way.
+    task.
     """
-    if isinstance(lines, WriteTrace):
-        lines = lines.new
-    return 100.0 * compressor.coverage(lines, budget_bits)
+    return 100.0 * compressor.coverage(trace.new, budget_bits)
 
 
 def compression_coverage(
@@ -143,24 +141,8 @@ def compression_coverage(
 
     names = list(traces)
     runner = runner or ParallelRunner(n_jobs)
-    # Hand starmap the whole trace only when it can actually travel as a
-    # transport descriptor (shared memory present, or every trace already
-    # corpus-backed); everywhere the engine would fall back to pickling,
-    # ship just the new-data batch -- all the cell reads, and half the
-    # arrays of the full trace.
-    from ..traces.transport import shared_memory_available
-
-    by_descriptor = (
-        runner.backend == "process"
-        and runner.n_jobs > 1
-        and runner.transport != "pickle"
-        and (
-            shared_memory_available()
-            or all(trace.mmap_path is not None for trace in traces.values())
-        )
-    )
     tasks = [
-        (compressor, traces[name] if by_descriptor else traces[name].new, budget)
+        (compressor, traces[name], budget)
         for name in names
         for _, compressor, budget in methods
     ]

@@ -27,7 +27,7 @@ the rationale):
   ``sample_disturbance`` always participate.  ``seed`` and the unit index
   join the key only when ``sample_disturbance`` is on (the deterministic
   expected-value path never draws from the RNG streams).  ``n_jobs``, pool
-  backend, transport and trace cache budgets are deliberately *excluded*:
+  backend and trace cache budgets are deliberately *excluded*:
   the engine proves results bit-identical across all of them, so entries
   written under one parallelisation serve every other;
 * :data:`~repro.workloads.generator.GENERATOR_VERSION` folds in so that a

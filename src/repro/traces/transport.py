@@ -87,6 +87,15 @@ class MmapTraceDescriptor:
 TraceDescriptor = Union[ShmTraceDescriptor, MmapTraceDescriptor]
 
 
+def _rewritten(descriptor: MmapTraceDescriptor) -> bool:
+    """Whether the file behind ``descriptor`` is no longer the exported version."""
+    try:
+        stat = Path(descriptor.path).stat()
+    except OSError:
+        return True
+    return (stat.st_mtime_ns, stat.st_size) != (descriptor.mtime_ns, descriptor.size)
+
+
 def _segment_bytes(n_lines: int, has_addresses: bool) -> int:
     per_line = 2 * WORDS_PER_LINE * 8 + (8 if has_addresses else 0)
     return max(1, n_lines * per_line)
@@ -113,13 +122,12 @@ def _segment_views(
 class TraceExporter:
     """Parent-side transport chooser and shared-segment owner.
 
-    ``policy`` selects the transport: ``"auto"`` (mmap when corpus-backed,
-    else shared memory, else pickle), ``"mmap"`` / ``"shm"`` (build only that
-    descriptor kind; :meth:`export` returns ``None`` -- i.e. pickle fallback
-    -- for traces it cannot carry), or ``"pickle"`` (never export; the legacy
-    behaviour, used by the transport benchmark as the baseline).  Exports are
-    cached per trace object, so a sweep that wraps the same trace in hundreds
-    of work units still creates one segment.
+    :meth:`export` picks the cheapest transport for each trace: an mmap
+    descriptor when the trace is corpus-backed, else a shared-memory
+    segment, else ``None`` -- the pickle fallback -- when the host has no
+    shared memory or the segment cannot be created.  Exports are cached per
+    trace object, so a sweep that wraps the same trace in hundreds of work
+    units still creates one segment.
 
     Call :meth:`release` (or use the instance as a context manager) once the
     results have been reduced; it closes and unlinks every segment this
@@ -127,10 +135,7 @@ class TraceExporter:
     them, so release-after-submit is safe.
     """
 
-    def __init__(self, policy: str = "auto"):
-        if policy not in ("auto", "mmap", "shm", "pickle"):
-            raise TraceError(f"unknown transport policy {policy!r}")
-        self.policy = policy
+    def __init__(self) -> None:
         # id(trace) -> (trace, descriptor, shm segment or None).  The strong
         # trace reference keeps the id from being recycled by a new object
         # while the cache lives; the segment travels with its entry so
@@ -206,14 +211,17 @@ class TraceExporter:
         """Descriptor for ``trace``, or ``None`` to fall back to pickling."""
         key = id(trace)
         cached = self._by_trace.get(key)
-        if cached is not None:
+        # A cached mmap descriptor whose file was rewritten since is re-exported
+        # (as shared memory: the trace still views the old data), so workers
+        # are only ever shipped the version a corpus path currently holds.
+        if cached is not None and not (
+            isinstance(cached[1], MmapTraceDescriptor) and _rewritten(cached[1])
+        ):
             count("trace_export_reused")
             return cached[1]
-        descriptor: Optional[TraceDescriptor] = None
+        descriptor: Optional[TraceDescriptor] = self._mmap_descriptor(trace)
         segment = None
-        if self.policy in ("auto", "mmap"):
-            descriptor = self._mmap_descriptor(trace)
-        if descriptor is None and self.policy in ("auto", "shm"):
+        if descriptor is None:
             descriptor, segment = self._shm_export(trace)
         if isinstance(descriptor, ShmTraceDescriptor):
             count("trace_export", kind="shm")
@@ -296,14 +304,12 @@ def _attach_mmap(descriptor: MmapTraceDescriptor) -> Tuple[object, WriteTrace]:
             f"({header.n_lines} lines at offset {header.data_offset}, "
             f"expected {descriptor.n_lines} at {descriptor.data_offset})"
         )
-    if descriptor.size:
-        stat = Path(descriptor.path).stat()
-        if (stat.st_mtime_ns, stat.st_size) != (descriptor.mtime_ns, descriptor.size):
-            # Same layout but a different file version (overwritten in place
-            # between export and attach) would silently evaluate wrong data.
-            raise TraceError(
-                f"{descriptor.path} changed since it was exported; re-export the trace"
-            )
+    if descriptor.size and _rewritten(descriptor):
+        # Same layout but a different file version (overwritten in place
+        # between export and attach) would silently evaluate wrong data.
+        raise TraceError(
+            f"{descriptor.path} changed since it was exported; re-export the trace"
+        )
     return None, load_trace(descriptor.path, mmap=True)
 
 
@@ -323,6 +329,11 @@ def attach_trace(descriptor: TraceDescriptor) -> WriteTrace:
         handle, trace = _attach_shm(descriptor)
     elif isinstance(descriptor, MmapTraceDescriptor):
         handle, trace = _attach_mmap(descriptor)
+        # The exporter only ships the version a path currently holds, so any
+        # other mapping of this path is never asked for again: drop it rather
+        # than pin the pages of every version of a file rewritten in place.
+        for other in [d for d in _ATTACHED if getattr(d, "path", None) == descriptor.path]:
+            del _ATTACHED[other]
     else:
         raise TraceError(f"unknown trace descriptor: {descriptor!r}")
     _ATTACHED[descriptor] = (handle, trace)

@@ -22,6 +22,7 @@ from repro.evaluation.runner import (
     evaluate_trace,
 )
 from repro.evaluation.sweeps import compression_coverage, granularity_sweep
+from repro.obs import observation
 
 #: Small chunks so every work unit splits into several shards.
 CONFIG = EvaluationConfig(chunk_size=32)
@@ -136,27 +137,53 @@ class TestRunnerSemantics:
         assert ParallelRunner(n_jobs=1).starmap(abs, tasks) == list(range(20))
         assert ParallelRunner(n_jobs=3).starmap(abs, tasks) == list(range(20))
 
-    def test_starmap_ships_traces_by_transport(self, gcc_trace):
-        """WriteTrace args ride the zero-copy transport, results unchanged."""
-        from repro.evaluation.sweeps import compression_coverage
+    def test_starmap_ships_traces_by_transport(self, gcc_trace, monkeypatch):
+        """WriteTrace args ride the zero-copy transport, results unchanged:
+        shared memory by default, pickling on a host without it."""
+        import repro.traces.transport
 
         traces = {"gcc": gcc_trace[:96]}
         serial = compression_coverage(traces, runner=ParallelRunner(1))
-        shm = compression_coverage(traces, runner=ParallelRunner(2, transport="shm"))
-        pickled = compression_coverage(
-            traces, runner=ParallelRunner(2, transport="pickle")
-        )
-        assert serial == shm == pickled
+        shipped = {}
+        for kind in ("shm", "pickle"):
+            if kind == "pickle":
+                monkeypatch.setattr(repro.traces.transport, "_shm", None)
+            with observation() as session:
+                shipped[kind] = compression_coverage(traces, runner=ParallelRunner(4))
+            # eight coverage cells share the trace: exported once, reused after
+            snapshot = session.metrics.snapshot()
+            assert snapshot[f"trace_export{{kind={kind}}}"]["value"] == 1
+            assert snapshot["trace_export_reused"]["value"] == 7
+        assert serial == shipped["shm"] == shipped["pickle"]
 
     def test_starmap_transport_with_persistent_runner(self, gcc_trace):
         from repro.evaluation.sweeps import compression_coverage
 
         traces = {"gcc": gcc_trace[:96]}
         serial = compression_coverage(traces, runner=ParallelRunner(1))
-        with ParallelRunner(2, transport="shm") as runner:
+        with ParallelRunner(2) as runner:
             first = compression_coverage(traces, runner=runner)
             second = compression_coverage(traces, runner=runner)
         assert serial == first == second
+
+    def test_transport_knob_is_gone(self):
+        # Each trace decides its transport (mmap, else shm, else pickle).
+        with pytest.raises(TypeError, match="transport"):
+            ParallelRunner(n_jobs=2, transport="pickle")
+
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_materialised_call_keeps_at_most_window_in_flight(self, gcc_trace, backend):
+        """A materialised call is windowed like a stream, not submitted at once."""
+        encoder = make_scheme("baseline")
+        trace = gcc_trace[:192]  # six shards
+        with observation() as session:
+            result = ParallelRunner(2, window=2, backend=backend).map(
+                [WorkUnit("k", encoder, trace, CONFIG)]
+            )[0]
+        occupancy = session.metrics.snapshot()["window_occupancy"]
+        assert occupancy["count"] == 6  # one observation per submitted shard
+        assert occupancy["max"] == 2
+        assert result == evaluate_trace(encoder, trace, CONFIG)
 
 
 class TestRewiredHelpers:

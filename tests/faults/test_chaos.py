@@ -102,9 +102,7 @@ def test_hang_watchdog_recovers_bit_identical(gcc_trace, reference, n_jobs, back
 
 def test_attach_failure_is_retried(gcc_trace, reference):
     """A transient zero-copy attach error costs a retry, not the run."""
-    result = _chaos_run(
-        gcc_trace[:128], "attach-fail@attach:1", 4, "process", transport="shm"
-    )
+    result = _chaos_run(gcc_trace[:128], "attach-fail@attach:1", 4, "process")
     assert faults.injected_counts() == {"attach": 1}
     assert result == reference["plain"]
 

@@ -21,6 +21,7 @@ from repro.core.disturbance import DisturbanceModel
 from repro.core.energy import EnergyModel
 from repro.core.metrics import WriteMetrics
 from repro.evaluation.parallel import ParallelRunner, WorkUnit, shared_runner
+from repro.evaluation.runner import evaluate_benchmarks, evaluate_schemes
 from repro.obs import observation
 from repro.serve import results as results_module
 from repro.serve.results import (
@@ -510,3 +511,32 @@ class TestStoreHitBitIdentity:
         runner = shared_runner(1, "process", results_store=store)
         assert runner.results_store is store
         assert shared_runner(1, "process").results_store is None
+
+    @pytest.mark.parametrize("helper", ["evaluate_schemes", "evaluate_benchmarks"])
+    def test_helpers_do_not_leave_the_store_on_a_callers_runner(
+        self, tmp_path, gcc_trace, helper
+    ):
+        """The store and watchdog bind for the helper's call only: the
+        caller's runner gets its own values back, so its later ``map`` calls
+        do not memoise into a store they never asked for."""
+        store = ResultStore(tmp_path / "store")
+        own = ResultStore(tmp_path / "own")
+        encoder = make_scheme("baseline")
+        trace = gcc_trace[:64]
+        for before in (None, own):
+            runner = ParallelRunner(n_jobs=1, results_store=before, task_timeout=9.0)
+            if helper == "evaluate_schemes":
+                evaluate_schemes(
+                    [encoder], trace, CONFIG, runner=runner,
+                    results_store=store, task_timeout=5.0,
+                )
+            else:
+                evaluate_benchmarks(
+                    encoder, {"gcc": trace}, CONFIG, runner=runner,
+                    results_store=store, task_timeout=5.0,
+                )
+            assert runner.results_store is before
+            assert runner.task_timeout == 9.0
+        assert store.misses == 1 and store.hits == 1  # the helper did use it
+        runner.map([WorkUnit("k", encoder, trace, CONFIG)])
+        assert store.misses == 1 and store.hits == 1

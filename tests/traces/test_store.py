@@ -309,7 +309,7 @@ class TestCorpusGC:
 
         corpus = TraceCorpus(tmp_path / "c")
         trace = corpus.get_or_generate("gcc", 32, seed=1)
-        with TraceExporter("mmap") as exporter:
+        with TraceExporter() as exporter:
             descriptor = exporter.export(trace)
             assert isinstance(descriptor, MmapTraceDescriptor)
             corpus.get_or_generate("gcc", 32, seed=1)  # concurrent cache hit

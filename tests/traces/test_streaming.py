@@ -6,7 +6,7 @@ The pipeline's contract, asserted here layer by layer:
 * streamed ingest (parse -> synthesise -> spool) is bit-identical to the
   in-memory path for every dialect;
 * evaluating an :class:`IngestChunkSource` through the engine's windowed
-  streaming dispatch is bit-identical to the serial in-memory evaluation at
+  dispatch is bit-identical to the serial in-memory evaluation at
   ``n_jobs`` 1 and 4 (the hypothesis property test below is the ISSUE's
   acceptance criterion);
 * peak memory of the streamed path is bounded by the in-flight window, not
@@ -31,6 +31,7 @@ from repro.core.config import EvaluationConfig
 from repro.core.errors import TraceError
 from repro.evaluation.parallel import ParallelRunner, WorkUnit
 from repro.evaluation.runner import evaluate_trace
+from repro.obs import observation
 from repro.traces.ingest import (
     IngestChunkSource,
     StreamingSynthesizer,
@@ -353,6 +354,31 @@ class TestStreamingEvaluation:
         results = ParallelRunner(2, window=2).map(units)
         assert results[0] == evaluate_trace(encoder, gcc_trace[:150], MC_CONFIG)
         assert results[1] == evaluate_trace(encoder, mem, MC_CONFIG, unit_index=1)
+
+    def test_mixed_call_exports_the_corpus_backed_unit(self, tmp_path):
+        """A streaming unit beside an mmap-backed one: the corpus unit ships
+        by mmap descriptor (its chunks are not pickled in the parent) and
+        both match the serial run bit for bit under sampled disturbance."""
+        rng = np.random.default_rng(11)
+        src = _write_ramulator(tmp_path / "in.trace", _addresses(rng, 300))
+        mem = ingest_trace_file(src, chunk_lines=64)
+        corpus = load_trace(save_trace(mem, tmp_path / "in.wtrc"))
+        encoder = make_scheme("wlcrc-16")
+        units = [
+            WorkUnit("stream", encoder, IngestChunkSource(src, chunk_lines=64), MC_CONFIG),
+            WorkUnit("corpus", encoder, corpus, MC_CONFIG),
+        ]
+        with observation() as session:
+            results = ParallelRunner(2).map(units)
+        exports = {
+            key: entry["value"]
+            for key, entry in session.metrics.snapshot().items()
+            if key.startswith("trace_export{")
+        }
+        assert exports == {"trace_export{kind=mmap}": 1}
+        assert results == [
+            evaluate_trace(encoder, mem, MC_CONFIG, unit_index=index) for index in (0, 1)
+        ]
 
 
 class TestBoundedMemory:

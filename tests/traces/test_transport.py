@@ -19,6 +19,8 @@ from repro.core.errors import TraceError
 from repro.core.line import LineBatch
 from repro.evaluation.parallel import ParallelRunner, WorkUnit
 from repro.evaluation.runner import evaluate_trace
+from repro.obs import observation
+from repro.traces import transport as transport_module
 from repro.traces.store import load_trace, save_trace
 from repro.traces.transport import (
     MmapTraceDescriptor,
@@ -33,6 +35,18 @@ from repro.workloads.trace import WriteTrace
 CONFIG = EvaluationConfig(chunk_size=32)
 MC_CONFIG = EvaluationConfig(chunk_size=32, sample_disturbance=True, seed=3)
 
+needs_shm = pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
+
+
+def _export_kinds(session):
+    """``{kind: count}`` of the ``trace_export`` counter in an observation."""
+    prefix = "trace_export{kind="
+    return {
+        key[len(prefix):-1]: entry["value"]
+        for key, entry in session.metrics.snapshot().items()
+        if key.startswith(prefix)
+    }
+
 
 def _trace(n=64, seed=0):
     rng = np.random.default_rng(seed)
@@ -45,10 +59,10 @@ def _trace(n=64, seed=0):
 
 
 class TestExporter:
-    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
+    @needs_shm
     def test_shm_roundtrip(self):
         trace = _trace()
-        with TraceExporter("shm") as exporter:
+        with TraceExporter() as exporter:
             descriptor = exporter.export(trace)
             assert isinstance(descriptor, ShmTraceDescriptor)
             attached = attach_trace(descriptor)
@@ -58,21 +72,23 @@ class TestExporter:
 
     def test_mmap_descriptor_for_corpus_trace(self, tmp_path):
         trace = load_trace(save_trace(_trace(), tmp_path / "t.wtrc"))
-        with TraceExporter("auto") as exporter:
+        with TraceExporter() as exporter:
             descriptor = exporter.export(trace)
             assert isinstance(descriptor, MmapTraceDescriptor)
             attached = attach_trace(descriptor)
             assert attached.old == trace.old
             assert attached.new == trace.new
 
-    def test_pickle_policy_exports_nothing(self):
-        with TraceExporter("pickle") as exporter:
+    def test_exports_nothing_without_shared_memory(self, monkeypatch):
+        """An in-memory trace on a host without shared memory is pickled."""
+        monkeypatch.setattr(transport_module, "_shm", None)
+        with TraceExporter() as exporter:
             assert exporter.export(_trace()) is None
 
-    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
+    @needs_shm
     def test_export_is_cached_per_trace_object(self):
         trace = _trace()
-        with TraceExporter("shm") as exporter:
+        with TraceExporter() as exporter:
             assert exporter.export(trace) is exporter.export(trace)
             assert len(exporter._by_trace) == 1
 
@@ -80,14 +96,14 @@ class TestExporter:
         """A slice no longer matches the file layout, so mmap is refused."""
         trace = load_trace(save_trace(_trace(), tmp_path / "t.wtrc"))
         part = trace[:10]
-        with TraceExporter("mmap") as exporter:
+        with TraceExporter() as exporter:
             assert not isinstance(exporter.export(part), MmapTraceDescriptor)
 
     def test_overwritten_corpus_file_gets_fresh_descriptor(self, tmp_path):
         """Same path + same length but new contents must not hit a stale cache."""
         path = tmp_path / "t.wtrc"
         first = load_trace(save_trace(_trace(seed=1), path))
-        with TraceExporter("mmap") as exporter:
+        with TraceExporter() as exporter:
             d1 = exporter.export(first)
             attach_trace(d1)
         import os
@@ -95,7 +111,7 @@ class TestExporter:
         save_trace(_trace(seed=2), path)
         os.utime(path, ns=(1, 1))  # force a distinct mtime even on coarse clocks
         second = load_trace(path)
-        with TraceExporter("mmap") as exporter:
+        with TraceExporter() as exporter:
             d2 = exporter.export(second)
             assert d2 != d1  # different descriptor => no stale cache hit
             assert attach_trace(d2).new == second.new
@@ -108,7 +124,7 @@ class TestExporter:
         trace = load_trace(save_trace(_trace(seed=1), path))
         save_trace(_trace(seed=2), path)  # same layout, new inode/contents
         os.utime(path, ns=(3, 3))
-        with TraceExporter("auto") as exporter:
+        with TraceExporter() as exporter:
             descriptor = exporter.export(trace)
             # falls back to shm (or pickling), never an mmap of the new file
             assert not isinstance(descriptor, MmapTraceDescriptor)
@@ -121,16 +137,48 @@ class TestExporter:
 
         path = tmp_path / "t.wtrc"
         trace = load_trace(save_trace(_trace(seed=1), path))
-        with TraceExporter("mmap") as exporter:
+        with TraceExporter() as exporter:
             descriptor = exporter.export(trace)
             save_trace(_trace(seed=2), path)  # same length => same layout
             os.utime(path, ns=(2, 2))
             with pytest.raises(TraceError, match="changed since it was exported"):
                 attach_trace(descriptor)
 
-    def test_bad_policy_rejected(self):
-        with pytest.raises(TraceError):
-            TraceExporter("carrier-pigeon")
+    @needs_shm
+    def test_cached_export_of_a_rewritten_file_is_renewed(self, tmp_path):
+        """A persistent exporter must not re-ship a version the file lost."""
+        import os
+
+        path = tmp_path / "t.wtrc"
+        trace = load_trace(save_trace(_trace(seed=1), path))
+        with TraceExporter() as exporter:
+            assert isinstance(exporter.export(trace), MmapTraceDescriptor)
+            save_trace(_trace(seed=2), path)
+            os.utime(path, ns=(4, 4))
+            renewed = exporter.export(trace)
+            assert isinstance(renewed, ShmTraceDescriptor)
+            assert attach_trace(renewed).new == trace.new
+
+    def test_attachments_keep_one_version_per_path(self, tmp_path):
+        """Rewriting a corpus file in place must not pin every old mapping
+        in the worker's attachment cache."""
+        import os
+
+        path = tmp_path / "t.wtrc"
+        descriptors = []
+        for version in (1, 2, 3):
+            save_trace(_trace(seed=version), path)
+            os.utime(path, ns=(version, version))
+            with TraceExporter() as exporter:
+                descriptors.append(exporter.export(load_trace(path)))
+            assert attach_trace(descriptors[-1]).new == _trace(seed=version).new
+        cached = [d for d in transport_module._ATTACHED if getattr(d, "path", None) == str(path)]
+        assert cached == [descriptors[-1]]
+
+    def test_policy_argument_is_gone(self):
+        # The trace decides its transport (mmap, else shm, else pickle).
+        with pytest.raises(TypeError):
+            TraceExporter("pickle")
 
     def test_unknown_descriptor_rejected(self):
         with pytest.raises(TraceError):
@@ -138,50 +186,60 @@ class TestExporter:
 
 
 class TestEngineTransports:
-    """All four transport policies agree with the serial reference."""
+    """Every transport the default exporter picks agrees with the serial reference.
 
-    @pytest.mark.parametrize("transport", ["auto", "shm", "mmap", "pickle"])
-    def test_in_memory_trace(self, gcc_trace, transport):
+    The parameter names the transport the engine must pick, read back from
+    the ``trace_export`` counter: shared memory for an in-memory trace, mmap
+    for a corpus-backed one, shared memory for a corpus slice the file cannot
+    describe, and pickling on a host without shared memory.
+    """
+
+    @pytest.mark.parametrize("kind", [pytest.param("shm", marks=needs_shm), "pickle"])
+    def test_in_memory_trace(self, gcc_trace, kind, monkeypatch):
+        if kind == "pickle":
+            monkeypatch.setattr(transport_module, "_shm", None)
         trace = gcc_trace[:128]
         encoder = make_scheme("wlcrc-16")
         reference = evaluate_trace(encoder, trace, CONFIG)
-        result = ParallelRunner(4, transport=transport).map(
-            [WorkUnit("k", encoder, trace, CONFIG)]
-        )[0]
+        with observation() as session:
+            result = ParallelRunner(4).map([WorkUnit("k", encoder, trace, CONFIG)])[0]
+        assert _export_kinds(session) == {kind: 1}
         assert result == reference
 
-    @pytest.mark.parametrize("transport", ["auto", "shm", "mmap", "pickle"])
-    def test_corpus_backed_trace(self, gcc_trace, transport, tmp_path):
-        trace = load_trace(save_trace(gcc_trace[:128], tmp_path / "t.wtrc"))
+    @pytest.mark.parametrize("kind", ["mmap", pytest.param("shm", marks=needs_shm), "pickle"])
+    def test_corpus_backed_trace(self, gcc_trace, kind, tmp_path, monkeypatch):
+        if kind == "pickle":
+            monkeypatch.setattr(transport_module, "_shm", None)
+        corpus = load_trace(save_trace(gcc_trace[:160], tmp_path / "t.wtrc"))
+        trace = corpus if kind == "mmap" else corpus[:128]
         encoder = make_scheme("wlcrc-16")
-        reference = evaluate_trace(encoder, gcc_trace[:128], CONFIG)
-        result = ParallelRunner(4, transport=transport).map(
-            [WorkUnit("k", encoder, trace, CONFIG)]
-        )[0]
+        reference = evaluate_trace(encoder, gcc_trace[: len(trace)], CONFIG)
+        with observation() as session:
+            result = ParallelRunner(4).map([WorkUnit("k", encoder, trace, CONFIG)])[0]
+        assert _export_kinds(session) == {kind: 1}
         assert result == reference
 
     def test_monte_carlo_streams_survive_transport(self, gcc_trace, tmp_path):
-        trace = load_trace(save_trace(gcc_trace[:128], tmp_path / "t.wtrc"))
+        in_memory = gcc_trace[:128]
+        corpus = load_trace(save_trace(in_memory, tmp_path / "t.wtrc"))
         encoder = make_scheme("baseline")
-        reference = evaluate_trace(encoder, gcc_trace[:128], MC_CONFIG)
-        for transport in ("shm", "mmap"):
-            result = ParallelRunner(4, transport=transport).map(
-                [WorkUnit("k", encoder, trace, MC_CONFIG)]
-            )[0]
-            assert result == reference, transport
+        reference = evaluate_trace(encoder, in_memory, MC_CONFIG)
+        for trace in (in_memory, corpus):  # shared memory, then mmap
+            result = ParallelRunner(4).map([WorkUnit("k", encoder, trace, MC_CONFIG)])[0]
+            assert result == reference, trace.mmap_path
 
 
 class TestInlineShortCircuit:
     def test_single_shard_unit_skips_export(self, gcc_trace):
         """One-chunk work runs inline; no shm copy or parent attachment."""
-        import repro.traces.transport as transport_module
-
         before = len(transport_module._ATTACHED)
-        runner = ParallelRunner(4, transport="shm")
+        runner = ParallelRunner(4)
         trace = gcc_trace[:16]  # a single chunk under CONFIG
         reference = evaluate_trace(make_scheme("baseline"), trace, CONFIG)
-        result = runner.map([WorkUnit("k", make_scheme("baseline"), trace, CONFIG)])[0]
+        with observation() as session:
+            result = runner.map([WorkUnit("k", make_scheme("baseline"), trace, CONFIG)])[0]
         assert result == reference
+        assert _export_kinds(session) == {}
         assert len(transport_module._ATTACHED) == before
 
 
@@ -191,7 +249,7 @@ class TestPersistentPool:
         encoder = make_scheme("baseline")
         trace = gcc_trace[:128]
         units = [WorkUnit("k", encoder, trace, CONFIG)]
-        with ParallelRunner(2, transport="shm") as runner:
+        with ParallelRunner(2) as runner:
             first = runner.run(units)["k"]
             assert len(runner._exporter._by_trace) == 1
             descriptor = runner._exporter.export(trace)
@@ -205,7 +263,7 @@ class TestPersistentPool:
     def test_persistent_runner_prunes_stale_exports(self, gcc_trace, libq_trace):
         """Looping over ever-new traces must not pin old shm segments."""
         encoder = make_scheme("baseline")
-        with ParallelRunner(2, transport="shm") as runner:
+        with ParallelRunner(2) as runner:
             runner.run([WorkUnit("k", encoder, gcc_trace[:128], CONFIG)])
             runner.run([WorkUnit("k", encoder, libq_trace[:128], CONFIG)])
             # only the latest run's trace remains exported
