@@ -28,7 +28,11 @@ written value, preserving the reuse structure of the original workload.
 
 Everything in this module streams.  The parsers are generators that yield
 bounded ``uint64`` address chunks instead of materialising the whole stream
-in a Python list, and :class:`StreamingSynthesizer` consumes those chunks one
+in a Python list.  The ramulator2 parser reads the file in 64 KiB byte
+blocks and parses each block with numpy; a block holding any line outside
+the canonical grammar (see :func:`_parse_block`) goes through the per-line
+parser instead, which stays the one source of parse errors and their line
+numbers.  :class:`StreamingSynthesizer` consumes the address chunks one
 at a time: chunk ``k``'s random draws come from a
 :class:`numpy.random.SeedSequence` seeded with the running SHA-256 digest of
 the address stream *up to and including* chunk ``k`` (plus the optional user
@@ -51,8 +55,9 @@ through the parallel evaluation engine.
 from __future__ import annotations
 
 import hashlib
+import io
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -84,22 +89,30 @@ SYNTHESIS_VERSION = 2
 #: from its own RNG stream), so the streamed and in-memory paths share this
 #: one constant to stay bit-identical.
 SYNTHESIS_CHUNK_LINES = 1 << 16
-#: Parsed lines buffered per parser-generator yield (amortises numpy
-#: conversion; does not affect any output, unlike the synthesis quantum).
-PARSE_BUFFER_LINES = 1 << 16
+#: Bytes the ramulator2 parser reads per block (each block is then cut at
+#: its last newline); bounds the block parser's scratch, changes no output.
+_BLOCK_BYTES = 1 << 16
+#: Addresses the per-line parsers buffer per yield; changes no output.
+_FLUSH_LINES = 1 << 16
 
 
-def _clean_lines(path: Path):
+def _open(path: Path, mode: str, **kwargs):
     try:
-        fh = open(path, "r", encoding="utf-8", errors="replace")
+        return open(path, mode, **kwargs)
     except OSError as exc:  # directory, permission, I/O errors
         raise TraceError(f"cannot read trace file {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+
+
+def _data_lines(numbered: Iterable[Tuple[int, str]]) -> Iterator[Tuple[int, str]]:
+    for lineno, raw in numbered:
+        line = raw.strip()
+        if line and not line.startswith("#"):
             yield lineno, line
+
+
+def _clean_lines(path: Path) -> Iterator[Tuple[int, str]]:
+    with _open(path, "r", encoding="utf-8", errors="replace") as fh:
+        yield from _data_lines(enumerate(fh, start=1))
 
 
 def _flush(buffer: List[int]) -> np.ndarray:
@@ -118,19 +131,191 @@ def _require_file(path: Union[str, Path]) -> Path:
 # ---------------------------------------------------------------------- #
 # Parser generators: ASCII trace -> bounded chunks of write-line addresses
 # ---------------------------------------------------------------------- #
-def iter_ramulator_addresses(
-    path: Union[str, Path], buffer_lines: int = PARSE_BUFFER_LINES
-) -> Iterator[np.ndarray]:
+def iter_ramulator_addresses(path: Union[str, Path]) -> Iterator[np.ndarray]:
     """Stream a ramulator2-style ASCII trace as 64B-aligned write addresses.
 
-    Yields ``uint64`` arrays of at most ``buffer_lines`` addresses (plus any
-    multi-line expansion of the last access), in trace order; reads are
-    filtered out and accesses spanning several lines contribute one address
-    per touched line.
+    Yields a ``uint64`` array for each parse block that holds writes, in
+    trace order; reads are filtered out and accesses spanning several lines
+    contribute one address per touched line.
     """
     path = _require_file(path)
+    lineno = 1
+    for block in _blocks(path):
+        addresses = _parse_block(block)
+        if addresses is None:
+            with io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", errors="replace") as fh:
+                lines = list(fh)
+            addresses = np.asarray(
+                _ramulator_line_addresses(
+                    path, _data_lines(enumerate(lines, start=lineno))
+                ),
+                dtype=np.uint64,
+            )
+            lineno += len(lines)
+        else:
+            lineno += block.count(b"\n")
+        if len(addresses):
+            yield addresses
+
+
+def _blocks(path: Path) -> Iterator[bytes]:
+    """The file's bytes in blocks of about :data:`_BLOCK_BYTES`.
+
+    Every block but the last ends at a newline, so no line straddles two
+    blocks; a line longer than a block grows its block until it ends.
+    """
+    with _open(path, "rb") as fh:
+        carry = b""
+        while True:
+            data = fh.read(_BLOCK_BYTES)
+            if not data:
+                break
+            data = carry + data
+            cut = data.rfind(b"\n") + 1
+            carry = data[cut:]
+            if cut:
+                yield data[:cut]
+        if carry:
+            yield carry
+
+
+#: Classes of the bytes a block may hold besides hex digits (whose class is
+#: their value), and of the bytes that decline it: non-ASCII and control
+#: bytes other than tab, CR and LF.
+_NOT_HEX, _BAD = 16, 255
+
+
+def _byte_classes() -> bytes:
+    """The ``bytes.translate`` table from a byte to its class."""
+    table = bytearray([_BAD] * 256)
+    for byte in b" \t\r\n" + bytes(range(33, 127)):
+        table[byte] = _NOT_HEX
+    for value, digit in enumerate(b"0123456789abcdef"):
+        table[digit] = value
+    for value, digit in enumerate(b"ABCDEF", start=10):
+        table[digit] = value
+    return bytes(table)
+
+
+_CLASSES = _byte_classes()
+#: Left padding of a block, so the 16-byte window of a token that starts
+#: the block stays inside the buffer.
+_PAD = b" " * 16
+#: Per digit count d: the two little-endian words masking the last d of 16 bytes.
+_DIGIT_BYTES = np.array(
+    [[(int.from_bytes(bytes(16 - d) + b"\xff" * d, "little") >> shift) & (2**64 - 1)
+      for shift in (0, 64)] for d in range(17)],
+    dtype=np.uint64,
+)
+_U64_MAX = np.uint64(2**64 - 1)
+
+
+def _parse_block(block: bytes) -> Optional[np.ndarray]:
+    """The write-line addresses of one block, or ``None`` to parse it per line.
+
+    Covers the canonical grammar: lines of two or three fields,
+    ``R|W|LD|ST`` in any case, then an address and an optional size of one
+    to sixteen hex digits with an optional ``0x``/``0X`` prefix; blank lines,
+    ``#`` comment lines, tabs and CRLF endings.  Anything else -- non-ASCII
+    or control bytes, a lone CR, one or more than three fields, a sign or
+    ``_`` in a number, more than sixteen digits, a size above
+    :data:`MAX_ACCESS_BYTES` or an access past the 64-bit space -- declines
+    the whole block, and the per-line parser gives the result or the error.
+    """
+    padded = _PAD + block + (b"" if block.endswith(b"\n") else b"\n")
+    classes = padded.translate(_CLASSES)
+    if bytes([_BAD]) in classes:
+        return None
+    if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+        return None
+    buf = np.frombuffer(padded, dtype=np.uint8)
+
+    # Tokens are runs of bytes above the space: the padding and the final
+    # newline make every run rise and fall inside the buffer.
+    edges = np.flatnonzero(np.diff(buf > 32)) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    # Tokens before each newline give every line's first token and count.
+    before = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))
+    first = np.concatenate(([0], before[:-1]))
+    fields = before - first
+    first, fields = first[fields > 0], fields[fields > 0]
+    data = buf[starts[first]] != ord("#")
+    first, fields = first[data], fields[data]
+    if ((fields < 2) | (fields > 3)).any():
+        return None
+
+    op_start = starts[first]
+    op_len = ends[first] - op_start
+    c0 = buf[op_start] | 0x20  # ASCII letters fold to lower case
+    c1 = buf[op_start + 1] | 0x20
+    one, two = op_len == 1, op_len == 2
+    write = (one & (c0 == ord("w"))) | (two & (c0 == ord("s")) & (c1 == ord("t")))
+    read = (one & (c0 == ord("r"))) | (two & (c0 == ord("l")) & (c1 == ord("d")))
+    if not (write | read).all():
+        return None
+
+    sized = fields == 3
+    fields_at = np.concatenate((first + 1, first[sized] + 2))
+    values = _hex_values(buf, classes, starts[fields_at], ends[fields_at])
+    if values is None:
+        return None
+    addr = values[: len(first)]
+    size = np.full(len(first), LINE_BYTES, dtype=np.uint64)
+    size[sized] = values[len(first):]
+    size[size == 0] = LINE_BYTES
+    if (size > MAX_ACCESS_BYTES).any() or (addr > _U64_MAX - (size - 1)).any():
+        return None
+
+    addr, size = addr[write], size[write]
+    first_line = addr & ~np.uint64(LINE_BYTES - 1)
+    last_line = (addr + (size - 1)) & ~np.uint64(LINE_BYTES - 1)
+    count = ((last_line - first_line) // np.uint64(LINE_BYTES)).astype(np.int64) + 1
+    step = np.arange(int(count.sum()), dtype=np.uint64) - np.repeat(
+        (np.cumsum(count) - count).astype(np.uint64), count
+    )
+    return np.repeat(first_line, count) + step * np.uint64(LINE_BYTES)
+
+
+def _hex_values(
+    buf: np.ndarray, classes: bytes, starts: np.ndarray, ends: np.ndarray
+) -> Optional[np.ndarray]:
+    """``uint64`` values of the hex tokens ``buf[starts:ends]``, or ``None``.
+
+    ``classes`` holds the byte classes of ``buf``.  Each token is read as the
+    two little-endian words of the 16 classes that end at its last byte:
+    classes left of the digits are masked off, a high nibble left in a
+    digit's class marks a non-hex byte, and three shift-and-mask rounds
+    pack each word's eight digit values into 32 bits.
+    """
+    prefixed = (buf[starts] == ord("0")) & ((buf[starts + 1] | 0x20) == ord("x"))
+    digits = ends - starts - 2 * prefixed
+    if ((digits < 1) | (digits > 16)).any():
+        return None
+    unaligned = np.ndarray((len(classes) - 7,), dtype="<u8", buffer=classes, strides=(1,))
+    words = np.stack((unaligned[ends - 16], unaligned[ends - 8]), axis=1)
+    words &= _DIGIT_BYTES[digits]
+    if (words & np.uint64(0xF0F0_F0F0_F0F0_F0F0)).any():
+        return None
+    words = ((words & np.uint64(0x00FF_00FF_00FF_00FF)) << np.uint64(4)) | (
+        (words >> np.uint64(8)) & np.uint64(0x00FF_00FF_00FF_00FF)
+    )
+    words = ((words & np.uint64(0x0000_FFFF_0000_FFFF)) << np.uint64(8)) | (
+        (words >> np.uint64(16)) & np.uint64(0x0000_FFFF_0000_FFFF)
+    )
+    words = ((words & np.uint64(0xFFFF_FFFF)) << np.uint64(16)) | (words >> np.uint64(32))
+    return (words[:, 0] << np.uint64(32)) | words[:, 1]
+
+
+def _ramulator_line_addresses(
+    path: Path, lines: Iterable[Tuple[int, str]]
+) -> List[int]:
+    """Write-line addresses of numbered ramulator2 lines, parsed one by one.
+
+    The reference semantics of the format, and the only place that raises
+    its :class:`TraceError` s.
+    """
     buffer: List[int] = []
-    for lineno, line in _clean_lines(path):
+    for lineno, line in lines:
         parts = line.split()
         op = parts[0].upper()
         if op not in ("R", "W", "LD", "ST"):
@@ -159,12 +344,8 @@ def iter_ramulator_addresses(
             )
         first = addr - (addr % LINE_BYTES)
         last = (addr + size - 1) - ((addr + size - 1) % LINE_BYTES)
-        for line_addr in range(first, last + LINE_BYTES, LINE_BYTES):
-            buffer.append(line_addr)
-        if len(buffer) >= buffer_lines:
-            yield _flush(buffer)
-    if buffer:
-        yield _flush(buffer)
+        buffer.extend(range(first, last + LINE_BYTES, LINE_BYTES))
+    return buffer
 
 
 def _parse_int_field(path: Path, lineno: int, field: str) -> int:
@@ -175,9 +356,7 @@ def _parse_int_field(path: Path, lineno: int, field: str) -> int:
         raise TraceError(f"{path}:{lineno}: bad integer field: {exc}") from exc
 
 
-def iter_ramulator_inst_addresses(
-    path: Union[str, Path], buffer_lines: int = PARSE_BUFFER_LINES
-) -> Iterator[np.ndarray]:
+def iter_ramulator_inst_addresses(path: Union[str, Path]) -> Iterator[np.ndarray]:
     """Stream a ramulator2 instruction trace (``<bubbles> <ld> [<st>]``).
 
     Two-field lines are load-only and contribute no write; the optional
@@ -204,15 +383,13 @@ def iter_ramulator_inst_addresses(
         if len(addresses) == 2:
             store = addresses[1]
             buffer.append(store - (store % LINE_BYTES))
-            if len(buffer) >= buffer_lines:
+            if len(buffer) >= _FLUSH_LINES:
                 yield _flush(buffer)
     if buffer:
         yield _flush(buffer)
 
 
-def iter_tracehm_addresses(
-    path: Union[str, Path], buffer_lines: int = PARSE_BUFFER_LINES
-) -> Iterator[np.ndarray]:
+def iter_tracehm_addresses(path: Union[str, Path]) -> Iterator[np.ndarray]:
     """Stream a tracehm-style ``<seq> 0xADDR <is_write>`` trace.
 
     Yields the 64B-aligned ``uint64`` addresses of the write accesses
@@ -237,7 +414,7 @@ def iter_tracehm_addresses(
             )
         if is_write:
             buffer.append(addr - (addr % LINE_BYTES))
-            if len(buffer) >= buffer_lines:
+            if len(buffer) >= _FLUSH_LINES:
                 yield _flush(buffer)
     if buffer:
         yield _flush(buffer)
@@ -416,14 +593,17 @@ class StreamingSynthesizer:
         self.total_requests = 0
         self._hasher = hashlib.sha256()
         self._chunk_index = 0
-        self._rows: Dict[int, int] = {}
+        # Every address seen so far, sorted, and the state row of each; rows
+        # are numbered in order of first appearance.
+        self._seen = np.empty(0, dtype=np.uint64)
+        self._seen_rows = np.empty(0, dtype=np.int64)
         self._words = np.empty((0, WORDS_PER_LINE), dtype=np.uint64)
-        self._types = np.empty(0, dtype=object)
+        self._types = np.empty(0, dtype=np.int8)
 
     @property
     def unique_lines(self) -> int:
         """Distinct line addresses seen so far."""
-        return len(self._rows)
+        return len(self._seen)
 
     def metadata(self) -> Dict[str, str]:
         """Provenance metadata of the trace synthesised so far."""
@@ -435,14 +615,14 @@ class StreamingSynthesizer:
         }
 
     def _grow_state(self, extra: int) -> None:
-        needed = len(self._rows) + extra
+        needed = len(self._seen) + extra
         capacity = len(self._words)
         if needed <= capacity:
             return
         capacity = max(needed, 2 * capacity, 1024)
         words = np.zeros((capacity, WORDS_PER_LINE), dtype=np.uint64)
         words[: len(self._words)] = self._words
-        types = np.empty(capacity, dtype=object)
+        types = np.zeros(capacity, dtype=np.int8)
         types[: len(self._types)] = self._types
         self._words = words
         self._types = types
@@ -472,21 +652,21 @@ class StreamingSynthesizer:
         generator = LineGenerator(self.profile, rng)
 
         unique, inverse = np.unique(addresses, return_inverse=True)
-        rows = np.fromiter(
-            (self._rows.get(int(a), -1) for a in unique),
-            dtype=np.int64,
-            count=len(unique),
-        )
-        fresh = np.flatnonzero(rows < 0)
+        at = np.searchsorted(self._seen, unique)
+        known = at < len(self._seen)
+        known[known] = self._seen[at[known]] == unique[known]
+        rows = np.full(len(unique), -1, dtype=np.int64)
+        rows[known] = self._seen_rows[at[known]]
+        fresh = np.flatnonzero(~known)
         if len(fresh):
             state, types = generator.generate_lines(len(fresh))
-            base = len(self._rows)
+            base = len(self._seen)
             self._grow_state(len(fresh))
             self._words[base:base + len(fresh)] = state.words
             self._types[base:base + len(fresh)] = types
             rows[fresh] = base + np.arange(len(fresh))
-            for offset, index in enumerate(fresh):
-                self._rows[int(unique[index])] = base + offset
+            self._seen = np.insert(self._seen, at[fresh], unique[fresh])
+            self._seen_rows = np.insert(self._seen_rows, at[fresh], rows[fresh])
 
         request_rows = rows[inverse]
         plan = generator.plan_mutations(n, self._types[request_rows])

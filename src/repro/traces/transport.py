@@ -338,7 +338,9 @@ def attach_trace(descriptor: TraceDescriptor) -> WriteTrace:
         raise TraceError(f"unknown trace descriptor: {descriptor!r}")
     _ATTACHED[descriptor] = (handle, trace)
     while len(_ATTACHED) > _ATTACH_CACHE_SIZE:
-        old_handle, _ = _ATTACHED.popitem(last=False)[1]
+        # Take only the handle: the evicted trace's arrays view the segment,
+        # and close() cannot unmap it while they are alive.
+        old_handle = _ATTACHED.popitem(last=False)[1][0]
         if old_handle is not None:
             try:
                 old_handle.close()

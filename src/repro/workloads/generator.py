@@ -15,7 +15,7 @@ All generation is vectorised and driven by a seeded :class:`numpy.random
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,19 +43,21 @@ def _mask(bits: np.ndarray) -> np.ndarray:
     return (np.uint64(1) << bits.astype(np.uint64)) - np.uint64(1)
 
 
+#: What a word's new value is made of in a mutation pass: its old value, a
+#: value drawn in advance (every action but the two below), the complement
+#: of its old value, or its old high half with a drawn low half.
+KEEP, DRAWN, COMPLEMENT, LOW_RANDOM = 0, 1, 2, 3
+
+
 @dataclass(frozen=True)
 class MutationPlan:
     """Pre-drawn inputs of one mutation pass (see :meth:`LineGenerator.plan_mutations`)."""
 
-    #: Mutation action names, in the profile's ``mutation_mix`` order.
-    actions: List[str]
-    #: ``(n, 8)`` bool: which words are rewritten.
-    change: np.ndarray
-    #: ``(n, 8)`` int: index into ``actions`` per word.
-    action_index: np.ndarray
-    #: Replacement words of the actions independent of the previous value.
-    independent: Dict[str, np.ndarray]
-    #: ``(n, 8)`` low-32-bit fills of the ``low_random`` action.
+    #: ``(n, 8)`` int8: ``KEEP``, ``DRAWN``, ``COMPLEMENT`` or ``LOW_RANDOM`` per word.
+    kind: np.ndarray
+    #: ``(n, 8)`` new values of the ``DRAWN`` words.
+    drawn: np.ndarray
+    #: ``(n, 8)`` low-32-bit fills of the ``LOW_RANDOM`` words.
     low_random: np.ndarray
 
 
@@ -65,9 +67,14 @@ class LineGenerator:
     def __init__(self, profile: BenchmarkProfile, rng: Optional[np.random.Generator] = None):
         self.profile = profile
         self.rng = rng or np.random.default_rng()
-        self._type_names = list(profile.line_type_mix.keys())
-        self._type_probs = np.array([profile.line_type_mix[t] for t in self._type_names])
+        #: Content types, sorted; a line's type travels as its index here.
+        self.type_names = sorted(profile.line_type_mix)
+        mix_order = list(profile.line_type_mix)
+        self._type_probs = np.array([profile.line_type_mix[t] for t in mix_order])
         self._type_probs = self._type_probs / self._type_probs.sum()
+        self._mix_codes = np.array(
+            [self.type_names.index(t) for t in mix_order], dtype=np.int8
+        )
 
     # ------------------------------------------------------------------ #
     # Per-type word generators (each returns an (n, 8) uint64 array)
@@ -174,33 +181,36 @@ class LineGenerator:
     # Batch generation
     # ------------------------------------------------------------------ #
     def assign_types(self, n: int) -> np.ndarray:
-        """Draw a content type for every line of a batch."""
-        indices = self.rng.choice(len(self._type_names), size=n, p=self._type_probs)
-        return np.asarray([self._type_names[i] for i in indices], dtype=object)
+        """Draw a content type for every line of a batch, as ``int8`` codes.
+
+        A code indexes :attr:`type_names`.
+        """
+        indices = self.rng.choice(len(self._mix_codes), size=n, p=self._type_probs)
+        return self._mix_codes[indices]
 
     def generate_lines(self, n: int, types: Optional[np.ndarray] = None) -> Tuple[LineBatch, np.ndarray]:
-        """Generate ``n`` lines; returns the batch and the per-line content types."""
+        """Generate ``n`` lines; returns the batch and the per-line type codes."""
         if types is None:
             types = self.assign_types(n)
         words = np.zeros((n, WORDS_PER_LINE), dtype=np.uint64)
-        # Stable iteration order: set order is hash-salted per process, which
-        # would consume the seeded RNG in a process-dependent order and make
-        # "reproducible" traces differ between runs.
-        for line_type in sorted(set(types.tolist())):
-            mask = types == line_type
-            words[mask] = self.generate_words(line_type, int(mask.sum()))
+        # Types draw their words in name order (ascending codes), the one
+        # order that keeps a seeded trace the same in every process.
+        counts = np.bincount(types, minlength=len(self.type_names))
+        for code in np.flatnonzero(counts):
+            mask = types == code
+            words[mask] = self.generate_words(self.type_names[code], int(counts[code]))
         return LineBatch(words), types
 
     def plan_mutations(self, n: int, types: np.ndarray) -> "MutationPlan":
         """Draw every random input of a mutation pass up front, vectorised.
 
-        The plan holds, for ``n`` prospective writes: which words change, the
-        action each changed word takes (per the profile's ``mutation_mix``),
-        and the replacement values of the actions that do not depend on the
-        previous word value.  :meth:`apply_mutations` turns a plan plus
-        previous values into new values; splitting the two lets the trace
-        ingest resolve per-address rewrite chains round by round while
-        sharing these exact semantics (and RNG draw order) with
+        The plan holds, for ``n`` prospective writes, the kind of every
+        word's new value (which words change, and how, per the profile's
+        ``mutation_mix``) and the values drawn for the actions that do not
+        depend on the previous word value.  :meth:`apply_mutations` turns a
+        plan plus previous values into new values; splitting the two lets
+        the trace ingest resolve per-address rewrite chains round by round
+        while sharing these exact semantics (and RNG draw order) with
         :meth:`mutate_lines`.
         """
         change = self.rng.random((n, WORDS_PER_LINE)) < self.profile.change_word_fraction
@@ -214,13 +224,14 @@ class LineGenerator:
             "ones_fill": ~(self._raw(n) & np.uint64(0xFFFF)),
         }
         low_random = self._raw(n) & np.uint64(0xFFFFFFFF)
-        return MutationPlan(
-            actions=actions,
-            change=change,
-            action_index=action_index,
-            independent=independent,
-            low_random=low_random,
-        )
+        drawn = np.zeros((n, WORDS_PER_LINE), dtype=np.uint64)  # zero_fill
+        for index, action in enumerate(actions):
+            if action in independent:
+                np.copyto(drawn, independent[action], where=action_index == index)
+        kinds = {"complement": COMPLEMENT, "low_random": LOW_RANDOM}
+        kind_of = np.array([kinds.get(a, DRAWN) for a in actions], dtype=np.int8)
+        kind = np.where(change, kind_of[action_index], np.int8(KEEP))
+        return MutationPlan(kind=kind, drawn=drawn, low_random=low_random)
 
     def apply_mutations(
         self,
@@ -231,23 +242,14 @@ class LineGenerator:
         """New word values for ``words`` under rows ``rows`` of ``plan``.
 
         ``words`` are the previous values of the selected writes (the
-        complement / low-random actions transform them); independent actions
-        take their precomputed replacements from the plan.
+        complement / low-random actions transform them); the other actions
+        take their values from the plan.
         """
-        value = words.copy()
-        for index, action in enumerate(plan.actions):
-            mask = plan.change[rows] & (plan.action_index[rows] == index)
-            if not mask.any():
-                continue
-            if action == "zero_fill":
-                replacement = np.zeros_like(words)
-            elif action == "complement":
-                replacement = ~words
-            elif action == "low_random":
-                replacement = (words & ~np.uint64(0xFFFFFFFF)) | plan.low_random[rows]
-            else:
-                replacement = plan.independent[action][rows]
-            value = np.where(mask, replacement, value)
+        kind = plan.kind[rows]
+        value = np.where(kind == DRAWN, plan.drawn[rows], words)
+        np.copyto(value, ~words, where=kind == COMPLEMENT)
+        low = (words & ~np.uint64(0xFFFFFFFF)) | plan.low_random[rows]
+        np.copyto(value, low, where=kind == LOW_RANDOM)
         return value
 
     def mutate_lines(self, lines: LineBatch, types: np.ndarray) -> LineBatch:

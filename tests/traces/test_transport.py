@@ -175,6 +175,25 @@ class TestExporter:
         cached = [d for d in transport_module._ATTACHED if getattr(d, "path", None) == str(path)]
         assert cached == [descriptors[-1]]
 
+    @needs_shm
+    def test_evicted_shm_attachments_close_quietly(self, monkeypatch):
+        """Evicting an attachment closes its segment after dropping the trace
+        that views it, so no finaliser reports exported pointers later."""
+        import gc
+        import sys
+        from collections import OrderedDict
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        monkeypatch.setattr(transport_module, "_ATTACHED", OrderedDict())
+        traces = [_trace(n=8, seed=s) for s in range(transport_module._ATTACH_CACHE_SIZE + 4)]
+        with TraceExporter() as exporter:
+            for trace in traces:
+                assert attach_trace(exporter.export(trace)).new == trace.new
+            gc.collect()
+        assert len(transport_module._ATTACHED) == transport_module._ATTACH_CACHE_SIZE
+        assert unraisable == []
+
     def test_policy_argument_is_gone(self):
         # The trace decides its transport (mmap, else shm, else pickle).
         with pytest.raises(TypeError):

@@ -63,15 +63,18 @@ class TestWordGenerators:
 class TestBatchGeneration:
     def test_type_assignment_follows_mix(self, generator):
         types = generator.assign_types(4000)
+        assert types.dtype == np.int8
         mix = get_profile("gcc").line_type_mix
-        zero_fraction = float(np.mean(types == "zero"))
+        zero_fraction = float(np.mean(types == generator.type_names.index("zero")))
         assert zero_fraction == pytest.approx(mix["zero"], abs=0.05)
 
     def test_generate_lines_respects_types(self, generator):
-        types = np.asarray(["zero"] * 4 + ["random"] * 4, dtype=object)
+        zero, random = (generator.type_names.index(t) for t in ("zero", "random"))
+        types = np.asarray([zero] * 4 + [random] * 4, dtype=np.int8)
         lines, assigned = generator.generate_lines(8, types)
         assert np.array_equal(assigned, types)
         assert lines.words[:4].sum() == 0
+        assert (lines.words[4:] != 0).any()
 
     def test_mutation_changes_some_words(self, generator):
         lines, types = generator.generate_lines(64)
