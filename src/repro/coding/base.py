@@ -1,26 +1,34 @@
 """Write-encoder interface and shared machinery of all encoding schemes.
 
 Every scheme in :mod:`repro.coding` transforms a memory-line *write request*
-(the new data value plus the currently stored content) into the array of cell
+(the new data value plus the currently stored content) into the cell
 *states* that will actually be programmed into the PCM line, together with any
 auxiliary cells the scheme needs.  The evaluation harness then derives write
 energy, updated-cell count and disturbance errors from the difference between
 the produced states and the stored states.
 
-The central abstraction is :class:`WriteEncoder` with one required hook,
+Between these stages a line travels as *state bytes* (four 2-bit cells per
+byte, cell ``4k+j`` in bits ``2j..2j+1`` of byte ``k``, see
+:mod:`repro.core.symbols`) for its 256 data cells, plus the few auxiliary
+cells a scheme appends after them.  The central abstraction is
+:class:`WriteEncoder` with one required hook,
 :meth:`WriteEncoder._encode_against_states`, which encodes a batch of new data
-values given the states currently stored in the target cells.  On top of that
-hook the base class provides:
+values over the stored data bytes and appended cells.  On top of that hook
+the base class provides:
 
 * :meth:`WriteEncoder.encode_batch` -- the paper's trace-driven evaluation
   path.  The stored states of the *old* data value are reconstructed by
   encoding the old value against a fresh (all-RESET) background, mirroring the
   trace format used by the paper (each trace record carries the value to be
-  written and the value being overwritten).
+  written and the value being overwritten).  Its bytes feed the encode of the
+  new value directly.
 * :meth:`WriteEncoder.encode_against_stored` -- the stateful path used by the
-  PCM device model, where the caller supplies the actual stored states.
+  PCM device model, where the caller supplies the actual stored cell states.
 * :meth:`WriteEncoder.decode_states` -- recover the original data from stored
-  states, used by round-trip tests and by the PCM read path.
+  cell states, used by round-trip tests and by the PCM read path.
+
+The public entry points keep cell-shaped ``(n, total_cells)`` arguments and
+results and convert once at that boundary.
 """
 
 from __future__ import annotations
@@ -36,56 +44,104 @@ from ..core.cosets import DEFAULT_MAPPING, apply_mapping, invert_mapping, mappin
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import EncodingError
 from ..core.line import LineBatch
-from ..core.symbols import SYMBOLS_PER_LINE
+from ..core.symbols import BYTES_PER_LINE, SYMBOLS_PER_LINE, pack_state_bytes, unpack_state_bytes
+from ..obs import span
+
+#: What :meth:`WriteEncoder._encode_against_states` returns: ``(data, aux,
+#: aux_bytes, compressed, encoded)``, the first five fields of :class:`EncodedBatch`.
+EncodeResult = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]
 
 
-@dataclass
+def _cell_states(data: np.ndarray, aux: np.ndarray) -> np.ndarray:
+    """Read-only ``(n, 256 + a)`` cell states of data state bytes and appended cells."""
+    states = np.concatenate([unpack_state_bytes(data), aux], axis=1)
+    states.flags.writeable = False
+    return states
+
+
+@dataclass(frozen=True)
 class EncodedBatch:
-    """Result of encoding a batch of write requests.
+    """Result of encoding a batch of write requests, on state bytes.
 
     Attributes
     ----------
-    states:
-        ``(n, total_cells)`` array of target cell states for the new data.
-    old_states:
-        ``(n, total_cells)`` array of the states currently stored in those
-        cells (what the new states are differentiated against).
-    aux_mask:
-        ``(n, total_cells)`` boolean array; ``True`` marks cells that hold
-        auxiliary (encoding metadata) information rather than data bits.
-    compressed:
-        ``(n,)`` boolean array; ``True`` when the line was compressed by the
-        scheme's compression front-end (always ``False`` for schemes without
-        compression).
-    encoded:
-        ``(n,)`` boolean array; ``True`` when the line was actually encoded
-        (as opposed to being written raw because compression failed).
+    data:
+        ``(n, 64)`` ``uint8`` state bytes of the 256 data cells written.
+    aux:
+        ``(n, a)`` ``uint8`` states of the auxiliary cells appended after
+        the data cells (``a`` is the encoder's ``aux_cells``).
+    aux_bytes:
+        ``(n, 64)`` ``uint8`` mask in the state-byte layout: ``0b11`` in a
+        cell's field marks a data-region cell that holds auxiliary
+        (encoding metadata) information.  ``None`` when every auxiliary
+        cell is appended.
+    compressed, encoded:
+        ``(n,)`` booleans: the line was compressed by the scheme's compression
+        front-end, and it was encoded rather than written raw.
+    old_data, old_aux:
+        The state bytes and appended cells stored before the write (what the
+        new ones are differentiated against).
+
+    ``states``, ``old_states``, ``aux_mask`` and ``changed`` are read-only
+    ``(n, total_cells)`` cell views of these arrays, built on each access.
     """
 
-    states: np.ndarray
-    old_states: np.ndarray
-    aux_mask: np.ndarray
+    data: np.ndarray
+    aux: np.ndarray
+    aux_bytes: Optional[np.ndarray]
     compressed: np.ndarray
     encoded: np.ndarray
+    old_data: np.ndarray
+    old_aux: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.states.shape != self.old_states.shape:
-            raise EncodingError("states and old_states must have the same shape")
-        if self.aux_mask.shape != self.states.shape:
-            raise EncodingError("aux_mask must match the states shape")
+        n = np.shape(self.data)[0] if np.ndim(self.data) else -1
+        lines = (n, BYTES_PER_LINE)
+        cells = (n, np.shape(self.aux)[-1] if np.ndim(self.aux) == 2 else -1)
+        for name, shape in dict(
+            data=lines, aux=cells, aux_bytes=lines, compressed=(n,), encoded=(n,),
+            old_data=lines, old_aux=cells,
+        ).items():
+            value, dtype = getattr(self, name), np.uint8 if len(shape) == 2 else np.bool_
+            if value is None and name == "aux_bytes":
+                continue
+            if not isinstance(value, np.ndarray) or value.shape != shape or value.dtype != dtype:
+                raise EncodingError(f"{name} must be a {np.dtype(dtype).name} array of {shape}")
+
+    @property
+    def states(self) -> np.ndarray:
+        """``(n, total_cells)`` target cell states of the new data."""
+        return _cell_states(self.data, self.aux)
+
+    @property
+    def old_states(self) -> np.ndarray:
+        """``(n, total_cells)`` cell states stored before the write."""
+        return _cell_states(self.old_data, self.old_aux)
+
+    @property
+    def aux_mask(self) -> np.ndarray:
+        """``(n, total_cells)`` boolean array; ``True`` marks auxiliary cells."""
+        mask = np.ones((len(self), self.total_cells), dtype=bool)
+        mask[:, :SYMBOLS_PER_LINE] = (
+            False if self.aux_bytes is None else unpack_state_bytes(self.aux_bytes) != 0
+        )
+        mask.flags.writeable = False
+        return mask
 
     @property
     def changed(self) -> np.ndarray:
         """Boolean array of cells whose state changes (cells that are rewritten)."""
-        return self.states != self.old_states
+        changed = self.states != self.old_states
+        changed.flags.writeable = False
+        return changed
 
     @property
     def total_cells(self) -> int:
         """Number of cells written per request (data + auxiliary)."""
-        return int(self.states.shape[1])
+        return SYMBOLS_PER_LINE + int(self.aux.shape[1])
 
     def __len__(self) -> int:
-        return int(self.states.shape[0])
+        return int(self.data.shape[0])
 
     def window(self, start: int, stop: int) -> "EncodedBatch":
         """View of the requests in ``[start, stop)`` (no copies).
@@ -93,13 +149,8 @@ class EncodedBatch:
         Encoding is per line, so a window of a batch encode is exactly the
         encode of those lines alone.
         """
-        return EncodedBatch(
-            states=self.states[start:stop],
-            old_states=self.old_states[start:stop],
-            aux_mask=self.aux_mask[start:stop],
-            compressed=self.compressed[start:stop],
-            encoded=self.encoded[start:stop],
-        )
+        fields = vars(self).items()
+        return EncodedBatch(**{k: None if v is None else v[start:stop] for k, v in fields})
 
 
 class WriteEncoder(ABC):
@@ -129,13 +180,14 @@ class WriteEncoder(ABC):
     # ------------------------------------------------------------------ #
     @abstractmethod
     def _encode_against_states(
-        self, lines: LineBatch, stored_states: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Encode ``lines`` given the states currently stored in the cells.
+        self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
+    ) -> EncodeResult:
+        """Encode ``lines`` over the cells they overwrite.
 
-        Returns ``(states, aux_mask, compressed, encoded)`` where ``states``
-        and ``aux_mask`` have shape ``(n, total_cells)`` and the last two have
-        shape ``(n,)``.
+        ``stored`` holds the ``(n, 64)`` stored data state bytes and
+        ``stored_aux`` the ``(n, aux_cells)`` stored appended cells.  Returns
+        ``(data, aux, aux_bytes, compressed, encoded)`` as the fields of
+        :class:`EncodedBatch`.
         """
 
     @abstractmethod
@@ -149,33 +201,36 @@ class WriteEncoder(ABC):
         """States of freshly RESET cells (all S1)."""
         return np.zeros((count, self.total_cells), dtype=np.uint8)
 
+    def _reference(self, lines: LineBatch) -> Tuple[np.ndarray, np.ndarray]:
+        """Data state bytes and appended cells of ``lines`` written onto fresh cells."""
+        n = len(lines)
+        fresh = np.zeros((n, BYTES_PER_LINE), np.uint8), np.zeros((n, self.aux_cells), np.uint8)
+        return self._encode_against_states(lines, *fresh)[:2]
+
+    def _encode(self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray) -> EncodedBatch:
+        result = self._encode_against_states(lines, stored, stored_aux)
+        return EncodedBatch(*result, old_data=stored, old_aux=stored_aux)
+
     def encode_reference(self, lines: LineBatch) -> np.ndarray:
         """Stored states of ``lines`` assuming they were written onto fresh cells."""
-        states, _, _, _ = self._encode_against_states(lines, self.fresh_states(len(lines)))
-        return states
+        return _cell_states(*self._reference(lines))
 
     def encode_against_stored(self, lines: LineBatch, stored_states: np.ndarray) -> EncodedBatch:
-        """Encode new data against explicitly supplied stored states."""
+        """Encode new data against explicitly supplied stored cell states."""
         stored_states = np.asarray(stored_states, dtype=np.uint8)
         if stored_states.shape != (len(lines), self.total_cells):
-            raise EncodingError(
-                f"stored_states must have shape ({len(lines)}, {self.total_cells})"
-            )
-        states, aux_mask, compressed, encoded = self._encode_against_states(lines, stored_states)
-        return EncodedBatch(
-            states=states,
-            old_states=stored_states,
-            aux_mask=aux_mask,
-            compressed=compressed,
-            encoded=encoded,
-        )
+            raise EncodingError(f"stored_states must have shape ({len(lines)}, {self.total_cells})")
+        stored, stored_aux = np.hsplit(stored_states, [SYMBOLS_PER_LINE])
+        return self._encode(lines, pack_state_bytes(stored), stored_aux.copy())
 
     def encode_batch(self, new: LineBatch, old: LineBatch) -> EncodedBatch:
         """Encode trace-style write requests given old and new data values."""
         if len(new) != len(old):
             raise EncodingError("old and new batches must have the same length")
-        old_states = self.encode_reference(old)
-        return self.encode_against_stored(new, old_states)
+        with span("reference_encode", scheme=self.name, lines=len(old)):
+            stored = self._reference(old)
+        with span("encode", scheme=self.name, lines=len(new)):
+            return self._encode(new, *stored)
 
     def roundtrip(self, lines: LineBatch) -> LineBatch:
         """Encode onto fresh cells and decode again (used by tests)."""
@@ -188,6 +243,12 @@ class WriteEncoder(ABC):
 # ---------------------------------------------------------------------- #
 # Shared helpers used by several schemes
 # ---------------------------------------------------------------------- #
+def every_line_encoded(data: np.ndarray, aux: np.ndarray) -> EncodeResult:
+    """Hook result of a scheme without compression whose aux cells are all appended."""
+    n = data.shape[0]
+    return data, aux, None, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+
+
 def pack_bits_to_states(bits: np.ndarray, mapping: np.ndarray = DEFAULT_MAPPING) -> np.ndarray:
     """Pack auxiliary bits into cell states two bits per cell.
 

@@ -8,15 +8,13 @@ same differential-write substrate.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from ..core.cosets import DEFAULT_MAPPING, default_states, invert_mapping
+from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.line import LineBatch
-from ..core.symbols import SYMBOLS_PER_LINE, symbol_bytes
-from .base import WriteEncoder
+from ..core.symbols import symbol_bytes
+from .base import EncodeResult, WriteEncoder
 
 
 class BaselineEncoder(WriteEncoder):
@@ -28,14 +26,12 @@ class BaselineEncoder(WriteEncoder):
         super().__init__(energy_model)
 
     def _encode_against_states(
-        self, lines: LineBatch, stored_states: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        states = default_states(symbol_bytes(lines.words))
+        self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
+    ) -> EncodeResult:
         n = len(lines)
-        aux_mask = np.zeros((n, SYMBOLS_PER_LINE), dtype=bool)
-        compressed = np.zeros(n, dtype=bool)
-        encoded = np.zeros(n, dtype=bool)
-        return states, aux_mask, compressed, encoded
+        data = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
+        no = np.zeros(n, dtype=bool)
+        return data, np.zeros((n, 0), dtype=np.uint8), None, no, no.copy()
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         symbols = invert_mapping(DEFAULT_MAPPING)[np.asarray(states, dtype=np.uint8)]

@@ -20,13 +20,13 @@ actual compressed stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..compression.coc import COC_BUDGET_16BIT, COC_BUDGET_32BIT, COCCompressor
 from ..compression.kernels import PackedBits
-from ..core.cosets import DEFAULT_MAPPING, FOUR_COSETS, default_states, invert_mapping
+from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, FOUR_COSETS, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.line import LineBatch
 from ..core.symbols import (
@@ -37,9 +37,9 @@ from ..core.symbols import (
     bytes_to_words,
     pack_state_bytes,
     symbol_bytes,
-    unpack_state_bytes,
 )
 from .base import (
+    EncodeResult,
     WriteEncoder,
     candidate_byte_tables,
     candidate_costs,
@@ -154,41 +154,45 @@ class COCFourCosetsEncoder(WriteEncoder):
         payload_bytes: np.ndarray,
         stored_bytes: np.ndarray,
         layout: _Layout,
-        data_states: np.ndarray,
-        aux_mask: np.ndarray,
+        data: np.ndarray,
+        aux_bytes: np.ndarray,
     ) -> None:
-        """Coset-encode all lines of one layout group (vectorised)."""
+        """Coset-encode all lines of one layout group (vectorised).
+
+        The aux region, cells ``data_cells..255``, holds one symbol per block
+        (its candidate index), zeros, and the mode symbol in cell 255, all
+        under the default mapping: at most 32 symbols, one ``uint64`` of
+        2-bit fields whose little-endian bytes are its symbol bytes.
+        """
         if indices.size == 0:
             return
         data_bytes, block_bytes = layout.data_cells // 4, layout.granularity_bits // 8
         payload = payload_bytes[indices, :data_bytes]
         index = cost_index(stored_bytes[indices, :data_bytes], payload)
         choice = cheapest(candidate_costs(self.energy_model, self.candidates, index, block_bytes))
-        encoded = unpack_state_bytes(winner_bytes(self.byte_tables, choice, payload, block_bytes))
+        data[indices, :data_bytes] = winner_bytes(self.byte_tables, choice, payload, block_bytes)
 
-        group_states = np.zeros((indices.size, SYMBOLS_PER_LINE), dtype=np.uint8)
-        group_states[:, : layout.data_cells] = encoded
-        aux_end = layout.data_cells + layout.aux_cells
-        group_states[:, layout.data_cells:aux_end] = DEFAULT_MAPPING[choice]
-        group_states[:, self.MODE_CELL] = DEFAULT_MAPPING[layout.mode_symbol]
-        data_states[indices] = group_states
-        aux_mask[indices, layout.data_cells:SYMBOLS_PER_LINE] = True
+        fields = np.zeros((indices.size, SYMBOLS_PER_LINE - layout.data_cells), dtype=np.uint64)
+        fields[:, : layout.num_blocks] = choice
+        fields[:, -1] = layout.mode_symbol
+        word = (fields << np.arange(0, 2 * fields.shape[1], 2, dtype=np.uint64)).sum(axis=-1)
+        region = word.astype("<u8")[:, None].view(np.uint8)[:, : BYTES_PER_LINE - data_bytes]
+        data[indices, data_bytes:] = DEFAULT_BYTE_TABLE.take(region)
+        aux_bytes[indices, data_bytes:] = 0xFF
 
     # ------------------------------------------------------------------ #
     # WriteEncoder interface
     # ------------------------------------------------------------------ #
     def _encode_against_states(
-        self, lines: LineBatch, stored_states: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
+    ) -> EncodeResult:
         n = len(lines)
-        data_states = default_states(symbol_bytes(lines.words))
+        data = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
         member_sizes, fpc_patterns = self.compressor.classify(lines)
         sizes = self.compressor.sizes_from_members(member_sizes)
         mode16 = sizes <= LAYOUT_16.budget_bits
         mode32 = (~mode16) & (sizes <= LAYOUT_32.budget_bits)
         compressible = mode16 | mode32
-
-        aux_mask = np.zeros((n, self.total_cells), dtype=bool)
 
         payload_bytes = np.zeros((n, BYTES_PER_LINE), dtype=np.uint8)
         rows = np.nonzero(compressible)[0]
@@ -197,20 +201,13 @@ class COCFourCosetsEncoder(WriteEncoder):
                 LineBatch(lines.words[rows]), member_sizes[:, rows], fpc_patterns[rows]
             )
 
-        stored_bytes = pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE])
-        self._encode_layout_group(
-            np.nonzero(mode16)[0], payload_bytes, stored_bytes, LAYOUT_16, data_states,
-            aux_mask[:, :SYMBOLS_PER_LINE],
-        )
-        self._encode_layout_group(
-            np.nonzero(mode32)[0], payload_bytes, stored_bytes, LAYOUT_32, data_states,
-            aux_mask[:, :SYMBOLS_PER_LINE],
-        )
-
-        flag_states = np.where(compressible, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
-        states = np.concatenate([data_states, flag_states[:, None]], axis=1).astype(np.uint8)
-        aux_mask[:, self.flag_cell_index] = True
-        return states, aux_mask, compressible, compressible.copy()
+        aux_bytes = np.zeros((n, BYTES_PER_LINE), dtype=np.uint8)
+        for layout, mode in ((LAYOUT_16, mode16), (LAYOUT_32, mode32)):
+            self._encode_layout_group(
+                np.nonzero(mode)[0], payload_bytes, stored, layout, data, aux_bytes
+            )
+        flag = np.where(compressible, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
+        return data, flag[:, None], aux_bytes, compressible, compressible.copy()
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)

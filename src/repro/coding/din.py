@@ -28,7 +28,7 @@ import numpy as np
 
 from ..compression.fpc_bdi import FPCBDICompressor
 from ..compression.kernels import PackedBits, prepend_field, split_field
-from ..core.cosets import DEFAULT_MAPPING, default_states
+from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import EncodingError
 from ..core.line import LineBatch
@@ -39,7 +39,7 @@ from ..core.symbols import (
     symbol_bytes,
 )
 from ..ecc.bch import BCHCode
-from .base import WriteEncoder, inverse_byte_tables
+from .base import EncodeResult, WriteEncoder, inverse_byte_tables
 from .wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
 
 #: Bits reserved for the compressed-length header inside the encoded payload.
@@ -198,31 +198,24 @@ class DINEncoder(WriteEncoder):
     # WriteEncoder interface
     # ------------------------------------------------------------------ #
     def _encode_against_states(
-        self, lines: LineBatch, stored_states: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n = len(lines)
+        self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
+    ) -> EncodeResult:
         patterns, variant_sizes = self.compressor.classify(lines)
         sizes = self.compressor.sizes_from_classes(patterns, variant_sizes)
         encodable = sizes <= MAX_COMPRESSED_BITS
 
-        data_states = default_states(symbol_bytes(lines.words))
+        data = symbol_bytes(lines.words)
         rows = np.nonzero(encodable)[0]
         if rows.size:
-            line_bytes = self._encode_lines_bytes(
+            data = data.copy()
+            data[rows] = self._encode_lines_bytes(
                 LineBatch(lines.words[rows]), patterns[rows], variant_sizes[:, rows]
             )
-            data_states[rows] = default_states(line_bytes)
-
-        flag_states = np.where(encodable, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
-        states = np.concatenate([data_states, flag_states[:, None]], axis=1).astype(np.uint8)
-
-        aux_mask = np.zeros((n, self.total_cells), dtype=bool)
+        flag = np.where(encodable, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
         # For encoded lines the expansion and parity bits are all metadata; the
         # paper attributes the entire encoded payload to the data component, so
-        # only the flag cell is counted as auxiliary here.
-        aux_mask[:, self.flag_cell_index] = True
-        compressed = encodable.copy()
-        return states, aux_mask, compressed, encodable
+        # only the appended flag cell is auxiliary.
+        return DEFAULT_BYTE_TABLE.take(data), flag[:, None], None, encodable.copy(), encodable
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)

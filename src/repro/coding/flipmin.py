@@ -13,26 +13,20 @@ motivates the paper's hand-crafted coset candidates.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, flipmin_coset_vectors, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
-from ..core.symbols import (
-    BYTES_PER_LINE,
-    SYMBOLS_PER_LINE,
-    pack_state_bytes,
-    symbol_bytes,
-    unpack_state_bytes,
-)
+from ..core.symbols import BYTES_PER_LINE, SYMBOLS_PER_LINE, symbol_bytes
 from .base import (
+    EncodeResult,
     WriteEncoder,
     block_sums,
     cheapest,
     cost_index,
+    every_line_encoded,
     pack_bits_to_states,
     unpack_states_to_bits,
 )
@@ -63,29 +57,23 @@ class FlipMinEncoder(WriteEncoder):
         return (self.index_bits + 1) // 2
 
     def _encode_against_states(
-        self, lines: LineBatch, stored_states: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n = len(lines)
+        self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
+    ) -> EncodeResult:
         # The default mapping is linear over GF(2): symbol bits (h, l) become
         # state bits (l, h ^ l).  So the states of ``line ^ vector`` are the
         # line's state bytes XOR the vector's, and a vector's cost is one
         # lookup per byte at the shared index XOR the vector's state bytes.
         line_states = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
-        index = cost_index(pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE]), line_states)
+        index = cost_index(stored, line_states)
         table = self.energy_model.byte_cost_table
         costs = [block_sums(table.take(index ^ v), BYTES_PER_LINE) for v in self.vector_states]
         choice = cheapest(np.stack(costs))  # (n, 1)
-        data_states = unpack_state_bytes(line_states ^ self.vector_states[choice[:, 0]])
         index_bits = np.stack(
             [((choice[:, 0] >> b) & 1).astype(np.uint8) for b in range(self.index_bits)], axis=1
         )
-        aux_states = pack_bits_to_states(index_bits)
-        states = np.concatenate([data_states, aux_states], axis=1)
-        aux_mask = np.zeros((n, self.total_cells), dtype=bool)
-        aux_mask[:, SYMBOLS_PER_LINE:] = True
-        compressed = np.zeros(n, dtype=bool)
-        encoded = np.ones(n, dtype=bool)
-        return states, aux_mask, compressed, encoded
+        return every_line_encoded(
+            line_states ^ self.vector_states[choice[:, 0]], pack_bits_to_states(index_bits)
+        )
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)

@@ -12,27 +12,21 @@ applied.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..core.cosets import C1, C3, DEFAULT_MAPPING, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
-from ..core.symbols import (
-    SYMBOLS_PER_LINE,
-    complement_symbols,
-    pack_state_bytes,
-    symbol_bytes,
-    unpack_state_bytes,
-)
+from ..core.symbols import SYMBOLS_PER_LINE, complement_symbols, symbol_bytes
 from .base import (
+    EncodeResult,
     WriteEncoder,
     candidate_byte_tables,
     candidate_costs,
     cheapest,
     cost_index,
+    every_line_encoded,
     pack_bits_to_states,
     unpack_states_to_bits,
     winner_bytes,
@@ -67,24 +61,17 @@ class FNWEncoder(WriteEncoder):
         return (self.num_blocks + 1) // 2
 
     def _encode_against_states(
-        self, lines: LineBatch, stored_states: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n = len(lines)
+        self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
+    ) -> EncodeResult:
         data = symbol_bytes(lines.words)
-        index = cost_index(pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE]), data)
+        index = cost_index(stored, data)
         choice = cheapest(
             candidate_costs(self.energy_model, FNW_CANDIDATES, index, self.block_bytes)
         )  # (n, blocks)
-        data_states = unpack_state_bytes(
-            winner_bytes(self.byte_tables, choice, data, self.block_bytes)
+        return every_line_encoded(
+            winner_bytes(self.byte_tables, choice, data, self.block_bytes),
+            pack_bits_to_states(choice),
         )
-        aux_states = pack_bits_to_states(choice)
-        states = np.concatenate([data_states, aux_states], axis=1)
-        aux_mask = np.zeros((n, self.total_cells), dtype=bool)
-        aux_mask[:, SYMBOLS_PER_LINE:] = True
-        compressed = np.zeros(n, dtype=bool)
-        encoded = np.ones(n, dtype=bool)
-        return states, aux_mask, compressed, encoded
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)

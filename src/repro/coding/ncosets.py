@@ -21,7 +21,7 @@ building blocks of the WLC-based schemes.
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -29,19 +29,15 @@ from ..core.cosets import FOUR_COSETS, SIX_COSETS, THREE_COSETS, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
-from ..core.symbols import (
-    BITS_PER_LINE,
-    SYMBOLS_PER_LINE,
-    pack_state_bytes,
-    symbol_bytes,
-    unpack_state_bytes,
-)
+from ..core.symbols import BITS_PER_LINE, SYMBOLS_PER_LINE, symbol_bytes
 from .base import (
+    EncodeResult,
     WriteEncoder,
     candidate_byte_tables,
     candidate_costs,
     cheapest,
     cost_index,
+    every_line_encoded,
     winner_bytes,
 )
 
@@ -155,24 +151,17 @@ class NCosetsEncoder(WriteEncoder):
         return self.num_blocks * self.aux_codec.cells_per_block
 
     def _encode_against_states(
-        self, lines: LineBatch, stored_states: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n = len(lines)
+        self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
+    ) -> EncodeResult:
         data = symbol_bytes(lines.words)
-        index = cost_index(pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE]), data)
+        index = cost_index(stored, data)
         choice = cheapest(
             candidate_costs(self.energy_model, self.candidates, index, self.block_bytes)
         )  # (n, blocks)
-        data_states = unpack_state_bytes(
-            winner_bytes(self.byte_tables, choice, data, self.block_bytes)
+        return every_line_encoded(
+            winner_bytes(self.byte_tables, choice, data, self.block_bytes),
+            self.aux_codec.encode(choice),
         )
-        aux_states = self.aux_codec.encode(choice)
-        states = np.concatenate([data_states, aux_states], axis=1).astype(np.uint8)
-        aux_mask = np.zeros((n, self.total_cells), dtype=bool)
-        aux_mask[:, SYMBOLS_PER_LINE:] = True
-        compressed = np.zeros(n, dtype=bool)
-        encoded = np.ones(n, dtype=bool)
-        return states, aux_mask, compressed, encoded
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)

@@ -17,26 +17,20 @@ Figure 5; the word-scope variant embedded in compressed lines is
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..core.cosets import THREE_COSETS, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
-from ..core.symbols import (
-    BITS_PER_LINE,
-    SYMBOLS_PER_LINE,
-    pack_state_bytes,
-    symbol_bytes,
-    unpack_state_bytes,
-)
+from ..core.symbols import BITS_PER_LINE, SYMBOLS_PER_LINE, symbol_bytes
 from .base import (
+    EncodeResult,
     WriteEncoder,
     candidate_byte_tables,
     candidate_costs,
     cost_index,
+    every_line_encoded,
     pack_bits_to_states,
     unpack_states_to_bits,
     winner_bytes,
@@ -78,11 +72,10 @@ class RestrictedCosetEncoder(WriteEncoder):
         return 1 + self.num_blocks
 
     def _encode_against_states(
-        self, lines: LineBatch, stored_states: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n = len(lines)
+        self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
+    ) -> EncodeResult:
         data = symbol_bytes(lines.words)
-        index = cost_index(pack_state_bytes(stored_states[:, :SYMBOLS_PER_LINE]), data)
+        index = cost_index(stored, data)
         costs = candidate_costs(self.energy_model, self.candidates, index, self.block_bytes)
         # costs has shape (3, n, blocks); family 0 = {C1, C2}, family 1 = {C1, C3}.
         family_costs = np.stack(
@@ -95,17 +88,11 @@ class RestrictedCosetEncoder(WriteEncoder):
         alternative = np.where(family[:, None] == 0, costs[1], costs[2])  # (n, blocks)
         selector = (alternative < costs[0]).astype(np.uint8)  # (n, blocks)
         choice = FAMILY_CANDIDATES[family[:, None], selector]  # (n, blocks)
-        data_states = unpack_state_bytes(
-            winner_bytes(self.byte_tables, choice, data, self.block_bytes)
-        )
         bits = np.concatenate([family[:, None], selector], axis=1).astype(np.uint8)
-        aux_states = pack_bits_to_states(bits)
-        states = np.concatenate([data_states, aux_states], axis=1).astype(np.uint8)
-        aux_mask = np.zeros((n, self.total_cells), dtype=bool)
-        aux_mask[:, SYMBOLS_PER_LINE:] = True
-        compressed = np.zeros(n, dtype=bool)
-        encoded = np.ones(n, dtype=bool)
-        return states, aux_mask, compressed, encoded
+        return every_line_encoded(
+            winner_bytes(self.byte_tables, choice, data, self.block_bytes),
+            pack_bits_to_states(bits),
+        )
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)

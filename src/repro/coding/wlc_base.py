@@ -41,9 +41,9 @@ from ..core.symbols import (
     pack_state_bytes,
     symbol_bytes,
     symbols_to_words,
-    unpack_state_bytes,
 )
 from .base import (
+    EncodeResult,
     WriteEncoder,
     candidate_byte_tables,
     candidate_costs,
@@ -170,26 +170,18 @@ class WLCWordEncoderBase(WriteEncoder):
     # Encoding
     # ------------------------------------------------------------------ #
     def _encode_against_states(
-        self, lines: LineBatch, stored_states: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n = len(lines)
+        self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
+    ) -> EncodeResult:
         compressible = self.wlc.line_compressible(lines)
         # Lines WLC cannot compress are written raw; only the others are searched.
-        line_bytes = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
+        data = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
         rows = np.flatnonzero(compressible)
         if rows.size:
-            line_bytes[rows] = self._encode_words(
-                lines.words[rows], pack_state_bytes(stored_states[rows, :SYMBOLS_PER_LINE])
-            )
-        data_states = unpack_state_bytes(line_bytes)
-        flag_states = np.where(compressible, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
-        states = np.concatenate([data_states, flag_states[:, None]], axis=1)
-
-        aux_mask = np.zeros((n, self.total_cells), dtype=bool)
-        line_aux = np.tile(self.word_aux_mask(), WORDS_PER_LINE)
-        aux_mask[:, :SYMBOLS_PER_LINE] = compressible[:, None] & line_aux[None, :]
-        aux_mask[:, self.flag_cell_index] = True
-        return states, aux_mask, compressible, compressible.copy()
+            data[rows] = self._encode_words(lines.words[rows], stored[rows])
+        flag = np.where(compressible, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
+        # The reclaimed cells of a compressed line's words hold auxiliary bits.
+        aux_bytes = np.where(compressible[:, None], ~self.data_byte_mask, np.uint8(0))
+        return data, flag[:, None], aux_bytes, compressible, compressible.copy()
 
     def _encode_words(self, words: np.ndarray, stored: np.ndarray) -> np.ndarray:
         """State bytes of compressible lines ``words`` written over state bytes ``stored``.

@@ -89,11 +89,6 @@ def mapping_byte_table(mapping: np.ndarray) -> np.ndarray:
 DEFAULT_BYTE_TABLE = mapping_byte_table(DEFAULT_MAPPING)
 
 
-def default_states(data_bytes: np.ndarray) -> np.ndarray:
-    """Cell states of symbol bytes written raw, under the default mapping."""
-    return unpack_state_bytes(DEFAULT_BYTE_TABLE.take(data_bytes))
-
-
 def six_cosets() -> np.ndarray:
     """Build the six candidates of the prior-work *6cosets* scheme.
 

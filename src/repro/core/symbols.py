@@ -25,6 +25,10 @@ in bits ``2j..2j+1`` of byte ``k``.  A line's bytes (:func:`symbol_bytes`)
 hold its symbols in exactly that layout, so a 256-entry table maps four
 symbols to four states at once; :func:`pack_state_bytes` and
 :func:`unpack_state_bytes` convert between cell states and state bytes.
+Encoded batches and the metric reduction stay on state bytes:
+:func:`changed_cells` marks rewritten cells in the ``uint64`` words of the
+bytes, :func:`count_states` counts the marked cells in each state, and
+:func:`cell_nibbles` folds the marks of each byte into four bits.
 
 All functions are fully vectorised over leading batch dimensions.
 """
@@ -50,6 +54,13 @@ BYTES_PER_WORD = 8
 
 #: Bit patterns of the four symbols, indexed by symbol value.
 SYMBOL_BIT_PATTERNS = ("00", "01", "10", "11")
+
+#: The low bit of every cell's field in a little-endian word of state bytes.
+CELL_LOW_BITS = np.uint64(0x5555_5555_5555_5555)
+_PAIR_BITS = np.uint64(0x3333_3333_3333_3333)
+_NIBBLE_LOW_BITS = np.uint64(0x1111_1111_1111_1111)
+_LOW_NIBBLES = np.uint64(0x0F0F_0F0F_0F0F_0F0F)
+_BYTE_LOW_BITS = np.uint64(0x0101_0101_0101_0101)
 
 _SYMBOL_SHIFTS = np.arange(SYMBOLS_PER_WORD, dtype=np.uint64) * np.uint64(2)
 # Entry ``b`` holds the four cells of state byte ``b`` as the little-endian
@@ -145,6 +156,47 @@ def pack_state_bytes(states: np.ndarray) -> np.ndarray:
 def unpack_state_bytes(state_bytes: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pack_state_bytes`: ``(..., m)`` bytes to ``(..., 4m)`` cells."""
     return _CELLS_OF_BYTE.take(np.asarray(state_bytes, dtype=np.uint8)).view(np.uint8)
+
+
+def changed_cells(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``(n, 8)`` *cell marks* of the cells in which ``(n, 64)`` state bytes differ.
+
+    Cell marks are words of the bytes' little-endian word view with bit
+    ``2j`` of word ``w`` (the low bit of the cell's field) set for a marked
+    cell ``32w + j``; every odd bit is clear.
+    """
+    diff = (new ^ old).view("<u8")
+    return (diff | diff >> np.uint64(1)) & CELL_LOW_BITS
+
+
+def cell_nibbles(marks: np.ndarray) -> np.ndarray:
+    """``(n, 64)`` bytes of ``(n, 8)`` cell marks, cells ``4k..4k+3`` in bits 0..3 of byte ``k``."""
+    pairs = (marks | marks >> np.uint64(1)) & _PAIR_BITS
+    return ((pairs | pairs >> np.uint64(2)) & _LOW_NIBBLES).view(np.uint8)
+
+
+def count_states(state_bytes: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """``(4,)`` ``int64``: how many of the cells ``marks`` marks are in each state.
+
+    ``marks`` are ``(n, 8)`` cell marks (:func:`changed_cells`) over the
+    ``(n, 64)`` ``state_bytes``.  A cell in state ``s`` has field ``s``, so
+    the marked cells with the low bit, with the high bit and with both bits
+    set give states 1, 2 and 3 by exact integer popcounts of the words.
+    """
+    words = state_bytes.view("<u8")
+    low = words & marks
+    high = (words >> np.uint64(1)) & marks
+    top = low & high
+    every, low, high, top = _popcounts(np.stack([marks, low, high, top]))
+    return np.array([every - low - high + top, low - top, high - top, top])
+
+
+def _popcounts(marks: np.ndarray) -> np.ndarray:
+    """``int64`` number of cell marks in each ``(n, 8)`` slice of ``(k, n, 8)`` words."""
+    fours = (marks & _NIBBLE_LOW_BITS) + ((marks >> np.uint64(2)) & _NIBBLE_LOW_BITS)
+    bytes_ = (fours + (fours >> np.uint64(4))) & _LOW_NIBBLES
+    per_word = (bytes_ * _BYTE_LOW_BITS) >> np.uint64(56)
+    return per_word.reshape(len(marks), -1).sum(axis=1).astype(np.int64)
 
 
 def words_to_bits(words: np.ndarray) -> np.ndarray:

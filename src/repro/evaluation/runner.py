@@ -30,9 +30,9 @@ import numpy as np
 
 from ..coding.base import EncodedBatch, WriteEncoder
 from ..core.config import DEFAULT_EVALUATION_CONFIG, EvaluationConfig
-from ..core.disturbance import DEFAULT_DISTURBANCE_MODEL, DisturbanceModel
-from ..core.energy import NUM_STATES
+from ..core.disturbance import DEFAULT_DISTURBANCE_MODEL, DisturbanceModel, vulnerable_cells
 from ..core.metrics import WriteMetrics
+from ..core.symbols import changed_cells, count_states
 from ..obs import count, gauge, is_active, peak_rss_bytes, span
 from ..workloads.trace import WriteTrace
 
@@ -59,39 +59,38 @@ def metrics_from_encoded(
         Disturbance-rate model; expected-value counting is used unless ``rng``
         is given, in which case errors are Monte-Carlo sampled.
 
-    Energy and updated cells are exact integer counts: ``n_s``, the rewritten
-    cells programmed to state ``s`` (split into data and auxiliary cells),
-    gives ``energy = sum_s w_s * n_s`` and ``updated = sum_s n_s``.  Every
-    shipped energy model is integral, so these equal the per-cell float sums
-    bit for bit whatever the order.  A non-integral model (Python API only)
-    runs the same code and rounds once per state instead of once per cell.
-    Expected disturbance is the one order-sensitive sum: a per-cell float
-    array summed per line, then over lines.  Sampled disturbance is an
-    integer count from one draw per cell.
+    The batch stays on state bytes.  Energy and updated cells are exact
+    integer counts: ``n_s``, the rewritten cells programmed to state ``s``
+    (split into data and auxiliary cells), counted per state byte from
+    packed rewrite masks (:func:`~repro.core.symbols.count_states`), gives
+    ``energy = sum_s w_s * n_s`` and ``updated = sum_s n_s``.  Every shipped
+    energy model is integral, so these equal the per-cell float sums bit for
+    bit whatever the order.  A non-integral model (Python API only) runs the
+    same code and rounds once per state instead of once per cell.  Expected
+    disturbance is the one order-sensitive sum: an ``(n, total_cells)``
+    float64 array of per-cell values, one gather per stored byte, summed per
+    line, then over lines.  Sampled disturbance is an integer count from one
+    draw per cell.
     """
-    states = encoded.states
-    changed = encoded.changed
-    aux = encoded.aux_mask
-    rewritten = np.empty(NUM_STATES, dtype=np.int64)
-    rewritten_aux = np.empty(NUM_STATES, dtype=np.int64)
-    for state in range(NUM_STATES):
-        cells = states == state
-        cells &= changed
-        rewritten[state] = np.count_nonzero(cells)
-        cells &= aux
-        rewritten_aux[state] = np.count_nonzero(cells)
+    changed = changed_cells(encoded.data, encoded.old_data)
+    aux_changed = encoded.aux != encoded.old_aux
+    appended = np.bincount(encoded.aux[aux_changed], minlength=4)
+    rewritten = count_states(encoded.data, changed) + appended
+    rewritten_aux = appended
+    if encoded.aux_bytes is not None:
+        aux_marks = changed & encoded.aux_bytes.view("<u8")
+        rewritten_aux = rewritten_aux + count_states(encoded.data, aux_marks)
     rewritten_data = rewritten - rewritten_aux
     weights = encoder.energy_model.write_energy_per_state
+    stored = (encoded.old_data, encoded.old_aux, *vulnerable_cells(changed, aux_changed))
     if rng is None:
         disturbance = float(
-            disturbance_model.expected_errors(encoded.old_states, changed).sum()
+            disturbance_model.expected_errors_of_bytes(*stored).sum(axis=-1).sum()
         )
     else:
-        disturbance = float(
-            np.count_nonzero(disturbance_model.sample_errors(encoded.old_states, changed, rng))
-        )
+        disturbance = float(disturbance_model.sampled_errors_of_bytes(*stored, rng))
     return WriteMetrics(
-        requests=int(states.shape[0]),
+        requests=len(encoded),
         data_energy_pj=float(weights @ rewritten_data),
         aux_energy_pj=float(weights @ rewritten_aux),
         updated_data_cells=float(rewritten_data.sum()),
@@ -140,7 +139,8 @@ def evaluate_chunk(
         encoded = encoder.encode_batch(chunk.new, chunk.old)
     count("lines_encoded", len(chunk), scheme=encoder.name)
     rng = np.random.default_rng(stream) if stream is not None else None
-    metrics = metrics_from_encoded(encoded, encoder, disturbance_model, rng)
+    with span("metrics", scheme=encoder.name, lines=len(chunk)):
+        metrics = metrics_from_encoded(encoded, encoder, disturbance_model, rng)
     _record_peak_memory()
     return metrics
 

@@ -99,8 +99,7 @@ class PCMBank:
         metrics = metrics_from_encoded(encoded, self.encoder, self.disturbance_model)
         faults = None
         if self.sample_disturbance:
-            # One draw gives both the faults and their count.  It is taken
-            # before the row, which ``encoded.old_states`` views, is overwritten.
+            # One draw gives both the faults and their count.
             faults = self.disturbance_model.sample_errors(
                 encoded.old_states, changed, self.rng
             )[0]

@@ -15,6 +15,7 @@ from repro.coding.base import (
     winner_bytes,
 )
 from repro.coding.baseline import BaselineEncoder
+from repro.coding.registry import available_schemes, make_scheme
 from repro.core.cosets import (
     C1,
     C2,
@@ -105,29 +106,120 @@ class TestBlockSelection:
         assert np.array_equal(tables[:256], DEFAULT_BYTE_TABLE)
 
 
+def _batch(n=2, appended=1, **fields):
+    """An all-zero :class:`EncodedBatch` of ``n`` lines with ``fields`` replaced."""
+    values = dict(
+        data=np.zeros((n, 64), dtype=np.uint8),
+        aux=np.zeros((n, appended), dtype=np.uint8),
+        aux_bytes=None,
+        compressed=np.zeros(n, dtype=bool),
+        encoded=np.zeros(n, dtype=bool),
+        old_data=np.zeros((n, 64), dtype=np.uint8),
+        old_aux=np.zeros((n, appended), dtype=np.uint8),
+    )
+    values.update(fields)
+    return EncodedBatch(**values)
+
+
+#: Per field, values of the wrong shape or dtype for a 2-line, 1-aux-cell batch.
+BAD_FIELDS = [
+    ("data", np.zeros((2, 63), dtype=np.uint8)),
+    ("data", np.zeros((2, 64), dtype=np.uint16)),
+    ("data", np.zeros((2, 256), dtype=np.uint8)),
+    ("aux", np.zeros((2,), dtype=np.uint8)),
+    ("aux", np.zeros((3, 1), dtype=np.uint8)),
+    ("aux", np.zeros((2, 1), dtype=bool)),
+    ("aux_bytes", np.zeros((2, 64), dtype=bool)),
+    ("aux_bytes", np.zeros((2, 257), dtype=np.uint8)),
+    ("compressed", np.zeros(3, dtype=bool)),
+    ("compressed", np.zeros(2, dtype=np.uint8)),
+    ("compressed", np.zeros((2, 1), dtype=bool)),
+    ("encoded", np.zeros(1, dtype=bool)),
+    ("encoded", np.zeros(2, dtype=np.int64)),
+    ("encoded", [False, False]),
+    ("old_data", np.zeros((1, 64), dtype=np.uint8)),
+    ("old_data", np.zeros((2, 64), dtype=np.int8)),
+    ("old_aux", np.zeros((2, 2), dtype=np.uint8)),
+    ("old_aux", np.zeros((2, 1), dtype=np.uint16)),
+]
+
+
 class TestEncodedBatch:
     def test_changed_and_total_cells(self):
-        states = np.array([[0, 1, 2]], dtype=np.uint8)
-        old = np.array([[0, 0, 2]], dtype=np.uint8)
-        batch = EncodedBatch(
-            states=states,
-            old_states=old,
-            aux_mask=np.zeros_like(states, dtype=bool),
-            compressed=np.zeros(1, dtype=bool),
-            encoded=np.zeros(1, dtype=bool),
-        )
-        assert batch.changed.tolist() == [[False, True, False]]
-        assert batch.total_cells == 3
+        # Cells 0..3 of line 0 are S1, S2, S3, S1 over S1, S1, S3, S1: only cell 1 changes.
+        data = np.zeros((1, 64), dtype=np.uint8)
+        data[0, 0] = 0b00_10_01_00
+        old_data = np.zeros((1, 64), dtype=np.uint8)
+        old_data[0, 0] = 0b00_10_00_00
+        batch = _batch(1, 1, data=data, old_data=old_data, aux=np.array([[3]], dtype=np.uint8))
+        changed = batch.changed
+        assert changed.shape == (1, 257) and batch.total_cells == 257
+        assert np.flatnonzero(changed[0]).tolist() == [1, 256]
+        assert batch.states[0, :4].tolist() == [0, 1, 2, 0]
+        assert batch.old_states[0, :4].tolist() == [0, 0, 2, 0]
+        assert batch.states[0, 256] == 3 and batch.old_states[0, 256] == 0
 
     def test_shape_validation(self):
         with pytest.raises(EncodingError):
-            EncodedBatch(
-                states=np.zeros((1, 3), dtype=np.uint8),
-                old_states=np.zeros((1, 4), dtype=np.uint8),
-                aux_mask=np.zeros((1, 3), dtype=bool),
-                compressed=np.zeros(1, dtype=bool),
-                encoded=np.zeros(1, dtype=bool),
-            )
+            _batch(old_data=np.zeros((2, 32), dtype=np.uint8))
+        with pytest.raises(EncodingError):
+            _batch(old_aux=np.zeros((2, 2), dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "name,value", BAD_FIELDS, ids=[f"{name}-{i}" for i, (name, _) in enumerate(BAD_FIELDS)]
+    )
+    def test_every_field_is_checked(self, name, value):
+        with pytest.raises(EncodingError, match=name):
+            _batch(**{name: value})
+
+    def test_aux_mask_view(self):
+        aux_bytes = np.zeros((2, 64), dtype=np.uint8)
+        aux_bytes[1, 63] = 0b11_00_00_00  # cell 255 of line 1
+        mask = _batch(aux_bytes=aux_bytes).aux_mask
+        assert mask.shape == (2, 257) and mask.dtype == bool
+        assert np.flatnonzero(mask[0]).tolist() == [256]
+        assert np.flatnonzero(mask[1]).tolist() == [255, 256]
+        assert not _batch(appended=0).aux_mask.any()
+
+    def test_cell_views_are_read_only(self):
+        batch = _batch()
+        for view in (batch.states, batch.old_states, batch.aux_mask, batch.changed):
+            with pytest.raises(ValueError):
+                view[0, 0] = 1
+
+    @pytest.mark.parametrize("aux_bytes", [None, np.arange(5 * 64, dtype=np.uint8).reshape(5, 64)])
+    def test_window_slices_the_byte_fields(self, aux_bytes):
+        rng = np.random.default_rng(4)
+        batch = _batch(
+            5,
+            2,
+            data=rng.integers(0, 256, (5, 64), dtype=np.uint8),
+            aux=rng.integers(0, 4, (5, 2), dtype=np.uint8),
+            aux_bytes=aux_bytes,
+            compressed=rng.random(5) < 0.5,
+            encoded=rng.random(5) < 0.5,
+            old_data=rng.integers(0, 256, (5, 64), dtype=np.uint8),
+            old_aux=rng.integers(0, 4, (5, 2), dtype=np.uint8),
+        )
+        window = batch.window(1, 4)
+        assert len(window) == 3
+        for name in ("data", "aux", "aux_bytes", "compressed", "encoded", "old_data", "old_aux"):
+            value, whole = getattr(window, name), getattr(batch, name)
+            if whole is None:
+                assert value is None
+            else:
+                assert np.shares_memory(value, whole) and np.array_equal(value, whole[1:4])
+        for view in ("states", "old_states", "aux_mask", "changed"):
+            assert np.array_equal(getattr(window, view), getattr(batch, view)[1:4])
+
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_at_most_300_bytes_per_line(self, scheme, biased_lines):
+        encoder = make_scheme(scheme)
+        lines = biased_lines[:64]
+        batch = encoder.encode_batch(lines, biased_lines[64:128])
+        arrays = [value for value in vars(batch).values() if value is not None]
+        assert sum(value.nbytes for value in arrays) / len(batch) <= 300
+        assert batch.total_cells == encoder.total_cells
 
 
 class TestWriteEncoderInterface:

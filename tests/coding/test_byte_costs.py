@@ -3,14 +3,15 @@
 Every coset encoder prices a candidate with one lookup per 4-cell byte into
 a composed table (:meth:`repro.core.energy.EnergyModel.candidate_cost_table`)
 at a shared ``stored << 8 | data`` index, sums blocks in ``int32`` and picks
-winners in bytes.  The reference here is the per-cell float64 search the
-encoders used before: candidate cell states, one energy per cell
-(``weights[state]`` where the cell changes), block sums, and the same
-selection rules.  For every coset scheme the two must give identical
-``(states, aux_mask, compressed, encoded)`` on benchmark, random and
-adversarial lines, against both fresh and reference-encoded stored states;
-the WLC family also on batches with no, only, one or zero compressible
-lines.
+winners in bytes, and returns state bytes plus appended cells.  The
+reference here is the per-cell float64 search the encoders used before:
+candidate cell states, one energy per cell (``weights[state]`` where the
+cell changes), block sums, and the same selection rules.  For every coset
+scheme the cell views of the :class:`~repro.coding.base.EncodedBatch` the
+byte path builds must give identical ``(states, aux_mask, compressed,
+encoded)`` on benchmark, random and adversarial lines, against both fresh
+and reference-encoded stored states; the WLC family also on batches with
+no, only, one or zero compressible lines.
 """
 
 import pickle
@@ -283,6 +284,12 @@ def _assert_same(got, expected):
         assert np.array_equal(a, b), name
 
 
+def byte_path(encoder, lines, stored):
+    """The byte-domain encode over stored cells, read back through its cell views."""
+    batch = encoder.encode_against_stored(lines, stored)
+    return batch.states, batch.aux_mask, batch.compressed, batch.encoded
+
+
 # ---------------------------------------------------------------------- #
 # Byte path == per-cell reference
 # ---------------------------------------------------------------------- #
@@ -292,7 +299,7 @@ def test_byte_path_matches_reference_on_fresh_cells(scheme, write_requests):
     _, new = write_requests
     fresh = encoder.fresh_states(len(new))
     expected = reference_encode(encoder, new, fresh)
-    _assert_same(encoder._encode_against_states(new, fresh), expected)
+    _assert_same(byte_path(encoder, new, fresh), expected)
 
 
 @pytest.mark.parametrize("scheme", COSET_SCHEMES)
@@ -301,7 +308,24 @@ def test_byte_path_matches_reference_on_stored_cells(scheme, write_requests):
     old, new = write_requests
     stored = reference_encode(encoder, old, encoder.fresh_states(len(old)))[0]
     expected = reference_encode(encoder, new, stored)
-    _assert_same(encoder._encode_against_states(new, stored), expected)
+    _assert_same(byte_path(encoder, new, stored), expected)
+
+
+@pytest.mark.parametrize("scheme", COSET_SCHEMES)
+def test_encode_batch_views_match_reference(scheme, write_requests):
+    """``encode_batch`` feeds the reference encode's bytes straight into the
+    encode; its cell views are the per-cell reference's, old states included."""
+    encoder = make_scheme(scheme)
+    old, new = write_requests
+    stored = reference_encode(encoder, old, encoder.fresh_states(len(old)))[0]
+    batch = encoder.encode_batch(new, old)
+    assert np.array_equal(batch.old_states, stored)
+    assert np.array_equal(encoder.encode_reference(old), stored)
+    _assert_same(
+        (batch.states, batch.aux_mask, batch.compressed, batch.encoded),
+        reference_encode(encoder, new, stored),
+    )
+    assert np.array_equal(batch.changed, batch.states != stored)
 
 
 @pytest.mark.parametrize(
@@ -315,7 +339,7 @@ def test_byte_path_matches_reference_under_figure14_models(scheme, model, write_
     old, new = write_requests
     stored = reference_encode(encoder, old, encoder.fresh_states(len(old)))[0]
     expected = reference_encode(encoder, new, stored)
-    _assert_same(encoder._encode_against_states(new, stored), expected)
+    _assert_same(byte_path(encoder, new, stored), expected)
 
 
 # ---------------------------------------------------------------------- #
@@ -411,7 +435,7 @@ def test_wlc_search_prices_reclaimed_cells_at_zero(scheme, write_requests, monke
         return select(block_costs, block_flips, stored_aux_values)
 
     monkeypatch.setattr(encoder, "_select_candidates", spy)
-    encoder._encode_against_states(new, stored)
+    encoder.encode_against_stored(new, stored)
     (costs, flips), = seen
     rows = encoder.wlc.line_compressible(new)
     _, expected_costs, expected_flips = ref_wlc_costs(encoder, new, stored)
@@ -477,7 +501,7 @@ def test_wlc_edge_batch_matches_reference_on_fresh_cells(scheme, kind):
         assert (encoder.wlc.line_compressible(new) == expected_compressible).all()
     fresh = encoder.fresh_states(len(new))
     expected = reference_encode(encoder, new, fresh)
-    _assert_same(encoder._encode_against_states(new, fresh), expected)
+    _assert_same(byte_path(encoder, new, fresh), expected)
 
 
 @pytest.mark.parametrize("kind", EDGE_BATCHES)
@@ -488,7 +512,7 @@ def test_wlc_edge_batch_matches_reference_on_stored_cells(scheme, kind, write_re
     old = LineBatch(write_requests[0].words[: len(new)])
     stored = reference_encode(encoder, old, encoder.fresh_states(len(old)))[0]
     expected = reference_encode(encoder, new, stored)
-    _assert_same(encoder._encode_against_states(new, stored), expected)
+    _assert_same(byte_path(encoder, new, stored), expected)
 
 
 @pytest.mark.parametrize(

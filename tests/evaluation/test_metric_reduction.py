@@ -18,11 +18,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.coding import make_scheme
+from repro.coding import EncodedBatch, make_scheme
 from repro.core.disturbance import DEFAULT_DISTURBANCE_MODEL, DisturbanceModel
 from repro.core.energy import DEFAULT_ENERGY_MODEL, EnergyModel, figure14_energy_models
 from repro.core.line import LineBatch
 from repro.core.metrics import WriteMetrics
+from repro.core.symbols import SYMBOLS_PER_LINE, pack_state_bytes
 from repro.evaluation.runner import metrics_from_encoded
 from repro.workloads.generator import generate_benchmark_trace
 
@@ -149,6 +150,71 @@ class TestAgainstPerCellReference:
         trace = generate_benchmark_trace("mcf", length=2048, seed=3)
         encoded = encoder.encode_batch(trace.new, trace.old)
         check_every_mode(encoded, encoder, windows=((5, 5), (7, 8), (100, 117), (0, 2048)))
+
+
+# ---------------------------------------------------------------------- #
+# Packed-word edges: every neighbour carry of the byte path
+# ---------------------------------------------------------------------- #
+def edge_cell_sets(total_cells):
+    """Rewritten-cell sets whose neighbours sit across a carry of the packed reduction.
+
+    Each side and both sides of the seven 64-bit word boundaries (cells
+    31|32 ... 223|224) and of the data/aux boundary (255|256, when the
+    scheme appends cells), the first and the last cell, and every cell.
+    """
+    pairs = [(32 * word - 1, 32 * word) for word in range(1, 8)]
+    if total_cells > SYMBOLS_PER_LINE:
+        pairs.append((SYMBOLS_PER_LINE - 1, SYMBOLS_PER_LINE))
+    sets = [cells for left, right in pairs for cells in ([left], [right], [left, right])]
+    last = total_cells - 1
+    return sets + [[0], [last], [0, last], list(range(total_cells))]
+
+
+def edge_batch(encoded, seed):
+    """``encoded``'s lines re-stored so that only the cells of one edge set change.
+
+    Line ``i`` takes the new states of line ``i % n`` and stores them with
+    the cells of edge set ``i`` moved to another state; every other cell is
+    unchanged, so its stored state is the line's own.
+    """
+    rng = np.random.default_rng(seed)
+    states = encoded.states
+    sets = edge_cell_sets(states.shape[1])
+    rows = np.arange(len(sets)) % len(encoded)
+    old = states[rows].copy()
+    for line, cells in enumerate(sets):
+        old[line, cells] = (old[line, cells] + rng.integers(1, 4, len(cells))) % 4
+    batch = EncodedBatch(
+        data=encoded.data[rows],
+        aux=encoded.aux[rows],
+        aux_bytes=None if encoded.aux_bytes is None else encoded.aux_bytes[rows],
+        compressed=encoded.compressed[rows],
+        encoded=encoded.encoded[rows],
+        old_data=pack_state_bytes(old[:, :SYMBOLS_PER_LINE]),
+        old_aux=old[:, SYMBOLS_PER_LINE:],
+    )
+    changed = batch.changed
+    for line, cells in enumerate(sets):
+        assert np.flatnonzero(changed[line]).tolist() == cells
+    return batch
+
+
+class TestPackedWordEdges:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_every_scheme(self, scheme, write_requests):
+        encoder = make_scheme(scheme)
+        old, new = write_requests
+        for seed, encoded in enumerate((
+            encoder.encode_against_stored(new, encoder.fresh_states(len(new))),
+            encoder.encode_batch(new, old),
+        )):
+            check_every_mode(edge_batch(encoded, seed), encoder)
+
+    def test_edge_sets_cover_every_boundary(self):
+        sets = edge_cell_sets(258)
+        assert [31, 32] in sets and [223, 224] in sets and [255, 256] in sets
+        assert [0] in sets and [257] in sets and list(range(258)) in sets
+        assert [255, 256] not in edge_cell_sets(256)
 
 
 # ---------------------------------------------------------------------- #

@@ -84,6 +84,25 @@ class TestObservability:
         spans = {record.name for record in session.spans}
         assert "encode_batch" in spans
 
+    @pytest.mark.parametrize("scheme", ["baseline", "wlcrc-16"])
+    def test_stage_spans_once_per_chunk(self, scheme):
+        """``reference_encode`` and ``encode`` nest in each chunk's
+        ``encode_batch``; ``metrics`` follows it, once per chunk."""
+        encoder = make_scheme(scheme)
+        trace = generate_benchmark_trace("gcc", 600, seed=3)
+        with observation("stage-spans") as session:
+            evaluate_trace(encoder, trace, EvaluationConfig(chunk_size=256))
+        records = session.spans
+        batches = {r.span_id: r for r in records if r.name == "encode_batch"}
+        assert len(batches) == 3  # 256 + 256 + 88 lines
+        for stage in ("reference_encode", "encode", "metrics"):
+            stages = [r for r in records if r.name == stage]
+            assert len(stages) == len(batches), stage
+            assert all(r.attrs["scheme"] == encoder.name for r in stages)
+            assert sorted(r.attrs["lines"] for r in stages) == [88, 256, 256]
+            if stage != "metrics":
+                assert all(r.parent_id in batches for r in stages)
+
 
 class TestMultiSchemeHelpers:
     def test_evaluate_schemes(self, gcc_trace):
