@@ -51,6 +51,15 @@ from ..obs import span
 #: aux_bytes, compressed, encoded)``, the first five fields of :class:`EncodedBatch`.
 EncodeResult = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]
 
+#: States of the flag cell a compressing scheme appends, the two cheapest:
+#: the line was compressed (and encoded), or it was written raw.
+FLAG_COMPRESSED_STATE = 0
+FLAG_RAW_STATE = 1
+
+#: Candidate index of each (family, selector bit) of the restricted rule:
+#: family 0 draws every block from {C1, C2}, family 1 from {C1, C3}.
+FAMILY_CANDIDATES = np.array([[0, 1], [0, 2]], dtype=np.uint8)
+
 
 def _cell_states(data: np.ndarray, aux: np.ndarray) -> np.ndarray:
     """Read-only ``(n, 256 + a)`` cell states of data state bytes and appended cells."""
@@ -344,26 +353,82 @@ def cheapest(costs: np.ndarray, stored: Optional[np.ndarray] = None) -> np.ndarr
     return choice
 
 
+def restricted(
+    costs: np.ndarray,
+    stored: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    flips: Optional[np.ndarray] = None,
+    threshold: Optional[float] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1 over ``(3, ..., blocks)`` C1-C3 costs: one family per scope.
+
+    A scope is the blocks on the last axis (a line or a word).  It takes the
+    family, {C1, C2} or {C1, C3}, whose per-block best costs less in total,
+    and each block then takes the family's second candidate only when that
+    is strictly cheaper than C1.  Exact ties go to family 0 and to C1 or,
+    given the stored scopes' ``(family, choice)``, to the stored family and,
+    within it, to each block's stored selector, so rewriting identical data
+    leaves the aux bits untouched.  With ``threshold``, the Section VIII-D
+    endurance objective re-picks the family by the rewritten-cell counts
+    ``flips`` when the two family costs lie within ``threshold`` of the
+    larger one (count ties keep the energy pick).  Returns ``(family,
+    choice)``.
+    """
+    family_costs = np.stack(
+        [np.minimum(costs[0], costs[1]).sum(axis=-1), np.minimum(costs[0], costs[2]).sum(axis=-1)]
+    )
+    stored_family, stored_choice = (np.uint8(0), None) if stored is None else stored
+    family = np.where(
+        family_costs[0] < family_costs[1],
+        np.uint8(0),
+        np.where(family_costs[1] < family_costs[0], np.uint8(1), stored_family),
+    ).astype(np.uint8)
+    if threshold is not None:
+        flips12 = np.where(costs[1] < costs[0], flips[1], flips[0]).sum(axis=-1)
+        flips13 = np.where(costs[2] < costs[0], flips[2], flips[0]).sum(axis=-1)
+        cost12, cost13 = family_costs
+        close = np.abs(cost12 - cost13) <= threshold * np.maximum(np.maximum(cost12, cost13), 1e-12)
+        by_flips = np.where(
+            flips13 < flips12, np.uint8(1), np.where(flips12 < flips13, np.uint8(0), family)
+        )
+        family = np.where(close, by_flips, family).astype(np.uint8)
+    alternative = np.where(family[..., None] == 0, costs[1], costs[2])
+    selector = (alternative < costs[0]).astype(np.uint8)
+    if stored is not None:
+        keep = (alternative == costs[0]) & (family == stored_family)[..., None]
+        selector = np.where(keep, stored_choice != 0, selector).astype(np.uint8)
+    return family, family_choice(family, selector)
+
+
+def family_choice(family: np.ndarray, selector: np.ndarray) -> np.ndarray:
+    """Each block's candidate index from its scope's ``family`` and its ``selector`` bit."""
+    return FAMILY_CANDIDATES.take(2 * family[..., None] + selector)
+
+
 def candidate_byte_tables(candidates: np.ndarray) -> np.ndarray:
-    """The flat ``(k * 256,)`` symbol-byte -> state-byte tables of ``candidates``."""
-    return np.concatenate([mapping_byte_table(mapping) for mapping in candidates])
+    """The flat ``(k * 256,)`` symbol-byte -> state-byte tables of ``candidates``.
+
+    Read-only and cached at module level per candidate set, never kept on an
+    encoder (encoders are pickled into every worker task).
+    """
+    return _byte_tables(np.asarray(candidates, dtype=np.uint8).tobytes(), False)
 
 
 def inverse_byte_tables(candidates: np.ndarray) -> np.ndarray:
     """The flat ``(k * 256,)`` state-byte -> symbol-byte tables of ``candidates``.
 
-    The inverse of :func:`candidate_byte_tables`: gathered by
-    :func:`winner_bytes` at ``choice << 8 | state_byte``, they decode state
-    bytes.  Read-only and cached at module level per candidate set, never
-    kept on an encoder (encoders are pickled into every worker task).
+    The inverse of :func:`candidate_byte_tables`, cached the same way:
+    gathered by :func:`winner_bytes` at ``choice << 8 | state_byte``, they
+    decode state bytes.
     """
-    return _inverse_byte_tables(np.asarray(candidates, dtype=np.uint8).tobytes())
+    return _byte_tables(np.asarray(candidates, dtype=np.uint8).tobytes(), True)
 
 
-@lru_cache(maxsize=16)
-def _inverse_byte_tables(candidates: bytes) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _byte_tables(candidates: bytes, inverse: bool) -> np.ndarray:
     mappings = np.frombuffer(candidates, dtype=np.uint8).reshape(-1, 4)
-    tables = candidate_byte_tables([invert_mapping(mapping) for mapping in mappings])
+    tables = np.concatenate(
+        [mapping_byte_table(invert_mapping(m) if inverse else m) for m in mappings]
+    )
     tables.flags.writeable = False
     return tables
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, invert_mapping
+from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.line import LineBatch
-from ..core.symbols import symbol_bytes
-from .base import EncodeResult, WriteEncoder
+from ..core.symbols import bytes_to_words, pack_state_bytes, symbol_bytes
+from ..obs import span
+from .base import EncodeResult, WriteEncoder, inverse_byte_tables
 
 
 class BaselineEncoder(WriteEncoder):
@@ -34,5 +35,7 @@ class BaselineEncoder(WriteEncoder):
         return data, np.zeros((n, 0), dtype=np.uint8), None, no, no.copy()
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
-        symbols = invert_mapping(DEFAULT_MAPPING)[np.asarray(states, dtype=np.uint8)]
-        return LineBatch.from_symbols(symbols)
+        states = np.asarray(states, dtype=np.uint8)
+        with span("decode", scheme=self.name, lines=len(states)):
+            state_bytes = pack_state_bytes(states)
+            return LineBatch(bytes_to_words(inverse_byte_tables(DEFAULT_MAPPING).take(state_bytes)))

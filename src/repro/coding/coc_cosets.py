@@ -39,6 +39,8 @@ from ..core.symbols import (
     symbol_bytes,
 )
 from .base import (
+    FLAG_COMPRESSED_STATE,
+    FLAG_RAW_STATE,
     EncodeResult,
     WriteEncoder,
     candidate_byte_tables,
@@ -48,7 +50,6 @@ from .base import (
     inverse_byte_tables,
     winner_bytes,
 )
-from .wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,13 @@ from ..core.symbols import (
     symbol_bytes,
 )
 from ..ecc.bch import BCHCode
-from .base import EncodeResult, WriteEncoder, inverse_byte_tables
-from .wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
+from .base import (
+    FLAG_COMPRESSED_STATE,
+    FLAG_RAW_STATE,
+    EncodeResult,
+    WriteEncoder,
+    inverse_byte_tables,
+)
 
 #: Bits reserved for the compressed-length header inside the encoded payload.
 LENGTH_HEADER_BITS = 9

@@ -3,8 +3,8 @@
 The names follow the paper's terminology.  A granularity suffix (``-8``,
 ``-16``, ``-32``, ...) can be appended to the coset-based schemes; without a
 suffix each scheme uses the default granularity the paper evaluates it at
-(512-bit lines for FlipMin/FNW/6cosets, 32-bit blocks for WLC+4cosets,
-16-bit blocks for WLCRC).
+(512-bit lines for 6cosets, 128-bit blocks for FNW, 32-bit blocks for
+WLC+4cosets, 16-bit blocks for WLCRC).
 
 Examples
 --------
@@ -19,19 +19,17 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.cosets import FOUR_COSETS, SIX_COSETS, THREE_COSETS
+import numpy as np
+
+from ..core.cosets import C1, C3, FOUR_COSETS, SIX_COSETS, THREE_COSETS
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from .base import WriteEncoder
 from .baseline import BaselineEncoder
 from .coc_cosets import COCFourCosetsEncoder
 from .din import DINEncoder
+from .engines import CosetEncoder, CosetEngine, CosetSpec, WLCCosetEncoder
 from .flipmin import FlipMinEncoder
-from .fnw import FNWEncoder
-from .ncosets import NCosetsEncoder
-from .restricted import RestrictedCosetEncoder
-from .wlc_cosets import WLCNCosetsEncoder
-from .wlcrc import WLCRCEncoder
 
 #: Default threshold of the multi-objective WLCRC variant (Section VIII-D).
 DEFAULT_ENDURANCE_THRESHOLD = 0.01
@@ -48,6 +46,35 @@ FIGURE8_SCHEMES = (
     "wlcrc-16",
 )
 
+#: Reclaimed bits per word of the unrestricted WLC schemes: a 2-bit index per
+#: block, 16/8/4/2 bits at 8/16/32/64-bit blocks (Section IX-A).
+_INDEX_BITS = {8: 16, 16: 8, 32: 4, 64: 2}
+
+#: Every coset scheme as data (see :mod:`repro.coding.engines`).  A name
+#: ``<name>-<bits>`` builds the first spec of that name supporting the block size.
+COSET_SPECS = (
+    # Flip-N-Write writes a block as is (C1) or complemented: the default
+    # state of symbol ``3 - s`` is ``C3[s]``.  One flip bit per block.
+    CosetSpec("fnw", np.stack([C1, C3]), "cheapest", "bits", 128),
+    CosetSpec("6cosets", SIX_COSETS, "cheapest", "pairs", 512),
+    CosetSpec("4cosets", FOUR_COSETS, "cheapest", "cells", 512),
+    CosetSpec("3cosets", THREE_COSETS, "cheapest", "cells", 512),
+    CosetSpec("3-r-cosets", THREE_COSETS, "restricted", "bits", 16),
+    CosetSpec("wlc+4cosets", FOUR_COSETS, "cheapest", "reclaimed", 32, _INDEX_BITS),
+    CosetSpec("wlc+3cosets", THREE_COSETS, "cheapest", "reclaimed", 32, _INDEX_BITS),
+    # WLCRC reclaims the family bit plus a selector per block; with 8-bit
+    # blocks the top block is compressed away and needs none.  Its ``-mo``
+    # variant picks families by the Section VIII-D endurance objective.
+    CosetSpec(
+        "wlcrc", THREE_COSETS, "restricted", "reclaimed", 16, {8: 8, 16: 5, 32: 3},
+        multi_objective=True,
+    ),
+    # A 64-bit block is a whole word, which leaves no family to choose: the
+    # paper's degenerate WLCRC-64 stores the C1-C3 index, and its threshold
+    # has nothing to pick.
+    CosetSpec("wlcrc", THREE_COSETS, "cheapest", "reclaimed", 64, {64: 2}, multi_objective=True),
+)
+
 
 def _split_granularity(name: str, prefix: str) -> Optional[int]:
     """Parse ``prefix`` or ``prefix-<bits>`` and return the granularity (or None)."""
@@ -60,57 +87,44 @@ def _split_granularity(name: str, prefix: str) -> Optional[int]:
     return None
 
 
+def coset_encoder(
+    prefix: str,
+    granularity_bits: int,
+    energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
+    endurance_threshold: Optional[float] = None,
+) -> CosetEngine:
+    """The coset scheme ``prefix`` at ``granularity_bits``, built from its spec.
+
+    The first spec of that name supporting the block size is built (else the
+    first of the name, whose engine rejects the block size).
+    """
+    specs = [spec for spec in COSET_SPECS if spec.name == prefix]
+    if not specs:
+        raise ConfigurationError(f"unknown coset scheme: {prefix!r}")
+    spec = next((s for s in specs if granularity_bits in s.granularities), specs[0])
+    engine = WLCCosetEncoder if spec.aux == "reclaimed" else CosetEncoder
+    return engine(spec, granularity_bits, energy_model, endurance_threshold)
+
+
 def make_scheme(name: str, energy_model: EnergyModel = DEFAULT_ENERGY_MODEL) -> WriteEncoder:
     """Instantiate an encoding scheme by its paper name."""
     key = name.strip().lower()
-    if key == "baseline":
-        return BaselineEncoder(energy_model)
-    if key in ("fnw", "fnw-128"):
-        return FNWEncoder(128, energy_model)
-    if key.startswith("fnw-"):
-        return FNWEncoder(int(key[4:]), energy_model)
-    if key == "flipmin":
-        return FlipMinEncoder(energy_model=energy_model)
-    if key == "din":
-        return DINEncoder(energy_model)
-    if key == "coc+4cosets":
-        return COCFourCosetsEncoder(energy_model)
-
-    for prefix, candidates in (
-        ("6cosets", SIX_COSETS),
-        ("4cosets", FOUR_COSETS),
-        ("3cosets", THREE_COSETS),
-    ):
-        granularity = _split_granularity(key, prefix)
+    fixed = {
+        "baseline": BaselineEncoder,
+        "flipmin": FlipMinEncoder,
+        "din": DINEncoder,
+        "coc+4cosets": COCFourCosetsEncoder,
+    }
+    if key in fixed:
+        return fixed[key](energy_model=energy_model)
+    threshold = None
+    if key.endswith("-mo"):  # only a multi-objective spec takes the threshold
+        key, threshold = key[:-3], DEFAULT_ENDURANCE_THRESHOLD
+    for spec in COSET_SPECS:
+        granularity = _split_granularity(key, spec.name)
         if granularity is not None:
-            bits = granularity or 512
-            return NCosetsEncoder(
-                candidates, bits, name=f"{prefix}-{bits}", energy_model=energy_model
-            )
-
-    granularity = _split_granularity(key, "3-r-cosets")
-    if granularity is not None:
-        return RestrictedCosetEncoder(granularity or 16, energy_model)
-
-    granularity = _split_granularity(key, "wlc+4cosets")
-    if granularity is not None:
-        return WLCNCosetsEncoder(FOUR_COSETS, granularity or 32, "wlc+4cosets", energy_model)
-    granularity = _split_granularity(key, "wlc+3cosets")
-    if granularity is not None:
-        return WLCNCosetsEncoder(THREE_COSETS, granularity or 32, "wlc+3cosets", energy_model)
-
-    if key.endswith("-mo"):
-        granularity = _split_granularity(key[:-3], "wlcrc")
-        if granularity is not None:
-            return WLCRCEncoder(
-                granularity or 16,
-                energy_model,
-                endurance_threshold=DEFAULT_ENDURANCE_THRESHOLD,
-            )
-    granularity = _split_granularity(key, "wlcrc")
-    if granularity is not None:
-        return WLCRCEncoder(granularity or 16, energy_model)
-
+            bits = granularity or spec.default_bits
+            return coset_encoder(spec.name, bits, energy_model, threshold)
     raise ConfigurationError(f"unknown scheme name: {name!r}")
 
 

@@ -14,15 +14,12 @@ line runs are unnecessary for the statistics to converge (see EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..coding import FIGURE8_SCHEMES, make_scheme
-from ..coding.ncosets import make_four_cosets, make_six_cosets, make_three_cosets
-from ..coding.restricted import RestrictedCosetEncoder
-from ..coding.wlc_cosets import make_wlc_four_cosets, make_wlc_three_cosets
-from ..coding.wlcrc import WLCRCEncoder
+from ..coding import FIGURE8_SCHEMES, coset_encoder, make_scheme
 from ..core.config import EvaluationConfig, GRANULARITIES_WLC
 from ..core.cosets import FOUR_COSETS, candidate_names
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
@@ -211,7 +208,7 @@ def figure1(
     else:
         raise ValueError("workload must be 'random' or 'biased'")
     sweep = granularity_sweep(
-        lambda g, em: make_six_cosets(g, em),
+        partial(coset_encoder, "6cosets"),
         FIGURE1_GRANULARITIES,
         traces,
         config.evaluation,
@@ -250,7 +247,7 @@ def figure2(config: ExperimentConfig = DEFAULT_EXPERIMENT_CONFIG) -> Dict[str, D
     return _coset_comparison(
         traces,
         config,
-        {"6cosets": lambda g, em: make_six_cosets(g, em), "4cosets": lambda g, em: make_four_cosets(g, em)},
+        {"6cosets": partial(coset_encoder, "6cosets"), "4cosets": partial(coset_encoder, "4cosets")},
         FIGURE2_GRANULARITIES,
     )
 
@@ -261,7 +258,7 @@ def figure3(config: ExperimentConfig = DEFAULT_EXPERIMENT_CONFIG) -> Dict[str, D
     return _coset_comparison(
         traces,
         config,
-        {"6cosets": lambda g, em: make_six_cosets(g, em), "4cosets": lambda g, em: make_four_cosets(g, em)},
+        {"6cosets": partial(coset_encoder, "6cosets"), "4cosets": partial(coset_encoder, "4cosets")},
         FIGURE2_GRANULARITIES,
     )
 
@@ -284,9 +281,9 @@ def figure5(config: ExperimentConfig = DEFAULT_EXPERIMENT_CONFIG) -> Dict[str, D
         traces,
         config,
         {
-            "4cosets": lambda g, em: make_four_cosets(g, em),
-            "3cosets": lambda g, em: make_three_cosets(g, em),
-            "3-r-cosets": lambda g, em: RestrictedCosetEncoder(g, em),
+            "4cosets": partial(coset_encoder, "4cosets"),
+            "3cosets": partial(coset_encoder, "3cosets"),
+            "3-r-cosets": partial(coset_encoder, "3-r-cosets"),
         },
         FIGURE2_GRANULARITIES,
     )
@@ -386,8 +383,8 @@ def section8d_multiobjective(
     def build() -> Dict[str, Dict[str, float]]:
         traces = benchmark_traces(config)
         roles = {
-            "wlcrc-16": WLCRCEncoder(16),
-            "wlcrc-16-mo": WLCRCEncoder(16, endurance_threshold=threshold),
+            "wlcrc-16": make_scheme("wlcrc-16"),
+            "wlcrc-16-mo": coset_encoder("wlcrc", 16, endurance_threshold=threshold),
             "baseline": make_scheme("baseline"),
         }
         units = [
@@ -435,9 +432,9 @@ def _wlc_granularity_metrics(
     def build() -> Dict[str, Dict[int, WriteMetrics]]:
         traces = benchmark_traces(config)
         families: Dict[str, Callable[[int, EnergyModel], object]] = {
-            "4cosets": lambda g, em: make_wlc_four_cosets(g, em),
-            "3cosets": lambda g, em: make_wlc_three_cosets(g, em),
-            "WLCRC": lambda g, em: WLCRCEncoder(g, em),
+            "4cosets": partial(coset_encoder, "wlc+4cosets"),
+            "3cosets": partial(coset_encoder, "wlc+3cosets"),
+            "WLCRC": partial(coset_encoder, "wlcrc"),
         }
         # One fan-out over all (family x granularity x trace) combinations.
         units = []
@@ -501,7 +498,7 @@ def figure14(config: ExperimentConfig = DEFAULT_EXPERIMENT_CONFIG) -> Dict[str, 
     def build() -> Dict[str, Dict[str, float]]:
         traces = benchmark_traces(config)
         sweep = energy_level_sweep(
-            factory=lambda em: WLCRCEncoder(16, em),
+            factory=lambda em: make_scheme("wlcrc-16", em),
             baseline_factory=lambda em: make_scheme("baseline", em),
             traces=traces,
             config=config.evaluation,

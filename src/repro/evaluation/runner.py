@@ -82,13 +82,14 @@ def metrics_from_encoded(
         rewritten_aux = rewritten_aux + count_states(encoded.data, aux_marks)
     rewritten_data = rewritten - rewritten_aux
     weights = encoder.energy_model.write_energy_per_state
-    stored = (encoded.old_data, encoded.old_aux, *vulnerable_cells(changed, aux_changed))
-    if rng is None:
-        disturbance = float(
-            disturbance_model.expected_errors_of_bytes(*stored).sum(axis=-1).sum()
-        )
-    else:
-        disturbance = float(disturbance_model.sampled_errors_of_bytes(*stored, rng))
+    with span("disturbance", scheme=encoder.name, lines=len(encoded)):
+        stored = (encoded.old_data, encoded.old_aux, *vulnerable_cells(changed, aux_changed))
+        if rng is None:
+            disturbance = float(
+                disturbance_model.expected_errors_of_bytes(*stored).sum(axis=-1).sum()
+            )
+        else:
+            disturbance = float(disturbance_model.sampled_errors_of_bytes(*stored, rng))
     return WriteMetrics(
         requests=len(encoded),
         data_energy_pj=float(weights @ rewritten_data),

@@ -6,12 +6,17 @@ at a shared ``stored << 8 | data`` index, sums blocks in ``int32`` and picks
 winners in bytes, and returns state bytes plus appended cells.  The
 reference here is the per-cell float64 search the encoders used before:
 candidate cell states, one energy per cell (``weights[state]`` where the
-cell changes), block sums, and the same selection rules.  For every coset
-scheme the cell views of the :class:`~repro.coding.base.EncodedBatch` the
-byte path builds must give identical ``(states, aux_mask, compressed,
-encoded)`` on benchmark, random and adversarial lines, against both fresh
-and reference-encoded stored states; the WLC family also on batches with
-no, only, one or zero compressible lines.
+cell changes), block sums, and every selection rule written out again from
+the paper -- the unrestricted choice, Algorithm 1 at line and word scope
+with its stored tie-breaks and the Section VIII-D endurance objective --
+together with every auxiliary layout.  The reference is picked by scheme
+name and reads its geometry from the name, never from the encoder, so it
+does not share a line with the code it checks.  For every coset scheme the
+cell views of the :class:`~repro.coding.base.EncodedBatch` the byte path
+builds must give identical ``(states, aux_mask, compressed, encoded)`` on
+benchmark, random and adversarial lines, against fresh, reference-encoded
+and uniformly random stored states; the WLC family also on batches with no,
+only, one or zero compressible lines.
 """
 
 import pickle
@@ -20,22 +25,17 @@ import numpy as np
 import pytest
 
 from repro.coding import (
-    COCFourCosetsEncoder,
-    FlipMinEncoder,
-    FNWEncoder,
-    NCosetsEncoder,
-    RestrictedCosetEncoder,
-    WLCWordEncoderBase,
+    FLAG_COMPRESSED_STATE,
+    FLAG_RAW_STATE,
     available_schemes,
     candidate_costs,
     cost_index,
     make_scheme,
     pack_bits_to_states,
 )
+from repro.coding import engines
 from repro.coding.coc_cosets import LAYOUT_16, LAYOUT_32
-from repro.coding.fnw import FNW_CANDIDATES
-from repro.coding.restricted import FAMILY_CANDIDATES
-from repro.coding.wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
+from repro.compression.wlc import WLCCompressor
 from repro.core.cosets import (
     C1,
     C3,
@@ -60,11 +60,12 @@ from repro.core.symbols import (
     SYMBOLS_PER_LINE,
     SYMBOLS_PER_WORD,
     WORDS_PER_LINE,
-    complement_symbols,
     pack_state_bytes,
     words_to_symbols,
 )
 from repro.workloads.generator import generate_benchmark_trace
+
+from .cell_oracle import CANDIDATES, FNW_CANDIDATES, RECLAIMED_BITS, pair_states, parse_scheme
 
 GRANULARITIES = (8, 16, 32, 64, 128, 256, 512)
 WLC_GRANULARITIES = (8, 16, 32, 64)
@@ -102,34 +103,54 @@ def ref_select(candidate_states, choice, block_cells):
     return np.take_along_axis(stacked, per_cell[..., None].astype(np.intp), axis=-1)[..., 0]
 
 
-def _appended_aux(n, data_states, aux_states, total_cells):
+def _appended_aux(n, data_states, aux_states):
     states = np.concatenate([data_states, aux_states], axis=1).astype(np.uint8)
-    aux_mask = np.zeros((n, total_cells), dtype=bool)
+    aux_mask = np.zeros(states.shape, dtype=bool)
     aux_mask[:, SYMBOLS_PER_LINE:] = True
     return states, aux_mask, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
 
 
-def ref_ncosets(enc, lines, stored):
-    candidates = enc.candidates[:, lines.symbols()]
-    costs = ref_block_costs(candidates, stored[:, :256], enc.energy_model, enc.block_cells)
+def ref_line_costs(prefix, granularity, model, lines, stored):
+    candidates = CANDIDATES[prefix][:, lines.symbols()]
+    costs = ref_block_costs(candidates, stored[:, :256], model, granularity // 2)
+    return candidates, costs
+
+
+def ref_ncosets(prefix, granularity, model, lines, stored):
+    """Each block takes its cheapest candidate (lowest index on ties); one
+    cell per block holds the index as a state, or two cells per block one of
+    the cheapest state pairs for more than four candidates."""
+    candidates, costs = ref_line_costs(prefix, granularity, model, lines, stored)
     choice = costs.argmin(axis=0).astype(np.uint8)
-    data = ref_select(candidates, choice, enc.block_cells)
-    return _appended_aux(len(lines), data, enc.aux_codec.encode(choice), enc.total_cells)
+    data = ref_select(candidates, choice, granularity // 2)
+    if len(candidates) > 4:
+        aux = pair_states(model, len(candidates))[choice].reshape(len(lines), -1)
+    else:
+        aux = choice
+    return _appended_aux(len(lines), data, aux)
 
 
-def ref_restricted(enc, lines, stored):
-    candidates = enc.candidates[:, lines.symbols()]
-    costs = ref_block_costs(candidates, stored[:, :256], enc.energy_model, enc.block_cells)
+def ref_restricted(prefix, granularity, model, lines, stored):
+    """Algorithm 1 at line scope: family bit, then one selector bit per block."""
+    candidates, costs = ref_line_costs(prefix, granularity, model, lines, stored)
     family_costs = np.stack(
         [np.minimum(costs[0], costs[1]).sum(axis=-1), np.minimum(costs[0], costs[2]).sum(axis=-1)]
     )
     family = family_costs.argmin(axis=0).astype(np.uint8)
     alternative = np.where(family[:, None] == 0, costs[1], costs[2])
     selector = (alternative < costs[0]).astype(np.uint8)
-    choice = FAMILY_CANDIDATES[family[:, None], selector]
-    data = ref_select(candidates, choice, enc.block_cells)
+    choice = selector * (family[:, None] + 1)
+    data = ref_select(candidates, choice, granularity // 2)
     bits = np.concatenate([family[:, None], selector], axis=1).astype(np.uint8)
-    return _appended_aux(len(lines), data, pack_bits_to_states(bits), enc.total_cells)
+    return _appended_aux(len(lines), data, pack_bits_to_states(bits))
+
+
+def ref_fnw(prefix, granularity, model, lines, stored):
+    """Each block is written as is or complemented; one flip bit per block."""
+    candidates, costs = ref_line_costs(prefix, granularity, model, lines, stored)
+    choice = costs.argmin(axis=0).astype(np.uint8)
+    data = ref_select(candidates, choice, granularity // 2)
+    return _appended_aux(len(lines), data, pack_bits_to_states(choice))
 
 
 def ref_flipmin(enc, lines, stored):
@@ -140,62 +161,101 @@ def ref_flipmin(enc, lines, stored):
     choice = costs.argmin(axis=0)
     data = ref_select(candidates, choice, SYMBOLS_PER_LINE)
     index_bits = np.stack([(choice[:, 0] >> b) & 1 for b in range(enc.index_bits)], axis=1)
-    return _appended_aux(len(lines), data, pack_bits_to_states(index_bits), enc.total_cells)
+    return _appended_aux(len(lines), data, pack_bits_to_states(index_bits))
 
 
-def ref_fnw(enc, lines, stored):
-    symbols = lines.symbols()
-    candidates = apply_mapping(DEFAULT_MAPPING, np.stack([symbols, complement_symbols(symbols)]))
-    costs = ref_block_costs(candidates, stored[:, :256], enc.energy_model, enc.block_cells)
-    choice = costs.argmin(axis=0).astype(np.uint8)
-    data = ref_select(candidates, choice, enc.block_cells)
-    return _appended_aux(len(lines), data, pack_bits_to_states(choice), enc.total_cells)
-
-
-def ref_wlc_costs(enc, lines, stored):
+def ref_wlc_costs(prefix, granularity, model, lines, stored):
     """Candidate cell states, and ``(k, n, 8, blocks)`` energies and rewrite
     counts of every word block in which only the data-region cells count."""
     n = len(lines)
     word_symbols = lines.symbols().reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
     stored_words = stored[:, :SYMBOLS_PER_LINE].reshape(n * WORDS_PER_LINE, SYMBOLS_PER_WORD)
-    candidates = enc.candidates[:, word_symbols]
+    candidates = CANDIDATES[prefix][:, word_symbols]
     k = candidates.shape[0]
+    block_cells, blocks = granularity // 2, 64 // granularity
     flat = candidates.reshape(k, n * WORDS_PER_LINE, SYMBOLS_PER_WORD)
-    shape = (k, n, WORDS_PER_LINE, enc.blocks_per_word)
-    active = enc.data_region_cells
-    costs = ref_block_costs(flat, stored_words, enc.energy_model, enc.block_cells, active)
+    shape = (k, n, WORDS_PER_LINE, blocks)
+    active = SYMBOLS_PER_WORD - (RECLAIMED_BITS[prefix][granularity] + 1) // 2
+    costs = ref_block_costs(flat, stored_words, model, block_cells, active)
     changed = flat != stored_words
     changed[..., active:] = False
-    blocks = (k, n * WORDS_PER_LINE, enc.blocks_per_word, enc.block_cells)
-    flips = changed.reshape(blocks).sum(axis=-1)
+    flips = changed.reshape(k, n * WORDS_PER_LINE, blocks, block_cells).sum(axis=-1)
     return candidates, costs.reshape(shape), flips.astype(np.float64).reshape(shape)
 
 
-def ref_wlc(enc, lines, stored):
+def ref_index_choice(costs, stored_value, count):
+    """Unrestricted word blocks: the cheapest candidate, the stored one on exact
+    ties.  Block ``b``'s 2-bit index sits at bits ``2b..2b+1`` of the value."""
+    blocks = np.arange(costs.shape[-1], dtype=np.uint64)
+    stored_choice = np.minimum((stored_value[..., None] >> (blocks * 2)) & 3, count - 1)
+    stored_choice = stored_choice.astype(np.intp)
+    stored_cost = np.take_along_axis(costs, stored_choice[None], axis=0)[0]
+    choice = np.where(stored_cost == costs.min(axis=0), stored_choice, costs.argmin(axis=0))
+    value = (choice.astype(np.uint64) << (blocks * 2)).sum(axis=-1, dtype=np.uint64)
+    return choice.astype(np.uint8), value
+
+
+def ref_algorithm1(costs, flips, stored_value, reclaimed, threshold):
+    """Algorithm 1 per word: the family bit is the top reclaimed bit and block
+    ``b``'s selector bit is bit ``b`` (blocks past ``reclaimed - 1`` store none).
+    Exact family-cost ties keep the stored family, and per-block ties within
+    the stored family keep the stored selector.  With ``threshold`` the family
+    costs within ``threshold`` of each other re-pick by rewritten cells."""
+    top = reclaimed - 1
+    blocks = costs.shape[-1]
+    stored_family = ((stored_value >> np.uint64(top)) & 1).astype(np.uint8)
+    stored_selector = np.zeros(stored_value.shape + (blocks,), dtype=np.uint8)
+    for block in range(min(blocks, top)):
+        stored_selector[..., block] = (stored_value >> np.uint64(block)) & 1
+    c1, c2, c3 = costs
+    cost12, cost13 = np.minimum(c1, c2).sum(axis=-1), np.minimum(c1, c3).sum(axis=-1)
+    family = np.where(cost12 < cost13, 0, np.where(cost13 < cost12, 1, stored_family))
+    if threshold is not None:
+        flips12 = np.where(c2 < c1, flips[1], flips[0]).sum(axis=-1)
+        flips13 = np.where(c3 < c1, flips[2], flips[0]).sum(axis=-1)
+        close = np.abs(cost12 - cost13) <= threshold * np.maximum(np.maximum(cost12, cost13), 1e-12)
+        by_flips = np.where(flips13 < flips12, 1, np.where(flips12 < flips13, 0, family))
+        family = np.where(close, by_flips, family)
+    family = family.astype(np.uint8)
+    other = np.where(family[..., None] == 0, c2, c3)
+    keep = (other == c1) & (family == stored_family)[..., None]
+    selector = np.where(other < c1, 1, np.where(keep, stored_selector, 0)).astype(np.uint8)
+    choice = selector * (family[..., None] + 1)
+    value = family.astype(np.uint64) << np.uint64(top)
+    for block in range(min(blocks, top)):
+        value |= selector[..., block].astype(np.uint64) << np.uint64(block)
+    return choice.astype(np.uint8), value
+
+
+def ref_wlc(prefix, granularity, model, lines, stored, threshold=None):
     n = len(lines)
-    symbols = lines.symbols()
-    compressible = enc.wlc.line_compressible(lines)
-    candidates, costs, flips = ref_wlc_costs(enc, lines, stored)
-    active = enc.data_region_cells
+    reclaimed = RECLAIMED_BITS[prefix][granularity]
+    wlc = WLCCompressor(k=reclaimed + 1)
+    active = SYMBOLS_PER_WORD - (reclaimed + 1) // 2
+    compressible = wlc.line_compressible(lines)
+    candidates, costs, flips = ref_wlc_costs(prefix, granularity, model, lines, stored)
     inverse = invert_mapping(DEFAULT_MAPPING)
     stored_words = stored[:, :SYMBOLS_PER_LINE].reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
     aux_symbols = inverse[stored_words[..., active:]]
     shifts = np.arange(active, SYMBOLS_PER_WORD).astype(np.uint64) * np.uint64(2)
     partial = (aux_symbols.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
-    stored_aux = partial >> np.uint64(64 - enc.reclaimed_bits)
-    choice, aux_values = enc._select_candidates(costs, flips, stored_aux)
-    encoded = ref_select(candidates, choice, enc.block_cells)
-    with_aux = words_to_symbols(enc.wlc.insert_reclaimed(lines.words, aux_values))
+    stored_value = partial >> np.uint64(64 - reclaimed)
+    if prefix == "wlcrc" and granularity < 64:
+        choice, value = ref_algorithm1(costs, flips, stored_value, reclaimed, threshold)
+    else:  # one block per word leaves no family to choose: the C1-C3 index
+        choice, value = ref_index_choice(costs, stored_value, len(candidates))
+    encoded = ref_select(candidates, choice, granularity // 2)
+    with_aux = words_to_symbols(wlc.insert_reclaimed(lines.words, value))
     with_aux = with_aux.reshape(n, WORDS_PER_LINE, SYMBOLS_PER_WORD)
     encoded[..., active:] = apply_mapping(DEFAULT_MAPPING, with_aux[..., active:])
     encoded = encoded.reshape(n, SYMBOLS_PER_LINE)
-    raw = apply_mapping(DEFAULT_MAPPING, symbols)
+    raw = apply_mapping(DEFAULT_MAPPING, lines.symbols())
     data = np.where(compressible[:, None], encoded, raw).astype(np.uint8)
     flag = np.where(compressible, FLAG_COMPRESSED_STATE, FLAG_RAW_STATE).astype(np.uint8)
-    aux_mask = np.zeros((n, enc.total_cells), dtype=bool)
-    line_aux = np.tile(enc.word_aux_mask(), WORDS_PER_LINE)
+    aux_mask = np.zeros((n, SYMBOLS_PER_LINE + 1), dtype=bool)
+    line_aux = np.tile(np.arange(SYMBOLS_PER_WORD) >= active, WORDS_PER_LINE)
     aux_mask[:, :SYMBOLS_PER_LINE] = compressible[:, None] & line_aux
-    aux_mask[:, enc.flag_cell_index] = True
+    aux_mask[:, SYMBOLS_PER_LINE] = True
     states = np.concatenate([data, flag[:, None]], axis=1)
     return states, aux_mask, compressible, compressible.copy()
 
@@ -239,43 +299,29 @@ def ref_coc(enc, lines, stored):
     return states, aux_mask, compressible, compressible.copy()
 
 
-REFERENCES = (
-    (RestrictedCosetEncoder, ref_restricted),
-    (NCosetsEncoder, ref_ncosets),
-    (FlipMinEncoder, ref_flipmin),
-    (FNWEncoder, ref_fnw),
-    (WLCWordEncoderBase, ref_wlc),
-    (COCFourCosetsEncoder, ref_coc),
-)
+#: The per-cell reference of every scheme name prefix.
+REFERENCES = {
+    "fnw": ref_fnw,
+    "6cosets": ref_ncosets,
+    "4cosets": ref_ncosets,
+    "3cosets": ref_ncosets,
+    "3-r-cosets": ref_restricted,
+    "wlc+4cosets": ref_wlc,
+    "wlc+3cosets": ref_wlc,
+}
 
 
 def reference_encode(encoder, lines, stored):
-    for cls, reference in REFERENCES:
-        if isinstance(encoder, cls):
-            return reference(encoder, lines, stored)
-    raise AssertionError(f"no reference for {encoder.name}")
-
-
-# ---------------------------------------------------------------------- #
-# Inputs
-# ---------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def write_requests():
-    """``(old, new)`` batches: benchmark, random and adversarial lines."""
-    rng = np.random.default_rng(2024)
-    trace = generate_benchmark_trace("gcc", length=48, seed=5)
-    patterns = np.array(
-        [[0] * 8, [2**64 - 1] * 8, [0xAAAA_AAAA_AAAA_AAAA] * 8, [0x5555_5555_5555_5555] * 8],
-        dtype=np.uint64,
-    )
-    new = np.concatenate([trace.new.words, LineBatch.random(16, rng).words, patterns])
-    old = np.concatenate([trace.old.words, LineBatch.random(16, rng).words, patterns[::-1]])
-    single_bit = new[:24].copy()
-    bits = rng.integers(0, 64, 24).astype(np.uint64)
-    single_bit[np.arange(24), np.arange(24) % 8] ^= np.uint64(1) << bits
-    new = np.concatenate([new, single_bit, new[:12]])
-    old = np.concatenate([old, new[:24], new[:12]])  # single-bit deltas, then old == new
-    return LineBatch(old), LineBatch(new)
+    """The per-cell reference encode of ``encoder``'s scheme, chosen by its name."""
+    if encoder.name == "flipmin":
+        return ref_flipmin(encoder, lines, stored)
+    if encoder.name == "coc+4cosets":
+        return ref_coc(encoder, lines, stored)
+    prefix, granularity, threshold = parse_scheme(encoder.name)
+    model = encoder.energy_model
+    if prefix == "wlcrc":
+        return ref_wlc(prefix, granularity, model, lines, stored, threshold)
+    return REFERENCES[prefix](prefix, granularity, model, lines, stored)
 
 
 def _assert_same(got, expected):
@@ -307,6 +353,18 @@ def test_byte_path_matches_reference_on_stored_cells(scheme, write_requests):
     encoder = make_scheme(scheme)
     old, new = write_requests
     stored = reference_encode(encoder, old, encoder.fresh_states(len(old)))[0]
+    expected = reference_encode(encoder, new, stored)
+    _assert_same(byte_path(encoder, new, stored), expected)
+
+
+@pytest.mark.parametrize("scheme", COSET_SCHEMES)
+def test_byte_path_matches_reference_on_random_cells(scheme, write_requests):
+    """Uniformly random stored cells: every stored tie-break reads aux values
+    (families, selectors, indices) that the encode of ``old`` would not leave."""
+    encoder = make_scheme(scheme)
+    _, new = write_requests
+    rng = np.random.default_rng(31)
+    stored = rng.integers(0, 4, size=(len(new), encoder.total_cells), dtype=np.uint8)
     expected = reference_encode(encoder, new, stored)
     _assert_same(byte_path(encoder, new, stored), expected)
 
@@ -398,7 +456,7 @@ def test_candidate_table_composes_byte_cost_table(model):
 
 def test_fnw_candidates_are_default_and_complement():
     symbols = np.arange(4)
-    assert np.array_equal(FNW_CANDIDATES, np.stack([C1, C3]))
+    assert np.array_equal(make_scheme("fnw").candidates, np.stack([C1, C3]))
     assert np.array_equal(DEFAULT_MAPPING[3 - symbols], C3[symbols])
 
 
@@ -422,25 +480,30 @@ def test_masked_index_prices_reclaimed_cells_as_kept(scheme):
 
 @pytest.mark.parametrize("scheme", WLC_SCHEMES)
 def test_wlc_search_prices_reclaimed_cells_at_zero(scheme, write_requests, monkeypatch):
-    """The block costs (and rewrite counts) a WLC encoder selects on are the
-    per-cell reference's for its compressible lines: reclaimed cells cost 0."""
+    """The block costs (and rewrite counts) a WLC encoder's selection rule
+    sees are the per-cell reference's for its compressible lines: reclaimed
+    cells cost 0.  Rewrite counts are built only for the endurance objective."""
     encoder = make_scheme(scheme)
     old, new = write_requests
     stored = reference_encode(encoder, old, encoder.fresh_states(len(old)))[0]
     seen = []
-    select = encoder._select_candidates
+    for rule in ("cheapest", "restricted"):
 
-    def spy(block_costs, block_flips, stored_aux_values):
-        seen.append((block_costs, block_flips))
-        return select(block_costs, block_flips, stored_aux_values)
+        def spy(costs, *args, _rule=getattr(engines, rule)):
+            seen.append((costs, args[1] if len(args) > 1 else None))
+            return _rule(costs, *args)
 
-    monkeypatch.setattr(encoder, "_select_candidates", spy)
+        monkeypatch.setattr(engines, rule, spy)
     encoder.encode_against_stored(new, stored)
     (costs, flips), = seen
     rows = encoder.wlc.line_compressible(new)
-    _, expected_costs, expected_flips = ref_wlc_costs(encoder, new, stored)
+    prefix, granularity, threshold = parse_scheme(encoder.name)
+    _, expected_costs, expected_flips = ref_wlc_costs(
+        prefix, granularity, encoder.energy_model, new, stored
+    )
     assert np.array_equal(costs, expected_costs[:, rows])
-    if encoder.counts_rewrites:
+    assert (flips is not None) == (threshold is not None and granularity < 64)
+    if flips is not None:
         assert np.array_equal(flips, expected_flips[:, rows])
 
 

@@ -9,11 +9,10 @@ the DIN and COC+4cosets budgets, and through the stateful
 import numpy as np
 import pytest
 
-from repro.coding import make_scheme
+from repro.coding import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE, make_scheme
 from repro.coding.coc_cosets import LAYOUT_16, LAYOUT_32
 from repro.coding.din import MAX_COMPRESSED_BITS
 from repro.coding.registry import available_schemes
-from repro.coding.wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
 from repro.compression.fpc import classify_words32
 from repro.core.cosets import DEFAULT_MAPPING
 from repro.core.line import LineBatch

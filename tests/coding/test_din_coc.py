@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.coding import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
 from repro.coding.coc_cosets import COCFourCosetsEncoder, LAYOUT_16, LAYOUT_32
 from repro.coding.din import (
     BCH_PARITY_BITS,
@@ -12,7 +13,6 @@ from repro.coding.din import (
     MAX_COMPRESSED_BITS,
     build_din_mapping,
 )
-from repro.coding.wlc_base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE
 from repro.core.cosets import DEFAULT_MAPPING
 from repro.core.errors import EncodingError
 from repro.core.line import LineBatch

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.coding.ncosets import make_three_cosets
-from repro.coding.restricted import FAMILY_CANDIDATES, RestrictedCosetEncoder
+from repro.coding import coset_encoder
+from repro.coding.base import FAMILY_CANDIDATES
 from repro.core.errors import ConfigurationError
 from repro.core.line import LineBatch
 from repro.evaluation.runner import metrics_from_encoded
@@ -12,7 +12,7 @@ from repro.evaluation.runner import metrics_from_encoded
 
 class TestGeometry:
     def test_aux_bits_and_cells(self):
-        encoder = RestrictedCosetEncoder(16)
+        encoder = coset_encoder("3-r-cosets", 16)
         assert encoder.num_blocks == 32
         assert encoder.aux_bits == 33          # 1 family bit + 32 selector bits
         assert encoder.aux_cells == 17         # 33 bits packed two per cell
@@ -20,8 +20,8 @@ class TestGeometry:
     def test_fewer_aux_cells_than_unrestricted(self):
         """Section V: restriction roughly halves the auxiliary information."""
         for granularity in (8, 16, 32):
-            restricted = RestrictedCosetEncoder(granularity)
-            unrestricted = make_three_cosets(granularity)
+            restricted = coset_encoder("3-r-cosets", granularity)
+            unrestricted = coset_encoder("3cosets", granularity)
             assert restricted.aux_cells < unrestricted.aux_cells
 
     def test_family_candidates_table(self):
@@ -29,24 +29,24 @@ class TestGeometry:
 
     def test_invalid_granularity(self):
         with pytest.raises(ConfigurationError):
-            RestrictedCosetEncoder(48)
+            coset_encoder("3-r-cosets", 48)
 
 
 class TestRoundtrip:
     @pytest.mark.parametrize("granularity", [8, 16, 32, 64, 128])
     def test_roundtrip(self, biased_lines, granularity):
-        encoder = RestrictedCosetEncoder(granularity)
+        encoder = coset_encoder("3-r-cosets", granularity)
         assert encoder.roundtrip(biased_lines[:12]) == biased_lines[:12]
 
     def test_roundtrip_random(self, random_lines):
-        encoder = RestrictedCosetEncoder(16)
+        encoder = coset_encoder("3-r-cosets", 16)
         assert encoder.roundtrip(random_lines[:12]) == random_lines[:12]
 
 
 class TestBehaviour:
     def test_blocks_only_use_family_candidates(self, biased_lines):
         """Every block's mapping must come from the single family chosen for the line."""
-        encoder = RestrictedCosetEncoder(16)
+        encoder = coset_encoder("3-r-cosets", 16)
         lines = biased_lines[:16]
         states = encoder.encode_reference(lines)
         decoded = encoder.decode_states(states)
@@ -54,8 +54,8 @@ class TestBehaviour:
 
     def test_restriction_costs_at_most_unrestricted(self, gcc_trace):
         """Figure 5: restricted cosets are only slightly worse than 3cosets."""
-        restricted = RestrictedCosetEncoder(16)
-        unrestricted = make_three_cosets(16)
+        restricted = coset_encoder("3-r-cosets", 16)
+        unrestricted = coset_encoder("3cosets", 16)
         old, new = gcc_trace.old[:128], gcc_trace.new[:128]
         restricted_metrics = metrics_from_encoded(restricted.encode_batch(new, old), restricted)
         unrestricted_metrics = metrics_from_encoded(unrestricted.encode_batch(new, old), unrestricted)
@@ -66,7 +66,7 @@ class TestBehaviour:
 
     def test_pure_ones_and_zero_line_prefers_family_c1_c2(self):
         """A line of zero and all-ones words is served perfectly by the {C1, C2} family."""
-        encoder = RestrictedCosetEncoder(16)
+        encoder = coset_encoder("3-r-cosets", 16)
         words = np.zeros((1, 8), dtype=np.uint64)
         words[0, ::2] = 2**64 - 1
         lines = LineBatch(words)

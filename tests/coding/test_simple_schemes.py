@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.coding import coset_encoder
 from repro.coding.baseline import BaselineEncoder
 from repro.coding.flipmin import FlipMinEncoder
-from repro.coding.fnw import FNWEncoder
 from repro.core.cosets import DEFAULT_MAPPING
 from repro.core.errors import ConfigurationError
 from repro.core.line import LineBatch
@@ -40,17 +40,17 @@ class TestBaseline:
 
 class TestFNW:
     def test_geometry(self):
-        encoder = FNWEncoder(128)
+        encoder = coset_encoder("fnw", 128)
         assert encoder.num_blocks == 4
         assert encoder.aux_cells == 2
         assert encoder.total_cells == 258
 
     def test_invalid_block_size(self):
         with pytest.raises(ConfigurationError):
-            FNWEncoder(100)
+            coset_encoder("fnw", 100)
 
     def test_roundtrip(self, biased_lines, random_lines):
-        encoder = FNWEncoder()
+        encoder = coset_encoder("fnw", 128)
         assert encoder.roundtrip(biased_lines[:20]) == biased_lines[:20]
         assert encoder.roundtrip(random_lines[:10]) == random_lines[:10]
 
@@ -61,7 +61,7 @@ class TestFNW:
         stored reference its chosen data encoding can never cost more.
         """
         baseline = BaselineEncoder()
-        fnw = FNWEncoder()
+        fnw = coset_encoder("fnw", 128)
         old, new = gcc_trace.old[:64], gcc_trace.new[:64]
         base_ref = baseline.encode_reference(old)
         base = baseline.encode_against_stored(new, base_ref)
@@ -77,7 +77,7 @@ class TestFNW:
 
     def test_all_ones_line_is_flipped_to_cheap_states(self):
         """Writing an all-ones line onto fresh cells should complement every block."""
-        encoder = FNWEncoder()
+        encoder = coset_encoder("fnw", 128)
         ones = LineBatch(np.full((1, 8), 2**64 - 1, dtype=np.uint64))
         states = encoder.encode_reference(ones)
         # Complemented data is all zeros -> state S1 everywhere in the data cells.

@@ -16,12 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coding import coset_encoder
 from repro.coding.coc_cosets import COCFourCosetsEncoder
 from repro.coding.din import DINEncoder
-from repro.coding.ncosets import make_three_cosets
-from repro.coding.restricted import RestrictedCosetEncoder
-from repro.coding.wlc_cosets import make_wlc_three_cosets
-from repro.coding.wlcrc import WLCRCEncoder
 from repro.core.config import EvaluationConfig
 from repro.core.metrics import WriteMetrics
 from repro.evaluation.parallel import ParallelRunner, WorkUnit
@@ -32,14 +29,14 @@ from repro.workloads.generator import generate_benchmark_trace
 #: Encoder families spanning the coset (8..512-bit), restricted-coset, CoC,
 #: WLC-word and DIN designs.
 ENCODER_FAMILIES = {
-    "3cosets-8": lambda: make_three_cosets(8),
-    "3cosets-64": lambda: make_three_cosets(64),
-    "3cosets-512": lambda: make_three_cosets(512),
-    "restricted-16": lambda: RestrictedCosetEncoder(16),
-    "restricted-256": lambda: RestrictedCosetEncoder(256),
+    "3cosets-8": lambda: coset_encoder("3cosets", 8),
+    "3cosets-64": lambda: coset_encoder("3cosets", 64),
+    "3cosets-512": lambda: coset_encoder("3cosets", 512),
+    "restricted-16": lambda: coset_encoder("3-r-cosets", 16),
+    "restricted-256": lambda: coset_encoder("3-r-cosets", 256),
     "coc-4cosets": COCFourCosetsEncoder,
-    "wlc-3cosets": make_wlc_three_cosets,
-    "wlcrc-16": WLCRCEncoder,
+    "wlc-3cosets": lambda: coset_encoder("wlc+3cosets", 32),
+    "wlcrc-16": lambda: coset_encoder("wlcrc", 16),
     "din": DINEncoder,
 }
 
@@ -90,7 +87,7 @@ class TestPerChunkDecomposition:
         )
 
     def test_empty_trace_encodes_nothing(self):
-        encoder = make_three_cosets(64)
+        encoder = coset_encoder("3cosets", 64)
         trace = generate_benchmark_trace("gcc", 100, seed=3)[:0]
         config = EvaluationConfig(chunk_size=64, sample_disturbance=True)
         with observation("empty") as session:
@@ -107,7 +104,7 @@ class TestPerChunkDecomposition:
     def test_geometry_property(self, length, chunk_size, sample):
         """Any (trace length, chunk size) geometry -- including single-line
         tails, one-chunk traces and empty traces."""
-        encoder = make_three_cosets(64)
+        encoder = coset_encoder("3cosets", 64)
         trace = generate_benchmark_trace("mcf", max(length, 1), seed=21)[:length]
         config = EvaluationConfig(chunk_size=chunk_size, sample_disturbance=sample)
         with observation("geometry") as session:
@@ -123,7 +120,7 @@ class TestPerChunkDecomposition:
 class TestOneEncodePerChunk:
     @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
     def test_encode_batch_once_per_chunk(self, pool):
-        encoder = make_three_cosets(64)
+        encoder = coset_encoder("3cosets", 64)
         trace = generate_benchmark_trace("gcc", 300, seed=3)
         config = EvaluationConfig(chunk_size=64)
         with observation("one-encode") as session:
@@ -140,7 +137,7 @@ class TestOneEncodePerChunk:
 class TestParallelEngine:
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     def test_granularity_ladder(self, granularity):
-        encoder = make_three_cosets(granularity)
+        encoder = coset_encoder("3cosets", granularity)
         trace = generate_benchmark_trace("gcc", 700, seed=5)
         config = EvaluationConfig(chunk_size=100, sample_disturbance=True)
         result = ParallelRunner(2, backend="thread").map(
@@ -153,7 +150,7 @@ class TestParallelEngine:
     @pytest.mark.parametrize("n_jobs", [1, 4])
     @pytest.mark.parametrize("pool", ["process", "thread"])
     def test_streaming_equals_materialised(self, pool, n_jobs, sample):
-        encoder = make_three_cosets(256)
+        encoder = coset_encoder("3cosets", 256)
         trace = generate_benchmark_trace("gcc", 1500, seed=17)
         config = EvaluationConfig(chunk_size=128, seed=17, sample_disturbance=sample)
         reference = evaluate_trace(encoder, trace, config)
@@ -163,7 +160,7 @@ class TestParallelEngine:
         assert materialised == streamed == reference
 
     def test_empty_trace(self):
-        encoder = make_three_cosets(64)
+        encoder = coset_encoder("3cosets", 64)
         trace = generate_benchmark_trace("gcc", 100, seed=3)[:0]
         config = EvaluationConfig(chunk_size=64, sample_disturbance=True)
         runner = ParallelRunner(2, backend="thread")

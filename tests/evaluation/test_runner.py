@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.coding import make_scheme
-from repro.coding.ncosets import make_three_cosets
+from repro.coding import coset_encoder, make_scheme
 from repro.core.config import EvaluationConfig
 from repro.core.disturbance import DisturbanceModel
 from repro.evaluation.runner import (
@@ -68,7 +67,7 @@ class TestEvaluateTrace:
 
 class TestObservability:
     def test_peak_memory_gauges_recorded(self):
-        encoder = make_three_cosets(64)
+        encoder = coset_encoder("3cosets", 64)
         trace = generate_benchmark_trace("gcc", 600, seed=3)
         tracemalloc.start()
         try:
