@@ -302,7 +302,7 @@ def block_sums(byte_costs: np.ndarray, block_bytes: int) -> np.ndarray:
     64 bytes costs at most 64 * 65,535 < 2**31.  ``float64`` costs (a
     non-integral model) sum pairwise, always in the same order.
     """
-    sums = byte_costs.astype(np.float64 if byte_costs.dtype.kind == "f" else np.int32)
+    sums = byte_costs.astype(np.float64 if byte_costs.dtype.kind == "f" else np.int32, copy=False)
     while block_bytes > 1:
         sums = sums[..., 0::2] + sums[..., 1::2]
         block_bytes //= 2
@@ -373,35 +373,42 @@ def restricted(
     larger one (count ties keep the energy pick).  Returns ``(family,
     choice)``.
     """
-    family_costs = np.stack(
-        [np.minimum(costs[0], costs[1]).sum(axis=-1), np.minimum(costs[0], costs[2]).sum(axis=-1)]
-    )
-    stored_family, stored_choice = (np.uint8(0), None) if stored is None else stored
-    family = np.where(
-        family_costs[0] < family_costs[1],
-        np.uint8(0),
-        np.where(family_costs[1] < family_costs[0], np.uint8(1), stored_family),
-    ).astype(np.uint8)
+    cost12 = _scope_sums(np.minimum(costs[0], costs[1]))
+    cost13 = _scope_sums(np.minimum(costs[0], costs[2]))
+    family = (cost13 < cost12).view(np.uint8)
+    if stored is not None:  # a scope neither family undercuts keeps its stored family
+        stored_family, stored_choice = stored
+        family |= ~(cost12 < cost13) & stored_family
     if threshold is not None:
-        flips12 = np.where(costs[1] < costs[0], flips[1], flips[0]).sum(axis=-1)
-        flips13 = np.where(costs[2] < costs[0], flips[2], flips[0]).sum(axis=-1)
-        cost12, cost13 = family_costs
+        flips12 = _scope_sums(np.where(costs[1] < costs[0], flips[1], flips[0]))
+        flips13 = _scope_sums(np.where(costs[2] < costs[0], flips[2], flips[0]))
         close = np.abs(cost12 - cost13) <= threshold * np.maximum(np.maximum(cost12, cost13), 1e-12)
         by_flips = np.where(
             flips13 < flips12, np.uint8(1), np.where(flips12 < flips13, np.uint8(0), family)
         )
         family = np.where(close, by_flips, family).astype(np.uint8)
     alternative = np.where(family[..., None] == 0, costs[1], costs[2])
-    selector = (alternative < costs[0]).astype(np.uint8)
-    if stored is not None:
+    selector = (alternative < costs[0]).view(np.uint8)
+    if stored is not None:  # a tie with C1 (selector 0 so far) keeps the stored selector
         keep = (alternative == costs[0]) & (family == stored_family)[..., None]
-        selector = np.where(keep, stored_choice != 0, selector).astype(np.uint8)
+        selector |= keep & (stored_choice != 0)
     return family, family_choice(family, selector)
 
 
+def _scope_sums(costs: np.ndarray) -> np.ndarray:
+    """Sums over the last axis (a power of two long), by halving adds for integer costs.
+
+    Exact, and far faster than a numpy reduction over a few elements; float
+    costs (a non-integral model) keep ``sum``'s order.
+    """
+    if costs.dtype.kind == "f":
+        return costs.sum(axis=-1)
+    return block_sums(costs, costs.shape[-1])[..., 0]
+
+
 def family_choice(family: np.ndarray, selector: np.ndarray) -> np.ndarray:
-    """Each block's candidate index from its scope's ``family`` and its ``selector`` bit."""
-    return FAMILY_CANDIDATES.take(2 * family[..., None] + selector)
+    """Each block's candidate index, ``selector << family`` (:data:`FAMILY_CANDIDATES`)."""
+    return selector << family[..., None]
 
 
 def candidate_byte_tables(candidates: np.ndarray) -> np.ndarray:

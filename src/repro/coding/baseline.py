@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING
+from ..core.cosets import default_states, default_symbols
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.line import LineBatch
-from ..core.symbols import bytes_to_words, pack_state_bytes, symbol_bytes
+from ..core.symbols import pack_state_bytes
 from ..obs import span
-from .base import EncodeResult, WriteEncoder, inverse_byte_tables
+from .base import EncodeResult, WriteEncoder
 
 
 class BaselineEncoder(WriteEncoder):
@@ -30,12 +30,11 @@ class BaselineEncoder(WriteEncoder):
         self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
     ) -> EncodeResult:
         n = len(lines)
-        data = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
+        data = default_states(lines.words).view(np.uint8)
         no = np.zeros(n, dtype=bool)
         return data, np.zeros((n, 0), dtype=np.uint8), None, no, no.copy()
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)
         with span("decode", scheme=self.name, lines=len(states)):
-            state_bytes = pack_state_bytes(states)
-            return LineBatch(bytes_to_words(inverse_byte_tables(DEFAULT_MAPPING).take(state_bytes)))
+            return LineBatch(default_symbols(pack_state_bytes(states).view("<u8")))

@@ -26,7 +26,13 @@ import numpy as np
 
 from ..compression.coc import COC_BUDGET_16BIT, COC_BUDGET_32BIT, COCCompressor
 from ..compression.kernels import PackedBits
-from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, FOUR_COSETS, invert_mapping
+from ..core.cosets import (
+    DEFAULT_MAPPING,
+    FOUR_COSETS,
+    default_states,
+    default_symbols,
+    invert_mapping,
+)
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.line import LineBatch
 from ..core.symbols import (
@@ -177,8 +183,8 @@ class COCFourCosetsEncoder(WriteEncoder):
         fields[:, : layout.num_blocks] = choice
         fields[:, -1] = layout.mode_symbol
         word = (fields << np.arange(0, 2 * fields.shape[1], 2, dtype=np.uint64)).sum(axis=-1)
-        region = word.astype("<u8")[:, None].view(np.uint8)[:, : BYTES_PER_LINE - data_bytes]
-        data[indices, data_bytes:] = DEFAULT_BYTE_TABLE.take(region)
+        region = default_states(word)[:, None].view(np.uint8)[:, : BYTES_PER_LINE - data_bytes]
+        data[indices, data_bytes:] = region
         aux_bytes[indices, data_bytes:] = 0xFF
 
     # ------------------------------------------------------------------ #
@@ -188,7 +194,7 @@ class COCFourCosetsEncoder(WriteEncoder):
         self, lines: LineBatch, stored: np.ndarray, stored_aux: np.ndarray
     ) -> EncodeResult:
         n = len(lines)
-        data = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
+        data = default_states(lines.words).view(np.uint8)
         member_sizes, fpc_patterns = self.compressor.classify(lines)
         sizes = self.compressor.sizes_from_members(member_sizes)
         mode16 = sizes <= LAYOUT_16.budget_bits
@@ -213,7 +219,7 @@ class COCFourCosetsEncoder(WriteEncoder):
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)
         state_bytes = pack_state_bytes(states[:, :SYMBOLS_PER_LINE])
-        words = bytes_to_words(inverse_byte_tables(DEFAULT_MAPPING).take(state_bytes))
+        words = default_symbols(state_bytes.view("<u8"))
         compressed = np.nonzero(states[:, self.flag_cell_index] == FLAG_COMPRESSED_STATE)[0]
         if compressed.size:
             mode_symbols = invert_mapping(DEFAULT_MAPPING)[states[compressed, self.MODE_CELL]]

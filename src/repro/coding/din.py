@@ -28,24 +28,13 @@ import numpy as np
 
 from ..compression.fpc_bdi import FPCBDICompressor
 from ..compression.kernels import PackedBits, prepend_field, split_field
-from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING
+from ..core.cosets import DEFAULT_MAPPING, default_states, default_symbols
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import EncodingError
 from ..core.line import LineBatch
-from ..core.symbols import (
-    SYMBOLS_PER_LINE,
-    bytes_to_words,
-    pack_state_bytes,
-    symbol_bytes,
-)
+from ..core.symbols import SYMBOLS_PER_LINE, pack_state_bytes, symbol_bytes
 from ..ecc.bch import BCHCode
-from .base import (
-    FLAG_COMPRESSED_STATE,
-    FLAG_RAW_STATE,
-    EncodeResult,
-    WriteEncoder,
-    inverse_byte_tables,
-)
+from .base import FLAG_COMPRESSED_STATE, FLAG_RAW_STATE, EncodeResult, WriteEncoder
 
 #: Bits reserved for the compressed-length header inside the encoded payload.
 LENGTH_HEADER_BITS = 9
@@ -220,14 +209,13 @@ class DINEncoder(WriteEncoder):
         # For encoded lines the expansion and parity bits are all metadata; the
         # paper attributes the entire encoded payload to the data component, so
         # only the appended flag cell is auxiliary.
-        return DEFAULT_BYTE_TABLE.take(data), flag[:, None], None, encodable.copy(), encodable
+        states = default_states(data.view("<u8")).view(np.uint8)
+        return states, flag[:, None], None, encodable.copy(), encodable
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
         states = np.asarray(states, dtype=np.uint8)
-        state_bytes = pack_state_bytes(states[:, :SYMBOLS_PER_LINE])
-        data_bytes = inverse_byte_tables(DEFAULT_MAPPING).take(state_bytes)
-        words = bytes_to_words(data_bytes)
+        words = default_symbols(pack_state_bytes(states[:, :SYMBOLS_PER_LINE]).view("<u8"))
         rows = np.nonzero(states[:, self.flag_cell_index] == FLAG_COMPRESSED_STATE)[0]
         if rows.size:
-            words[rows] = self._decode_lines_bytes(data_bytes[rows])
+            words[rows] = self._decode_lines_bytes(words[rows].view(np.uint8))
         return LineBatch(words)

@@ -45,7 +45,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from ..compression.wlc import WLCCompressor
-from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, invert_mapping
+from ..core.cosets import default_states, default_symbols, invert_mapping
 from ..core.energy import DEFAULT_ENERGY_MODEL, REWRITE_COUNT_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
@@ -320,7 +320,7 @@ class WLCCosetEncoder(CosetEngine):
     ) -> EncodeResult:
         compressible = self.wlc.line_compressible(lines)
         # Lines WLC cannot compress are written raw; only the others are searched.
-        data = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
+        data = default_states(lines.words).view(np.uint8)
         rows = np.flatnonzero(compressible)
         if rows.size:
             data[rows] = self._encode_words(lines.words[rows], stored[rows])
@@ -341,7 +341,7 @@ class WLCCosetEncoder(CosetEngine):
         overwritten words' reclaimed bits.
         """
         data, keep = symbol_bytes(words), self.data_byte_mask
-        stored_picks = self._read_reclaimed(inverse_byte_tables(DEFAULT_MAPPING).take(stored))
+        stored_picks = self._read_reclaimed(default_symbols(stored.view("<u8")))
         family, choice = self._search(
             cost_index(stored & keep, data & keep),
             (WORDS_PER_LINE, self.blocks_per_word),
@@ -352,7 +352,7 @@ class WLCCosetEncoder(CosetEngine):
         written = winner_bytes(tables, self._line_blocks(choice), data, self.block_bytes)
         # The reclaimed cells store the aux bits under the default mapping.
         with_aux = self.wlc.insert_reclaimed(words, self._reclaimed_value(family, choice))
-        return (written & keep) | (DEFAULT_BYTE_TABLE.take(symbol_bytes(with_aux)) & ~keep)
+        return (written & keep) | (default_states(with_aux).view(np.uint8) & ~keep)
 
     def _line_blocks(self, choice: np.ndarray) -> np.ndarray:
         """``(n, 8, blocks)`` per-word choices as ``(n, 8 * blocks)`` line blocks."""
@@ -376,15 +376,15 @@ class WLCCosetEncoder(CosetEngine):
             value |= (choice[..., block] != 0).astype(np.uint16) << block
         return value | (family.astype(np.uint16) << top)
 
-    def _read_reclaimed(self, raw_bytes: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """``(family, choice)`` of every word from its raw (default-mapped) symbol bytes.
+    def _read_reclaimed(self, raw: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """``(family, choice)`` of every word from its raw (default-mapped) symbol words.
 
         The inverse of :meth:`_reclaimed_value`.  An index past the last
         candidate reads as the last one, and a block without a stored
         selector reads selector 0.
         """
         shift = np.uint64(BITS_PER_WORD - self.reclaimed_bits)
-        value = (raw_bytes.view("<u8") >> shift).astype(np.uint16)
+        value = (raw >> shift).astype(np.uint16)
         fields = np.zeros(value.shape + (self.blocks_per_word,), dtype=np.uint8)
         if self.spec.rule == "cheapest":
             for block in range(self.blocks_per_word):
@@ -400,12 +400,12 @@ class WLCCosetEncoder(CosetEngine):
         """Words of every line: compressed lines decoded and sign-extended, the rest raw.
 
         The reclaimed cells (and a data bit sharing a cell with them) hold
-        default-mapped symbols, so they read through the default table.
+        default-mapped symbols, so they read through :func:`default_symbols`.
         """
-        raw = inverse_byte_tables(DEFAULT_MAPPING).take(state_bytes)
+        raw = default_symbols(state_bytes.view("<u8"))
         _, choice = self._read_reclaimed(raw)
         tables = inverse_byte_tables(self.candidates)
         coded = winner_bytes(tables, self._line_blocks(choice), state_bytes, self.block_bytes)
-        keep = self.data_byte_mask
-        words = self.wlc.sign_extend(bytes_to_words((coded & keep) | (raw & ~keep)))
-        return np.where(aux[:, :1] == FLAG_COMPRESSED_STATE, words, bytes_to_words(raw))
+        keep = self.data_byte_mask.view("<u8")
+        words = self.wlc.sign_extend((coded.view("<u8") & keep) | (raw & ~keep))
+        return np.where(aux[:, :1] == FLAG_COMPRESSED_STATE, words, raw)

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.cosets import DEFAULT_BYTE_TABLE, DEFAULT_MAPPING, flipmin_coset_vectors, invert_mapping
+from ..core.cosets import default_states, default_symbols, flipmin_coset_vectors
 from ..core.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from ..core.errors import ConfigurationError
 from ..core.line import LineBatch
-from ..core.symbols import BYTES_PER_LINE, SYMBOLS_PER_LINE, symbol_bytes
+from ..core.symbols import BYTES_PER_LINE, SYMBOLS_PER_LINE, pack_state_bytes
+from ..obs import span
 from .base import (
     EncodeResult,
     WriteEncoder,
@@ -48,7 +49,7 @@ class FlipMinEncoder(WriteEncoder):
             raise ConfigurationError("num_cosets must be between 2 and 16")
         self.num_cosets = num_cosets
         self.vectors = flipmin_coset_vectors(num_cosets, seed=seed)
-        self.vector_states = DEFAULT_BYTE_TABLE.take(symbol_bytes(self.vectors))
+        self.vector_states = default_states(self.vectors).view(np.uint8)
         self.index_bits = max(1, (num_cosets - 1).bit_length())
 
     @property
@@ -63,28 +64,22 @@ class FlipMinEncoder(WriteEncoder):
         # state bits (l, h ^ l).  So the states of ``line ^ vector`` are the
         # line's state bytes XOR the vector's, and a vector's cost is one
         # lookup per byte at the shared index XOR the vector's state bytes.
-        line_states = DEFAULT_BYTE_TABLE.take(symbol_bytes(lines.words))
+        line_states = default_states(lines.words).view(np.uint8)
         index = cost_index(stored, line_states)
         table = self.energy_model.byte_cost_table
         costs = [block_sums(table.take(index ^ v), BYTES_PER_LINE) for v in self.vector_states]
         choice = cheapest(np.stack(costs))  # (n, 1)
-        index_bits = np.stack(
-            [((choice[:, 0] >> b) & 1).astype(np.uint8) for b in range(self.index_bits)], axis=1
-        )
+        index_bits = (choice >> np.arange(self.index_bits, dtype=np.uint8)) & 1
         return every_line_encoded(
             line_states ^ self.vector_states[choice[:, 0]], pack_bits_to_states(index_bits)
         )
 
     def decode_states(self, states: np.ndarray) -> LineBatch:
+        """The packed words' default decode XOR the recorded vector (clamped to the last)."""
         states = np.asarray(states, dtype=np.uint8)
-        data_states = states[:, :SYMBOLS_PER_LINE]
-        aux_states = states[:, SYMBOLS_PER_LINE:]
-        bits = unpack_states_to_bits(aux_states, self.index_bits)
-        index = np.zeros(states.shape[0], dtype=np.int64)
-        for b in range(self.index_bits):
-            index |= bits[:, b].astype(np.int64) << b
-        index = np.clip(index, 0, self.num_cosets - 1)
-        symbols = invert_mapping(DEFAULT_MAPPING)[data_states]
-        batch = LineBatch.from_symbols(symbols)
-        words = batch.words ^ self.vectors[index]
-        return LineBatch(words)
+        with span("decode", scheme=self.name, lines=len(states)):
+            bits = unpack_states_to_bits(states[:, SYMBOLS_PER_LINE:], self.index_bits)
+            index = (bits.astype(np.int64) << np.arange(self.index_bits)).sum(axis=1)
+            index = np.minimum(index, self.num_cosets - 1)
+            state_bytes = pack_state_bytes(states[:, :SYMBOLS_PER_LINE])
+            return LineBatch(default_symbols(state_bytes.view("<u8")) ^ self.vectors[index])

@@ -17,7 +17,8 @@ This module defines:
 Mappings are represented as ``numpy`` arrays of length 4 where entry ``s`` is
 the state assigned to symbol ``s``.  ``apply_mapping`` / ``invert_mapping``
 convert between symbols and states in either direction;
-``mapping_byte_table`` maps a whole symbol byte (four cells) at once.
+``mapping_byte_table`` maps a symbol byte (four cells) at once, and
+``default_states`` / ``default_symbols`` whole words under C1 by bit operations.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import List
 
 import numpy as np
 
-from .symbols import BITS_PER_LINE, pack_state_bytes, unpack_state_bytes
+from .symbols import BITS_PER_LINE, CELL_LOW_BITS, pack_state_bytes, unpack_state_bytes
 
 #: Default mapping (Table I, candidate C1): 00->S1, 01->S4, 10->S2, 11->S3.
 C1 = np.array([0, 3, 1, 2], dtype=np.uint8)
@@ -87,6 +88,24 @@ def mapping_byte_table(mapping: np.ndarray) -> np.ndarray:
 
 #: Symbol-byte -> state-byte table of the default mapping (raw writes).
 DEFAULT_BYTE_TABLE = mapping_byte_table(DEFAULT_MAPPING)
+
+
+def default_states(words: np.ndarray) -> np.ndarray:
+    """``'<u8'`` state words of symbol words under the default mapping C1.
+
+    C1 is linear over GF(2): symbol bits ``(h, l)`` become state bits
+    ``(l, h ^ l)``, so every byte equals :data:`DEFAULT_BYTE_TABLE`'s.
+    """
+    words = np.asarray(words, dtype="<u8")
+    low, high = words & CELL_LOW_BITS, (words >> np.uint64(1)) & CELL_LOW_BITS
+    return (high ^ low) | (low << np.uint64(1))
+
+
+def default_symbols(states: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`default_states`: state bits ``(H, L)`` hold symbol bits ``(L ^ H, H)``."""
+    states = np.asarray(states, dtype="<u8")
+    low, high = states & CELL_LOW_BITS, (states >> np.uint64(1)) & CELL_LOW_BITS
+    return high | ((low ^ high) << np.uint64(1))
 
 
 def six_cosets() -> np.ndarray:

@@ -240,17 +240,16 @@ class DisturbanceModel:
     ) -> int:
         """``count_nonzero`` of :meth:`sample_errors`, from state bytes.
 
-        The same one uniform draw per cell of the ``(n, 256 + a)`` lines.  A
-        cell fails when its draw is below its :meth:`expected_errors_of_bytes`
-        value: its state's rate when it is vulnerable, else ``+0.0``, which no
-        draw is below.
+        The same one uniform draw per cell of the ``(n, 256 + a)`` lines, in
+        order, taken one block of lines at a time.  A cell fails when its draw
+        is below its :meth:`expected_errors_of_bytes` value: its state's rate
+        when it is vulnerable, else ``+0.0``, which no draw is below.
         """
-        n, appended = stored_aux.shape
-        draws = rng.random(size=(n, SYMBOLS_PER_LINE + appended))
         faults = 0
         for rows, data, aux in self._block_errors(stored, stored_aux, vulnerable, aux_vulnerable):
-            faults += np.count_nonzero(draws[rows, :SYMBOLS_PER_LINE] < data)
-            faults += np.count_nonzero(draws[rows, SYMBOLS_PER_LINE:] < aux)
+            draws = rng.random(size=(len(data), SYMBOLS_PER_LINE + aux.shape[1]))
+            faults += np.count_nonzero(draws[:, :SYMBOLS_PER_LINE] < data)
+            faults += np.count_nonzero(draws[:, SYMBOLS_PER_LINE:] < aux)
         return faults
 
     def _block_errors(
@@ -266,7 +265,7 @@ class DisturbanceModel:
         cells, one gather of four per byte, and the ``(k, a)`` values of its
         appended cells, from the 8-entry table of
         :meth:`expected_errors_per_cell`.  Blocks keep the one ``(n, cells)``
-        float64 array of either mode the only large temporary.
+        float64 array of the expected mode its only large temporary.
         """
         table = _byte_rate_table(tuple(self.rates))
         cell_table = np.concatenate([np.zeros(4), self.rate_per_state])

@@ -58,9 +58,7 @@ SYMBOL_BIT_PATTERNS = ("00", "01", "10", "11")
 #: The low bit of every cell's field in a little-endian word of state bytes.
 CELL_LOW_BITS = np.uint64(0x5555_5555_5555_5555)
 _PAIR_BITS = np.uint64(0x3333_3333_3333_3333)
-_NIBBLE_LOW_BITS = np.uint64(0x1111_1111_1111_1111)
 _LOW_NIBBLES = np.uint64(0x0F0F_0F0F_0F0F_0F0F)
-_BYTE_LOW_BITS = np.uint64(0x0101_0101_0101_0101)
 
 _SYMBOL_SHIFTS = np.arange(SYMBOLS_PER_WORD, dtype=np.uint64) * np.uint64(2)
 # Entry ``b`` holds the four cells of state byte ``b`` as the little-endian
@@ -148,9 +146,11 @@ def symbol_bytes(words: np.ndarray) -> np.ndarray:
 
 def pack_state_bytes(states: np.ndarray) -> np.ndarray:
     """Pack ``(..., 4m)`` cell states (``0..3``) into ``(..., m)`` state bytes."""
-    arr = np.asarray(states, dtype=np.uint8)
-    cells = arr.reshape(arr.shape[:-1] + (arr.shape[-1] // 4, 4))
-    return cells[..., 0] | (cells[..., 1] << 2) | (cells[..., 2] << 4) | (cells[..., 3] << 6)
+    # Cells 4k..4k+3 are the bytes of one little-endian uint32 ``v``: the
+    # state byte is the low byte of ``v | v >> 6 | v >> 12 | v >> 18``.
+    four = np.ascontiguousarray(states, dtype=np.uint8).view("<u4")
+    pairs = four | four >> 6
+    return (pairs | pairs >> 12).astype(np.uint8)
 
 
 def unpack_state_bytes(state_bytes: np.ndarray) -> np.ndarray:
@@ -187,16 +187,10 @@ def count_states(state_bytes: np.ndarray, marks: np.ndarray) -> np.ndarray:
     low = words & marks
     high = (words >> np.uint64(1)) & marks
     top = low & high
-    every, low, high, top = _popcounts(np.stack([marks, low, high, top]))
-    return np.array([every - low - high + top, low - top, high - top, top])
-
-
-def _popcounts(marks: np.ndarray) -> np.ndarray:
-    """``int64`` number of cell marks in each ``(n, 8)`` slice of ``(k, n, 8)`` words."""
-    fours = (marks & _NIBBLE_LOW_BITS) + ((marks >> np.uint64(2)) & _NIBBLE_LOW_BITS)
-    bytes_ = (fours + (fours >> np.uint64(4))) & _LOW_NIBBLES
-    per_word = (bytes_ * _BYTE_LOW_BITS) >> np.uint64(56)
-    return per_word.reshape(len(marks), -1).sum(axis=1).astype(np.int64)
+    every, low, high, top = (
+        int(np.bitwise_count(x).sum(dtype=np.int64)) for x in (marks, low, high, top)
+    )
+    return np.array([every - low - high + top, low - top, high - top, top], dtype=np.int64)
 
 
 def words_to_bits(words: np.ndarray) -> np.ndarray:

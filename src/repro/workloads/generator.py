@@ -43,6 +43,22 @@ def _mask(bits: np.ndarray) -> np.ndarray:
     return (np.uint64(1) << bits.astype(np.uint64)) - np.uint64(1)
 
 
+def _choice(rng: np.random.Generator, probs: np.ndarray, size) -> np.ndarray:
+    """``rng.choice(len(probs), size, p=probs)`` bit for bit, as ``uint8`` indices.
+
+    numpy's CDF and ``rng.random(size)`` draws; an index counts the CDF
+    entries at or below its draw (``searchsorted(side='right')``), bar the
+    last, exactly 1.0, which no draw reaches.
+    """
+    cdf = np.cumsum(probs, dtype=np.float64)
+    cdf /= cdf[-1]
+    draws = rng.random(size)
+    index = np.zeros(draws.shape, dtype=np.uint8)
+    for edge in cdf[:-1]:
+        index += draws >= edge
+    return index
+
+
 #: What a word's new value is made of in a mutation pass: its old value, a
 #: value drawn in advance (every action but the two below), the complement
 #: of its old value, or its old high half with a drawn low half.
@@ -82,8 +98,7 @@ class LineGenerator:
     def _magnitudes(self, n: int) -> np.ndarray:
         """Per-line integer magnitude (bits) drawn from the profile's bands."""
         weights = np.asarray(self.profile.magnitude_bits, dtype=np.float64)
-        weights = weights / weights.sum()
-        band = self.rng.choice(len(MAGNITUDE_BANDS), size=n, p=weights)
+        band = _choice(self.rng, weights / weights.sum(), n)
         low = np.where(band == 0, 4, np.where(band == 1, 33, 56))
         high = np.array(MAGNITUDE_BANDS)[band]
         return self.rng.integers(low, high + 1).astype(np.uint64)
@@ -97,7 +112,7 @@ class LineGenerator:
     def _gen_sparse(self, n: int) -> np.ndarray:
         values = self._raw(n) & np.uint64(0xFFFF)
         keep = self.rng.random((n, WORDS_PER_LINE)) < 0.3
-        return np.where(keep, values, np.uint64(0))
+        return values * keep
 
     def _gen_small_int(self, n: int) -> np.ndarray:
         magnitude = self._magnitudes(n)
@@ -109,7 +124,7 @@ class LineGenerator:
     def _gen_mixed_int(self, n: int) -> np.ndarray:
         positive = self._gen_small_int(n)
         negate = self.rng.random((n, WORDS_PER_LINE)) < 0.4
-        return np.where(negate, ~positive, positive)
+        return positive ^ (~np.uint64(0) * negate)
 
     def _gen_packed16(self, n: int) -> np.ndarray:
         """Words made of four 16-bit fields (struct-of-shorts / indices arrays).
@@ -119,20 +134,22 @@ class LineGenerator:
         WLC-compressible.  This content type is what creates sub-word (16-bit)
         heterogeneity, which fine-granularity encodings exploit.
         """
-        kind = self.rng.integers(0, 10, size=(n, WORDS_PER_LINE, 4), dtype=np.uint64)
-        small = self.rng.integers(0, 256, size=(n, WORDS_PER_LINE, 4), dtype=np.uint64)
-        wide = self.rng.integers(0x4000, 0x8000, size=(n, WORDS_PER_LINE, 4), dtype=np.uint64)
-        negative = np.uint64(0xFFFF) - small
-        fields = np.where(kind < 3, np.uint64(0), small)
-        fields = np.where((kind >= 6) & (kind < 8), negative, fields)
-        fields = np.where(kind >= 8, wide, fields)
+        # Every field is drawn as uint64 (the draws' stream) and narrowed after.
+        shape = (n, WORDS_PER_LINE, 4)
+        kind = self.rng.integers(0, 10, size=shape, dtype=np.uint64).astype(np.uint8)
+        small = self.rng.integers(0, 256, size=shape, dtype=np.uint64).astype("<u2")
+        wide = self.rng.integers(0x4000, 0x8000, size=shape, dtype=np.uint64).astype("<u2")
+        # Kinds 0-2 zero, 3-5 the small value, 6-7 its negation (0xFFFF - small,
+        # i.e. ~small), 8-9 the wide one; a product with a 0/1 flag selects.
+        negative = np.uint16(0xFFFF) * ((kind >= 6) & (kind < 8))
+        fields = (small ^ negative) * (kind >= 3)
+        fields ^= (fields ^ wide) * (kind >= 8)
         # Keep the top field friendly to WLC: zero, a small value, or all ones.
-        top_kind = self.rng.integers(0, 10, size=(n, WORDS_PER_LINE), dtype=np.uint64)
-        top = np.where(top_kind < 5, np.uint64(0), small[..., 3])
-        top = np.where(top_kind >= 8, np.uint64(0xFFFF), top)
-        fields[..., 3] = top
-        shifts = np.arange(4, dtype=np.uint64) * np.uint64(16)
-        return (fields << shifts).sum(axis=-1, dtype=np.uint64)
+        top_kind = self.rng.integers(0, 10, size=shape[:2], dtype=np.uint64).astype(np.uint8)
+        top = small[..., 3] * (top_kind >= 5)
+        fields[..., 3] = top | (np.uint16(0xFFFF) * (top_kind >= 8))
+        # Field ``f`` is bits ``16f..16f+15``: the little-endian word view.
+        return fields.view("<u8")[..., 0]
 
     def _gen_pointer(self, n: int) -> np.ndarray:
         """Pointer arrays: user-space addresses, half within one heap region.
@@ -164,8 +181,7 @@ class LineGenerator:
 
     def _gen_text(self, n: int) -> np.ndarray:
         chars = self.rng.integers(0x20, 0x7F, size=(n, WORDS_PER_LINE, 8), dtype=np.uint64)
-        shifts = (np.arange(8, dtype=np.uint64) * np.uint64(8))
-        return (chars << shifts).sum(axis=-1, dtype=np.uint64)
+        return chars.astype(np.uint8).view("<u8")[..., 0]
 
     def _gen_random(self, n: int) -> np.ndarray:
         return self._raw(n)
@@ -185,8 +201,7 @@ class LineGenerator:
 
         A code indexes :attr:`type_names`.
         """
-        indices = self.rng.choice(len(self._mix_codes), size=n, p=self._type_probs)
-        return self._mix_codes[indices]
+        return self._mix_codes[_choice(self.rng, self._type_probs, n)]
 
     def generate_lines(self, n: int, types: Optional[np.ndarray] = None) -> Tuple[LineBatch, np.ndarray]:
         """Generate ``n`` lines; returns the batch and the per-line type codes."""
@@ -194,11 +209,13 @@ class LineGenerator:
             types = self.assign_types(n)
         words = np.zeros((n, WORDS_PER_LINE), dtype=np.uint64)
         # Types draw their words in name order (ascending codes), the one
-        # order that keeps a seeded trace the same in every process.
+        # order that keeps a seeded trace the same in every process.  A
+        # stable sort by code lists each type's rows in ascending order.
         counts = np.bincount(types, minlength=len(self.type_names))
+        order, ends = np.argsort(types, kind="stable"), np.cumsum(counts)
         for code in np.flatnonzero(counts):
-            mask = types == code
-            words[mask] = self.generate_words(self.type_names[code], int(counts[code]))
+            rows = order[ends[code] - counts[code]:ends[code]]
+            words[rows] = self.generate_words(self.type_names[code], int(counts[code]))
         return LineBatch(words), types
 
     def plan_mutations(self, n: int, types: np.ndarray) -> "MutationPlan":
@@ -217,19 +234,23 @@ class LineGenerator:
         actions = list(self.profile.mutation_mix.keys())
         probs = np.array([self.profile.mutation_mix[a] for a in actions])
         probs = probs / probs.sum()
-        action_index = self.rng.choice(len(actions), size=(n, WORDS_PER_LINE), p=probs)
+        action_index = _choice(self.rng, probs, (n, WORDS_PER_LINE))
         independent = {
             "same_type": self.generate_lines(n, types)[0].words,
             "type_change": self.generate_lines(n)[0].words,
             "ones_fill": ~(self._raw(n) & np.uint64(0xFFFF)),
         }
         low_random = self._raw(n) & np.uint64(0xFFFFFFFF)
+        # A 0/1-flag product ORed in selects each word's source (in place: read once).
         drawn = np.zeros((n, WORDS_PER_LINE), dtype=np.uint64)  # zero_fill
         for index, action in enumerate(actions):
             if action in independent:
-                np.copyto(drawn, independent[action], where=action_index == index)
+                source = independent[action]
+                source *= action_index == index
+                drawn |= source
         kinds = {"complement": COMPLEMENT, "low_random": LOW_RANDOM}
         kind_of = np.array([kinds.get(a, DRAWN) for a in actions], dtype=np.int8)
+        # np.where, not a flag product: the product's heap placement added 2 MB of peak RSS.
         kind = np.where(change, kind_of[action_index], np.int8(KEEP))
         return MutationPlan(kind=kind, drawn=drawn, low_random=low_random)
 
@@ -246,10 +267,12 @@ class LineGenerator:
         take their values from the plan.
         """
         kind = plan.kind[rows]
-        value = np.where(kind == DRAWN, plan.drawn[rows], words)
-        np.copyto(value, ~words, where=kind == COMPLEMENT)
+        # Each word's kind picks one value: a product with a 0/1 flag, ORed in.
+        value = words * (kind == KEEP)
+        value |= plan.drawn[rows] * (kind == DRAWN)
+        value |= ~words * (kind == COMPLEMENT)
         low = (words & ~np.uint64(0xFFFFFFFF)) | plan.low_random[rows]
-        np.copyto(value, low, where=kind == LOW_RANDOM)
+        value |= low * (kind == LOW_RANDOM)
         return value
 
     def mutate_lines(self, lines: LineBatch, types: np.ndarray) -> LineBatch:

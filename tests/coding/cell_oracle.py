@@ -2,9 +2,10 @@
 
 These are the ``decode_states`` bodies the line-scope coset encoders
 (6/4/3cosets, FNW, 3-r-cosets), the WLC word-scope encoders (WLC+4cosets,
-WLC+3cosets, WLCRC) and the baseline ran before decoding moved onto state
-bytes: every cell goes through its block's inverse mapping, picked from an
-``(n, cells, 4)`` array with ``take_along_axis``.  They read the scheme's
+WLC+3cosets, WLCRC), FlipMin and the baseline ran before decoding moved onto
+state bytes: every cell goes through its block's inverse mapping, picked
+from an ``(n, cells, 4)`` array with ``take_along_axis`` (FlipMin: the
+default inverse mapping, then the coset vector XORed onto the words).  They read the scheme's
 geometry from its name and the paper's tables here, never from the encoder,
 and each keeps the clamping of aux values no encoder writes: an index cell
 past the last candidate reads as the last one, a two-cell pair outside the
@@ -26,6 +27,7 @@ from repro.core.cosets import (
     FOUR_COSETS,
     SIX_COSETS,
     THREE_COSETS,
+    flipmin_coset_vectors,
     invert_mapping,
 )
 from repro.core.line import LineBatch
@@ -93,6 +95,18 @@ def decode_baseline(states):
     return LineBatch.from_symbols(_INVERSE_DEFAULT[states]).words
 
 
+def decode_flipmin(states, num_cosets=16):
+    """FlipMin: the index bits in the two appended cells pick the vector XORed back.
+
+    An index past the last vector reads as the last one.
+    """
+    index_bits = (num_cosets - 1).bit_length()
+    bits = _aux_bits(states[:, SYMBOLS_PER_LINE:], index_bits).astype(np.int64)
+    index = np.clip((bits << np.arange(index_bits)).sum(axis=1), 0, num_cosets - 1)
+    words = decode_baseline(states[:, :SYMBOLS_PER_LINE])
+    return words ^ flipmin_coset_vectors(num_cosets)[index]
+
+
 def decode_line_scope(prefix, granularity, energy_model, states):
     """6/4/3cosets, FNW and 3-r-cosets: per-block choices in appended cells."""
     candidates = CANDIDATES[prefix]
@@ -150,6 +164,8 @@ def decode(name, energy_model, states):
     states = np.asarray(states, dtype=np.uint8)
     if name == "baseline":
         return decode_baseline(states)
+    if name == "flipmin":
+        return decode_flipmin(states)
     prefix, granularity, _ = parse_scheme(name)
     if prefix in RECLAIMED_BITS:
         return decode_word_scope(prefix, granularity, states)

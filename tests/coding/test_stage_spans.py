@@ -49,7 +49,7 @@ def test_search_spans_nest_in_both_encode_stages(scheme, write_requests):
         assert search.start_ns + search.dur_ns <= select.start_ns
 
 
-@pytest.mark.parametrize("scheme", ["baseline"] + SEARCHED)
+@pytest.mark.parametrize("scheme", ["baseline", "flipmin"] + SEARCHED)
 def test_byte_decode_records_one_decode_span(scheme, write_requests):
     encoder = make_scheme(scheme)
     _, new = write_requests

@@ -66,6 +66,36 @@ class TestMappingHelpers:
         assert cosets.candidate_names(3) == ["C1", "C2", "C3"]
 
 
+class TestDefaultMappingWords:
+    """``default_states`` / ``default_symbols`` equal the default byte tables."""
+
+    @staticmethod
+    def _every_byte_in_every_position():
+        every = np.arange(256, dtype=np.uint8)
+        rows = np.stack([np.roll(every, shift) for shift in range(8)])  # (8, 256)
+        return np.ascontiguousarray(rows.reshape(8, 32, 8)).view("<u8")[..., 0]
+
+    def test_states_match_the_byte_table(self, rng):
+        inverse = cosets.mapping_byte_table(cosets.invert_mapping(cosets.DEFAULT_MAPPING))
+        words = np.concatenate([
+            self._every_byte_in_every_position().reshape(-1, 8),
+            rng.integers(0, 2**64, size=(64, 8), dtype=np.uint64),
+        ])
+        as_bytes = words.view(np.uint8)
+        states = cosets.default_states(words)
+        assert states.shape == words.shape
+        assert np.array_equal(states.view(np.uint8), cosets.DEFAULT_BYTE_TABLE[as_bytes])
+        symbols = cosets.default_symbols(words)
+        assert np.array_equal(symbols.view(np.uint8), inverse[as_bytes])
+        assert np.array_equal(cosets.default_symbols(states), words)
+        assert np.array_equal(cosets.default_states(symbols), words)
+
+    def test_cells_map_under_c1(self):
+        symbols = np.arange(4, dtype=np.uint64) << np.uint64(62)
+        states = cosets.default_states(symbols) >> np.uint64(62)
+        assert states.tolist() == cosets.C1.tolist()
+
+
 class TestSixCosets:
     def test_count_and_validity(self):
         six = cosets.six_cosets()

@@ -7,7 +7,9 @@ from repro.core.disturbance import (
     DEFAULT_DISTURBANCE_MODEL,
     DisturbanceModel,
     neighbor_of_updated,
+    vulnerable_cells,
 )
+from repro.core.symbols import changed_cells
 
 
 class TestNeighborMask:
@@ -88,3 +90,22 @@ class TestValidation:
             DisturbanceModel(rates=(0.1, 0.2, 0.3))
         with pytest.raises(ValueError):
             DisturbanceModel(rates=(0.1, 0.2, 0.3, 1.5))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 2048])
+@pytest.mark.parametrize("appended", [0, 1, 17])
+def test_sampled_blocks_match_one_shot_draw(n, appended):
+    """Block-wise draws give the count and the stream of one ``(n, cells)`` draw."""
+    rng = np.random.default_rng(n * 31 + appended)
+    stored = rng.integers(0, 256, size=(n, 64), dtype=np.uint8)
+    written = np.where(rng.random((n, 64)) < 0.3, rng.integers(0, 256, (n, 64)), stored)
+    stored_aux = rng.integers(0, 4, size=(n, appended), dtype=np.uint8)
+    aux_changed = rng.random((n, appended)) < 0.5
+    marks = vulnerable_cells(changed_cells(written.astype(np.uint8), stored), aux_changed)
+    model = DEFAULT_DISTURBANCE_MODEL
+    blocks, one_shot = np.random.default_rng(9), np.random.default_rng(9)
+    got = model.sampled_errors_of_bytes(stored, stored_aux, *marks, blocks)
+    per_cell = model.expected_errors_of_bytes(stored, stored_aux, *marks)
+    expected = np.count_nonzero(one_shot.random(size=per_cell.shape) < per_cell)
+    assert got == expected > 0
+    assert blocks.random() == one_shot.random()

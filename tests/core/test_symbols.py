@@ -94,6 +94,46 @@ class TestByteAndBitConversion:
             sym.bytes_to_words(np.zeros((2, 63), dtype=np.uint8))
 
 
+def _four_slices(states):
+    """State bytes by the four strided cell slices (the original packing)."""
+    cells = states.reshape(states.shape[:-1] + (states.shape[-1] // 4, 4))
+    return cells[..., 0] | (cells[..., 1] << 2) | (cells[..., 2] << 4) | (cells[..., 3] << 6)
+
+
+class TestStateBytes:
+    def test_pack_every_four_cell_pattern(self):
+        every = np.array(list(np.ndindex(4, 4, 4, 4)), dtype=np.uint8)  # (256, 4)
+        packed = sym.pack_state_bytes(every)
+        assert packed.dtype == np.uint8 and packed.shape == (256, 1)
+        assert np.array_equal(packed, _four_slices(every))
+        assert sorted(packed[:, 0].tolist()) == list(range(256))
+        assert np.array_equal(sym.unpack_state_bytes(packed), every)
+
+    @pytest.mark.parametrize(
+        "shape", [(4,), (3, 8), (5, 64), (2048, 256), (7, 260), (2, 3, 16), (0, 256)]
+    )
+    def test_pack_random_states(self, rng, shape):
+        states = rng.integers(0, 4, size=shape, dtype=np.uint8)
+        packed = sym.pack_state_bytes(states)
+        assert packed.shape == shape[:-1] + (shape[-1] // 4,)
+        assert np.array_equal(packed, _four_slices(states))
+        assert np.array_equal(sym.unpack_state_bytes(packed), states)
+
+    def test_pack_strided_and_wide_input(self, rng):
+        states = rng.integers(0, 4, size=(9, 257), dtype=np.int64)
+        assert np.array_equal(
+            sym.pack_state_bytes(states[:, :256]), _four_slices(states[:, :256].astype(np.uint8))
+        )
+
+    def test_count_states_matches_per_cell_count(self, rng):
+        stored = rng.integers(0, 4, size=(300, sym.SYMBOLS_PER_LINE), dtype=np.uint8)
+        marked = rng.random(stored.shape) < 0.4
+        marks = sym.pack_state_bytes(marked.astype(np.uint8)).view("<u8")
+        got = sym.count_states(sym.pack_state_bytes(stored), marks)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.bincount(stored[marked], minlength=4).tolist()
+
+
 class TestComplement:
     def test_complement_symbols(self):
         values = np.array([0, 1, 2, 3], dtype=np.uint8)
