@@ -45,7 +45,6 @@ from repro.workloads.generator import generate_benchmark_trace
 BENCHMARK = BenchSpec(
     figure="kernels",
     title="Vectorised compression kernels: batch vs scalar encode throughput",
-    cost=4.0,
     perf_artifacts=(
         "encoder_throughput.txt",
         "BENCH_encoder_throughput.json",

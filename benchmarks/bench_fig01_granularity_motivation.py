@@ -12,7 +12,6 @@ from repro.evaluation import experiments, format_series_table
 BENCHMARK = BenchSpec(
     figure="figure1",
     title="6cosets write energy vs data-block granularity (random and biased)",
-    cost=6.3,
     artifacts=("figure01a_random.txt", "figure01b_biased.txt"),
     env=("REPRO_BENCH_TRACE_LEN", "REPRO_BENCH_RANDOM_LINES", "REPRO_BENCH_SEED"),
 )

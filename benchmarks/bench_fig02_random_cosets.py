@@ -11,7 +11,6 @@ from repro.evaluation import experiments, format_series_table
 BENCHMARK = BenchSpec(
     figure="figure2",
     title="6cosets vs 4cosets on random data",
-    cost=1.5,
     artifacts=("figure02_random_4cosets_vs_6cosets.txt",),
     env=("REPRO_BENCH_TRACE_LEN", "REPRO_BENCH_RANDOM_LINES", "REPRO_BENCH_SEED"),
 )

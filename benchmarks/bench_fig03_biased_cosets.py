@@ -12,7 +12,6 @@ from repro.evaluation import experiments, format_series_table
 BENCHMARK = BenchSpec(
     figure="figure3",
     title="6cosets vs 4cosets on the benchmark traces",
-    cost=5.3,
     artifacts=("figure03_biased_4cosets_vs_6cosets.txt",),
     env=("REPRO_BENCH_TRACE_LEN", "REPRO_BENCH_SEED"),
 )
@@ -34,7 +33,7 @@ def bench_figure3(benchmark, experiment_config):
         # The actionable claim of Figure 3: on biased data 4cosets gives up
         # nothing in total energy relative to 6cosets (on the synthetic traces
         # it is in fact slightly better), which is what justifies halving the
-        # auxiliary symbols.  See EXPERIMENTS.md for the measured numbers.
+        # auxiliary symbols.
         assert four["total"] <= six["total"] * 1.05
     # 4cosets structurally halves the auxiliary storage at every granularity.
     from repro.coding import make_scheme

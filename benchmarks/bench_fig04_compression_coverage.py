@@ -12,7 +12,6 @@ from repro.evaluation import experiments, format_series_table
 BENCHMARK = BenchSpec(
     figure="figure4",
     title="Percentage of compressed memory lines (WLC, COC, FPC+BDI)",
-    cost=1.5,
     artifacts=("figure04_compression_coverage.txt",),
     env=("REPRO_BENCH_TRACE_LEN", "REPRO_BENCH_SEED"),
 )

@@ -13,7 +13,6 @@ from repro.evaluation import experiments, format_series_table
 BENCHMARK = BenchSpec(
     figure="figure5",
     title="4cosets vs 3cosets vs restricted 3-r-cosets",
-    cost=6.5,
     artifacts=("figure05_restricted_cosets.txt",),
     env=("REPRO_BENCH_TRACE_LEN", "REPRO_BENCH_SEED"),
 )

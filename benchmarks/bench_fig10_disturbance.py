@@ -13,12 +13,10 @@ from repro.bench import BenchSpec, run_once, write_result
 from repro.coding import FIGURE8_SCHEMES
 from repro.evaluation import experiments, format_series_table
 
-# Cost assumes co-location with bench_fig08 (shared evaluation cache).
+# Reads the evaluation cached by bench_fig08, which runs first (name order).
 BENCHMARK = BenchSpec(
     figure="figure10",
     title="Write-disturbance errors per request",
-    cost=0.5,
-    group="figure8-family",
     artifacts=("figure10_disturbance.txt",),
     env=("REPRO_BENCH_TRACE_LEN", "REPRO_BENCH_SEED"),
 )

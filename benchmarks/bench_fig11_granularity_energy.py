@@ -13,13 +13,11 @@ Reproduced claims:
 from repro.bench import BenchSpec, run_once, write_result
 from repro.evaluation import experiments, format_series_table
 
-# Figures 11, 12 and 13 share one granularity sweep; co-scheduling the group
-# lets this bench prime the cache for the other two.
+# Figures 11, 12 and 13 share one granularity sweep; this bench runs first
+# (name order) and primes the cache for the other two.
 BENCHMARK = BenchSpec(
     figure="figure11",
     title="WLC-based schemes: energy vs granularity",
-    cost=9.3,
-    group="figure11-family",
     artifacts=("figure11_granularity_energy.txt",),
     env=("REPRO_BENCH_TRACE_LEN", "REPRO_BENCH_SEED"),
 )

@@ -12,7 +12,6 @@ from repro.evaluation import experiments, format_series_table
 BENCHMARK = BenchSpec(
     figure="figure14",
     title="WLCRC-16 sensitivity to intermediate-state write energies",
-    cost=3.2,
     artifacts=("figure14_energy_sensitivity.txt",),
     env=("REPRO_BENCH_TRACE_LEN", "REPRO_BENCH_SEED"),
 )

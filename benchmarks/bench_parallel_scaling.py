@@ -25,7 +25,6 @@ from repro.evaluation.sweeps import granularity_sweep
 BENCHMARK = BenchSpec(
     figure="parallel",
     title="Parallel-engine scaling: serial vs process pool vs thread pool",
-    cost=3.6,
     perf_artifacts=(
         "parallel_scaling.txt",
         "BENCH_parallel_scaling.json",

@@ -14,7 +14,6 @@ from repro.evaluation import experiments, format_series_table
 BENCHMARK = BenchSpec(
     figure="section8d",
     title="Multi-objective optimisation: energy vs endurance",
-    cost=1.6,
     artifacts=("section8d_multiobjective.txt",),
     env=("REPRO_BENCH_TRACE_LEN", "REPRO_BENCH_SEED"),
 )

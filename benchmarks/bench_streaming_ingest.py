@@ -39,7 +39,6 @@ from repro.traces.store import read_trace_header, save_trace
 BENCHMARK = BenchSpec(
     figure="streaming",
     title="Streaming vs in-memory trace ingest (peak memory + throughput)",
-    cost=4.6,
     perf_artifacts=("streaming_ingest.txt", "BENCH_streaming_ingest.json"),
     env=("REPRO_BENCH_INGEST_LINES", "REPRO_BENCH_INGEST_CHUNK_LINES"),
     gates=(

@@ -10,7 +10,6 @@ from repro.evaluation import experiments, format_series_table
 BENCHMARK = BenchSpec(
     figure="table1",
     title="The four proposed coset candidates",
-    cost=0.1,
     artifacts=("table1_coset_candidates.txt",),
 )
 

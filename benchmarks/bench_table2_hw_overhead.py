@@ -13,7 +13,6 @@ from repro.hardware import WLCRCSynthesisModel
 BENCHMARK = BenchSpec(
     figure="table2",
     title="WLCRC hardware overhead (45 nm synthesis model)",
-    cost=0.2,
     artifacts=("table2_hw_overhead.txt",),
 )
 

@@ -17,8 +17,8 @@ deliberately ungated.  ``REPRO_BENCH_TRANSPORT_LINES`` sets the trace
 length (default one million lines).
 
 This lived in ``bench_parallel_scaling.py`` until the transport gates got
-their own checked-in baseline; as its own bench it partitions, merges and
-gates independently of the scaling study.
+their own checked-in baseline; as its own bench it gates independently of
+the scaling study.
 """
 
 import os
@@ -40,7 +40,6 @@ from repro.workloads.generator import generate_random_trace
 BENCHMARK = BenchSpec(
     figure="transport",
     title="Zero-copy trace transport: per-chunk IPC and wall clock",
-    cost=2.6,
     perf_artifacts=(
         "trace_transport.txt",
         "BENCH_trace_transport.json",

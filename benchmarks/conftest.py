@@ -3,16 +3,16 @@
 Each ``bench_*`` module regenerates one figure or table of the paper's
 evaluation section and declares a module-level ``BENCHMARK = BenchSpec(...)``
 registering it with the benchmark-orchestration subsystem
-(:mod:`repro.bench`): figure id, shard-balancing cost, environment knobs,
-produced artifacts, and perf-regression gates.
+(:mod:`repro.bench`): figure id, environment knobs, produced artifacts,
+and perf-regression gates.
 
 The modules run two ways off one registry:
 
 * ``pytest benchmarks -o python_files='bench_*.py' -o python_functions='bench_*'``
   collects them as tests (``benchmark`` is the pytest-benchmark fixture);
-* ``repro bench run [--shard K/N]`` executes them in-process on a single
-  shared worker pool, with ``repro bench merge`` / ``repro bench compare``
-  downstream (see README, "Benchmark harness & perf gate").
+* ``repro bench run`` executes them all in-process on a single shared
+  worker pool, with ``repro bench compare`` downstream (see README,
+  "Benchmark harness & perf gate").
 
 Environment knobs:
 

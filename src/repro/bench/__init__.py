@@ -1,24 +1,20 @@
-"""Benchmark-orchestration subsystem: registry, sharding, merge and perf gate.
+"""Benchmark-orchestration subsystem: registry, runner, manifest and perf gate.
 
 The paper's evaluation is reproduced by the ``bench_*`` modules under
-``benchmarks/``; this package turns them from a serial pytest suite into a
-distributable harness:
+``benchmarks/``; this package runs them as one in-process harness:
 
 * :mod:`~repro.bench.registry` -- per-module :class:`BenchSpec` metadata and
   :func:`discover`;
-* :mod:`~repro.bench.partition` -- deterministic cost-balanced ``K/N``
-  sharding (greedy bin-packing over cache-sharing groups);
 * :mod:`~repro.bench.harness` -- the artifact writers and config shared by
   the pytest path and the in-process runner;
-* :mod:`~repro.bench.runner` -- run one shard in-process on a single shared
-  worker pool;
-* :mod:`~repro.bench.manifest` -- merge per-shard outputs into a
-  deterministic ``BENCH_manifest.json`` (sharded == unsharded, byte for
-  byte);
+* :mod:`~repro.bench.runner` -- run every bench in-process on a single
+  shared worker pool;
+* :mod:`~repro.bench.manifest` -- the deterministic ``BENCH_manifest.json``
+  (the SHA-256 of every regenerated table);
 * :mod:`~repro.bench.compare` -- the perf-regression gate against
   ``benchmarks/baselines/``.
 
-CLI: ``repro bench ls | run | merge | compare``.
+CLI: ``repro bench ls | run | compare``.
 """
 
 from .compare import CompareReport, GateCheck, compare, update_baselines
@@ -31,16 +27,9 @@ from .harness import (
     write_json,
     write_result,
 )
-from .manifest import (
-    MANIFEST_NAME,
-    build_manifest,
-    copy_trajectory,
-    merge_shards,
-    write_manifest,
-)
-from .partition import parse_shard, partition, shard_names
+from .manifest import MANIFEST_NAME, build_manifest, copy_trajectory, write_manifest
 from .registry import BenchSpec, DiscoveredBench, Gate, default_bench_dir, discover
-from .runner import BenchOutcome, ShardReport, run_shard
+from .runner import BenchOutcome, RunReport, run_benches
 
 __all__ = [
     "BenchOutcome",
@@ -51,7 +40,7 @@ __all__ = [
     "Gate",
     "GateCheck",
     "MANIFEST_NAME",
-    "ShardReport",
+    "RunReport",
     "bench_config",
     "build_manifest",
     "compare",
@@ -59,13 +48,9 @@ __all__ = [
     "copy_trajectory",
     "default_bench_dir",
     "discover",
-    "merge_shards",
-    "parse_shard",
-    "partition",
     "results_dir",
+    "run_benches",
     "run_once",
-    "run_shard",
-    "shard_names",
     "update_baselines",
     "write_json",
     "write_manifest",

@@ -6,7 +6,7 @@ and a tolerance); the reference *values* live in small JSON files under
 ``benchmarks/baselines/``, one per bench, checked into the repository.
 ``repro bench compare`` re-reads the current results, extracts every gated
 metric and fails (exit 1) when any metric regresses past its tolerance --
-the CI job that runs after ``bench merge`` is what keeps the perf wins of
+the CI step that runs after ``bench run`` is what keeps the perf wins of
 the parallel engine, the zero-copy transport and the streaming ingest from
 silently rotting.
 

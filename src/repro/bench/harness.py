@@ -5,14 +5,15 @@ ways of executing a bench module share one implementation:
 
 * under **pytest** (``pytest benchmarks -o python_files='bench_*.py' ...``)
   the ``benchmark`` argument is the pytest-benchmark fixture;
-* under the **in-process shard runner** (``repro bench run``) it is the
+* under the **in-process runner** (``repro bench run``) it is the
   :class:`BenchmarkRecorder` stub below, which satisfies the same
   ``pedantic`` contract while reusing one process -- and therefore one
   :func:`repro.evaluation.shared_runner` worker pool and one experiment
-  cache -- across every figure of the shard.
+  cache -- across every figure.
 
-The results directory honours ``REPRO_BENCH_RESULTS_DIR`` so sharded runs
-and tests can redirect artifacts without touching the module state.
+The results directory honours ``REPRO_BENCH_RESULTS_DIR`` so ``bench run
+--results`` and tests can redirect artifacts without touching the module
+state.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ def config_snapshot(config: Optional[ExperimentConfig] = None) -> Dict[str, int]
     """The determinism-relevant trace-generation knobs of a bench run.
 
     This trio fully determines the regenerated tables (the deterministic
-    artifacts), so shard records carry it and the merge step requires it to
-    agree across shards before stitching a manifest.
+    artifacts), so the run record and the manifest carry it.
     """
     config = config if config is not None else bench_config()
     return {
@@ -86,9 +86,9 @@ def write_json(name: str, payload: dict) -> Path:
     """Persist a machine-readable benchmark result as ``BENCH_<name>.json``.
 
     CI uploads every ``BENCH_*.json`` under the results directory as a build
-    artifact and ``bench merge`` copies the merged set to the repository
-    root, so these files are the accumulating perf trajectory of the
-    project; keep their schemas append-only.
+    artifact and ``bench run`` copies the set to the repository root, so
+    these files are the accumulating perf trajectory of the project; keep
+    their schemas append-only.
     """
     directory = results_dir()
     directory.mkdir(parents=True, exist_ok=True)

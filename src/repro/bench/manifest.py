@@ -1,47 +1,26 @@
-"""Merge per-shard benchmark outputs into one deterministic manifest.
-
-``bench merge`` takes the results directories of any number of shard runs
-(CI downloads one artifact directory per matrix job), validates that
-together they cover the registry exactly once with a consistent
-trace-generation config, copies every declared artifact and shard record
-into the output directory, and writes ``BENCH_manifest.json``.
+"""The deterministic ``BENCH_manifest.json`` of a benchmark run.
 
 The manifest is deliberately free of wall-clock data so that it is a pure
 function of the registry and the deterministic artifacts: for each bench it
-records the figure id, cost, module, and the SHA-256 of every deterministic
-table (perf artifacts are listed with a ``null`` digest).  An unsharded
-``bench run`` therefore produces a byte-identical manifest to merging any
-``K/N`` split of the same tree -- the acceptance check of the sharded
-harness, and a standing test that the shards really are independent.
+records the figure id, title, module, and the SHA-256 of every
+deterministic table (perf artifacts are listed with a ``null`` digest).  Two
+runs under the same trace-generation config therefore write byte-identical
+manifests, on any machine, profiled or not, with or without injected faults.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 import shutil
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..core.errors import BenchError
-from .registry import BenchSpec, discover
+from .registry import BenchSpec
 
-#: File name of the merged manifest.
+#: File name of the manifest.
 MANIFEST_NAME = "BENCH_manifest.json"
-
-#: Glob matching the per-shard run records.
-SHARD_RECORD_GLOB = "BENCH_shard_*of*.json"
-
-#: Glob matching the per-shard observability span logs (profiled runs only).
-SHARD_TRACE_GLOB = "BENCH_shard_*of*.trace.jsonl"
-
-#: File name of the merged Perfetto-loadable trace (when shards were
-#: profiled).  Deliberately outside the ``BENCH_*.json`` namespace so the
-#: trajectory copy and the manifest globs never pick it up.
-MERGED_TRACE_NAME = "profile.trace.json"
-
-_SHARD_RECORD_RE = re.compile(r"^BENCH_shard_(\d+)of(\d+)\.json$")
 
 
 def file_digest(path: Path) -> str:
@@ -76,8 +55,6 @@ def build_manifest(
             "figure": spec.figure,
             "title": spec.title,
             "module": spec.module,
-            "group": spec.group,
-            "cost": spec.cost,
             "artifacts": artifacts,
         }
     return {"schema": 1, "config": dict(config), "benchmarks": benchmarks}
@@ -92,122 +69,17 @@ def write_manifest(payload: dict, results_dir: Path) -> Path:
 def copy_trajectory(results_dir: Path, trajectory_dir: Path) -> List[Path]:
     """Copy every ``BENCH_*.json`` of a results directory somewhere else.
 
-    The repository root keeps the latest merged ``BENCH_*.json`` set checked
-    in as the tracked perf trajectory; CI refreshes it from the merge job.
-    Shard run records are skipped -- their wall clocks differ on every
-    machine and would re-dirty the tracked set on each run.
+    The repository root keeps the latest ``BENCH_*.json`` set checked in as
+    the tracked perf trajectory; the CI bench job refreshes it and fails if
+    the manifest moved.  The run record and its span log are named outside
+    this glob -- their wall clocks differ on every machine and would
+    re-dirty the tracked set on each run.
     """
     trajectory_dir.mkdir(parents=True, exist_ok=True)
     copied = []
     for path in sorted(results_dir.glob("BENCH_*.json")):
-        if _SHARD_RECORD_RE.match(path.name):
-            continue
         target = trajectory_dir / path.name
         if target.resolve() != path.resolve():
             shutil.copyfile(path, target)
         copied.append(target)
     return copied
-
-
-def _load_shard_records(shard_dirs: Iterable[Path]) -> Dict[Path, dict]:
-    records: Dict[Path, dict] = {}
-    for directory in shard_dirs:
-        if not directory.is_dir():
-            raise BenchError(f"shard directory not found: {directory}")
-        for path in sorted(directory.glob(SHARD_RECORD_GLOB)):
-            if _SHARD_RECORD_RE.match(path.name):
-                records[path] = json.loads(path.read_text())
-    if not records:
-        raise BenchError(
-            "no shard records (BENCH_shard_<K>of<N>.json) found in: "
-            + ", ".join(str(d) for d in shard_dirs)
-        )
-    return records
-
-
-def merge_shards(
-    shard_dirs: Iterable[Path],
-    out_dir: Path,
-    bench_dir: Optional[Path] = None,
-    registry: Optional[Mapping[str, BenchSpec]] = None,
-) -> dict:
-    """Stitch shard results into ``out_dir`` and write the merged manifest.
-
-    Validates full, non-overlapping coverage -- every registered bench ran in
-    exactly one shard -- and config agreement across shards; returns the
-    manifest payload.  Merging an already merged directory is idempotent
-    (the manifest is rebuilt from the same inputs to the same bytes).
-    """
-    shard_dirs = [Path(d) for d in shard_dirs]
-    if registry is None:
-        registry = {name: bench.spec for name, bench in discover(bench_dir).items()}
-    records = _load_shard_records(shard_dirs)
-
-    config: Optional[dict] = None
-    owner_record: Dict[str, Path] = {}
-    failed: List[str] = []
-    for path, record in sorted(records.items()):
-        record_config = record.get("config", {})
-        if config is None:
-            config = record_config
-        elif record_config != config:
-            raise BenchError(
-                f"shard record {path} ran with config {record_config}, "
-                f"other shards used {config}; refusing to merge mixed runs"
-            )
-        for name, entry in record.get("benches", {}).items():
-            if entry.get("status") != "passed":
-                failed.append(name)
-            if name in owner_record:
-                raise BenchError(
-                    f"bench {name!r} appears in more than one shard record "
-                    f"({owner_record[name]} and {path})"
-                )
-            owner_record[name] = path
-    if failed:
-        raise BenchError("cannot merge shards with failed benches: " + ", ".join(sorted(failed)))
-    missing = sorted(set(registry) - set(owner_record))
-    if missing:
-        raise BenchError("shards do not cover the full registry; missing: " + ", ".join(missing))
-    unknown = sorted(set(owner_record) - set(registry))
-    if unknown:
-        raise BenchError("shard records mention unregistered benches: " + ", ".join(unknown))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, record_path in sorted(owner_record.items()):
-        source_dir = record_path.parent
-        for artifact in registry[name].all_artifacts:
-            source = source_dir / artifact
-            if not source.is_file():
-                raise BenchError(
-                    f"bench {name!r}: artifact {artifact!r} missing from {source_dir}"
-                )
-            target = out_dir / artifact
-            if source.resolve() != target.resolve():
-                shutil.copyfile(source, target)
-    for path in records:
-        target = out_dir / path.name
-        if path.resolve() != target.resolve():
-            shutil.copyfile(path, target)
-
-    # Profiled shards leave span logs next to their records; collect them
-    # and stitch one Perfetto-loadable trace for the merged run.  Purely
-    # additive: the manifest below never digests these files.
-    trace_logs: List[Path] = []
-    for directory in dict.fromkeys([*shard_dirs, out_dir]):
-        trace_logs.extend(sorted(directory.glob(SHARD_TRACE_GLOB)))
-    copied_logs: Dict[str, Path] = {}
-    for source in trace_logs:
-        target = out_dir / source.name
-        if source.resolve() != target.resolve():
-            shutil.copyfile(source, target)
-        copied_logs[target.name] = target
-    if copied_logs:
-        from ..obs import merge_jsonl_to_chrome
-
-        merge_jsonl_to_chrome(copied_logs.values(), out_dir / MERGED_TRACE_NAME)
-
-    assert config is not None  # records is non-empty
-    payload = build_manifest(registry, out_dir, config)
-    write_manifest(payload, out_dir)
-    return payload

@@ -2,15 +2,13 @@
 
 Every module under ``benchmarks/`` that reproduces one figure or table of the
 paper declares a module-level ``BENCHMARK = BenchSpec(...)`` describing what
-it regenerates: the figure id, a relative cost (measured seconds at the
-default trace length, used by the cost-balanced shard partitioning), the
-environment knobs it reads, the artifacts it writes under
-``benchmarks/results/``, and the perf-regression gates that ``repro bench
-compare`` enforces against ``benchmarks/baselines/``.
+it regenerates: the figure id, the environment knobs it reads, the artifacts
+it writes under ``benchmarks/results/``, and the perf-regression gates that
+``repro bench compare`` enforces against ``benchmarks/baselines/``.
 
 :func:`discover` imports each ``bench_*.py`` file of a benchmark directory,
-validates its spec, and returns the registry that the shard partitioner, the
-in-process runner, the manifest merge, and the regression gate all share.
+validates its spec, and returns the registry that the in-process runner, the
+manifest and the regression gate all share.
 """
 
 from __future__ import annotations
@@ -69,31 +67,22 @@ class BenchSpec:
 
     ``artifacts`` are deterministic outputs (regenerated tables): given the
     same trace-generation config they are byte-identical on every machine,
-    so the merged ``BENCH_manifest.json`` records their SHA-256.
-    ``perf_artifacts`` carry wall-clock or peak-memory measurements; they are
-    copied by ``bench merge`` but never checksummed.  ``group`` co-schedules
-    benches that share the in-process evaluation cache (e.g. Figures 8-10
-    read different metrics of one evaluation) into the same shard; it
-    defaults to the bench's own name.  ``cost`` is the measured standalone
-    runtime in seconds at the default trace length -- only the relative
-    magnitudes matter, they steer the greedy bin-packing.
+    so ``BENCH_manifest.json`` records their SHA-256.
+    ``perf_artifacts`` carry wall-clock or peak-memory measurements; the
+    manifest lists them but never checksums them.
     """
 
     figure: str
     title: str
-    cost: float
     artifacts: Tuple[str, ...] = ()
     perf_artifacts: Tuple[str, ...] = ()
     env: Tuple[str, ...] = ()
     gates: Tuple[Gate, ...] = ()
-    group: str = ""
     # Filled in by discovery:
     name: str = ""
     module: str = ""
 
     def __post_init__(self) -> None:
-        if self.cost <= 0:
-            raise BenchError(f"bench {self.figure!r}: cost must be positive")
         overlap = set(self.artifacts) & set(self.perf_artifacts)
         if overlap:
             raise BenchError(
@@ -187,7 +176,7 @@ def discover(bench_dir: Path | str | None = None) -> Dict[str, DiscoveredBench]:
     Returns ``{name: DiscoveredBench}`` ordered by name.  A module without a
     ``BENCHMARK`` spec, without ``bench_*`` functions, or redeclaring an
     artifact already claimed by another module is a :class:`BenchError` --
-    the merge step relies on every artifact having exactly one producer.
+    the manifest relies on every artifact having exactly one producer.
     """
     directory = Path(bench_dir) if bench_dir is not None else default_bench_dir()
     directory = directory.resolve()
@@ -205,12 +194,7 @@ def discover(bench_dir: Path | str | None = None) -> Dict[str, DiscoveredBench]:
         if not isinstance(spec, BenchSpec):
             raise BenchError(f"{path.name} does not declare {SPEC_ATTRIBUTE} = BenchSpec(...)")
         name = path.stem[len(BENCH_PREFIX) :]
-        spec = replace(
-            spec,
-            name=name,
-            module=path.name,
-            group=spec.group or name,
-        )
+        spec = replace(spec, name=name, module=path.name)
         functions = tuple(
             (attr, value)
             for attr, value in vars(module).items()

@@ -1,21 +1,21 @@
-"""In-process shard runner: execute a cost-balanced slice of the benchmarks.
+"""In-process bench runner: execute every registered benchmark in one process.
 
-``repro bench run --shard K/N`` discovers the registry, takes shard ``K`` of
-the deterministic partition, and calls every bench function of the shard
-directly in this process -- no pytest collection, and crucially no
-per-module worker-pool start-up: the experiment drivers all fan out through
-:func:`repro.evaluation.shared_runner`, so one persistent pool (and one
-experiment result cache) serves every figure of the shard.
+``repro bench run`` discovers the registry and calls every bench function
+directly in this process, in name order -- no pytest collection, and
+crucially no per-module worker-pool start-up: the experiment drivers all fan
+out through :func:`repro.evaluation.shared_runner`, so one persistent pool
+(and one experiment result cache) serves every figure.  Name order runs
+``fig08`` before ``fig09``/``fig10`` and ``fig11`` before ``fig12``/``fig13``,
+so the first figure of each family primes the cache for the rest.
 
-Each run writes a shard record ``BENCH_shard_<K>of<N>.json`` with per-bench
-wall clocks and the trace-generation config; ``bench merge`` later stitches
-the records and artifacts of all shards into ``BENCH_manifest.json``.  An
-unsharded run (``--shard 1/1``, the default) writes the manifest itself,
-byte-identical to what merging any sharded split produces.
+Each run writes a run record ``run_record.json`` with per-bench wall clocks
+and the trace-generation config and, when no bench failed,
+``BENCH_manifest.json``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import os
@@ -30,15 +30,16 @@ from ..core.errors import BenchError
 from ..evaluation.experiments import ExperimentConfig
 from ..obs import observation, profile_summary, span, write_session
 from . import harness
+from .manifest import MANIFEST_NAME, build_manifest, write_manifest
 from .registry import DiscoveredBench, discover
-from .partition import shard_names
 
-#: Name pattern of the per-shard run records.
-SHARD_RECORD_TEMPLATE = "BENCH_shard_{index}of{count}.json"
+#: File name of the run record.  It and the span log below carry wall clocks,
+#: so both are named outside the ``BENCH_*`` namespace (in any letter case):
+#: the manifest and the trajectory copy never pick them up.
+RECORD_NAME = "run_record.json"
 
-#: Name pattern of the per-shard span logs (``.jsonl`` deliberately: the
-#: ``BENCH_*.json`` globs of manifest/trajectory code must not pick these up).
-SHARD_TRACE_TEMPLATE = "BENCH_shard_{index}of{count}.trace.jsonl"
+#: File name of the span log of a profiled run.
+TRACE_LOG_NAME = "run_record.trace.jsonl"
 
 
 class _TmpPathFactory:
@@ -58,7 +59,7 @@ class _TmpPathFactory:
 
 @dataclass
 class BenchOutcome:
-    """What happened to one bench module during a shard run."""
+    """What happened to one bench module during a run."""
 
     name: str
     module: str
@@ -72,12 +73,9 @@ class BenchOutcome:
 
 
 @dataclass
-class ShardReport:
-    """The result of :func:`run_shard`."""
+class RunReport:
+    """The result of :func:`run_benches`."""
 
-    index: int
-    count: int
-    names: List[str]
     outcomes: List[BenchOutcome]
     config: Dict[str, int]
     record_path: Optional[Path] = None
@@ -96,7 +94,6 @@ class ShardReport:
     def as_dict(self) -> dict:
         payload = {
             "schema": 1,
-            "shard": {"index": self.index, "count": self.count},
             "config": dict(self.config),
             "benches": {
                 outcome.name: {
@@ -182,40 +179,34 @@ def _run_bench(
     return outcome
 
 
-def run_shard(
+def run_benches(
     bench_dir: Optional[Path] = None,
-    shard: Tuple[int, int] = (1, 1),
     results_dir: Optional[Path] = None,
     jobs: Optional[int] = None,
     registry: Optional[Mapping[str, DiscoveredBench]] = None,
     profile: bool = False,
     trace_out: Optional[Path] = None,
     results_store: Optional[Path] = None,
-) -> ShardReport:
-    """Run shard ``(index, count)`` of the benchmark registry in this process.
+) -> RunReport:
+    """Run every bench of the registry in this process, in name order.
 
-    Benches execute in name order (cache-priming members of a group first).
-    A failing bench does not stop the shard -- the remaining benches still
+    A failing bench does not stop the run -- the remaining benches still
     run so one CI job reports every failure -- but the report's ``failures``
     list is non-empty and no manifest is written.  ``jobs`` sets the worker
-    count of the shared evaluation pool for every figure of the shard.
+    count of the shared evaluation pool for every figure.
     ``results_store`` points the figure drivers at a content-addressed
     :class:`~repro.serve.results.ResultStore` directory (``--results-dir``):
-    a repeat of the same shard under the same config then performs zero
+    a repeat of the same run under the same config then performs zero
     ``encode_batch`` calls and regenerates byte-identical artifacts.
 
-    ``profile=True`` runs the shard under an observation session: the span
-    log lands next to the record as ``BENCH_shard_KofN.trace.jsonl`` (a
-    suffix the ``BENCH_*.json`` manifest/trajectory globs cannot match) and
-    the record gains a ``"profile"`` summary section; ``bench merge``
-    stitches every shard's log into one Perfetto-loadable Chrome trace.
-    ``trace_out`` writes the session to an explicit path as well (Chrome
-    JSON, or the span log for a ``.jsonl`` suffix) and implies profiling.
+    ``profile=True`` runs the benches under an observation session: the span
+    log lands next to the record as ``run_record.trace.jsonl`` and the
+    record gains a ``"profile"`` summary section.  ``trace_out`` writes the
+    session to an explicit path as well (Chrome JSON, or the span log for a
+    ``.jsonl`` suffix) and implies profiling.
     """
-    index, count = shard
     profile = profile or trace_out is not None
     registry = dict(registry) if registry is not None else discover(bench_dir)
-    names = list(shard_names(registry, index, count))
 
     overrides = {}
     if results_dir is not None:
@@ -233,57 +224,30 @@ def run_shard(
         results = harness.results_dir()
         results.mkdir(parents=True, exist_ok=True)
         # A reused results directory must not leak the previous run's
-        # conclusions: drop any manifest and this shard's own record now so
-        # a failed run leaves neither behind. Records of *other* shards are
-        # kept -- running shards sequentially into one directory and merging
-        # it is a supported local workflow.
-        from .manifest import MANIFEST_NAME
-
-        for stale in (
-            results / MANIFEST_NAME,
-            results / SHARD_RECORD_TEMPLATE.format(index=index, count=count),
-            results / SHARD_TRACE_TEMPLATE.format(index=index, count=count),
-        ):
+        # conclusions: drop the manifest, the record and the span log now so
+        # a failed run leaves none of them behind.
+        for stale in (MANIFEST_NAME, RECORD_NAME, TRACE_LOG_NAME):
             try:
-                stale.unlink()
+                (results / stale).unlink()
             except FileNotFoundError:
                 pass
         tmp_factory = _TmpPathFactory(tmp_root)
-        session = None
-        if profile:
-            with observation(f"bench-shard-{index}of{count}") as session:
-                outcomes = [
-                    _run_bench(registry[name], config, results, tmp_factory)
-                    for name in names
-                ]
-        else:
+        with observation("bench-run") if profile else contextlib.nullcontext() as session:
             outcomes = [
                 _run_bench(registry[name], config, results, tmp_factory)
-                for name in names
+                for name in sorted(registry)
             ]
-        report = ShardReport(
-            index=index,
-            count=count,
-            names=names,
-            outcomes=outcomes,
-            config=harness.config_snapshot(config),
-        )
+        report = RunReport(outcomes=outcomes, config=harness.config_snapshot(config))
         if session is not None:
             metrics = session.metrics.snapshot()
             report.profile = profile_summary(session.spans, metrics)
-            report.trace_path = write_session(
-                session,
-                results / SHARD_TRACE_TEMPLATE.format(index=index, count=count),
-                fmt="jsonl",
-            )
+            report.trace_path = write_session(session, results / TRACE_LOG_NAME, fmt="jsonl")
             if trace_out is not None:
                 write_session(session, Path(trace_out))
-        record = results / SHARD_RECORD_TEMPLATE.format(index=index, count=count)
+        record = results / RECORD_NAME
         record.write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
         report.record_path = record
-        if count == 1 and not report.failures:
-            from .manifest import build_manifest, write_manifest
-
+        if not report.failures:
             report.manifest_path = write_manifest(
                 build_manifest(
                     {name: bench.spec for name, bench in registry.items()},

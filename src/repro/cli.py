@@ -33,9 +33,8 @@ bounded memory.
 Orchestrate the figure benchmarks (see README, "Benchmark harness & perf
 gate")::
 
-    wlcrc-repro bench ls --shards 4
-    wlcrc-repro bench run --shard 2/4 --results /tmp/s2 --jobs 2
-    wlcrc-repro bench merge /tmp/s1 /tmp/s2 /tmp/s3 /tmp/s4
+    wlcrc-repro bench ls
+    wlcrc-repro bench run --jobs 2
     wlcrc-repro bench compare
 """
 
@@ -209,8 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="orchestrate the figure benchmarks: list, run shards, merge, "
-        "gate against perf baselines (see README, 'Benchmark harness & perf gate')",
+        help="orchestrate the figure benchmarks: list, run, gate against "
+        "perf baselines (see README, 'Benchmark harness & perf gate')",
     )
     bench_commands = bench.add_subparsers(dest="bench_command", required=True)
 
@@ -223,30 +222,15 @@ def _build_parser() -> argparse.ArgumentParser:
             "repository's benchmarks/)",
         )
 
-    bench_ls = bench_commands.add_parser(
-        "ls", help="list the registered benchmarks and their shard assignment"
-    )
+    bench_ls = bench_commands.add_parser("ls", help="list the registered benchmarks")
     _add_bench_dir(bench_ls)
-    bench_ls.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="also show the deterministic N-way shard assignment",
-    )
     bench_ls.add_argument("--json", action="store_true", help="emit JSON")
 
     bench_run = bench_commands.add_parser(
-        "run", help="run one shard of the benchmarks in-process"
+        "run",
+        help="run every benchmark in-process and write BENCH_manifest.json",
     )
     _add_bench_dir(bench_run)
-    bench_run.add_argument(
-        "--shard",
-        default="1/1",
-        metavar="K/N",
-        help="run shard K of the deterministic N-way partition (default 1/1 "
-        "= everything, which also writes BENCH_manifest.json)",
-    )
     bench_run.add_argument(
         "--results",
         default=None,
@@ -258,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_jobs_argument,
         default=None,
         help="worker processes of the shared evaluation pool, reused across "
-        "every figure of the shard (1 = serial, 0 or -1 = all cores)",
+        "every figure (1 = serial, 0 or -1 = all cores)",
     )
     bench_run.add_argument(
         "--results-dir",
@@ -272,8 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trajectory-dir",
         default=None,
         metavar="DIR",
-        help="where an unsharded run copies the BENCH_*.json perf trajectory "
-        "(default: current directory; sharded runs never copy)",
+        help="where to copy the BENCH_*.json perf trajectory "
+        "(default: current directory)",
     )
     bench_run.add_argument(
         "--no-trajectory",
@@ -285,57 +269,24 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PLAN",
         help="deterministic chaos testing: execute this fault plan while "
-        "the shard runs, e.g. 'worker-crash@task:3'; recovered artifacts "
+        "the benchmarks run, e.g. 'worker-crash@task:3'; recovered artifacts "
         "stay byte-identical (see docs/robustness.md)",
     )
     bench_run.add_argument(
         "--profile",
         action="store_true",
-        help="run the shard under an observation session: writes "
-        "BENCH_shard_KofN.trace.jsonl next to the record and embeds a "
-        "'profile' summary section in it ('bench merge' stitches the logs "
-        "into one Perfetto-loadable profile.trace.json)",
+        help="run the benchmarks under an observation session: writes "
+        "run_record.trace.jsonl next to the run record and embeds a "
+        "'profile' summary section in it",
     )
     bench_run.add_argument(
         "--trace-out",
         default=None,
         metavar="FILE",
-        help="also write the shard's trace to this path (Chrome trace-event "
+        help="also write the run's trace to this path (Chrome trace-event "
         "JSON; use a .jsonl suffix for the span-log format); implies --profile",
     )
     bench_run.add_argument("--json", action="store_true", help="emit JSON")
-
-    bench_merge = bench_commands.add_parser(
-        "merge",
-        help="stitch per-shard results into one directory and write "
-        "BENCH_manifest.json (byte-identical to an unsharded run)",
-    )
-    _add_bench_dir(bench_merge)
-    bench_merge.add_argument(
-        "shard_dirs",
-        nargs="+",
-        metavar="SHARD_DIR",
-        help="results directories of the shard runs (shard records included)",
-    )
-    bench_merge.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="merged output directory (default benchmarks/results)",
-    )
-    bench_merge.add_argument(
-        "--trajectory-dir",
-        default=None,
-        metavar="DIR",
-        help="where to copy the merged BENCH_*.json perf trajectory "
-        "(default: current directory)",
-    )
-    bench_merge.add_argument(
-        "--no-trajectory",
-        action="store_true",
-        help="do not copy BENCH_*.json out of the merged directory",
-    )
-    bench_merge.add_argument("--json", action="store_true", help="emit JSON")
 
     bench_compare = bench_commands.add_parser(
         "compare",
@@ -369,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = subparsers.add_parser(
         "profile",
-        help="summarise an observability trace written by --trace-out, a "
-        "profiled bench shard, or 'bench merge' (span log or Chrome trace)",
+        help="summarise an observability trace written by --trace-out or "
+        "a profiled bench run (span log or Chrome trace)",
     )
     profile.add_argument(
         "path",
@@ -882,61 +833,44 @@ def _bench_registry(args: argparse.Namespace):
 
 
 def _cmd_bench_ls(args: argparse.Namespace) -> int:
-    from .bench import partition
-
     try:
         _bench_dir, registry = _bench_registry(args)
-        shards = partition(registry, args.shards) if args.shards else None
     except (ReproError, OSError) as exc:
         return _fail(str(exc))
-    shard_of = {}
-    if shards is not None:
-        for index, names in enumerate(shards, 1):
-            for name in names:
-                shard_of[name] = index
     if args.json:
         payload = {
             name: {
                 "figure": bench.spec.figure,
                 "title": bench.spec.title,
                 "module": bench.spec.module,
-                "group": bench.spec.group,
-                "cost": bench.spec.cost,
                 "env": list(bench.spec.env),
                 "artifacts": list(bench.spec.artifacts),
                 "perf_artifacts": list(bench.spec.perf_artifacts),
                 "gates": len(bench.spec.gates),
-                **({"shard": shard_of[name]} if name in shard_of else {}),
             }
             for name, bench in registry.items()
         }
         print(json.dumps(payload, indent=2))
         return 0
-    rows = {}
-    for name, bench in registry.items():
-        row = {
+    rows = {
+        name: {
             "figure": bench.spec.figure,
-            "cost_s": bench.spec.cost,
-            "group": bench.spec.group if bench.spec.group != name else "-",
             "artifacts": len(bench.spec.all_artifacts),
             "gates": len(bench.spec.gates),
         }
-        if name in shard_of:
-            row["shard"] = f"{shard_of[name]}/{args.shards}"
-        rows[name] = row
+        for name, bench in registry.items()
+    }
     print(format_series_table(rows, row_header="bench"))
     return 0
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from .bench import copy_trajectory, parse_shard, run_shard
+    from .bench import copy_trajectory, run_benches
 
     try:
         bench_dir, registry = _bench_registry(args)
-        index, count = parse_shard(args.shard)
-        report = run_shard(
+        report = run_benches(
             bench_dir=bench_dir,
-            shard=(index, count),
             results_dir=Path(args.results) if args.results else None,
             jobs=args.jobs,
             registry=registry,
@@ -965,48 +899,19 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
             }
             for outcome in report.outcomes
         }
-        if rows:
-            title = f"Benchmark shard {index}/{count} ({report.wall_clock_s:.1f}s)"
-            print(format_series_table(rows, title=title, row_header="bench"))
-        else:
-            print(f"shard {index}/{count} is empty (more shards than groups)")
+        title = f"Benchmark run ({report.wall_clock_s:.1f}s)"
+        print(format_series_table(rows, title=title, row_header="bench"))
     for outcome in report.failures:
         print(f"\nFAILED {outcome.name}:\n{outcome.error}", file=sys.stderr)
     if report.failures:
         return 1
-    if report.record_path is not None and not args.no_trajectory and count == 1:
+    if not args.no_trajectory:
         try:
             copy_trajectory(
                 report.record_path.parent, Path(args.trajectory_dir or ".")
             )
         except OSError as exc:
             return _fail(f"cannot copy the BENCH trajectory: {exc}")
-    return 0
-
-
-def _cmd_bench_merge(args: argparse.Namespace) -> int:
-    from .bench import copy_trajectory, merge_shards
-
-    try:
-        bench_dir, registry = _bench_registry(args)
-        out_dir = Path(args.out) if args.out else bench_dir / "results"
-        payload = merge_shards(
-            [Path(directory) for directory in args.shard_dirs],
-            out_dir,
-            registry={name: bench.spec for name, bench in registry.items()},
-        )
-        if not args.no_trajectory:
-            copy_trajectory(out_dir, Path(args.trajectory_dir or "."))
-    except (ReproError, OSError) as exc:
-        return _fail(str(exc))
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(
-            f"merged {len(payload['benchmarks'])} benchmarks from "
-            f"{len(args.shard_dirs)} shard director"
-            f"{'y' if len(args.shard_dirs) == 1 else 'ies'} into {out_dir}"
-        )
     return 0
 
 
@@ -1058,7 +963,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     handlers = {
         "ls": _cmd_bench_ls,
         "run": _cmd_bench_run,
-        "merge": _cmd_bench_merge,
         "compare": _cmd_bench_compare,
     }
     return handlers[args.bench_command](args)

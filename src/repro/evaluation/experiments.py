@@ -8,7 +8,9 @@ result cache so that e.g. Figures 8, 9 and 10 (which differ only in which
 metric they read from the same evaluation) do not re-run the simulation.
 
 The trace lengths default to a laptop-friendly size; the paper's 200-million
-line runs are unnecessary for the statistics to converge (see EXPERIMENTS.md).
+line runs are unnecessary for the statistics to converge: in Figure 8,
+WLCRC-16 saves 38.9%, 38.7% and 38.9% of the baseline's write energy at 500,
+4,000 and 40,000 lines.
 """
 
 from __future__ import annotations

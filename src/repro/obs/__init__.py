@@ -24,7 +24,6 @@ from .core import (
     timer,
 )
 from .export import (
-    merge_jsonl_to_chrome,
     profile_summary,
     read_chrome_trace,
     read_jsonl,
@@ -44,7 +43,6 @@ __all__ = [
     "count",
     "gauge",
     "is_active",
-    "merge_jsonl_to_chrome",
     "observation",
     "observe",
     "peak_rss_bytes",

@@ -4,8 +4,7 @@ Three output shapes, all derived from the same ``(spans, metrics)`` pair:
 
 * **JSON-lines span log** (``.trace.jsonl``) -- one self-describing JSON
   object per line: a ``meta`` header, one ``span`` line per record, and a
-  trailing ``metrics`` snapshot.  Line-oriented so sharded bench runs can
-  concatenate per-shard logs without parsing them.
+  trailing ``metrics`` snapshot.
 * **Chrome trace-event JSON** (``.trace.json``) -- the ``traceEvents``
   array format Perfetto and ``chrome://tracing`` load directly: complete
   ("X") events with microsecond timestamps plus process-name metadata.
@@ -19,12 +18,11 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .core import MetricsRegistry, ObsSession, SpanRecord
 
 __all__ = [
-    "merge_jsonl_to_chrome",
     "profile_summary",
     "read_chrome_trace",
     "read_jsonl",
@@ -73,8 +71,7 @@ def read_jsonl(
     """Read a span log back as ``(spans, metrics, meta)``.
 
     Tolerates concatenated logs (multiple meta/metrics lines): spans
-    accumulate and metrics snapshots merge, which is exactly what the
-    sharded bench merge needs.
+    accumulate and metrics snapshots merge.
     """
     spans: List[SpanRecord] = []
     registry = MetricsRegistry()
@@ -95,15 +92,13 @@ def read_jsonl(
     return spans, registry.snapshot(), meta
 
 
-def spans_to_chrome_events(
-    spans: Sequence[SpanRecord], *, process_labels: Optional[Dict[int, str]] = None
-) -> List[dict]:
+def spans_to_chrome_events(spans: Sequence[SpanRecord]) -> List[dict]:
     """Convert spans to Chrome trace events (ts/dur in microseconds)."""
     if not spans:
         return []
     t0 = min(record.start_ns for record in spans)
     events: List[dict] = []
-    labels = dict(process_labels or {})
+    labels: Dict[int, str] = {}
     for record in sorted(spans, key=lambda r: (r.start_ns, r.span_id)):
         args = {k: v for k, v in record.attrs.items()}
         args["id"] = record.span_id
@@ -141,39 +136,18 @@ def write_chrome_trace(
     path: Path,
     spans: Sequence[SpanRecord],
     metrics: Optional[Dict[str, Dict[str, Any]]] = None,
-    *,
-    process_labels: Optional[Dict[int, str]] = None,
 ) -> Path:
     """Write a Perfetto-loadable Chrome trace-event file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     document: Dict[str, Any] = {
-        "traceEvents": spans_to_chrome_events(spans, process_labels=process_labels),
+        "traceEvents": spans_to_chrome_events(spans),
         "displayTimeUnit": "ms",
     }
     if metrics:
         document["otherData"] = {"metrics": metrics}
     path.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
     return path
-
-
-def merge_jsonl_to_chrome(paths: Iterable[Path], out: Path) -> Path:
-    """Merge per-shard span logs into one Chrome trace."""
-    all_spans: List[SpanRecord] = []
-    registry = MetricsRegistry()
-    labels: Dict[int, str] = {}
-    for path in sorted(Path(p) for p in paths):
-        spans, metrics, meta = read_jsonl(path)
-        all_spans.extend(spans)
-        registry.merge(metrics)
-        label = meta.get("label")
-        if label:
-            for record in spans:
-                if record.parent_id is None:
-                    labels.setdefault(record.pid, str(label))
-    return write_chrome_trace(
-        out, all_spans, registry.snapshot(), process_labels=labels
-    )
 
 
 def read_chrome_trace(

@@ -25,7 +25,6 @@ def _specs(tolerance_pct=20.0):
         "speed": BenchSpec(
             figure="speed",
             title="Speed fixture",
-            cost=1.0,
             name="speed",
             module="bench_speed.py",
             perf_artifacts=(ARTIFACT,),
@@ -83,7 +82,7 @@ class TestUpdateBaselines:
     def test_ungated_benches_write_nothing(self, tmp_path):
         specs = {
             "plain": BenchSpec(
-                figure="plain", title="plain", cost=1.0, name="plain",
+                figure="plain", title="plain", name="plain",
                 artifacts=("plain.txt",),
             )
         }
@@ -162,9 +161,9 @@ class TestCompare:
                  tolerance_pct=1.0, optional=True)
 
     def test_specs_carry_no_backend_sensitivity(self):
-        with pytest.raises(TypeError, match="backend_sensitive"):
-            BenchSpec(figure="speed", title="Speed fixture", cost=1.0,
-                      backend_sensitive=True)
+        for removed in ("backend_sensitive", "cost", "group"):
+            with pytest.raises(TypeError, match=removed):
+                BenchSpec(figure="speed", title="Speed fixture", **{removed: 1})
 
     def test_context_mismatch_skips_the_gate(self, tmp_path):
         baselines = self._baseline(tmp_path, lines=60000)

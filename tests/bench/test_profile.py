@@ -1,11 +1,11 @@
-"""Profiled bench runs: per-shard span logs, record sections, merged trace."""
+"""Profiled bench runs: the span log, the record section, the manifest."""
 
 import json
 
 import pytest
 
-from repro.bench.manifest import MANIFEST_NAME, MERGED_TRACE_NAME, merge_shards
-from repro.bench.runner import run_shard
+from repro.bench.manifest import MANIFEST_NAME
+from repro.bench.runner import RECORD_NAME, TRACE_LOG_NAME, run_benches
 from repro.obs import read_jsonl
 
 BENCH_ALPHA = '''
@@ -14,7 +14,6 @@ from repro.bench import BenchSpec, run_once, write_result
 BENCHMARK = BenchSpec(
     figure="alpha",
     title="Alpha fixture figure",
-    cost=2.0,
     artifacts=("alpha.txt",),
 )
 
@@ -29,7 +28,6 @@ from repro.bench import BenchSpec, run_once, write_result
 BENCHMARK = BenchSpec(
     figure="beta",
     title="Beta fixture figure",
-    cost=1.0,
     artifacts=("beta.txt",),
 )
 
@@ -51,30 +49,30 @@ def bench_dir(tmp_path):
 class TestProfiledShard:
     def test_unprofiled_run_leaves_no_trace_artifacts(self, bench_dir, tmp_path):
         results = tmp_path / "plain"
-        report = run_shard(bench_dir=bench_dir, results_dir=results)
+        report = run_benches(bench_dir=bench_dir, results_dir=results)
         assert report.profile is None
         assert report.trace_path is None
         assert not list(results.glob("*.trace.jsonl"))
-        record = json.loads((results / "BENCH_shard_1of1.json").read_text())
+        record = json.loads((results / RECORD_NAME).read_text())
         assert "profile" not in record
 
     def test_profiled_run_writes_span_log_and_record_section(self, bench_dir, tmp_path):
         results = tmp_path / "profiled"
-        report = run_shard(bench_dir=bench_dir, results_dir=results, profile=True)
-        assert report.trace_path == results / "BENCH_shard_1of1.trace.jsonl"
+        report = run_benches(bench_dir=bench_dir, results_dir=results, profile=True)
+        assert report.trace_path == results / TRACE_LOG_NAME
         spans, metrics, meta = read_jsonl(report.trace_path)
         names = {r.name for r in spans}
-        assert "bench-shard-1of1" in names  # the session root
+        assert "bench-run" in names  # the session root
         bench_spans = [r for r in spans if r.name == "bench_function"]
         assert {r.attrs["bench"] for r in bench_spans} == {"alpha", "beta"}
-        record = json.loads((results / "BENCH_shard_1of1.json").read_text())
+        record = json.loads((results / RECORD_NAME).read_text())
         assert record["profile"] == report.profile
         assert "bench_function" in record["profile"]["spans"]
 
     def test_trace_out_writes_chrome_trace(self, bench_dir, tmp_path):
         results = tmp_path / "results"
         out = tmp_path / "run.trace.json"
-        report = run_shard(bench_dir=bench_dir, results_dir=results, trace_out=out)
+        report = run_benches(bench_dir=bench_dir, results_dir=results, trace_out=out)
         # --trace-out implies profiling
         assert report.profile is not None
         document = json.loads(out.read_text())
@@ -82,50 +80,17 @@ class TestProfiledShard:
 
     def test_rerun_unprofiled_removes_stale_span_log(self, bench_dir, tmp_path):
         results = tmp_path / "results"
-        run_shard(bench_dir=bench_dir, results_dir=results, profile=True)
-        assert (results / "BENCH_shard_1of1.trace.jsonl").is_file()
-        run_shard(bench_dir=bench_dir, results_dir=results)
-        assert not (results / "BENCH_shard_1of1.trace.jsonl").exists()
+        run_benches(bench_dir=bench_dir, results_dir=results, profile=True)
+        assert (results / TRACE_LOG_NAME).is_file()
+        run_benches(bench_dir=bench_dir, results_dir=results)
+        assert not (results / TRACE_LOG_NAME).exists()
 
 
 class TestMergedTrace:
-    def _run_shards(self, bench_dir, tmp_path, profile):
-        dirs = []
-        for index in (1, 2):
-            results = tmp_path / f"shard{index}"
-            run_shard(
-                bench_dir=bench_dir,
-                shard=(index, 2),
-                results_dir=results,
-                profile=profile,
-            )
-            dirs.append(results)
-        return dirs
-
-    def test_merge_stitches_one_perfetto_trace(self, bench_dir, tmp_path):
-        dirs = self._run_shards(bench_dir, tmp_path, profile=True)
-        out = tmp_path / "merged"
-        merge_shards(dirs, out, bench_dir=bench_dir)
-        assert (out / MANIFEST_NAME).is_file()
-        document = json.loads((out / MERGED_TRACE_NAME).read_text())
-        events = [e for e in document["traceEvents"] if e["ph"] == "X"]
-        benches = {
-            e["args"]["bench"] for e in events if e["name"] == "bench_function"
-        }
-        assert benches == {"alpha", "beta"}
-        # per-shard logs are copied next to the merged trace
-        assert (out / "BENCH_shard_1of2.trace.jsonl").is_file()
-        assert (out / "BENCH_shard_2of2.trace.jsonl").is_file()
-
-    def test_merge_without_profiling_writes_no_trace(self, bench_dir, tmp_path):
-        dirs = self._run_shards(bench_dir, tmp_path, profile=False)
-        out = tmp_path / "merged"
-        merge_shards(dirs, out, bench_dir=bench_dir)
-        assert not (out / MERGED_TRACE_NAME).exists()
-
     def test_profiled_manifest_matches_unprofiled(self, bench_dir, tmp_path):
-        profiled = self._run_shards(bench_dir, tmp_path / "p", profile=True)
-        plain = self._run_shards(bench_dir, tmp_path / "u", profile=False)
-        a = merge_shards(profiled, tmp_path / "pm", bench_dir=bench_dir)
-        b = merge_shards(plain, tmp_path / "um", bench_dir=bench_dir)
-        assert a == b  # observability must not leak into the manifest
+        profiled = tmp_path / "profiled"
+        plain = tmp_path / "plain"
+        run_benches(bench_dir=bench_dir, results_dir=profiled, profile=True)
+        run_benches(bench_dir=bench_dir, results_dir=plain)
+        # observability must not leak into the manifest
+        assert (profiled / MANIFEST_NAME).read_bytes() == (plain / MANIFEST_NAME).read_bytes()

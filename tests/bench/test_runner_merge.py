@@ -1,12 +1,12 @@
-"""Shard runner + merge: discovery, byte-identity, idempotence, failures."""
+"""Discovery and the in-process runner: record, manifest, failures."""
 
 import json
 
 import pytest
 
-from repro.bench.manifest import MANIFEST_NAME, merge_shards
+from repro.bench.manifest import MANIFEST_NAME
 from repro.bench.registry import discover
-from repro.bench.runner import run_shard
+from repro.bench.runner import RECORD_NAME, run_benches
 from repro.core.errors import BenchError
 
 #: A two-figure fixture suite: deterministic tables plus one perf artifact
@@ -17,7 +17,6 @@ from repro.bench import BenchSpec, run_once, write_json, write_result
 BENCHMARK = BenchSpec(
     figure="alpha",
     title="Alpha fixture figure",
-    cost=2.0,
     artifacts=("alpha.txt",),
     perf_artifacts=("BENCH_alpha.json",),
 )
@@ -37,7 +36,6 @@ from repro.bench import BenchSpec, run_once, write_result
 BENCHMARK = BenchSpec(
     figure="beta",
     title="Beta fixture figure",
-    cost=1.0,
     artifacts=("beta.txt",),
 )
 
@@ -64,7 +62,6 @@ class TestDiscovery:
         alpha = registry["alpha"].spec
         assert alpha.name == "alpha"
         assert alpha.module == "bench_alpha.py"
-        assert alpha.group == "alpha"
         assert alpha.all_artifacts == ("alpha.txt", "BENCH_alpha.json")
         assert [name for name, _ in registry["beta"].functions] == ["bench_beta"]
 
@@ -80,7 +77,7 @@ class TestDiscovery:
         directory.mkdir()
         module = (
             "from repro.bench import BenchSpec\n"
-            "BENCHMARK = BenchSpec(figure='x', title='x', cost=1.0, "
+            "BENCHMARK = BenchSpec(figure='x', title='x', "
             "artifacts=('same.txt',))\n"
             "def bench_x(benchmark): pass\n"
         )
@@ -97,40 +94,33 @@ class TestDiscovery:
 class TestRunShard:
     def test_unsharded_run_writes_record_and_manifest(self, bench_dir, tmp_path):
         results = tmp_path / "results"
-        report = run_shard(bench_dir=bench_dir, results_dir=results)
+        report = run_benches(bench_dir=bench_dir, results_dir=results)
         assert not report.failures
-        assert sorted(report.names) == ["alpha", "beta"]
+        assert [outcome.name for outcome in report.outcomes] == ["alpha", "beta"]
         assert (results / "alpha.txt").read_text() == "alpha-table\n"
-        assert (results / "BENCH_shard_1of1.json").is_file()
-        assert (results / MANIFEST_NAME).is_file()
-        record = json.loads((results / "BENCH_shard_1of1.json").read_text())
-        assert record["shard"] == {"index": 1, "count": 1}
+        record = json.loads((results / RECORD_NAME).read_text())
         assert set(record["benches"]) == {"alpha", "beta"}
         assert all(
             entry["status"] == "passed" for entry in record["benches"].values()
         )
-
-    def test_sharded_run_covers_its_slice_only(self, bench_dir, tmp_path):
-        results = tmp_path / "shard1"
-        report = run_shard(bench_dir=bench_dir, shard=(1, 2), results_dir=results)
-        assert not report.failures
-        assert report.names == ["alpha"]  # the heavier bench goes first
-        assert (results / "alpha.txt").is_file()
-        assert not (results / "beta.txt").exists()
-        assert not (results / MANIFEST_NAME).exists()
+        # Perf artifacts are listed but never checksummed.
+        manifest = json.loads((results / MANIFEST_NAME).read_text())
+        artifacts = manifest["benchmarks"]["alpha"]["artifacts"]
+        assert artifacts["BENCH_alpha.json"] is None
+        assert artifacts["alpha.txt"].startswith("sha256:")
 
     def test_failing_bench_is_reported_and_blocks_manifest(self, tmp_path):
         directory = tmp_path / "failing"
         directory.mkdir()
         (directory / "bench_boom.py").write_text(
             "from repro.bench import BenchSpec\n"
-            "BENCHMARK = BenchSpec(figure='boom', title='boom', cost=1.0,\n"
+            "BENCHMARK = BenchSpec(figure='boom', title='boom',\n"
             "                      artifacts=('boom.txt',))\n"
             "def bench_boom(benchmark):\n"
             "    raise RuntimeError('kaboom')\n"
         )
         results = tmp_path / "results"
-        report = run_shard(bench_dir=directory, results_dir=results)
+        report = run_benches(bench_dir=directory, results_dir=results)
         assert [outcome.name for outcome in report.failures] == ["boom"]
         assert "kaboom" in report.failures[0].error
         assert not (results / MANIFEST_NAME).exists()
@@ -145,13 +135,13 @@ class TestRunShard:
         module = directory / "bench_fickle.py"
         module.write_text(
             "from repro.bench import BenchSpec, write_result\n"
-            "BENCHMARK = BenchSpec(figure='fickle', title='f', cost=1.0,\n"
+            "BENCHMARK = BenchSpec(figure='fickle', title='f',\n"
             "                      artifacts=('fickle.txt',))\n"
             "def bench_fickle(benchmark):\n"
             "    write_result('fickle', 'table')\n"
         )
         results = tmp_path / "results"
-        assert not run_shard(bench_dir=directory, results_dir=results).failures
+        assert not run_benches(bench_dir=directory, results_dir=results).failures
         assert (results / "fickle.txt").is_file()
 
         import os
@@ -159,7 +149,7 @@ class TestRunShard:
 
         module.write_text(
             "from repro.bench import BenchSpec\n"
-            "BENCHMARK = BenchSpec(figure='fickle', title='f', cost=1.0,\n"
+            "BENCHMARK = BenchSpec(figure='fickle', title='f',\n"
             "                      artifacts=('fickle.txt',))\n"
             "def bench_fickle(benchmark):\n"
             "    pass\n"
@@ -167,7 +157,7 @@ class TestRunShard:
         # Force a distinct mtime even on coarse-grained filesystems.
         stamp = time.time() + 10
         os.utime(module, (stamp, stamp))
-        report = run_shard(bench_dir=directory, results_dir=results)
+        report = run_benches(bench_dir=directory, results_dir=results)
         assert report.failures
         assert "fickle.txt" in report.failures[0].error
         assert not (results / "fickle.txt").exists()
@@ -177,87 +167,10 @@ class TestRunShard:
         directory.mkdir()
         (directory / "bench_liar.py").write_text(
             "from repro.bench import BenchSpec\n"
-            "BENCHMARK = BenchSpec(figure='liar', title='liar', cost=1.0,\n"
+            "BENCHMARK = BenchSpec(figure='liar', title='liar',\n"
             "                      artifacts=('never_written.txt',))\n"
             "def bench_liar(benchmark): pass\n"
         )
-        report = run_shard(bench_dir=directory, results_dir=tmp_path / "results")
+        report = run_benches(bench_dir=directory, results_dir=tmp_path / "results")
         assert report.failures
         assert "never_written.txt" in report.failures[0].error
-
-
-class TestMergeByteIdentity:
-    def test_sharded_merge_equals_unsharded_manifest(self, bench_dir, tmp_path):
-        full = tmp_path / "full"
-        run_shard(bench_dir=bench_dir, results_dir=full)
-
-        shard_dirs = []
-        for index in (1, 2):
-            shard_results = tmp_path / f"shard{index}"
-            report = run_shard(
-                bench_dir=bench_dir, shard=(index, 2), results_dir=shard_results
-            )
-            assert not report.failures
-            shard_dirs.append(shard_results)
-
-        merged = tmp_path / "merged"
-        merge_shards(shard_dirs, merged, bench_dir=bench_dir)
-        assert (merged / MANIFEST_NAME).read_bytes() == (
-            full / MANIFEST_NAME
-        ).read_bytes()
-        # Perf artifacts travel along but are never checksummed.
-        manifest = json.loads((merged / MANIFEST_NAME).read_text())
-        artifacts = manifest["benchmarks"]["alpha"]["artifacts"]
-        assert artifacts["BENCH_alpha.json"] is None
-        assert artifacts["alpha.txt"].startswith("sha256:")
-
-    def test_merge_is_idempotent(self, bench_dir, tmp_path):
-        shard_dirs = []
-        for index in (1, 2):
-            shard_results = tmp_path / f"shard{index}"
-            run_shard(bench_dir=bench_dir, shard=(index, 2), results_dir=shard_results)
-            shard_dirs.append(shard_results)
-        merged = tmp_path / "merged"
-        merge_shards(shard_dirs, merged, bench_dir=bench_dir)
-        first = (merged / MANIFEST_NAME).read_bytes()
-
-        # Merging the merged directory again reproduces the same bytes,
-        # into a fresh directory or onto itself.
-        again = tmp_path / "again"
-        merge_shards([merged], again, bench_dir=bench_dir)
-        assert (again / MANIFEST_NAME).read_bytes() == first
-        merge_shards([merged], merged, bench_dir=bench_dir)
-        assert (merged / MANIFEST_NAME).read_bytes() == first
-
-
-class TestMergeValidation:
-    def test_incomplete_coverage_rejected(self, bench_dir, tmp_path):
-        shard1 = tmp_path / "shard1"
-        run_shard(bench_dir=bench_dir, shard=(1, 2), results_dir=shard1)
-        with pytest.raises(BenchError, match="missing: beta"):
-            merge_shards([shard1], tmp_path / "merged", bench_dir=bench_dir)
-
-    def test_duplicate_bench_rejected(self, bench_dir, tmp_path):
-        full1 = tmp_path / "full1"
-        full2 = tmp_path / "full2"
-        run_shard(bench_dir=bench_dir, results_dir=full1)
-        run_shard(bench_dir=bench_dir, results_dir=full2)
-        # Rename one record so both survive the glob in distinct files.
-        (full2 / "BENCH_shard_1of1.json").rename(full2 / "BENCH_shard_2of2.json")
-        with pytest.raises(BenchError, match="more than one shard"):
-            merge_shards([full1, full2], tmp_path / "merged", bench_dir=bench_dir)
-
-    def test_config_mismatch_rejected(self, bench_dir, tmp_path, monkeypatch):
-        shard1 = tmp_path / "shard1"
-        shard2 = tmp_path / "shard2"
-        run_shard(bench_dir=bench_dir, shard=(1, 2), results_dir=shard1)
-        monkeypatch.setenv("REPRO_BENCH_TRACE_LEN", "77")
-        run_shard(bench_dir=bench_dir, shard=(2, 2), results_dir=shard2)
-        with pytest.raises(BenchError, match="refusing to merge"):
-            merge_shards([shard1, shard2], tmp_path / "merged", bench_dir=bench_dir)
-
-    def test_no_records_rejected(self, bench_dir, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        with pytest.raises(BenchError, match="no shard records"):
-            merge_shards([empty], tmp_path / "merged", bench_dir=bench_dir)

@@ -1,9 +1,8 @@
-"""Exporter round-trips: span log, Chrome trace, merge, profile summary."""
+"""Exporter round-trips: span log, Chrome trace, profile summary."""
 
 import json
 
 from repro.obs import (
-    merge_jsonl_to_chrome,
     observation,
     profile_summary,
     read_chrome_trace,
@@ -87,26 +86,6 @@ class TestChromeTrace:
         write_chrome_trace(path, [], {})
         spans, metrics = read_chrome_trace(path)
         assert spans == [] and metrics == {}
-
-
-class TestMerge:
-    def test_merges_shard_logs_into_one_trace(self, tmp_path):
-        a = tmp_path / "s1.trace.jsonl"
-        b = tmp_path / "s2.trace.jsonl"
-        write_jsonl(a, _sample_spans(100), _sample_metrics(), trace_id="t1", label="shard-1")
-        write_jsonl(b, _sample_spans(200), _sample_metrics(), trace_id="t2", label="shard-2")
-        out = tmp_path / "profile.trace.json"
-        merge_jsonl_to_chrome([a, b], out)
-        document = json.loads(out.read_text())
-        complete = [e for e in document["traceEvents"] if e["ph"] == "X"]
-        assert len(complete) == 4
-        labels = {
-            e["pid"]: e["args"]["name"]
-            for e in document["traceEvents"]
-            if e["ph"] == "M"
-        }
-        assert labels == {100: "shard-1", 200: "shard-2"}
-        assert document["otherData"]["metrics"]["lines{scheme=fpc}"]["value"] == 14
 
 
 class TestWriteSession:

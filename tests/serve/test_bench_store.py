@@ -1,6 +1,6 @@
 """The headline memoisation property of ``repro bench run --results-dir``.
 
-A repeat of the same shard under the same config must (a) perform zero
+A repeat of the same run under the same config must (a) perform zero
 ``encode_batch`` calls -- asserted through the obs ``lines_encoded`` counter
 the encoders increment -- and (b) regenerate a byte-identical
 ``BENCH_manifest.json``.  The first run records only store misses, the
@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.bench.runner import discover, run_shard
+from repro.bench.runner import RECORD_NAME, discover, run_benches
 from repro.evaluation import experiments
 
 
@@ -22,15 +22,14 @@ def fig08_registry():
 
 
 def _run(registry, results_dir, store):
-    report = run_shard(
-        shard=(1, 1),
+    report = run_benches(
         results_dir=results_dir,
         registry=registry,
         profile=True,
         results_store=store,
     )
     assert not report.failures, report.failures[0].error
-    record = json.loads((results_dir / "BENCH_shard_1of1.json").read_text())
+    record = json.loads((results_dir / RECORD_NAME).read_text())
     metrics = record["profile"]["metrics"]
     encoded = {k: v for k, v in metrics.items() if k.startswith("lines_encoded")}
     store_ops = {k: v for k, v in metrics.items() if k.startswith("result_store")}
@@ -48,7 +47,7 @@ def test_repeat_run_hits_the_store_and_reproduces_the_manifest(
     try:
         encoded1, ops1, manifest1 = _run(fig08_registry, tmp_path / "run1", store)
         # The in-process experiment cache would mask the store entirely;
-        # clearing it is what a fresh CI shard process looks like.
+        # clearing it is what a fresh CI process looks like.
         experiments.clear_cache()
         encoded2, ops2, manifest2 = _run(fig08_registry, tmp_path / "run2", store)
     finally:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.runner import RECORD_NAME, TRACE_LOG_NAME
 from repro.cli import EXPERIMENTS, main
 from repro.evaluation import experiments
 
@@ -377,14 +378,14 @@ class TestCorpusBackedExperiments:
 class TestBenchCommands:
     """CLI surface of the benchmark-orchestration subsystem.
 
-    The heavy lifting (partitioning, byte-identity, gating) is covered in
+    The heavy lifting (running, byte-identity, gating) is covered in
     tests/bench/; these tests drive the argparse layer end-to-end on a tiny
     fixture suite.
     """
 
     FIXTURE = (
         "from repro.bench import BenchSpec, run_once, write_result\n"
-        "BENCHMARK = BenchSpec(figure='mini', title='Mini', cost=1.0,\n"
+        "BENCHMARK = BenchSpec(figure='mini', title='Mini',\n"
         "                      artifacts=('mini.txt',))\n"
         "def bench_mini(benchmark):\n"
         "    write_result('mini', run_once(benchmark, lambda: 'mini-table'))\n"
@@ -402,21 +403,14 @@ class TestBenchCommands:
         assert "fig08_write_energy" in out
         assert "streaming_ingest" in out
 
-    def test_bench_ls_json_shard_assignment(self, capsys, tmp_path):
-        suite = self._suite(tmp_path)
-        assert main(["bench", "ls", "--bench-dir", str(suite), "--shards", "2",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["mini"]["figure"] == "mini"
-        assert payload["mini"]["shard"] in (1, 2)
-
     def test_bench_ls_has_no_backend_column(self, capsys):
         assert main(["bench", "ls", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert all("backend_sensitive" not in spec for spec in payload.values())
+        gone = {"backend_sensitive", "cost", "group", "shard"}
+        assert all(not gone & set(spec) for spec in payload.values())
         assert main(["bench", "ls"]) == 0
         header = capsys.readouterr().out.splitlines()[0].split()
-        assert header == ["bench", "figure", "cost_s", "group", "artifacts", "gates"]
+        assert header == ["bench", "figure", "artifacts", "gates"]
 
     def test_bench_run_merge_compare_roundtrip(self, capsys, tmp_path):
         suite = self._suite(tmp_path)
@@ -425,47 +419,69 @@ class TestBenchCommands:
                      "--results", str(results),
                      "--trajectory-dir", str(tmp_path / "traj")]) == 0
         assert (results / "mini.txt").read_text() == "mini-table\n"
-        assert (results / "BENCH_manifest.json").is_file()
-        assert (tmp_path / "traj" / "BENCH_manifest.json").is_file()
-        capsys.readouterr()
-        merged = tmp_path / "merged"
-        assert main(["bench", "merge", str(results), "--bench-dir", str(suite),
-                     "--out", str(merged), "--no-trajectory"]) == 0
-        assert (merged / "BENCH_manifest.json").read_bytes() == (
+        assert (tmp_path / "traj" / "BENCH_manifest.json").read_bytes() == (
             results / "BENCH_manifest.json"
         ).read_bytes()
         capsys.readouterr()
         # No gates registered: compare passes and says so.
         assert main(["bench", "compare", "--bench-dir", str(suite),
-                     "--results", str(merged),
+                     "--results", str(results),
                      "--baselines", str(tmp_path / "baselines")]) == 0
         assert "no perf gates" in capsys.readouterr().out
 
-    def test_bench_run_bad_shard_selector(self, capsys, tmp_path):
-        suite = self._suite(tmp_path)
+    def test_bench_run_trajectory_holds_only_bench_artifacts(self, capsys, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "bench_mini.py").write_text(
+            "from repro.bench import BenchSpec, write_json, write_result\n"
+            "BENCHMARK = BenchSpec(figure='mini', title='Mini', artifacts=('mini.txt',),\n"
+            "                      perf_artifacts=('BENCH_mini.json',))\n"
+            "def bench_mini(benchmark):\n"
+            "    write_result('mini', 'mini-table')\n"
+            "    write_json('mini', {'wall_s': 0.1})\n"
+        )
+        results = tmp_path / "results"
+        trajectory = tmp_path / "traj"
         assert main(["bench", "run", "--bench-dir", str(suite),
-                     "--shard", "5/2"]) == 2
-        assert "invalid shard selector" in capsys.readouterr().err
+                     "--results", str(results), "--profile",
+                     "--trajectory-dir", str(trajectory)]) == 0
+        tracked = ["BENCH_manifest.json", "BENCH_mini.json"]
+        assert sorted(path.name for path in trajectory.iterdir()) == tracked
+        # The run record and its span log carry wall clocks: they must stay
+        # out of the BENCH_*.json glob, even on a case-insensitive filesystem.
+        assert (results / RECORD_NAME).is_file()
+        assert (results / TRACE_LOG_NAME).is_file()
+        assert sorted(
+            path.name
+            for path in results.iterdir()
+            if path.name.lower().startswith("bench_") and path.name.lower().endswith(".json")
+        ) == tracked
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "merge", "results"],
+            ["bench", "run", "--shard", "1/2"],
+            ["bench", "ls", "--shards", "2"],
+        ],
+    )
+    def test_sharding_commands_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_bench_run_failure_exits_one(self, capsys, tmp_path):
         suite = tmp_path / "boom"
         suite.mkdir()
         (suite / "bench_boom.py").write_text(
             "from repro.bench import BenchSpec\n"
-            "BENCHMARK = BenchSpec(figure='boom', title='boom', cost=1.0)\n"
+            "BENCHMARK = BenchSpec(figure='boom', title='boom')\n"
             "def bench_boom(benchmark):\n"
             "    raise RuntimeError('kaboom')\n"
         )
         assert main(["bench", "run", "--bench-dir", str(suite),
                      "--results", str(tmp_path / "results")]) == 1
         assert "kaboom" in capsys.readouterr().err
-
-    def test_bench_merge_missing_dir(self, capsys, tmp_path):
-        suite = self._suite(tmp_path)
-        assert main(["bench", "merge", str(tmp_path / "nope"),
-                     "--bench-dir", str(suite),
-                     "--out", str(tmp_path / "merged")]) == 2
-        assert "not found" in capsys.readouterr().err
 
     def test_bench_unknown_dir(self, capsys):
         assert main(["bench", "ls", "--bench-dir", "/no/such/dir"]) == 2
@@ -541,7 +557,7 @@ class TestObservability:
                      "--results", str(results), "--profile", "--json",
                      "--no-trajectory"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["trace"] == str(results / "BENCH_shard_1of1.trace.jsonl")
+        assert payload["trace"] == str(results / TRACE_LOG_NAME)
         assert "bench_function" in payload["profile"]["spans"]
 
     def test_bench_compare_diagnostics_go_to_stderr(self, capsys, tmp_path):
@@ -550,7 +566,7 @@ class TestObservability:
         suite.mkdir()
         (suite / "bench_gated.py").write_text(
             "from repro.bench import BenchSpec, Gate, write_json\n"
-            "BENCHMARK = BenchSpec(figure='gated', title='Gated', cost=1.0,\n"
+            "BENCHMARK = BenchSpec(figure='gated', title='Gated',\n"
             "    perf_artifacts=('BENCH_gated.json',),\n"
             "    gates=(Gate(artifact='BENCH_gated.json', metric='speed',\n"
             "                direction='higher', tolerance_pct=10.0),))\n"
