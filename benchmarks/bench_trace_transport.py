@@ -1,12 +1,13 @@
-"""Zero-copy trace transport benchmark: pickled vs shared-memory vs mmap.
+"""Zero-copy trace transport benchmark: pickled vs spilled vs mmap.
 
 ``bench_trace_transport`` compares how chunk data reaches the workers --
-pickled arrays (the legacy path), a shared-memory segment, and an mmap'd
+pickled arrays (the legacy path), an mmap'd spill file, and an mmap'd
 corpus file -- on one long random trace: per-chunk IPC payload bytes,
 end-to-end wall clock, and exact metric equality across transports.  The
-engine's default exporter picks shared memory for the in-memory trace and
-mmap for the corpus copy; the pickle row patches the exporter to export
-nothing, which is what a host without shared memory gets.
+engine's default exporter spills the in-memory trace once to a temporary
+``.wtrc`` and describes the corpus copy by its own file; the pickle row
+patches the exporter to export nothing, which is what a trace whose spill
+cannot be written gets.
 Results land in ``BENCH_trace_transport.json``, which CI uploads as an
 artifact and ``repro bench compare`` gates against
 ``benchmarks/baselines/trace_transport.json``.
@@ -58,7 +59,7 @@ BENCHMARK = BenchSpec(
         ),
         Gate(
             artifact="BENCH_trace_transport.json",
-            metric="per_chunk_ipc_bytes.shm",
+            metric="per_chunk_ipc_bytes.spill",
             direction="lower",
             tolerance_pct=10.0,
             context=("lines", "chunk_size"),
@@ -75,7 +76,7 @@ BENCHMARK = BenchSpec(
 
 
 def bench_trace_transport(benchmark):
-    """Per-chunk IPC and wall clock: pickled vs shared-memory vs mmap transport."""
+    """Per-chunk IPC and wall clock: pickled vs spilled vs mmap transport."""
     lines = int(os.environ.get("REPRO_BENCH_TRANSPORT_LINES", "1000000"))
     n_jobs = os.cpu_count() or 1
     config = EvaluationConfig(chunk_size=2048)
@@ -88,30 +89,27 @@ def bench_trace_transport(benchmark):
             corpus_trace = load_trace(save_trace(trace, Path(tmp) / "random.wtrc"))
 
             # Per-chunk IPC payload: the pickled size of one dispatched shard.
-            # The default exporter parks the in-memory trace in shared memory
-            # and describes the corpus-backed one by its mmap'd file.
+            # The default exporter spills the in-memory trace to a temporary
+            # .wtrc and describes the corpus-backed one by its own file.
             runner = ParallelRunner(n_jobs)
             unit_mem = [WorkUnit("t", encoder, trace, config)]
             unit_mmap = [WorkUnit("t", encoder, corpus_trace, config)]
-            per_chunk = {
-                "pickle": len(pickle.dumps(next(runner._shards(unit_mem))))
-            }
+
+            def shard_bytes(units, descriptors=None):
+                return len(pickle.dumps(next(runner._shards(units, descriptors))))
+
             with TraceExporter() as exporter:
-                descriptor = exporter.export(trace)
-                if descriptor is not None:
-                    per_chunk["shm"] = len(
-                        pickle.dumps(next(runner._shards(unit_mem, {id(trace): descriptor})))
-                    )
-                descriptor = exporter.export(corpus_trace)
-                per_chunk["mmap"] = len(
-                    pickle.dumps(
-                        next(runner._shards(unit_mmap, {id(corpus_trace): descriptor}))
-                    )
-                )
+                per_chunk = {
+                    "pickle": shard_bytes(unit_mem),
+                    "spill": shard_bytes(unit_mem, {id(trace): exporter.export(trace)}),
+                    "mmap": shard_bytes(
+                        unit_mmap, {id(corpus_trace): exporter.export(corpus_trace)}
+                    ),
+                }
 
             # End-to-end wall clock per transport (metrics must be identical).
-            # The engine picks shm or mmap by trace; the pickle row patches the
-            # exporter to export nothing, as on a host without shared memory.
+            # The engine spills or mmaps by trace; the pickle row patches the
+            # exporter to export nothing, as when the spill cannot be written.
             def timed_map(units):
                 start = time.perf_counter()
                 metrics = ParallelRunner(n_jobs).map(units)[0]
@@ -121,7 +119,7 @@ def bench_trace_transport(benchmark):
             metrics = {}
             with mock.patch.object(TraceExporter, "export", return_value=None):
                 metrics["pickle"], wall["pickle"] = timed_map(unit_mem)
-            metrics["shm"], wall["shm"] = timed_map(unit_mem)
+            metrics["spill"], wall["spill"] = timed_map(unit_mem)
             metrics["mmap"], wall["mmap"] = timed_map(unit_mmap)
             results["per_chunk_ipc_bytes"] = per_chunk
             results["wall_clock_s"] = wall
@@ -167,7 +165,6 @@ def bench_trace_transport(benchmark):
     # Contract: identical metrics on every transport, and descriptor dispatch
     # must shrink the per-chunk IPC payload vs pickled arrays.
     assert metrics["mmap"] == metrics["pickle"]
-    assert metrics["shm"] == metrics["pickle"]
+    assert metrics["spill"] == metrics["pickle"]
     assert per_chunk["mmap"] < per_chunk["pickle"]
-    if "shm" in per_chunk:
-        assert per_chunk["shm"] < per_chunk["pickle"]
+    assert per_chunk["spill"] < per_chunk["pickle"]

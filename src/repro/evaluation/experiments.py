@@ -79,8 +79,8 @@ class ExperimentConfig:
     #: Optional result-store directory (see :class:`repro.serve.results
     #: .ResultStore`).  When set, every driver fan-out consults the
     #: content-addressed result cache before dispatching and writes misses
-    #: back, so repeated figure runs -- and CI shards sharing the directory
-    #: -- stop recomputing.  Store hits are bit-identical to fresh
+    #: back, so repeated figure runs -- and concurrent processes sharing the
+    #: directory -- stop recomputing.  Store hits are bit-identical to fresh
     #: computation, so the in-process experiment caches ignore this knob
     #: like they ignore ``n_jobs``.
     results_dir: Optional[str] = None

@@ -35,10 +35,10 @@ Every call -- materialised traces, streaming sources, or a mix; ``map`` or
   streaming :class:`~repro.workloads.trace.ChunkSource` alike;
 * **zero-copy trace transport** -- when a call dispatches to worker
   processes, each materialised trace is exported once through
-  :class:`repro.traces.transport.TraceExporter` (mmap descriptor for a
-  corpus-backed trace, shared-memory segment for an in-memory one, pickling
-  only where neither is possible) and workers receive ``(descriptor, start,
-  stop)`` triples; every transport is bit-identical by construction;
+  :class:`repro.traces.transport.TraceExporter` as an mmap descriptor of its
+  corpus file or of a spill file written once (pickling only if that write
+  fails), and workers receive ``(descriptor, start, stop)`` triples; every
+  transport is bit-identical by construction;
 * **bounded dispatch** -- :meth:`ParallelRunner._execute` runs a call with
   ``n_jobs=1`` or a single task inline and otherwise keeps at most
   ``window`` tasks in flight, so a trace larger than RAM evaluates with
@@ -92,7 +92,7 @@ from ..faults import FaultAction, TransientError
 from ..faults import execute as _execute_fault
 from ..faults import take as _take_fault
 from ..obs import ObsPayload, TaskContext, absorb, collect, count, observe, span, task_context
-from ..traces.transport import TraceDescriptor, TraceExporter, attach_trace
+from ..traces.transport import MmapTraceDescriptor, TraceExporter, attach_trace
 from ..workloads.trace import ChunkSource, WriteTrace
 from .runner import chunk_stream, evaluate_chunk, n_chunks_of
 
@@ -143,7 +143,7 @@ class _Shard:
     ``stream`` is the chunk's disturbance-sampling stream and ``[start,
     stop)`` its line range in the unit's trace.  The chunk's data travels
     either inline (``chunk``, the pickled fallback and the serial path) or
-    by reference (``descriptor`` naming a shared segment or corpus file);
+    by reference (``descriptor`` naming a corpus or spill ``.wtrc`` file);
     the two are mutually exclusive.  ``obs_ctx`` carries the parent's
     observation context (when tracing is active at dispatch) so the
     worker's spans stitch under the dispatching span; it is ``None`` -- and
@@ -156,7 +156,7 @@ class _Shard:
     disturbance_model: DisturbanceModel
     stream: Optional[np.random.SeedSequence]
     chunk: Optional[WriteTrace] = None
-    descriptor: Optional[TraceDescriptor] = None
+    descriptor: Optional[MmapTraceDescriptor] = None
     start: int = 0
     stop: int = 0
     obs_ctx: Optional[TaskContext] = None
@@ -249,7 +249,7 @@ class _ExportedTrace:
     attachment cache before calling the task function.
     """
 
-    descriptor: TraceDescriptor
+    descriptor: MmapTraceDescriptor
 
 
 def _call_star(
@@ -416,10 +416,10 @@ class ParallelRunner:
         """Close a one-shot runner; prune a persistent one's exports to ``values``.
 
         A persistent runner keeps the exports of the traces this call used,
-        so the next call over the same (memoised) traces reuses one segment
-        per trace and the workers' attachment caches hit.  Every other
-        export is unlinked -- even when this call exported nothing -- so
-        looping over ever-new traces cannot grow /dev/shm.
+        so the next call over the same (memoised) traces reuses one spill
+        file per trace and the workers' attachment caches hit.  Every other
+        spill file is deleted -- even when this call exported nothing -- so
+        looping over ever-new traces cannot fill the temporary directory.
         """
         if not self.persistent:
             self.close()
@@ -432,7 +432,7 @@ class ParallelRunner:
     def _shards(
         self,
         units: Sequence[WorkUnit],
-        descriptors: Optional[Mapping[int, TraceDescriptor]] = None,
+        descriptors: Optional[Mapping[int, MmapTraceDescriptor]] = None,
         obs_ctx: Optional[TaskContext] = None,
         rng_indices: Optional[Sequence[int]] = None,
     ) -> Iterator[_Shard]:
@@ -546,22 +546,22 @@ class ParallelRunner:
             self._end_call(traces)
         return per_unit
 
-    def _export(self, values: Sequence[Any], n_tasks: int) -> Dict[int, TraceDescriptor]:
+    def _export(self, values: Sequence[Any], n_tasks: int) -> Dict[int, MmapTraceDescriptor]:
         """Transport descriptors of the traces among ``values``, by ``id``.
 
         Only a call that hands its ``n_tasks`` tasks to worker *processes*
         exports anything: serial and single-task calls run inline, and
         thread workers share the parent's memory.  Each materialised
-        :class:`WriteTrace` is exported once -- an mmap descriptor when it is
-        corpus-backed, else a shared-memory segment; a trace neither can
-        carry is left out and its chunks travel pickled.  Streaming sources
-        and other values are never exported.
+        :class:`WriteTrace` is exported once as an mmap descriptor -- of its
+        corpus file, else of a spill file written for it; a trace whose
+        spill fails is left out and its chunks travel pickled.  Streaming
+        sources and other values are never exported.
         """
         if self.backend != "process" or not self._pooled(n_tasks):
             return {}
         if self._exporter is None:
             self._exporter = TraceExporter()
-        exported: Dict[int, TraceDescriptor] = {}
+        exported: Dict[int, MmapTraceDescriptor] = {}
         for value in values:
             if isinstance(value, WriteTrace):
                 descriptor = self._exporter.export(value)
@@ -594,7 +594,7 @@ class ParallelRunner:
 
         Any :class:`WriteTrace` argument rides the zero-copy transport
         exactly like a :meth:`map` unit's trace (:meth:`_export`): workers
-        receive a ~100-byte handle they resolve via the per-process
+        receive a ~100-byte mmap descriptor they resolve via the per-process
         attachment cache instead of each task pickling the trace's arrays.
         Results are identical either way.
         """

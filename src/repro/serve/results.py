@@ -9,8 +9,8 @@ EvaluationConfig fields, GENERATOR_VERSION)``
 
 to the eight raw accumulator fields of a
 :class:`~repro.core.metrics.WriteMetrics`.  Identical evaluation requests --
-the common case in CI's sharded bench matrix and in repeated figure runs --
-become one JSON read instead of a full encode pass.
+the common case in repeated figure and bench runs -- become one JSON read
+instead of a full encode pass.
 
 Cache-key semantics (``docs/architecture.md``, "The result store", gives
 the rationale):
@@ -37,7 +37,7 @@ the rationale):
 
 On disk each entry is one ``results/<digest>.json`` record, written to a
 unique temporary file and moved into place with ``os.replace``, so
-concurrent CI shards can share one store directory.  Floats round-trip
+concurrent processes can share one store directory.  Floats round-trip
 through JSON via ``repr`` exactly, which is what makes store hits
 *bit*-identical to fresh computation, not merely close.
 """
@@ -212,8 +212,8 @@ class ResultStore:
 
     :meth:`get` is one file read keyed directly by digest; :meth:`put`
     replaces one record atomically.  No shared file is rewritten, so any
-    number of processes -- CI shards, ad hoc CLI runs -- can share one
-    store without locking.
+    number of concurrent processes -- bench runs, ad hoc CLI runs -- can
+    share one store without locking.
     """
 
     def __init__(self, root: Union[str, Path]):

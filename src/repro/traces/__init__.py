@@ -11,8 +11,8 @@ This package is the trace *infrastructure* layer of the reproduction:
   content synthesiser that turns an address-only trace into a full
   (old, new) differential write trace;
 * :mod:`.transport` -- zero-copy handoff of traces to the parallel evaluation
-  engine via ``multiprocessing.shared_memory`` segments or memory-mapped
-  corpus files, with a transparent pickle fallback.
+  engine as memory-mapped ``.wtrc`` files: a corpus trace's own, else a spill
+  file written once, with pickling only when the spill cannot be written.
 """
 
 from .ingest import (
@@ -44,19 +44,12 @@ from .store import (
     save_trace,
     trace_cache_key,
 )
-from .transport import (
-    MmapTraceDescriptor,
-    ShmTraceDescriptor,
-    TraceExporter,
-    attach_trace,
-    shared_memory_available,
-)
+from .transport import MmapTraceDescriptor, TraceExporter, attach_trace
 
 __all__ = [
     "CORPUS_INDEX_NAME",
     "IngestChunkSource",
     "MmapTraceDescriptor",
-    "ShmTraceDescriptor",
     "StreamingSynthesizer",
     "SYNTHESIS_CHUNK_LINES",
     "SYNTHESIS_VERSION",
@@ -78,7 +71,6 @@ __all__ = [
     "read_npz_trace_lines",
     "read_trace_header",
     "save_trace",
-    "shared_memory_available",
     "stream_ingest_to_npz",
     "stream_ingest_to_wtrc",
     "synthesize_write_trace",

@@ -138,22 +138,27 @@ class TestRunnerSemantics:
 
     def test_starmap_ships_traces_by_transport(self, gcc_trace, monkeypatch):
         """WriteTrace args ride the zero-copy transport, results unchanged:
-        shared memory by default, pickling on a host without it."""
+        a spill file by default, pickling when the spill cannot be written."""
+        import errno
+
         import repro.traces.transport
+
+        def no_space(trace, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
 
         traces = {"gcc": gcc_trace[:96]}
         serial = compression_coverage(traces, runner=ParallelRunner(1))
         shipped = {}
-        for kind in ("shm", "pickle"):
+        for kind in ("spill", "pickle"):
             if kind == "pickle":
-                monkeypatch.setattr(repro.traces.transport, "_shm", None)
+                monkeypatch.setattr(repro.traces.transport, "save_trace", no_space)
             with observation() as session:
                 shipped[kind] = compression_coverage(traces, runner=ParallelRunner(4))
             # eight coverage cells share the trace: exported once, reused after
             snapshot = session.metrics.snapshot()
             assert snapshot[f"trace_export{{kind={kind}}}"]["value"] == 1
             assert snapshot["trace_export_reused"]["value"] == 7
-        assert serial == shipped["shm"] == shipped["pickle"]
+        assert serial == shipped["spill"] == shipped["pickle"]
 
     def test_starmap_transport_with_persistent_runner(self, gcc_trace):
         from repro.evaluation.sweeps import compression_coverage
@@ -166,7 +171,7 @@ class TestRunnerSemantics:
         assert serial == first == second
 
     def test_transport_knob_is_gone(self):
-        # Each trace decides its transport (mmap, else shm, else pickle).
+        # Each trace decides its transport (mmap, else spill, else pickle).
         with pytest.raises(TypeError, match="transport"):
             ParallelRunner(n_jobs=2, transport="pickle")
 

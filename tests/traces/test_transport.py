@@ -1,12 +1,21 @@
 """Tests of the zero-copy trace transport and its engine integration.
 
 The transport's contract is the engine's contract: whatever moves the chunk
-data -- pickling, a shared-memory segment, or an mmap'd corpus file -- the
+data -- pickling, an mmap'd spill file, or an mmap'd corpus file -- the
 reduced :class:`WriteMetrics` are bit-identical for every ``n_jobs``.  The
-property test at the bottom asserts exactly the ISSUE's acceptance criterion:
-mmap-backed and in-memory traces produce identical metrics at ``n_jobs=1``
-and ``n_jobs=4``.
+property test at the bottom asserts that a corpus-backed trace and the same
+trace in memory (which spills) produce identical metrics at ``n_jobs=1`` and
+``n_jobs=4``.
 """
+
+import errno
+import gc
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,20 +31,26 @@ from repro.evaluation.runner import evaluate_trace
 from repro.obs import observation
 from repro.traces import transport as transport_module
 from repro.traces.store import load_trace, save_trace
-from repro.traces.transport import (
-    MmapTraceDescriptor,
-    ShmTraceDescriptor,
-    TraceExporter,
-    attach_trace,
-    shared_memory_available,
-)
+from repro.traces.transport import MmapTraceDescriptor, TraceExporter, attach_trace
 from repro.workloads.generator import generate_benchmark_trace
 from repro.workloads.trace import WriteTrace
 
 CONFIG = EvaluationConfig(chunk_size=32)
 MC_CONFIG = EvaluationConfig(chunk_size=32, sample_disturbance=True, seed=3)
 
-needs_shm = pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
+
+def _fail_spills(monkeypatch):
+    """Make every spill write fail as on a full temporary directory."""
+
+    def no_space(trace, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(transport_module, "save_trace", no_space)
+
+
+def _spill_files(exporter):
+    """The spill files ``exporter`` currently holds, in export order."""
+    return [Path(d.path) for _, d, spilled in exporter._by_trace.values() if spilled]
 
 
 def _export_kinds(session):
@@ -59,12 +74,13 @@ def _trace(n=64, seed=0):
 
 
 class TestExporter:
-    @needs_shm
-    def test_shm_roundtrip(self):
+    def test_spill_roundtrip(self):
         trace = _trace()
         with TraceExporter() as exporter:
             descriptor = exporter.export(trace)
-            assert isinstance(descriptor, ShmTraceDescriptor)
+            assert isinstance(descriptor, MmapTraceDescriptor)
+            assert _spill_files(exporter) == [Path(descriptor.path)]
+            assert Path(descriptor.path).parent.name.startswith("repro-spill-")
             attached = attach_trace(descriptor)
             assert attached.old == trace.old
             assert attached.new == trace.new
@@ -79,25 +95,35 @@ class TestExporter:
             assert attached.old == trace.old
             assert attached.new == trace.new
 
-    def test_exports_nothing_without_shared_memory(self, monkeypatch):
-        """An in-memory trace on a host without shared memory is pickled."""
-        monkeypatch.setattr(transport_module, "_shm", None)
-        with TraceExporter() as exporter:
-            assert exporter.export(_trace()) is None
+    def test_exports_nothing_when_the_spill_fails(self, monkeypatch, tmp_path):
+        """An in-memory trace whose spill cannot be written is pickled:
+        a full temporary directory, then one that cannot be created in."""
+        with observation() as session:
+            with monkeypatch.context() as patch:
+                _fail_spills(patch)
+                with TraceExporter() as exporter:
+                    assert exporter.export(_trace()) is None
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+            with TraceExporter() as exporter:
+                assert exporter.export(_trace()) is None
+        assert _export_kinds(session) == {"pickle": 2}
+        assert "trace_spill_bytes" not in session.metrics.snapshot()
 
-    @needs_shm
     def test_export_is_cached_per_trace_object(self):
         trace = _trace()
         with TraceExporter() as exporter:
             assert exporter.export(trace) is exporter.export(trace)
             assert len(exporter._by_trace) == 1
+            assert len(_spill_files(exporter)) == 1
 
     def test_sliced_corpus_trace_falls_back(self, tmp_path):
-        """A slice no longer matches the file layout, so mmap is refused."""
+        """A slice no longer matches the file layout, so it spills."""
         trace = load_trace(save_trace(_trace(), tmp_path / "t.wtrc"))
         part = trace[:10]
         with TraceExporter() as exporter:
-            assert not isinstance(exporter.export(part), MmapTraceDescriptor)
+            descriptor = exporter.export(part)
+            assert _spill_files(exporter) == [Path(descriptor.path)]
+            assert attach_trace(descriptor).new == part.new
 
     def test_overwritten_corpus_file_gets_fresh_descriptor(self, tmp_path):
         """Same path + same length but new contents must not hit a stale cache."""
@@ -106,8 +132,6 @@ class TestExporter:
         with TraceExporter() as exporter:
             d1 = exporter.export(first)
             attach_trace(d1)
-        import os
-
         save_trace(_trace(seed=2), path)
         os.utime(path, ns=(1, 1))  # force a distinct mtime even on coarse clocks
         second = load_trace(path)
@@ -118,23 +142,18 @@ class TestExporter:
 
     def test_export_refuses_path_overwritten_after_load(self, tmp_path):
         """A loaded trace whose file was since replaced must not ship its path."""
-        import os
-
         path = tmp_path / "t.wtrc"
         trace = load_trace(save_trace(_trace(seed=1), path))
         save_trace(_trace(seed=2), path)  # same layout, new inode/contents
         os.utime(path, ns=(3, 3))
         with TraceExporter() as exporter:
             descriptor = exporter.export(trace)
-            # falls back to shm (or pickling), never an mmap of the new file
-            assert not isinstance(descriptor, MmapTraceDescriptor)
-            if descriptor is not None:
-                assert attach_trace(descriptor).new == trace.new
+            # spills the trace's own arrays, never an mmap of the new file
+            assert _spill_files(exporter) == [Path(descriptor.path)]
+            assert attach_trace(descriptor).new == trace.new
 
     def test_attach_rejects_file_overwritten_after_export(self, tmp_path):
         """A same-layout overwrite between export and attach must error."""
-        import os
-
         path = tmp_path / "t.wtrc"
         trace = load_trace(save_trace(_trace(seed=1), path))
         with TraceExporter() as exporter:
@@ -144,26 +163,21 @@ class TestExporter:
             with pytest.raises(TraceError, match="changed since it was exported"):
                 attach_trace(descriptor)
 
-    @needs_shm
     def test_cached_export_of_a_rewritten_file_is_renewed(self, tmp_path):
         """A persistent exporter must not re-ship a version the file lost."""
-        import os
-
         path = tmp_path / "t.wtrc"
         trace = load_trace(save_trace(_trace(seed=1), path))
         with TraceExporter() as exporter:
-            assert isinstance(exporter.export(trace), MmapTraceDescriptor)
+            assert exporter.export(trace).path == str(path)
             save_trace(_trace(seed=2), path)
             os.utime(path, ns=(4, 4))
             renewed = exporter.export(trace)
-            assert isinstance(renewed, ShmTraceDescriptor)
-            assert attach_trace(renewed).new == trace.new
+            assert _spill_files(exporter) == [Path(renewed.path)]
+            assert attach_trace(renewed).new == trace.new == _trace(seed=1).new
 
     def test_attachments_keep_one_version_per_path(self, tmp_path):
         """Rewriting a corpus file in place must not pin every old mapping
         in the worker's attachment cache."""
-        import os
-
         path = tmp_path / "t.wtrc"
         descriptors = []
         for version in (1, 2, 3):
@@ -172,30 +186,32 @@ class TestExporter:
             with TraceExporter() as exporter:
                 descriptors.append(exporter.export(load_trace(path)))
             assert attach_trace(descriptors[-1]).new == _trace(seed=version).new
-        cached = [d for d in transport_module._ATTACHED if getattr(d, "path", None) == str(path)]
+        cached = [d for d in transport_module._ATTACHED if d.path == str(path)]
         assert cached == [descriptors[-1]]
 
-    @needs_shm
-    def test_evicted_shm_attachments_close_quietly(self, monkeypatch):
-        """Evicting an attachment closes its segment after dropping the trace
-        that views it, so no finaliser reports exported pointers later."""
-        import gc
-        import sys
+    def test_evicted_spill_attachments_close_quietly(self, monkeypatch):
+        """More spilled traces than the attachment cache holds: the oldest are
+        evicted, and dropping their mappings reports nothing later."""
         from collections import OrderedDict
 
         unraisable = []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         monkeypatch.setattr(transport_module, "_ATTACHED", OrderedDict())
         traces = [_trace(n=8, seed=s) for s in range(transport_module._ATTACH_CACHE_SIZE + 4)]
+        descriptors = []
         with TraceExporter() as exporter:
             for trace in traces:
-                assert attach_trace(exporter.export(trace)).new == trace.new
+                descriptors.append(exporter.export(trace))
+                assert attach_trace(descriptors[-1]).new == trace.new
+            assert len(_spill_files(exporter)) == len(traces)
             gc.collect()
-        assert len(transport_module._ATTACHED) == transport_module._ATTACH_CACHE_SIZE
+        assert transport_module._ATTACH_CACHE_SIZE == 16
+        assert list(transport_module._ATTACHED) == descriptors[-16:]
+        gc.collect()
         assert unraisable == []
 
     def test_policy_argument_is_gone(self):
-        # The trace decides its transport (mmap, else shm, else pickle).
+        # The trace decides its transport (mmap, else spill, else pickle).
         with pytest.raises(TypeError):
             TraceExporter("pickle")
 
@@ -203,32 +219,58 @@ class TestExporter:
         with pytest.raises(TraceError):
             attach_trace(object())
 
+    def test_release_and_collection_remove_the_spill_dir(self):
+        exporter = TraceExporter()
+        directory = Path(exporter.export(_trace()).path).parent
+        exporter.release()
+        assert not directory.exists()
+        exporter = TraceExporter()
+        directory = Path(exporter.export(_trace()).path).parent
+        del exporter
+        gc.collect()
+        assert not directory.exists()
+
+    def test_only_the_creating_process_removes_the_spill_dir(self, tmp_path):
+        """A forked worker inherits the exporter's finaliser; run from any
+        process but the creator, it must leave the parent's files alone."""
+        directory = tmp_path / "repro-spill-test"
+        directory.mkdir()
+        (directory / "1.wtrc").write_bytes(b"spilled")
+        transport_module._remove_spill_dir(str(directory), os.getpid() + 1)
+        assert (directory / "1.wtrc").read_bytes() == b"spilled"
+        transport_module._remove_spill_dir(str(directory), os.getpid())
+        assert not directory.exists()
+
 
 class TestEngineTransports:
     """Every transport the default exporter picks agrees with the serial reference.
 
     The parameter names the transport the engine must pick, read back from
-    the ``trace_export`` counter: shared memory for an in-memory trace, mmap
-    for a corpus-backed one, shared memory for a corpus slice the file cannot
-    describe, and pickling on a host without shared memory.
+    the ``trace_export`` counter: a spill for an in-memory trace, mmap for a
+    corpus-backed one, a spill for a corpus slice the file cannot describe,
+    and pickling when the spill cannot be written.
     """
 
-    @pytest.mark.parametrize("kind", [pytest.param("shm", marks=needs_shm), "pickle"])
+    @pytest.mark.parametrize("kind", ["spill", "pickle"])
     def test_in_memory_trace(self, gcc_trace, kind, monkeypatch):
         if kind == "pickle":
-            monkeypatch.setattr(transport_module, "_shm", None)
+            _fail_spills(monkeypatch)
         trace = gcc_trace[:128]
         encoder = make_scheme("wlcrc-16")
         reference = evaluate_trace(encoder, trace, CONFIG)
-        with observation() as session:
-            result = ParallelRunner(4).map([WorkUnit("k", encoder, trace, CONFIG)])[0]
+        with observation() as session, ParallelRunner(4) as runner:
+            result = runner.map([WorkUnit("k", encoder, trace, CONFIG)])[0]
+            spill_bytes = [path.stat().st_size for path in _spill_files(runner._exporter)]
         assert _export_kinds(session) == {kind: 1}
+        assert len(spill_bytes) == (kind == "spill")
+        snapshot = session.metrics.snapshot()
+        assert snapshot.get("trace_spill_bytes", {"value": 0})["value"] == sum(spill_bytes)
         assert result == reference
 
-    @pytest.mark.parametrize("kind", ["mmap", pytest.param("shm", marks=needs_shm), "pickle"])
+    @pytest.mark.parametrize("kind", ["mmap", "spill", "pickle"])
     def test_corpus_backed_trace(self, gcc_trace, kind, tmp_path, monkeypatch):
         if kind == "pickle":
-            monkeypatch.setattr(transport_module, "_shm", None)
+            _fail_spills(monkeypatch)
         corpus = load_trace(save_trace(gcc_trace[:160], tmp_path / "t.wtrc"))
         trace = corpus if kind == "mmap" else corpus[:128]
         encoder = make_scheme("wlcrc-16")
@@ -243,14 +285,14 @@ class TestEngineTransports:
         corpus = load_trace(save_trace(in_memory, tmp_path / "t.wtrc"))
         encoder = make_scheme("baseline")
         reference = evaluate_trace(encoder, in_memory, MC_CONFIG)
-        for trace in (in_memory, corpus):  # shared memory, then mmap
+        for trace in (in_memory, corpus):  # spill, then mmap
             result = ParallelRunner(4).map([WorkUnit("k", encoder, trace, MC_CONFIG)])[0]
             assert result == reference, trace.mmap_path
 
 
 class TestInlineShortCircuit:
     def test_single_shard_unit_skips_export(self, gcc_trace):
-        """One-chunk work runs inline; no shm copy or parent attachment."""
+        """One-chunk work runs inline; no spill or parent attachment."""
         before = len(transport_module._ATTACHED)
         runner = ParallelRunner(4)
         trace = gcc_trace[:16]  # a single chunk under CONFIG
@@ -264,7 +306,7 @@ class TestInlineShortCircuit:
 
 class TestPersistentPool:
     def test_persistent_runner_reuses_exports(self, gcc_trace):
-        """Repeated run() calls over the same trace share one shm segment."""
+        """Repeated run() calls over the same trace share one spill file."""
         encoder = make_scheme("baseline")
         trace = gcc_trace[:128]
         units = [WorkUnit("k", encoder, trace, CONFIG)]
@@ -280,15 +322,45 @@ class TestPersistentPool:
         assert runner._exporter is None  # released on close
 
     def test_persistent_runner_prunes_stale_exports(self, gcc_trace, libq_trace):
-        """Looping over ever-new traces must not pin old shm segments."""
+        """Looping over ever-new traces must not keep old spill files."""
         encoder = make_scheme("baseline")
         with ParallelRunner(2) as runner:
             runner.run([WorkUnit("k", encoder, gcc_trace[:128], CONFIG)])
+            (stale,) = _spill_files(runner._exporter)
             runner.run([WorkUnit("k", encoder, libq_trace[:128], CONFIG)])
-            # only the latest run's trace remains exported
+            # only the latest run's trace remains exported, and on disk
             assert len(runner._exporter._by_trace) == 1
             (kept,) = [t for t, _, _ in runner._exporter._by_trace.values()]
             assert kept.new == libq_trace[:128].new
+            (latest,) = _spill_files(runner._exporter)
+            assert latest.is_file()
+            assert not stale.exists()
+        assert not latest.parent.exists()  # close() removes the directory
+
+    def test_unclosed_runner_leaves_no_spill_dir(self, tmp_path):
+        """A persistent runner the program never closes still removes its
+        spill directory when the interpreter exits."""
+        import repro
+
+        script = textwrap.dedent(
+            """
+            import glob, os, tempfile
+            from repro.coding import make_scheme
+            from repro.core.config import EvaluationConfig
+            from repro.evaluation.parallel import ParallelRunner, WorkUnit
+            from repro.workloads.generator import generate_benchmark_trace
+
+            runner = ParallelRunner(2, persistent=True)
+            trace = generate_benchmark_trace("gcc", 96, 7)
+            config = EvaluationConfig(chunk_size=32)
+            runner.map([WorkUnit("k", make_scheme("baseline"), trace, config)])
+            assert glob.glob(os.path.join(tempfile.gettempdir(), "repro-spill-*", "*.wtrc"))
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+        assert list(tmp_path.glob("repro-spill-*")) == []
 
     def test_broken_pool_self_heals(self, gcc_trace):
         """A dead pool is rebuilt mid-run and the lost work resubmitted."""
@@ -363,7 +435,7 @@ class TestPersistentPool:
 
 
 class TestBitIdenticalProperty:
-    """Acceptance: mmap-backed == in-memory, at n_jobs=1 and n_jobs=4."""
+    """mmap-backed == in-memory (spilled), at n_jobs=1 and n_jobs=4."""
 
     @settings(max_examples=8, deadline=None)
     @given(
