@@ -35,9 +35,6 @@ TRACE_LEN_ENV = "REPRO_BENCH_TRACE_LEN"
 RANDOM_LINES_ENV = "REPRO_BENCH_RANDOM_LINES"
 SEED_ENV = "REPRO_BENCH_SEED"
 JOBS_ENV = "REPRO_BENCH_JOBS"
-#: Content-addressed result-store directory (``repro bench run
-#: --results-dir``); empty/unset disables memoisation.
-RESULTS_STORE_ENV = "REPRO_BENCH_RESULTS_STORE"
 
 
 def results_dir() -> Path:
@@ -55,7 +52,6 @@ def bench_config() -> ExperimentConfig:
         random_lines=int(os.environ.get(RANDOM_LINES_ENV, "4000")),
         seed=int(os.environ.get(SEED_ENV, "2018")),
         n_jobs=int(os.environ.get(JOBS_ENV, "1")),
-        results_dir=os.environ.get(RESULTS_STORE_ENV) or None,
     )
 
 

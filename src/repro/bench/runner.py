@@ -186,7 +186,6 @@ def run_benches(
     registry: Optional[Mapping[str, DiscoveredBench]] = None,
     profile: bool = False,
     trace_out: Optional[Path] = None,
-    results_store: Optional[Path] = None,
 ) -> RunReport:
     """Run every bench of the registry in this process, in name order.
 
@@ -194,10 +193,6 @@ def run_benches(
     run so one CI job reports every failure -- but the report's ``failures``
     list is non-empty and no manifest is written.  ``jobs`` sets the worker
     count of the shared evaluation pool for every figure.
-    ``results_store`` points the figure drivers at a content-addressed
-    :class:`~repro.serve.results.ResultStore` directory (``--results-dir``):
-    a repeat of the same run under the same config then performs zero
-    ``encode_batch`` calls and regenerates byte-identical artifacts.
 
     ``profile=True`` runs the benches under an observation session: the span
     log lands next to the record as ``run_record.trace.jsonl`` and the
@@ -213,8 +208,6 @@ def run_benches(
         overrides[harness.RESULTS_DIR_ENV] = str(results_dir)
     if jobs is not None:
         overrides[harness.JOBS_ENV] = str(jobs)
-    if results_store is not None:
-        overrides[harness.RESULTS_STORE_ENV] = str(results_store)
     saved = {key: os.environ.get(key) for key in overrides}
     tmp_root: Optional[Path] = None
     try:

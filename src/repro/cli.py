@@ -245,14 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "every figure (1 = serial, 0 or -1 = all cores)",
     )
     bench_run.add_argument(
-        "--results-dir",
-        default=None,
-        metavar="DIR",
-        help="content-addressed result store shared by the figure drivers: "
-        "a repeated identical run performs zero encode calls and "
-        "regenerates byte-identical artifacts (also REPRO_BENCH_RESULTS_STORE)",
-    )
-    bench_run.add_argument(
         "--trajectory-dir",
         default=None,
         metavar="DIR",
@@ -465,15 +457,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "used cached traces are evicted past it (bytes or K/M/G/T suffix)",
     )
     parser.add_argument(
-        "--results-dir",
-        default=None,
-        metavar="DIR",
-        help="content-addressed result-store directory: evaluation results "
-        "are memoised there keyed by (trace content, scheme, config), so "
-        "repeated identical runs skip recomputation; store hits are "
-        "bit-identical to fresh computation (see docs/architecture.md)",
-    )
-    parser.add_argument(
         "--task-timeout",
         type=float,
         default=None,
@@ -516,7 +499,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         backend=args.backend,
         trace_dir=args.trace_dir,
         trace_cache_budget=args.trace_cache_budget,
-        results_dir=args.results_dir,
         task_timeout=args.task_timeout,
     )
 
@@ -876,7 +858,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
             registry=registry,
             profile=args.profile,
             trace_out=Path(args.trace_out) if args.trace_out else None,
-            results_store=Path(args.results_dir) if args.results_dir else None,
         )
     except (ReproError, OSError) as exc:
         return _fail(str(exc))
@@ -1066,7 +1047,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 config.evaluation,
                 n_jobs=config.n_jobs,
                 backend=config.backend,
-                results_store=config.results_store(),
                 task_timeout=config.task_timeout,
             )
     finally:

@@ -17,8 +17,8 @@ Figures 8-10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable
+from dataclasses import dataclass, fields
+from typing import Dict, Iterable, Union
 
 
 @dataclass
@@ -149,6 +149,16 @@ class WriteMetrics:
             f"avg_disturbance={self.avg_disturbance_errors:.2f}, "
             f"compressed={self.compressed_fraction:.1%})"
         )
+
+
+def metrics_to_payload(metrics: WriteMetrics) -> Dict[str, Union[int, float]]:
+    """The eight raw accumulator fields of ``metrics``, JSON-serialisable.
+
+    Values are returned as held, not averaged: counts stay ints and floats
+    keep every bit (JSON writes a float's round-trip ``repr``), so a digest
+    of the payload moves exactly when an accumulator does.
+    """
+    return {field.name: getattr(metrics, field.name) for field in fields(metrics)}
 
 
 def relative_improvement(baseline: float, value: float) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from ..workloads.profiles import ALL_BENCHMARKS, HMI_BENCHMARKS, LMI_BENCHMARKS
 from ..workloads.trace import WriteTrace
 from .parallel import WorkUnit, shared_runner
 from .sweeps import compression_coverage, energy_level_sweep, granularity_sweep
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (serve layers above this)
-    from ..serve.results import ResultStore
 
 #: Granularities of the Figure 1 motivation study.
 FIGURE1_GRANULARITIES = (8, 16, 32, 64, 128, 256, 512)
@@ -76,27 +73,11 @@ class ExperimentConfig:
     #: evicted after each cache miss so ``cache/`` cannot grow without
     #: bound; ``repro trace gc`` runs the same collection from the CLI.
     trace_cache_budget: Optional[int] = None
-    #: Optional result-store directory (see :class:`repro.serve.results
-    #: .ResultStore`).  When set, every driver fan-out consults the
-    #: content-addressed result cache before dispatching and writes misses
-    #: back, so repeated figure runs -- and concurrent processes sharing the
-    #: directory -- stop recomputing.  Store hits are bit-identical to fresh
-    #: computation, so the in-process experiment caches ignore this knob
-    #: like they ignore ``n_jobs``.
-    results_dir: Optional[str] = None
     #: Per-task watchdog (seconds) of the parallel engine: a worker task
     #: exceeding it is presumed hung and its pool is rebuilt (see
     #: :class:`~repro.evaluation.parallel.ParallelRunner`).  Recovery is
     #: bit-identical, so the experiment caches ignore this knob too.
     task_timeout: Optional[float] = None
-
-    def results_store(self) -> Optional["ResultStore"]:
-        """The configured result store, or ``None`` when memoisation is off."""
-        if self.results_dir is None:
-            return None
-        from ..serve.results import ResultStore
-
-        return ResultStore(self.results_dir)
 
     @property
     def evaluation(self) -> EvaluationConfig:
@@ -125,15 +106,12 @@ def _cached(key: Tuple, builder: Callable[[], object]) -> object:
 
 
 def _runner(config: ExperimentConfig):
-    """The shared runner for ``config``, with its result store (re)bound.
+    """The shared runner for ``config``, with its watchdog (re)bound.
 
     Every driver fan-out acquires the pool through this helper, so the
-    content-addressed result cache is consulted exactly when the caller's
-    config asks for it -- and never leaks into callers that do not.
+    caller's ``task_timeout`` applies to exactly its own calls.
     """
-    return shared_runner(
-        config.n_jobs, config.backend, config.results_store(), config.task_timeout
-    )
+    return shared_runner(config.n_jobs, config.backend, config.task_timeout)
 
 
 # ---------------------------------------------------------------------- #

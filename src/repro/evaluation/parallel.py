@@ -66,7 +66,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -95,9 +94,6 @@ from ..obs import ObsPayload, TaskContext, absorb, collect, count, observe, span
 from ..traces.transport import MmapTraceDescriptor, TraceExporter, attach_trace
 from ..workloads.trace import ChunkSource, WriteTrace
 from .runner import chunk_stream, evaluate_chunk, n_chunks_of
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (serve layers above this)
-    from ..serve.results import ResultStore
 
 logger = logging.getLogger(__name__)
 
@@ -298,15 +294,6 @@ class ParallelRunner:
         :class:`~repro.workloads.trace.ChunkSource` to ``window x
         chunk_size`` lines no matter how long it is.  Defaults to
         ``4 x n_jobs``.
-    results_store:
-        Optional :class:`~repro.serve.results.ResultStore` memoising
-        per-unit metrics.  When set, :meth:`map` consults it before
-        dispatching: units whose key hits return the stored metrics without
-        touching the pool (zero ``encode_batch`` calls), misses evaluate
-        normally -- with their original unit index, so RNG streams are
-        unchanged -- and are written back.  Mutable; :func:`shared_runner`
-        re-binds it on every acquisition so a store never leaks from one
-        driver into the next.
     task_timeout:
         Per-task watchdog in seconds (``None``, the default, disables it).
         When the oldest in-flight task exceeds the timeout the pool is
@@ -336,8 +323,7 @@ class ParallelRunner:
 
     Results are bit-identical for every ``n_jobs`` value, backend and trace
     transport -- see the module docstring for how seeding and reduction
-    order guarantee this.  Store hits are bit-identical too: records
-    round-trip the raw metric accumulators through JSON ``repr`` exactly.
+    order guarantee this.
     """
 
     def __init__(
@@ -347,7 +333,6 @@ class ParallelRunner:
         persistent: bool = False,
         window: Optional[int] = None,
         backend: str = "process",
-        results_store: Optional["ResultStore"] = None,
         task_timeout: Optional[float] = None,
         task_retries: int = 2,
         max_pool_rebuilds: int = 3,
@@ -363,7 +348,6 @@ class ParallelRunner:
         if window is not None and window < 1:
             raise ConfigurationError(f"window must be a positive integer: {window}")
         self.window = window
-        self.results_store = results_store
         if task_timeout is not None and not task_timeout > 0:
             raise ConfigurationError(f"task_timeout must be positive: {task_timeout}")
         self.task_timeout = task_timeout
@@ -434,7 +418,6 @@ class ParallelRunner:
         units: Sequence[WorkUnit],
         descriptors: Optional[Mapping[int, MmapTraceDescriptor]] = None,
         obs_ctx: Optional[TaskContext] = None,
-        rng_indices: Optional[Sequence[int]] = None,
     ) -> Iterator[_Shard]:
         """One shard per evaluation chunk, unit by unit, in serial order.
 
@@ -443,15 +426,11 @@ class ParallelRunner:
         only as fast as the consumer pulls.  A unit whose trace has a
         transport descriptor (``descriptors`` is keyed by ``id(trace)``, see
         :meth:`_export`) ships each chunk as its ``[start, stop)`` line range
-        instead of its data.
+        instead of its data.  Each chunk's disturbance stream is seeded
+        from the unit's position, as ``evaluate_trace(..., unit_index=i)``
+        seeds it.
         """
-        # ``rng_indices`` decouples a unit's RNG identity from its position
-        # in this call: when the result store serves some units from cache,
-        # the misses still seed their disturbance streams from the index
-        # they hold in the *full* unit list, keeping sampled results
-        # bit-identical to an uncached run.
         for unit_index, unit in enumerate(units):
-            rng_index = rng_indices[unit_index] if rng_indices is not None else unit_index
             descriptor = descriptors.get(id(unit.trace)) if descriptors else None
             chunk_size = unit.config.chunk_size
             for chunk_index, chunk in enumerate(unit.trace.chunks(chunk_size)):
@@ -461,7 +440,7 @@ class ParallelRunner:
                     chunk_index=chunk_index,
                     encoder=unit.encoder,
                     disturbance_model=unit.disturbance_model,
-                    stream=chunk_stream(unit.config, rng_index, chunk_index),
+                    stream=chunk_stream(unit.config, unit_index, chunk_index),
                     chunk=chunk if descriptor is None else None,
                     descriptor=descriptor,
                     start=start,
@@ -481,47 +460,8 @@ class ParallelRunner:
         path: lazily generated shards (:meth:`_shards`), materialised traces
         exported once when the call dispatches to worker processes
         (:meth:`_export`), and bounded-window execution (:meth:`_execute`).
-
-        With a :attr:`results_store` attached, units whose key hits the
-        store return memoised metrics without dispatching (streaming units
-        are never memoised -- their key would cost a full extra pass); the
-        misses evaluate under their original unit index and are written
-        back, so a partially cached call is still bit-identical to a fresh
-        one.
         """
         units = list(units)
-        store = self.results_store
-        if store is None:
-            return self._map_compute(units, None)
-        results: List[Optional[WriteMetrics]] = [None] * len(units)
-        misses: List[Tuple[int, WorkUnit, Any]] = []
-        for index, unit in enumerate(units):
-            key = store.unit_key(unit, index)
-            cached = store.get(key) if key is not None else None
-            if cached is not None:
-                results[index] = cached
-            else:
-                misses.append((index, unit, key))
-        if misses:
-            computed = self._map_compute(
-                [unit for _, unit, _ in misses],
-                [index for index, _, _ in misses],
-            )
-            for (index, _, key), metrics in zip(misses, computed):
-                results[index] = metrics
-                if key is not None:
-                    store.put(key, metrics)
-        return results
-
-    def _map_compute(
-        self, units: List[WorkUnit], rng_indices: Optional[List[int]]
-    ) -> List[WriteMetrics]:
-        """Evaluate ``units`` for real (no store consultation).
-
-        ``rng_indices`` carries each unit's index in the caller's full unit
-        list (``None`` means positions); disturbance-sampling streams are
-        seeded from it so cache-partial calls reproduce the uncached run.
-        """
         per_unit = [WriteMetrics() for _ in units]
         traces = [unit.trace for unit in units]
         try:
@@ -536,9 +476,7 @@ class ParallelRunner:
                     else 1
                     for unit in units
                 )
-                shards = self._shards(
-                    units, self._export(traces, n_tasks), task_context(), rng_indices
-                )
+                shards = self._shards(units, self._export(traces, n_tasks), task_context())
                 for unit_index, _, metrics, payload in self._execute(_evaluate_shard, shards):
                     absorb(payload)
                     per_unit[unit_index].merge(metrics)
@@ -786,7 +724,6 @@ _SHARED_RUNNERS: Dict[Tuple[int, str], ParallelRunner] = {}
 def shared_runner(
     n_jobs: int = 1,
     backend: str = "process",
-    results_store: Optional["ResultStore"] = None,
     task_timeout: Optional[float] = None,
 ) -> ParallelRunner:
     """The process-wide persistent runner for ``n_jobs`` workers.
@@ -797,10 +734,10 @@ def shared_runner(
     start-up per sweep.  Pools are torn down at interpreter exit (or
     explicitly via :func:`shutdown_shared_runners`).
 
-    ``results_store`` and ``task_timeout`` are re-bound on *every*
-    acquisition (including to ``None``): the pool is shared session state,
-    but the memoisation and watchdog policies are per caller, and a value
-    left attached by one driver must not silently apply to the next.
+    ``task_timeout`` is re-bound on *every* acquisition (including to
+    ``None``): the pool is shared session state, but the watchdog policy is
+    per caller, and a value left attached by one driver must not silently
+    apply to the next.
     """
     jobs = resolve_n_jobs(n_jobs)
     key = (jobs, backend)
@@ -808,7 +745,6 @@ def shared_runner(
     if runner is None:
         runner = ParallelRunner(jobs, persistent=True, backend=backend)
         _SHARED_RUNNERS[key] = runner
-    runner.results_store = results_store
     runner.task_timeout = task_timeout
     return runner
 

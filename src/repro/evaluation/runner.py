@@ -36,8 +36,7 @@ from ..core.symbols import changed_cells, count_states
 from ..obs import count, gauge, is_active, peak_rss_bytes, span
 from ..workloads.trace import WriteTrace
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (serve layers above this)
-    from ..serve.results import ResultStore
+if TYPE_CHECKING:  # pragma: no cover - typing only (parallel imports this module)
     from .parallel import ParallelRunner
 
 
@@ -198,28 +197,24 @@ def _engine(
     runner: Optional["ParallelRunner"],
     n_jobs: int,
     backend: str,
-    results_store: Optional["ResultStore"],
     task_timeout: Optional[float],
 ) -> Iterator["ParallelRunner"]:
-    """The runner for one multi-unit helper call, with its policies bound.
+    """The runner for one multi-unit helper call, with its watchdog bound.
 
     ``runner`` (or a one-shot runner of ``n_jobs`` x ``backend``) gets
-    ``results_store`` and ``task_timeout`` for this call only: a caller's
-    runner gets its previous values back afterwards, so its later calls do
-    not memoise into a store they never asked for.
+    ``task_timeout`` for this call only: a caller's runner gets its previous
+    value back afterwards, so its later calls keep their own watchdog.
     """
     from .parallel import ParallelRunner
 
     engine = runner or ParallelRunner(n_jobs, backend=backend)
-    saved = engine.results_store, engine.task_timeout
-    if results_store is not None:
-        engine.results_store = results_store
+    saved = engine.task_timeout
     if task_timeout is not None:
         engine.task_timeout = task_timeout
     try:
         yield engine
     finally:
-        engine.results_store, engine.task_timeout = saved
+        engine.task_timeout = saved
 
 
 def evaluate_schemes(
@@ -230,7 +225,6 @@ def evaluate_schemes(
     n_jobs: int = 1,
     runner: Optional["ParallelRunner"] = None,
     backend: str = "process",
-    results_store: Optional["ResultStore"] = None,
     task_timeout: Optional[float] = None,
 ) -> Dict[str, WriteMetrics]:
     """Evaluate several schemes on the same trace; keyed by scheme name.
@@ -239,10 +233,7 @@ def evaluate_schemes(
     the historical behaviour.  Passing ``runner`` reuses an existing (e.g.
     persistent) :class:`~repro.evaluation.parallel.ParallelRunner` instead of
     building a throwaway pool; otherwise ``backend`` selects the throwaway
-    pool's executor kind (results are bit-identical either way).  A
-    ``results_store`` memoises per-unit metrics across calls and processes
-    (store hits are bit-identical to fresh computation); when given it is
-    bound to whichever runner executes the call, for that call only.
+    pool's executor kind (results are bit-identical either way).
     """
     from .parallel import WorkUnit
 
@@ -250,7 +241,7 @@ def evaluate_schemes(
         WorkUnit(encoder.name, encoder, trace, config, disturbance_model)
         for encoder in encoders
     ]
-    with _engine(runner, n_jobs, backend, results_store, task_timeout) as engine:
+    with _engine(runner, n_jobs, backend, task_timeout) as engine:
         per_unit = engine.map(units)
     return {encoder.name: metrics for encoder, metrics in zip(encoders, per_unit)}
 
@@ -263,7 +254,6 @@ def evaluate_benchmarks(
     n_jobs: int = 1,
     runner: Optional["ParallelRunner"] = None,
     backend: str = "process",
-    results_store: Optional["ResultStore"] = None,
     task_timeout: Optional[float] = None,
 ) -> Dict[str, WriteMetrics]:
     """Evaluate one scheme across a set of per-benchmark traces."""
@@ -273,7 +263,7 @@ def evaluate_benchmarks(
         WorkUnit(name, encoder, trace, config, disturbance_model)
         for name, trace in traces.items()
     ]
-    with _engine(runner, n_jobs, backend, results_store, task_timeout) as engine:
+    with _engine(runner, n_jobs, backend, task_timeout) as engine:
         return engine.run(units)
 
 

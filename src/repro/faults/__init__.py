@@ -14,13 +14,11 @@ from .plan import (
     FaultPlanError,
     FaultSpec,
     InjectedFault,
-    InjectedStoreCorruption,
     InjectedTransportError,
     InjectedWorkerCrash,
     TransientError,
     active_injector,
     clear,
-    corrupt_file,
     execute,
     injected_counts,
     install,
@@ -37,13 +35,11 @@ __all__ = [
     "FaultPlanError",
     "FaultSpec",
     "InjectedFault",
-    "InjectedStoreCorruption",
     "InjectedTransportError",
     "InjectedWorkerCrash",
     "TransientError",
     "active_injector",
     "clear",
-    "corrupt_file",
     "execute",
     "injected_counts",
     "install",

@@ -2,22 +2,20 @@
 
 A *fault plan* is a comma-separated list of fault specifications::
 
-    worker-crash@task:7,worker-hang@task:12:30s,store-corrupt@put:3,attach-fail@attach:2
+    worker-crash@task:7,worker-hang@task:12:30s,attach-fail@attach:2
 
 Each specification is ``<kind>@<site>:<n>[:<duration>]``:
 
 ``kind``
     What goes wrong.  ``worker-crash`` (the worker process dies hard, as an
     OOM kill would), ``worker-hang`` (the worker stalls for ``duration``),
-    ``store-corrupt`` (the result-store record's bytes are scribbled over),
     ``attach-fail`` (the zero-copy trace attachment raises a transient
     error).
 ``site``
     Where it goes wrong.  Each site is one instrumented code location that
     asks the injector "does this invocation fault?": ``task`` (parallel-engine
-    shard dispatch), ``attach`` (trace-transport attachment, counted per
-    dispatched shard), ``put`` / ``get`` (:class:`~repro.serve.results
-    .ResultStore` writes/reads).
+    shard dispatch) and ``attach`` (trace-transport attachment, counted per
+    dispatched shard that carries a transport descriptor).
 ``n``
     The 1-based invocation ordinal of the site at which the fault fires --
     ``worker-crash@task:3`` kills the worker executing the third dispatched
@@ -58,13 +56,11 @@ __all__ = [
     "FaultPlanError",
     "FaultSpec",
     "InjectedFault",
-    "InjectedStoreCorruption",
     "InjectedTransportError",
     "InjectedWorkerCrash",
     "TransientError",
     "active_injector",
     "clear",
-    "corrupt_file",
     "execute",
     "injected_counts",
     "install",
@@ -82,7 +78,6 @@ CRASH_EXIT_CODE = 87
 KIND_SITES: Dict[str, Tuple[str, ...]] = {
     "worker-crash": ("task",),
     "worker-hang": ("task",),
-    "store-corrupt": ("put", "get"),
     "attach-fail": ("attach",),
 }
 
@@ -113,10 +108,6 @@ class InjectedWorkerCrash(InjectedFault):
 
 class InjectedTransportError(InjectedFault):
     """An injected trace-transport attachment failure."""
-
-
-class InjectedStoreCorruption(InjectedFault):
-    """Marker raised by tests around injected store corruption."""
 
 
 @dataclass(frozen=True)
@@ -365,12 +356,3 @@ def execute(action: FaultAction) -> None:
     if action.kind == "attach-fail":
         raise InjectedTransportError("injected trace-attach failure")
     raise FaultPlanError(f"directive kind {action.kind!r} has no executor")
-
-
-def corrupt_file(path: "os.PathLike[str] | str") -> None:
-    """Scribble over ``path`` so any later JSON read fails to parse."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b'{"corrupt": \x00\xff truncated')
-    except OSError:
-        pass

@@ -238,10 +238,12 @@ def attach_trace(descriptor: MmapTraceDescriptor) -> WriteTrace:
     if not isinstance(descriptor, MmapTraceDescriptor):
         raise TraceError(f"unknown trace descriptor: {descriptor!r}")
     trace = _attach_mmap(descriptor)
-    # The exporter only ships the version a path currently holds, so any
-    # other mapping of this path is never asked for again: drop it rather
-    # than pin the pages of every version of a file rewritten in place.
-    for other in [d for d in _ATTACHED if d.path == descriptor.path]:
+    # The exporter only ships the version a path currently holds, so a
+    # mapping of another version of this path, or of a file deleted (a
+    # pruned spill) or rewritten since its export, is never asked for again:
+    # drop it rather than pin its pages and disk blocks until LRU eviction.
+    # Only misses pay the stats.
+    for other in [d for d in _ATTACHED if d.path == descriptor.path or _rewritten(d)]:
         del _ATTACHED[other]
     _ATTACHED[descriptor] = trace
     while len(_ATTACHED) > _ATTACH_CACHE_SIZE:

@@ -1,8 +1,11 @@
 """Tests of the WriteMetrics accumulator."""
 
+import json
+from dataclasses import fields
+
 import pytest
 
-from repro.core.metrics import WriteMetrics, relative_improvement
+from repro.core.metrics import WriteMetrics, metrics_to_payload, relative_improvement
 
 
 def _sample(requests=10, data=1000.0, aux=100.0, cells=50.0, aux_cells=5.0, dist=3.0):
@@ -79,6 +82,42 @@ class TestPresentation:
             "compressed_fraction",
             "encoded_fraction",
         }
+
+
+class TestPayload:
+    """``metrics_to_payload`` is hashed by the end-to-end benchmark's pins,
+    so its form is part of the contract: the raw accumulators, nothing else."""
+
+    AWKWARD = WriteMetrics(
+        requests=7,
+        data_energy_pj=1.1e5 / 3.0,
+        aux_energy_pj=0.1 + 0.2,
+        updated_data_cells=12345.6789,
+        updated_aux_cells=1e-17,
+        disturbance_errors=3.0000000000000004,
+        compressed_lines=5,
+        encoded_lines=7,
+    )
+
+    def test_holds_exactly_the_raw_fields(self):
+        payload = metrics_to_payload(self.AWKWARD)
+        assert list(payload) == [field.name for field in fields(WriteMetrics)]
+        assert len(payload) == 8
+        for name, value in payload.items():
+            assert value is getattr(self.AWKWARD, name)
+
+    def test_counts_stay_ints(self):
+        payload = metrics_to_payload(self.AWKWARD)
+        counts = {"requests", "compressed_lines", "encoded_lines"}
+        assert {name for name, value in payload.items() if type(value) is int} == counts
+        assert all(type(payload[name]) is float for name in set(payload) - counts)
+
+    def test_awkward_floats_round_trip_through_json(self):
+        payload = metrics_to_payload(self.AWKWARD)
+        decoded = json.loads(json.dumps(payload, sort_keys=True))
+        assert decoded == payload
+        assert WriteMetrics(**decoded) == self.AWKWARD
+        assert all(type(decoded[name]) is type(value) for name, value in payload.items())
 
 
 class TestRelativeImprovement:

@@ -14,7 +14,7 @@ from repro.coding import available_schemes, coset_encoder, make_scheme
 from repro.core.config import EvaluationConfig
 from repro.core.errors import ConfigurationError
 from repro.core.metrics import WriteMetrics
-from repro.evaluation.parallel import ParallelRunner, WorkUnit, resolve_n_jobs
+from repro.evaluation.parallel import ParallelRunner, WorkUnit, resolve_n_jobs, shared_runner
 from repro.evaluation.runner import (
     evaluate_benchmarks,
     evaluate_schemes,
@@ -203,6 +203,32 @@ class TestRewiredHelpers:
         serial = evaluate_benchmarks(encoder, traces, CONFIG)
         parallel = evaluate_benchmarks(encoder, traces, CONFIG, n_jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("helper", ["evaluate_schemes", "evaluate_benchmarks"])
+    def test_helpers_bind_task_timeout_for_their_call_only(self, gcc_trace, helper):
+        """The helper's watchdog applies to its own call: a caller's runner
+        gets its own ``task_timeout`` back afterwards."""
+        encoder = make_scheme("baseline")
+        trace = gcc_trace[:64]
+        for before in (None, 9.0):
+            runner = ParallelRunner(n_jobs=1, task_timeout=before)
+            seen = []
+            inner_map = runner.map
+            runner.map = lambda units: seen.append(runner.task_timeout) or inner_map(units)
+            if helper == "evaluate_schemes":
+                evaluate_schemes([encoder], trace, CONFIG, runner=runner, task_timeout=5.0)
+            else:
+                evaluate_benchmarks(
+                    encoder, {"gcc": trace}, CONFIG, runner=runner, task_timeout=5.0
+                )
+            assert seen == [5.0]
+            assert runner.task_timeout == before
+
+    def test_shared_runner_rebinds_task_timeout(self):
+        """A watchdog left on the shared runner by one caller never applies
+        to the next."""
+        assert shared_runner(1, "process", task_timeout=3.0).task_timeout == 3.0
+        assert shared_runner(1, "process").task_timeout is None
 
     def test_granularity_sweep_jobs_equivalence(self, gcc_trace, libq_trace):
         """Acceptance: >= 4 granularities, parallel identical to serial."""

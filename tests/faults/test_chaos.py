@@ -19,7 +19,6 @@ from repro.coding import make_scheme
 from repro.core.config import EvaluationConfig
 from repro.evaluation.parallel import ParallelRunner, WorkUnit
 from repro.evaluation.runner import evaluate_schemes
-from repro.serve.results import ResultStore
 
 #: chunk_size 32 on a 128-line trace -> four shards per unit, so ordinals
 #: beyond 1 exist on every matrix point and crash mid-run, not at the edges.
@@ -116,42 +115,6 @@ def test_evaluate_schemes_end_to_end_under_chaos(gcc_trace):
     injected = evaluate_schemes(encoders, trace, CONFIG, n_jobs=4)
     assert faults.injected_counts() == {"task": 1}
     assert injected == clean
-
-
-class TestStoreCorruptionChaos:
-    def test_corrupt_put_heals_on_recomputation(self, tmp_path, gcc_trace, reference):
-        """A record corrupted at write time is quarantined at read time and
-        the recomputed replacement is bit-identical."""
-        trace = gcc_trace[:128]
-        store = ResultStore(tmp_path / "store")
-        faults.install("store-corrupt@put:1")
-        writer = ParallelRunner(n_jobs=1)
-        writer.results_store = store
-        assert writer.run(_units(trace)) == reference["plain"]
-        assert faults.injected_counts() == {"put": 1}
-        faults.clear()
-        # First re-read quarantines the scribbled record (a miss), the other
-        # two entries hit; the rerun still reproduces the reference exactly.
-        reader = ParallelRunner(n_jobs=1)
-        reader.results_store = store
-        assert reader.run(_units(trace)) == reference["plain"]
-        assert store.stats()["corrupted"] == 1
-        assert list(store.corrupt_dir().iterdir())
-        # The healed entry serves hits again.
-        assert store.stats()["hits"] >= 2
-
-    def test_corrupt_get_quarantines_and_recovers(self, tmp_path, gcc_trace, reference):
-        trace = gcc_trace[:128]
-        store = ResultStore(tmp_path / "store")
-        writer = ParallelRunner(n_jobs=1)
-        writer.results_store = store
-        writer.run(_units(trace))
-        faults.install("store-corrupt@get:1")
-        reader = ParallelRunner(n_jobs=1)
-        reader.results_store = store
-        assert reader.run(_units(trace)) == reference["plain"]
-        assert faults.injected_counts() == {"get": 1}
-        assert store.stats()["corrupted"] == 1
 
 
 class TestDegradationAndLimits:

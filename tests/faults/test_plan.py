@@ -21,14 +21,10 @@ from repro.faults.plan import KIND_SITES
 
 class TestGrammar:
     def test_parses_the_docstring_example(self):
-        plan = FaultPlan.parse(
-            "worker-crash@task:7,worker-hang@task:12:30s,"
-            "store-corrupt@put:3,attach-fail@attach:2"
-        )
+        plan = FaultPlan.parse("worker-crash@task:7,worker-hang@task:12:30s,attach-fail@attach:2")
         assert plan.specs == (
             FaultSpec("worker-crash", "task", 7),
             FaultSpec("worker-hang", "task", 12, duration_s=30.0),
-            FaultSpec("store-corrupt", "put", 3),
             FaultSpec("attach-fail", "attach", 2),
         )
 
@@ -45,7 +41,7 @@ class TestGrammar:
         assert plan.specs[0].duration_s == DEFAULT_HANG_S
 
     def test_render_round_trips(self):
-        text = "worker-crash@task:7,worker-hang@task:12:0.25s,store-corrupt@get:1"
+        text = "worker-crash@task:7,worker-hang@task:12:0.25s,attach-fail@attach:1"
         plan = FaultPlan.parse(text)
         assert FaultPlan.parse(plan.render()) == plan
 
@@ -68,8 +64,9 @@ class TestGrammar:
             "conn-drop@evaluate:1",      # unknown kind
             "worker-crash@drain:1",      # unknown site
             "conn-drop@task:1",          # unknown kind at a live site
-            "store-corrupt@evaluate:1",  # unknown site for a live kind
+            "attach-fail@evaluate:1",    # unknown site for a live kind
             "worker-hang@drain:1:1s",    # unknown site, even with a duration
+            "store-corrupt@put:1",       # retired kind at its retired site
         ],
     )
     def test_rejects_malformed_specs(self, text):
@@ -109,11 +106,11 @@ class TestInjector:
         assert injector.injected_counts() == {"task": 1}
 
     def test_sites_count_independently(self):
-        injector = FaultInjector(FaultPlan.parse("store-corrupt@get:2"))
-        assert injector.take("put") is None
-        assert injector.take("get") is None
-        assert injector.take("put") is None
-        assert injector.take("get").kind == "store-corrupt"
+        injector = FaultInjector(FaultPlan.parse("attach-fail@attach:2"))
+        assert injector.take("task") is None
+        assert injector.take("attach") is None
+        assert injector.take("task") is None
+        assert injector.take("attach").kind == "attach-fail"
 
     def test_same_schedule_every_time(self):
         plan = FaultPlan.parse("worker-crash@task:2,attach-fail@attach:1")
@@ -170,12 +167,3 @@ class TestExecute:
 
     def test_hang_returns_after_its_duration(self):
         faults.execute(FaultAction("worker-hang", duration_s=0.0))
-
-    def test_corrupt_file_defeats_json(self, tmp_path):
-        import json
-
-        path = tmp_path / "record.json"
-        path.write_text("{\"fine\": true}")
-        faults.corrupt_file(path)
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(path.read_text(errors="replace"))

@@ -595,7 +595,7 @@ class TestObservability:
 
 
 class TestResultsDirAndDocs:
-    """CLI surface of the result store and the docs commands."""
+    """Retired CLI surface (the HTTP service, the on-disk metric memo) and the docs commands."""
 
     REPO = Path(__file__).resolve().parents[1]
 
@@ -606,28 +606,15 @@ class TestResultsDirAndDocs:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_evaluate_results_dir_memoises(self, capsys, tmp_path):
-        store = tmp_path / "store"
-        argv = ["evaluate", "--scheme", "wlcrc-16", "--benchmark", "gcc",
-                "--trace-length", "80", "--results-dir", str(store), "--json"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert (store / "results").is_dir() and any((store / "results").iterdir())
-        experiments.clear_cache()
-        assert main(argv) == 0
-        assert capsys.readouterr().out == first
-
-    def test_evaluate_profile_reports_the_store_hit(self, capsys, tmp_path):
-        argv = ["evaluate", "--scheme", "flipmin", "--benchmark", "gcc",
-                "--trace-length", "80", "--results-dir", str(tmp_path / "store"),
-                "--profile"]
-        assert main(argv) == 0
-        assert "result_store{result=miss}" in capsys.readouterr().err
-        experiments.clear_cache()
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        assert "result_store{result=hit}" in err
-        assert "result_store{result=miss}" not in err
+    @pytest.mark.parametrize(
+        "command", [["evaluate"], ["figure8"], ["bench", "run"]], ids=" ".join
+    )
+    def test_results_dir_is_gone(self, command, capsys, tmp_path):
+        """There is no on-disk result memo: every command computes afresh."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--results-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --results-dir" in capsys.readouterr().err
 
     def test_docs_cli_prints_and_checks(self, capsys, tmp_path):
         assert main(["docs", "cli", "--docs-dir", str(tmp_path)]) == 0

@@ -51,7 +51,7 @@ class TestCliReference:
 
     def test_flags_of_new_subcommands_present(self):
         reference = generate_cli_reference()
-        for flag in ("--results-dir", "--check"):
+        for flag in ("--trace-dir", "--check"):
             assert flag in reference
 
     def test_help_points_only_at_existing_docs(self):

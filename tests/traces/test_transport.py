@@ -189,6 +189,21 @@ class TestExporter:
         cached = [d for d in transport_module._ATTACHED if d.path == str(path)]
         assert cached == [descriptors[-1]]
 
+    def test_attach_miss_evicts_mappings_of_deleted_files(self, monkeypatch):
+        """A spill file pruned by the parent is never shipped again, so the
+        next attach miss drops its mapping instead of pinning the deleted
+        file's disk blocks until LRU eviction; live mappings stay."""
+        from collections import OrderedDict
+
+        monkeypatch.setattr(transport_module, "_ATTACHED", OrderedDict())
+        with TraceExporter() as exporter:
+            kept, pruned, third = (exporter.export(_trace(seed=s)) for s in (1, 2, 3))
+            attach_trace(kept)
+            attach_trace(pruned)
+            Path(pruned.path).unlink()
+            attach_trace(third)
+            assert list(transport_module._ATTACHED) == [kept, third]
+
     def test_evicted_spill_attachments_close_quietly(self, monkeypatch):
         """More spilled traces than the attachment cache holds: the oldest are
         evicted, and dropping their mappings reports nothing later."""
