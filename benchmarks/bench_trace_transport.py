@@ -14,8 +14,11 @@ artifact and ``repro bench compare`` gates against
 
 The per-chunk IPC payload sizes are deterministic for a given trace length
 and chunk size, so their gates are tight; wall clocks are machine noise and
-deliberately ungated.  ``REPRO_BENCH_TRANSPORT_LINES`` sets the trace
-length (default one million lines).
+deliberately ungated.  A payload pickles its descriptor's absolute path, so
+the corpus copy and the spill files are written under one fixed root,
+``IPC_ROOT``: the gates then read the same bytes whatever ``TMPDIR`` is.
+``REPRO_BENCH_TRANSPORT_LINES`` sets the trace length (default one million
+lines).
 
 This lived in ``bench_parallel_scaling.py`` until the transport gates got
 their own checked-in baseline; as its own bench it gates independently of
@@ -75,6 +78,10 @@ BENCHMARK = BenchSpec(
 )
 
 
+#: Root of every file whose path a measured payload carries.
+IPC_ROOT = "/tmp"
+
+
 def bench_trace_transport(benchmark):
     """Per-chunk IPC and wall clock: pickled vs spilled vs mmap transport."""
     lines = int(os.environ.get("REPRO_BENCH_TRANSPORT_LINES", "1000000"))
@@ -88,9 +95,10 @@ def bench_trace_transport(benchmark):
         with tempfile.TemporaryDirectory() as tmp:
             corpus_trace = load_trace(save_trace(trace, Path(tmp) / "random.wtrc"))
 
-            # Per-chunk IPC payload: the pickled size of one dispatched shard.
-            # The default exporter spills the in-memory trace to a temporary
-            # .wtrc and describes the corpus-backed one by its own file.
+            # Per-chunk IPC payload: the pickled size of the first dispatched
+            # task, one full chunk.  The default exporter spills the in-memory
+            # trace to a .wtrc under IPC_ROOT and describes the corpus-backed
+            # one by its own file.
             runner = ParallelRunner(n_jobs)
             unit_mem = [WorkUnit("t", encoder, trace, config)]
             unit_mmap = [WorkUnit("t", encoder, corpus_trace, config)]
@@ -126,7 +134,8 @@ def bench_trace_transport(benchmark):
             results["metrics"] = metrics
         return results
 
-    results = run_once(benchmark, measure)
+    with mock.patch.object(tempfile, "tempdir", IPC_ROOT):
+        results = run_once(benchmark, measure)
     per_chunk = results["per_chunk_ipc_bytes"]
     wall = results["wall_clock_s"]
     metrics = results["metrics"]

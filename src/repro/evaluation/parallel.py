@@ -9,8 +9,10 @@ module provides the harness that exploits that.
 under an :class:`~repro.core.config.EvaluationConfig` -- out over a
 :class:`concurrent.futures.ProcessPoolExecutor`.  Each unit is further split
 into its evaluation chunks (the same ``config.chunk_size`` chunks the serial
-runner uses), which become the individual executor tasks, so even a single
-long trace spreads across all workers.
+runner uses).  A full chunk is an executor task of its own, so even a single
+long trace spreads across all workers; consecutive short chunks of one
+encoder -- short traces and tails -- are packed into one task of at most
+``chunk_size`` lines, which encodes them with one ``encode_batch`` call.
 
 Determinism is a hard guarantee, not a best effort:
 
@@ -30,9 +32,10 @@ the property tests compare the parallel path against bit-for-bit.
 Every call -- materialised traces, streaming sources, or a mix; ``map`` or
 ``starmap`` -- takes one dispatch path:
 
-* **shards** -- :meth:`ParallelRunner._shards` yields one task per chunk,
-  lazily and in serial order, for a materialised :class:`WriteTrace` and a
-  streaming :class:`~repro.workloads.trace.ChunkSource` alike;
+* **tasks** -- :meth:`ParallelRunner._shards` yields the tasks (a full
+  chunk, or a packed run of short ones), lazily and in serial order, for a
+  materialised :class:`WriteTrace` and a streaming
+  :class:`~repro.workloads.trace.ChunkSource` alike;
 * **zero-copy trace transport** -- when a call dispatches to worker
   processes, each materialised trace is exported once through
   :class:`repro.traces.transport.TraceExporter` as an mmap descriptor of its
@@ -40,11 +43,11 @@ Every call -- materialised traces, streaming sources, or a mix; ``map`` or
   fails), and workers receive ``(descriptor, start, stop)`` triples; every
   transport is bit-identical by construction;
 * **bounded dispatch** -- :meth:`ParallelRunner._execute` runs a call with
-  ``n_jobs=1`` or a single task inline and otherwise keeps at most
-  ``window`` tasks in flight, so a trace larger than RAM evaluates with
-  memory bounded by ``window x chunk_size`` lines while the
-  submission-order reduction keeps the result bit-identical to the serial
-  path;
+  ``n_jobs=1`` or a single chunk inline and otherwise keeps at most
+  ``window`` tasks of at most ``chunk_size`` lines in flight, so a trace
+  larger than RAM evaluates with memory bounded by ``window x chunk_size``
+  lines while the submission-order reduction keeps the result bit-identical
+  to the serial path;
 * **one pool owner** -- the worker pool and the exporter live on the runner.
   A persistent runner (a context manager, ``persistent=True``, or
   :func:`shared_runner`) keeps them across calls, so sweep helpers and
@@ -74,6 +77,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -132,83 +136,103 @@ class WorkUnit:
     disturbance_model: DisturbanceModel = DEFAULT_DISTURBANCE_MODEL
 
 
-@dataclass(frozen=True)
-class _Shard:
-    """One evaluation chunk of one work unit -- the granularity of dispatch.
+class _Window(NamedTuple):
+    """One evaluation chunk of one work unit inside a task.
 
     ``stream`` is the chunk's disturbance-sampling stream and ``[start,
     stop)`` its line range in the unit's trace.  The chunk's data travels
-    either inline (``chunk``, the pickled fallback and the serial path) or
-    by reference (``descriptor`` naming a corpus or spill ``.wtrc`` file);
-    the two are mutually exclusive.  ``obs_ctx`` carries the parent's
-    observation context (when tracing is active at dispatch) so the
-    worker's spans stitch under the dispatching span; it is ``None`` -- and
-    costs nothing -- otherwise.
+    either inline (``chunk``, the pickled fallback and the in-process
+    paths) or by reference (``descriptor`` naming a corpus or spill
+    ``.wtrc`` file); the two are mutually exclusive.
     """
 
     unit_index: int
     chunk_index: int
+    stream: Optional[np.random.SeedSequence]
+    chunk: Optional[WriteTrace]
+    descriptor: Optional[MmapTraceDescriptor]
+    start: int
+    stop: int
+
+    def lines(self) -> WriteTrace:
+        """The chunk's lines, read through the transport when described."""
+        if self.chunk is not None:
+            return self.chunk
+        return attach_trace(self.descriptor)[self.start:self.stop]
+
+
+@dataclass(frozen=True)
+class _Shard:
+    """One dispatched task: a run of consecutive chunks evaluated together.
+
+    The ``windows`` are consecutive chunks in serial order that share
+    ``encoder``, ``disturbance_model`` and ``chunk_size`` and together hold
+    at most ``chunk_size`` lines (see :meth:`ParallelRunner._shards`).
+    ``obs_ctx`` carries the parent's observation context (when tracing is
+    active at dispatch) so the worker's spans stitch under the dispatching
+    span; it is ``None`` -- and costs nothing -- otherwise.
+    """
+
     encoder: WriteEncoder
     disturbance_model: DisturbanceModel
-    stream: Optional[np.random.SeedSequence]
-    chunk: Optional[WriteTrace] = None
-    descriptor: Optional[MmapTraceDescriptor] = None
-    start: int = 0
-    stop: int = 0
+    windows: Tuple[_Window, ...]
     obs_ctx: Optional[TaskContext] = None
     #: Fired fault directive riding on this dispatch (chaos testing only).
-    #: Attached by the parent at shard-generation time -- dispatch order is
+    #: Attached by the parent at task-generation time -- dispatch order is
     #: deterministic, worker scheduling is not -- and stripped whenever the
-    #: shard is resubmitted, so each planned fault fires exactly once and the
+    #: task is resubmitted, so each planned fault fires exactly once and the
     #: recovery attempt runs clean.
     inject: Optional[FaultAction] = None
 
 
 def _evaluate_shard(
     shard: _Shard,
-) -> Tuple[int, int, WriteMetrics, Optional[ObsPayload]]:
-    """Evaluate one shard; runs in a worker process (or inline when serial).
+) -> Tuple[List[Tuple[int, WriteMetrics]], Optional[ObsPayload]]:
+    """Evaluate one task; runs in a worker process (or inline when serial).
 
-    The parent merges every shard's metrics in submission order, which is
-    the serial chunk order, so the reduction is the same for any worker
-    count.  The fourth element is the worker's observability payload:
-    ``None`` unless the shard ran in a separate process during an active
-    observation, in which case the parent absorbs it in the same submission
-    order as the metrics, keeping the span/metric aggregation deterministic
-    too.
+    Returns ``(unit_index, metrics)`` per window, in window order, plus the
+    worker's observability payload.  The parent merges the metrics in
+    submission order, which is the serial chunk order, so the reduction is
+    the same for any worker count.  The payload is ``None`` unless the task
+    ran in a separate process during an active observation, in which case
+    the parent absorbs it in the same submission order as the metrics,
+    keeping the span/metric aggregation deterministic too.
     """
     if shard.inject is not None:
         _execute_fault(shard.inject)
+    windows = shard.windows
     with collect(shard.obs_ctx) as collector:
         with span(
             "evaluate_shard",
-            unit=shard.unit_index,
-            chunk=shard.chunk_index,
+            unit=windows[0].unit_index,
+            chunk=windows[0].chunk_index,
+            windows=len(windows),
+            lines=sum(window.stop - window.start for window in windows),
             scheme=shard.encoder.name,
         ):
-            chunk = shard.chunk
-            if chunk is None:
-                chunk = attach_trace(shard.descriptor)[shard.start:shard.stop]
             metrics = evaluate_chunk(
-                shard.encoder, chunk, shard.stream, shard.disturbance_model
+                shard.encoder,
+                [(window.lines(), window.stream) for window in windows],
+                shard.disturbance_model,
             )
-    return shard.unit_index, shard.chunk_index, metrics, collector.payload()
+    units = [window.unit_index for window in windows]
+    return list(zip(units, metrics)), collector.payload()
 
 
-def _arm_shard(shard: _Shard) -> _Shard:
-    """Attach a fired fault directive to ``shard``, if the plan says so.
+def _task(group: Tuple, windows: List[_Window], obs_ctx: Optional[TaskContext]) -> _Shard:
+    """The task of ``windows`` under ``group``'s encoder and model, armed by the fault plan.
 
-    Consulted once per generated shard, in the parent's deterministic
-    generation order: the ``task`` site counts every shard, the ``attach``
-    site additionally counts shards that will resolve a transport descriptor.
-    No-ops (and costs one function call) when no fault plan is active.
+    Called once per generated task, in the parent's deterministic generation
+    order: the ``task`` site counts every task, the ``attach`` site
+    additionally counts tasks that will resolve a transport descriptor, and
+    a fired fault rides on the task as its ``inject`` directive.  Costs one
+    function call when no fault plan is active.
     """
+    encoder, disturbance_model, _ = group
     action = _take_fault("task")
-    if action is None and shard.descriptor is not None:
+    if action is None and any(window.descriptor is not None for window in windows):
         action = _take_fault("attach")
-    if action is None:
-        return shard
-    return replace(shard, inject=action)
+    return _Shard(encoder, disturbance_model, tuple(windows), obs_ctx, action)
 
 
 def _strip_inject(item: Any) -> Any:
@@ -272,7 +296,7 @@ class ParallelRunner:
         Worker processes.  ``1`` (default) runs the exact serial path in the
         current process; ``None``, ``0`` or ``-1`` use every available core.
     backend:
-        ``"process"`` (default) fans shards out over a
+        ``"process"`` (default) fans tasks out over a
         :class:`~concurrent.futures.ProcessPoolExecutor`; ``"thread"`` uses a
         :class:`~concurrent.futures.ThreadPoolExecutor` instead.  The encode
         hot path is vectorised ``numpy`` bit-twiddling that releases the GIL,
@@ -316,7 +340,7 @@ class ParallelRunner:
     and resubmits only the tasks whose results have not been reduced yet; a
     task failing with a :class:`~repro.faults.TransientError` is retried on
     its own.  Because the reduction consumes results strictly in submission
-    order and every task is a pure function of its shard, recovered runs
+    order and every task is a pure function of its chunks, recovered runs
     are bit-identical to clean runs -- recovery is visible only as
     ``pool_rebuilds``/``tasks_retried``/``task_timeouts`` observability
     counters (and a logged warning when the runner degrades to serial).
@@ -419,34 +443,49 @@ class ParallelRunner:
         descriptors: Optional[Mapping[int, MmapTraceDescriptor]] = None,
         obs_ctx: Optional[TaskContext] = None,
     ) -> Iterator[_Shard]:
-        """One shard per evaluation chunk, unit by unit, in serial order.
+        """The call's tasks: runs of consecutive chunks, in serial order.
 
-        Materialised and streaming units share this generator: chunks come
-        from ``unit.trace.chunks``, lazily, so a streaming source advances
-        only as fast as the consumer pulls.  A unit whose trace has a
+        Chunks come unit by unit from ``unit.trace.chunks``, lazily, so a
+        streaming source advances only as fast as the consumer pulls.  One
+        task packs a run of consecutive chunks that share one encoder object
+        (encoders compare by identity), equal disturbance models and one
+        ``chunk_size``, and that together hold at most ``chunk_size`` lines:
+        a full chunk is a task of its own, so only short traces and tails
+        share one.  A full task is yielded at once, any other once the chunk
+        that starts the next task has been read.  A unit whose trace has a
         transport descriptor (``descriptors`` is keyed by ``id(trace)``, see
         :meth:`_export`) ships each chunk as its ``[start, stop)`` line range
-        instead of its data.  Each chunk's disturbance stream is seeded
-        from the unit's position, as ``evaluate_trace(..., unit_index=i)``
-        seeds it.
+        instead of its data.  Each chunk's disturbance stream is seeded from
+        the unit's position, as ``evaluate_trace(..., unit_index=i)`` seeds
+        it.
         """
+        run: List[_Window] = []
+        lines = 0
         for unit_index, unit in enumerate(units):
             descriptor = descriptors.get(id(unit.trace)) if descriptors else None
-            chunk_size = unit.config.chunk_size
-            for chunk_index, chunk in enumerate(unit.trace.chunks(chunk_size)):
-                start = chunk_index * chunk_size
-                yield _arm_shard(_Shard(
-                    unit_index=unit_index,
-                    chunk_index=chunk_index,
-                    encoder=unit.encoder,
-                    disturbance_model=unit.disturbance_model,
-                    stream=chunk_stream(unit.config, unit_index, chunk_index),
-                    chunk=chunk if descriptor is None else None,
-                    descriptor=descriptor,
-                    start=start,
-                    stop=start + len(chunk),
-                    obs_ctx=obs_ctx,
+            size = unit.config.chunk_size
+            group = (unit.encoder, unit.disturbance_model, size)
+            for chunk_index, chunk in enumerate(unit.trace.chunks(size)):
+                if run and (group != run_group or lines + len(chunk) > size):
+                    yield _task(run_group, run, obs_ctx)
+                    run, lines = [], 0
+                run_group = group
+                start = chunk_index * size
+                run.append(_Window(
+                    unit_index,
+                    chunk_index,
+                    chunk_stream(unit.config, unit_index, chunk_index),
+                    chunk if descriptor is None else None,
+                    descriptor,
+                    start,
+                    start + len(chunk),
                 ))
+                lines += len(chunk)
+                if lines >= size:  # full: dispatch now, without reading ahead
+                    yield _task(run_group, run, obs_ctx)
+                    run, lines = [], 0
+        if run:
+            yield _task(run_group, run, obs_ctx)
 
     def map(self, units: Sequence[WorkUnit]) -> List[WriteMetrics]:
         """Evaluate every unit and return one :class:`WriteMetrics` per unit.
@@ -457,7 +496,7 @@ class ParallelRunner:
 
         Materialised units and streaming :class:`~repro.workloads.trace
         .ChunkSource` units -- alone or mixed in one call -- take the same
-        path: lazily generated shards (:meth:`_shards`), materialised traces
+        path: lazily generated tasks (:meth:`_shards`), materialised traces
         exported once when the call dispatches to worker processes
         (:meth:`_export`), and bounded-window execution (:meth:`_execute`).
         """
@@ -468,34 +507,37 @@ class ParallelRunner:
             with span(
                 "parallel_map", units=len(units), n_jobs=self.n_jobs, backend=self.backend
             ):
-                # A streaming unit counts as one task: its length is unknown
+                # A streaming unit counts as one chunk: its length is unknown
                 # until it is read.
-                n_tasks = sum(
+                n_chunks = sum(
                     n_chunks_of(unit.trace, unit.config)
                     if isinstance(unit.trace, WriteTrace)
                     else 1
                     for unit in units
                 )
-                shards = self._shards(units, self._export(traces, n_tasks), task_context())
-                for unit_index, _, metrics, payload in self._execute(_evaluate_shard, shards):
+                shards = self._shards(units, self._export(traces, n_chunks), task_context())
+                head = list(islice(shards, 2))
+                pooled = self._pooled(sum(len(shard.windows) for shard in head))
+                for results, payload in self._execute(_evaluate_shard, chain(head, shards), pooled):
                     absorb(payload)
-                    per_unit[unit_index].merge(metrics)
+                    for unit_index, metrics in results:
+                        per_unit[unit_index].merge(metrics)
         finally:
             self._end_call(traces)
         return per_unit
 
-    def _export(self, values: Sequence[Any], n_tasks: int) -> Dict[int, MmapTraceDescriptor]:
+    def _export(self, values: Sequence[Any], n_chunks: int) -> Dict[int, MmapTraceDescriptor]:
         """Transport descriptors of the traces among ``values``, by ``id``.
 
-        Only a call that hands its ``n_tasks`` tasks to worker *processes*
-        exports anything: serial and single-task calls run inline, and
+        Only a call that hands its ``n_chunks`` chunks to worker *processes*
+        exports anything: serial and single-chunk calls run inline, and
         thread workers share the parent's memory.  Each materialised
         :class:`WriteTrace` is exported once as an mmap descriptor -- of its
         corpus file, else of a spill file written for it; a trace whose
         spill fails is left out and its chunks travel pickled.  Streaming
         sources and other values are never exported.
         """
-        if self.backend != "process" or not self._pooled(n_tasks):
+        if self.backend != "process" or not self._pooled(n_chunks):
             return {}
         if self._exporter is None:
             self._exporter = TraceExporter()
@@ -550,7 +592,7 @@ class ParallelRunner:
                     for args in tasks
                 ]
                 results = []
-                for result, payload in self._execute(_call_star, calls):
+                for result, payload in self._execute(_call_star, calls, self._pooled(len(calls))):
                     absorb(payload)
                     results.append(result)
                 return results
@@ -560,9 +602,14 @@ class ParallelRunner:
     # ------------------------------------------------------------------ #
     # Execution backend
     # ------------------------------------------------------------------ #
-    def _pooled(self, n_tasks: int) -> bool:
-        """Whether a call of ``n_tasks`` tasks goes to the pool (else inline)."""
-        return self.n_jobs > 1 and n_tasks > 1
+    def _pooled(self, n_chunks: int) -> bool:
+        """Whether a call goes to the pool (else inline), by its chunk count.
+
+        A ``map`` call counts its chunks, not its tasks: two chunks go to the
+        pool even when they pack into one task.  A ``starmap`` call counts
+        its tasks.
+        """
+        return self.n_jobs > 1 and n_chunks > 1
 
     def _pool(self) -> Executor:
         """The runner's worker pool of the configured :attr:`backend`, built lazily."""
@@ -571,11 +618,13 @@ class ParallelRunner:
             self._executor = kind(max_workers=self.n_jobs)
         return self._executor
 
-    def _execute(self, worker: Callable[[Any], Any], items: Iterable[Any]) -> Iterator[Any]:
+    def _execute(
+        self, worker: Callable[[Any], Any], items: Iterable[Any], pooled: bool
+    ) -> Iterator[Any]:
         """Run ``worker`` over ``items`` and yield the results in input order.
 
-        ``items`` may be a lazy stream.  With ``n_jobs=1``, or when the call
-        has a single task, everything runs inline, one item at a time.
+        ``items`` may be a lazy stream.  Unless ``pooled`` (see
+        :meth:`_pooled`), everything runs inline, one item at a time.
         Otherwise items are pulled only while fewer than :attr:`window`
         (default ``4 x n_jobs``) tasks are in flight, so the producer, the
         pool and the reducer stay within a bounded number of tasks of each
@@ -584,14 +633,11 @@ class ParallelRunner:
         float determinism; worker failures self-heal (see the class
         docstring).
         """
-        items = iter(items)
-        head = list(islice(items, 2))
-        items = chain(head, items)
-        if not self._pooled(len(head)):
+        if not pooled:
             for item in items:
                 yield self._run_serial_item(worker, item)
             return
-        yield from self._run_resilient(worker, items, window=self.window or 4 * self.n_jobs)
+        yield from self._run_resilient(worker, iter(items), window=self.window or 4 * self.n_jobs)
 
     def _run_serial_item(self, worker: Callable[[Any], Any], item: Any) -> Any:
         """Execute one task inline, retrying bounded transient failures."""
@@ -628,6 +674,15 @@ class ParallelRunner:
         exhausted = False
         consecutive_rebuilds = 0
 
+        def submit(item: Any) -> Future:
+            """Submit ``item``; a pool a crash already broke fails it in order, at the head."""
+            try:
+                return self._pool().submit(worker, item)
+            except BrokenProcessPool as error:
+                broken: Future = Future()
+                broken.set_exception(error)
+                return broken
+
         def rebuild_and_resubmit(reason: str) -> bool:
             """Heal a dead pool; False once the rebuild budget is spent."""
             nonlocal consecutive_rebuilds
@@ -650,7 +705,7 @@ class ParallelRunner:
             time.sleep(backoff * (0.5 + random.random()))
             for entry in pending:
                 entry[0] = _strip_inject(entry[0])
-                entry[1] = self._pool().submit(worker, entry[0])
+                entry[1] = submit(entry[0])
             return True
 
         while True:
@@ -660,7 +715,7 @@ class ParallelRunner:
                 except StopIteration:
                     exhausted = True
                     break
-                pending.append([item, self._pool().submit(worker, item)])
+                pending.append([item, submit(item)])
                 observe("window_occupancy", len(pending))
             if not pending:
                 return
@@ -691,7 +746,7 @@ class ParallelRunner:
                     raise
                 count("tasks_retried")
                 head[0] = _strip_inject(head[0])
-                head[1] = self._pool().submit(worker, head[0])
+                head[1] = submit(head[0])
             else:
                 consecutive_rebuilds = 0
                 pending.popleft()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import tracemalloc
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,24 +125,33 @@ def _record_peak_memory() -> None:
 
 def evaluate_chunk(
     encoder: WriteEncoder,
-    chunk: WriteTrace,
-    stream: Optional[np.random.SeedSequence],
+    windows: Sequence[Tuple[WriteTrace, Optional[np.random.SeedSequence]]],
     disturbance_model: DisturbanceModel = DEFAULT_DISTURBANCE_MODEL,
-) -> WriteMetrics:
-    """Encode one chunk with one ``encode_batch`` call and reduce its metrics.
+) -> List[WriteMetrics]:
+    """Encode consecutive chunks with one ``encode_batch`` call; reduce each alone.
 
     This is the unit of work shared by the serial runner and the parallel
-    engine.  ``stream`` is the chunk's disturbance-sampling stream
-    (:func:`chunk_stream`), or ``None`` for expected-value counting.
+    engine.  ``windows`` pairs each chunk with its disturbance-sampling
+    stream (:func:`chunk_stream`, or ``None`` for expected-value counting).
+    The chunks' lines are concatenated and encoded once; encoding is per
+    line, so each chunk's :meth:`~repro.coding.base.EncodedBatch.window` is
+    exactly that chunk's own encode, and ``metrics_from_encoded`` reduces it
+    on the chunk's own stream.  Returns one :class:`WriteMetrics` per chunk,
+    each bit-identical to evaluating that chunk alone.
     """
-    with span("encode_batch", scheme=encoder.name, lines=len(chunk)):
-        encoded = encoder.encode_batch(chunk.new, chunk.old)
-    count("lines_encoded", len(chunk), scheme=encoder.name)
-    rng = np.random.default_rng(stream) if stream is not None else None
-    with span("metrics", scheme=encoder.name, lines=len(chunk)):
-        metrics = metrics_from_encoded(encoded, encoder, disturbance_model, rng)
+    batch = WriteTrace.concat([chunk for chunk, _ in windows])
+    with span("encode_batch", scheme=encoder.name, lines=len(batch)):
+        encoded = encoder.encode_batch(batch.new, batch.old)
+    count("lines_encoded", len(batch), scheme=encoder.name)
+    per_chunk, start = [], 0
+    for chunk, stream in windows:
+        rng = np.random.default_rng(stream) if stream is not None else None
+        with span("metrics", scheme=encoder.name, lines=len(chunk)):
+            window = encoded.window(start, start + len(chunk))
+            per_chunk.append(metrics_from_encoded(window, encoder, disturbance_model, rng))
+        start += len(chunk)
     _record_peak_memory()
-    return metrics
+    return per_chunk
 
 
 def chunk_stream(
@@ -188,7 +197,7 @@ def evaluate_trace(
     total = WriteMetrics()
     for chunk_index, chunk in enumerate(trace.chunks(config.chunk_size)):
         stream = chunk_stream(config, unit_index, chunk_index)
-        total.merge(evaluate_chunk(encoder, chunk, stream, disturbance_model))
+        total.merge(evaluate_chunk(encoder, [(chunk, stream)], disturbance_model)[0])
     return total
 
 

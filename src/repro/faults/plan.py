@@ -14,12 +14,12 @@ Each specification is ``<kind>@<site>:<n>[:<duration>]``:
 ``site``
     Where it goes wrong.  Each site is one instrumented code location that
     asks the injector "does this invocation fault?": ``task`` (parallel-engine
-    shard dispatch) and ``attach`` (trace-transport attachment, counted per
-    dispatched shard that carries a transport descriptor).
+    task dispatch) and ``attach`` (trace-transport attachment, counted per
+    dispatched task that carries a transport descriptor).
 ``n``
     The 1-based invocation ordinal of the site at which the fault fires --
     ``worker-crash@task:3`` kills the worker executing the third dispatched
-    shard.  Each specification fires exactly once.
+    task.  Each specification fires exactly once.
 ``duration``
     ``worker-hang`` only: how long the worker stalls (``30s``, ``250ms`` or
     a plain float of seconds; default 30s).
@@ -30,7 +30,7 @@ and the per-site invocation counters, and the sites are consulted from the
 pool workers, whose scheduling is nondeterministic.  Fired faults travel to
 workers as explicit :class:`FaultAction` directives attached to the
 dispatched task, so a chaos run is exactly reproducible: the same plan
-against the same workload faults the same shard, every time.  Recovered
+against the same workload faults the same task, every time.  Recovered
 (resubmitted) work carries no directives, which is what makes each
 specification one-shot even when the faulted task is retried.
 """

@@ -1,14 +1,15 @@
-"""Single-path contract tests: one chunk, one encode, one reduction.
+"""Single-path contract tests: one task, one encode, one reduction per chunk.
 
 The evaluation engine has exactly one code path.  :func:`evaluate_trace`
 and the parallel engine split a trace into ``config.chunk_size`` chunks,
-encode each chunk with one ``encode_batch`` call, reduce it with one
-``metrics_from_encoded`` call on the chunk's own disturbance stream, and
-merge the chunk metrics in trace order.  The tests here rebuild that
-decomposition by hand and hold both engines to it, bit for bit, across the
-candidate-sweep encoder families, granularities 8..512, ragged tails, empty
-traces, Monte-Carlo sampling, streaming sources, pool kinds and worker
-counts.
+encode each task -- one chunk, or a run of short consecutive chunks of one
+encoder holding at most ``chunk_size`` lines together -- with one
+``encode_batch`` call, reduce every chunk with one ``metrics_from_encoded``
+call on the chunk's own disturbance stream, and merge the chunk metrics in
+trace order.  The tests here rebuild that decomposition by hand and hold
+both engines to it, bit for bit, across the candidate-sweep encoder
+families, granularities 8..512, ragged tails, empty traces, Monte-Carlo
+sampling, streaming sources, packed tasks, pool kinds and worker counts.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding import coset_encoder
+from repro.coding import coset_encoder, make_scheme
 from repro.coding.coc_cosets import COCFourCosetsEncoder
 from repro.coding.din import DINEncoder
 from repro.core.config import EvaluationConfig
@@ -132,6 +133,72 @@ class TestOneEncodePerChunk:
                 )[0]
         assert encode_spans(session) == n_chunks_of(trace, config) == 5
         assert metrics == per_chunk_reference(encoder, trace, config)
+
+
+def packed_tasks(units):
+    """Number of tasks of the packing rule, from unit lengths and encoders alone.
+
+    Consecutive chunks share a task while they have one encoder object and
+    together hold at most ``chunk_size`` lines.
+    """
+    tasks, lines, encoder = 0, 0, None
+    for unit, length in units:
+        size = unit.config.chunk_size
+        for start in range(0, length, size):
+            n = min(size, length - start)
+            if lines and (unit.encoder is not encoder or lines + n > size):
+                tasks, lines = tasks + 1, 0
+            encoder, lines = unit.encoder, lines + n
+    return tasks + bool(lines)
+
+
+#: One persistent runner per (n_jobs, backend), shared by the examples.
+PACKING_RUNNERS = [(1, "thread"), (1, "process"), (2, "thread"), (2, "process")]
+
+
+@pytest.fixture(scope="module", params=PACKING_RUNNERS, ids=lambda p: f"{p[1]}-{p[0]}")
+def packing_runner(request):
+    n_jobs, backend = request.param
+    with ParallelRunner(n_jobs, backend=backend) as runner:
+        yield runner
+
+
+class TestPacking:
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_packed_map_equals_evaluate_trace(self, packing_runner, gcc_trace, data):
+        """Short units and tails share tasks; each unit's metrics stay exact.
+
+        Unit ``i`` reads up to 2.5 chunks from line ``7 i`` of the trace."""
+        chunk_size = data.draw(st.integers(min_value=8, max_value=64), "chunk_size")
+        lengths = data.draw(st.lists(
+            st.integers(min_value=0, max_value=5 * chunk_size // 2), min_size=1, max_size=6
+        ), "lengths")
+        mode = data.draw(st.sampled_from(["shared", "equal", "alternating"]), "encoders")
+        streaming = data.draw(st.lists(
+            st.booleans(), min_size=len(lengths), max_size=len(lengths)
+        ), "streaming")
+        config = EvaluationConfig(
+            chunk_size=chunk_size, seed=11, sample_disturbance=data.draw(st.booleans(), "sample")
+        )
+        shared = [make_scheme("wlcrc-16"), coset_encoder("3cosets", 64)]
+        units = []
+        for i, (length, stream) in enumerate(zip(lengths, streaming)):
+            if mode == "equal":
+                encoder = make_scheme("wlcrc-16")
+            else:
+                encoder = shared[i % 2 if mode == "alternating" else 0]
+            trace = gcc_trace[7 * i:7 * i + length]
+            units.append(WorkUnit(i, encoder, StreamingSource(trace) if stream else trace, config))
+
+        with observation("packing") as session:
+            mapped = packing_runner.map(units)
+        for i, unit in enumerate(units):
+            assert mapped[i] == evaluate_trace(unit.encoder, unit.trace, config, unit_index=i)
+        spans = [record for record in session.spans if record.name == "encode_batch"]
+        assert len(spans) == packed_tasks(zip(units, lengths))
+        assert all(record.attrs["lines"] <= chunk_size for record in spans)
+        assert sum(record.attrs["lines"] for record in spans) == sum(lengths)
 
 
 class TestParallelEngine:

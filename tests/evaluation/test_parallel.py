@@ -101,7 +101,8 @@ class TestRunnerSemantics:
         assert reduced["total"] == expected
 
     def test_streaming_and_materialised_units_shard_alike(self, gcc_trace):
-        """One shard per chunk, carrying that chunk's lines and RNG stream."""
+        """One task per full chunk (the tail after it too), each window
+        carrying its chunk's lines and RNG stream."""
         trace = gcc_trace[:100]
 
         class Source:
@@ -116,14 +117,42 @@ class TestRunnerSemantics:
         streamed = list(runner._shards([WorkUnit("s", encoder, Source(), MC_CONFIG)]))
         ranges = [(0, 0, 32), (1, 32, 64), (2, 64, 96), (3, 96, 100)]
         for shards in (materialised, streamed):
-            assert [(s.chunk_index, s.start, s.stop) for s in shards] == ranges
-            assert [s.stream.spawn_key for s in shards] == [(0, c) for c, _, _ in ranges]
-            for shard in shards:
-                assert shard.chunk.new == trace.new[shard.start:shard.stop]
-                assert shard.chunk.old == trace.old[shard.start:shard.stop]
+            assert [len(s.windows) for s in shards] == [1, 1, 1, 1]
+            windows = [w for s in shards for w in s.windows]
+            assert [(w.chunk_index, w.start, w.stop) for w in windows] == ranges
+            assert [w.stream.spawn_key for w in windows] == [(0, c) for c, _, _ in ranges]
+            for window in windows:
+                assert window.chunk.new == trace.new[window.start:window.stop]
+                assert window.chunk.old == trace.old[window.start:window.stop]
+
+    def test_full_chunks_dispatch_without_reading_ahead(self, gcc_trace):
+        """A full chunk is a task at once: a stream is read no further."""
+        reads = []
+
+        class Source:
+            name = "src"
+
+            def chunks(self, chunk_size):
+                for chunk in gcc_trace[:96].chunks(chunk_size):
+                    reads.append(len(chunk))
+                    yield chunk
+
+        unit = WorkUnit("s", make_scheme("baseline"), Source(), CONFIG)
+        tasks = ParallelRunner(n_jobs=1)._shards([unit])
+        next(tasks)
+        assert reads == [32]
+
+    def test_two_chunks_in_one_task_still_go_to_the_pool(self, gcc_trace):
+        """Pooling counts chunks, not tasks: a warm-up call of two short units
+        packs into one task and must still start the workers."""
+        unit = WorkUnit("warm", make_scheme("baseline"), gcc_trace[:2], CONFIG)
+        with ParallelRunner(n_jobs=2) as runner:
+            assert [len(s.windows) for s in runner._shards([unit, unit])] == [2]
+            runner.map([unit, unit])
+            assert runner._executor is not None
 
     def test_executor_chunksize_is_gone(self):
-        # Shards are dispatched one chunk each; there is no batching knob.
+        # Tasks pack short chunks up to chunk_size lines; there is no batching knob.
         with pytest.raises(TypeError, match="executor_chunksize"):
             ParallelRunner(n_jobs=2, executor_chunksize=4)
 

@@ -19,6 +19,8 @@ from repro.coding import make_scheme
 from repro.core.config import EvaluationConfig
 from repro.evaluation.parallel import ParallelRunner, WorkUnit
 from repro.evaluation.runner import evaluate_schemes
+from repro.obs import observation
+from repro.workloads.generator import generate_benchmark_trace
 
 #: chunk_size 32 on a 128-line trace -> four shards per unit, so ordinals
 #: beyond 1 exist on every matrix point and crash mid-run, not at the edges.
@@ -104,6 +106,54 @@ def test_attach_failure_is_retried(gcc_trace, reference):
     result = _chaos_run(gcc_trace[:128], "attach-fail@attach:1", 4, "process")
     assert faults.injected_counts() == {"attach": 1}
     assert result == reference["plain"]
+
+
+def test_packed_task_recovers_bit_identical(monkeypatch):
+    """Faults on packed tasks: twelve 100-line units of one encoder at
+    chunk_size 256 pack two chunks per task.  The crash rebuilds the pool,
+    both sites fire once, the result matches a clean run, and every
+    resubmitted task -- all of its windows -- runs without a directive."""
+    encoder = make_scheme("wlcrc-16")
+    config = EvaluationConfig(chunk_size=256, sample_disturbance=True, seed=5)
+    trace = generate_benchmark_trace("gcc", 1200, seed=7)
+    units = [WorkUnit(i, encoder, trace[100 * i:100 * (i + 1)], config) for i in range(12)]
+    clean = ParallelRunner(n_jobs=1).map(units)
+
+    submitted = []
+    pool_of = ParallelRunner._pool
+
+    def recording_pool(runner):
+        pool = pool_of(runner)
+
+        class Recorder:
+            def submit(self, worker, item):
+                submitted.append(item)
+                return pool.submit(worker, item)
+
+        return Recorder()
+
+    monkeypatch.setattr(ParallelRunner, "_pool", recording_pool)
+    faults.install("worker-crash@task:2,attach-fail@attach:1")
+    with observation() as session:
+        result = ParallelRunner(n_jobs=2, retry_backoff_s=0.001).map(units)
+    assert faults.injected_counts() == {"task": 1, "attach": 1}
+    assert session.metrics.snapshot()["pool_rebuilds"]["value"] >= 1
+    assert result == clean
+
+    seen = set()
+    resubmitted = []
+    for task in submitted:
+        assert len(task.windows) == 2
+        assert all(window.descriptor is not None for window in task.windows)
+        key = tuple((window.unit_index, window.chunk_index) for window in task.windows)
+        if key in seen:
+            resubmitted.append(task)
+        seen.add(key)
+    assert len(seen) == 6
+    assert resubmitted and all(task.inject is None for task in resubmitted)
+    assert {task.inject.kind for task in submitted if task.inject} == {
+        "worker-crash", "attach-fail"
+    }
 
 
 def test_evaluate_schemes_end_to_end_under_chaos(gcc_trace):
