@@ -1010,24 +1010,24 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         encoder = make_scheme(args.scheme)
     except (ReproError, ValueError):
         return _unknown_name("scheme", args.scheme, available_schemes())
+    if args.trace is None and args.benchmark not in ALL_BENCHMARKS:
+        return _unknown_name("benchmark", args.benchmark, ALL_BENCHMARKS)
     cleanup = lambda: None  # noqa: E731 - trivial default
-    if args.trace is not None:
-        try:
-            trace, cleanup = _load_evaluation_trace(args)
-        except (TraceError, OSError) as exc:
-            candidates = ()
-            parent = Path(args.trace).parent
-            if not Path(args.trace).exists() and parent.is_dir():
-                candidates = _suggest(
-                    Path(args.trace).name,
-                    [p.name for p in parent.iterdir() if p.suffix in (".wtrc", ".npz")],
-                )
-            return _fail(str(exc), candidates)
-        label = args.scheme  # keyed by scheme either way, so outputs compare
-    else:
-        if args.benchmark not in ALL_BENCHMARKS:
-            return _unknown_name("benchmark", args.benchmark, ALL_BENCHMARKS)
-        if config.trace_dir:
+    # The scope opens first, so a profile also shows a raw trace's ingest.
+    with _observation_scope(args, f"evaluate-{args.scheme}"):
+        if args.trace is not None:
+            try:
+                trace, cleanup = _load_evaluation_trace(args)
+            except (TraceError, OSError) as exc:
+                candidates = ()
+                parent = Path(args.trace).parent
+                if not Path(args.trace).exists() and parent.is_dir():
+                    candidates = _suggest(
+                        Path(args.trace).name,
+                        [p.name for p in parent.iterdir() if p.suffix in (".wtrc", ".npz")],
+                    )
+                return _fail(str(exc), candidates)
+        elif config.trace_dir:
             from .traces import TraceCorpus
 
             try:
@@ -1038,9 +1038,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 return _fail(f"cannot use trace corpus {config.trace_dir}: {exc}")
         else:
             trace = generate_benchmark_trace(args.benchmark, config.trace_length, config.seed)
-        label = args.scheme
-    try:
-        with _observation_scope(args, f"evaluate-{args.scheme}"):
+        try:
             results = evaluate_schemes(
                 [encoder],
                 trace,
@@ -1049,10 +1047,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 backend=config.backend,
                 task_timeout=config.task_timeout,
             )
-    finally:
-        cleanup()
+        finally:
+            cleanup()
     metrics = next(iter(results.values()))
-    _print_result({label: metrics.as_dict()}, args.json)
+    # Keyed by scheme whatever the trace's source, so outputs compare.
+    _print_result({args.scheme: metrics.as_dict()}, args.json)
     return 0
 
 

@@ -16,8 +16,8 @@ encoder -- short traces and tails -- are packed into one task of at most
 
 Determinism is a hard guarantee, not a best effort:
 
-* chunk results are reduced with :meth:`WriteMetrics.merge
-  <repro.core.metrics.WriteMetrics.merge>` in (unit, chunk) submission order,
+* each unit's chunk results are reduced with :meth:`WriteMetrics.merge
+  <repro.core.metrics.WriteMetrics.merge>` in chunk (= submission) order,
   so floating-point accumulation is identical for any worker count;
 * Monte-Carlo disturbance sampling draws from per-chunk
   :class:`numpy.random.SeedSequence` streams spawned from
@@ -33,9 +33,9 @@ Every call -- materialised traces, streaming sources, or a mix; ``map`` or
 ``starmap`` -- takes one dispatch path:
 
 * **tasks** -- :meth:`ParallelRunner._shards` yields the tasks (a full
-  chunk, or a packed run of short ones), lazily and in serial order, for a
-  materialised :class:`WriteTrace` and a streaming
-  :class:`~repro.workloads.trace.ChunkSource` alike;
+  chunk, or a packed run of short ones), lazily: every materialised
+  :class:`WriteTrace` unit's first, then every streaming
+  :class:`~repro.workloads.trace.ChunkSource` unit's;
 * **zero-copy trace transport** -- when a call dispatches to worker
   processes, each materialised trace is exported once through
   :class:`repro.traces.transport.TraceExporter` as an mmap descriptor of its
@@ -44,10 +44,11 @@ Every call -- materialised traces, streaming sources, or a mix; ``map`` or
   transport is bit-identical by construction;
 * **bounded dispatch** -- :meth:`ParallelRunner._execute` runs a call with
   ``n_jobs=1`` or a single chunk inline and otherwise keeps at most
-  ``window`` tasks of at most ``chunk_size`` lines in flight, so a trace
-  larger than RAM evaluates with memory bounded by ``window x chunk_size``
-  lines while the submission-order reduction keeps the result bit-identical
-  to the serial path;
+  ``window`` tasks that carry chunk data in flight, so a trace larger than
+  RAM evaluates with memory bounded by ``window x chunk_size`` lines (tasks
+  that carry only descriptors go to the pool at once) while the
+  submission-order reduction keeps the result bit-identical to the serial
+  path;
 * **one pool owner** -- the worker pool and the exporter live on the runner.
   A persistent runner (a context manager, ``persistent=True``, or
   :func:`shared_runner`) keeps them across calls, so sweep helpers and
@@ -120,7 +121,7 @@ class WorkUnit:
     """One independent piece of sweep work: a scheme evaluated on a trace.
 
     ``key`` labels the unit for reduction -- units sharing a key have their
-    metrics merged (in submission order) by :meth:`ParallelRunner.run`.
+    metrics merged (in unit order) by :meth:`ParallelRunner.run`.
     Typical keys: a scheme name, a benchmark name, a granularity, or a
     ``(sweep-point, role)`` tuple.
 
@@ -165,7 +166,7 @@ class _Window(NamedTuple):
 class _Shard:
     """One dispatched task: a run of consecutive chunks evaluated together.
 
-    The ``windows`` are consecutive chunks in serial order that share
+    The ``windows`` are consecutive chunks in generation order that share
     ``encoder``, ``disturbance_model`` and ``chunk_size`` and together hold
     at most ``chunk_size`` lines (see :meth:`ParallelRunner._shards`).
     ``obs_ctx`` carries the parent's observation context (when tracing is
@@ -192,9 +193,10 @@ def _evaluate_shard(
 
     Returns ``(unit_index, metrics)`` per window, in window order, plus the
     worker's observability payload.  The parent merges the metrics in
-    submission order, which is the serial chunk order, so the reduction is
-    the same for any worker count.  The payload is ``None`` unless the task
-    ran in a separate process during an active observation, in which case
+    submission order, which keeps each unit's chunks in chunk order, so the
+    reduction is the same for any worker count.  The payload is ``None``
+    unless the task ran in a separate process during an active observation,
+    in which case
     the parent absorbs it in the same submission order as the metrics,
     keeping the span/metric aggregation deterministic too.
     """
@@ -312,9 +314,11 @@ class ParallelRunner:
         this).  A one-shot runner is the same runner closing itself at the
         end of every ``map()``/``run()``/``starmap()`` call.
     window:
-        In-flight task cap of every pooled call.  Tasks are produced lazily
-        and at most ``window`` exist between the producer and the reducer at
-        any moment -- the backpressure that bounds a streaming
+        In-flight cap of every pooled call on tasks that carry chunk data
+        (streamed, pickled-fallback and thread-backend chunks, ``starmap``
+        items; not tasks of transport descriptors only).  Tasks are produced
+        lazily and at most ``window`` such tasks exist between the producer
+        and the reducer -- the backpressure that bounds a streaming
         :class:`~repro.workloads.trace.ChunkSource` to ``window x
         chunk_size`` lines no matter how long it is.  Defaults to
         ``4 x n_jobs``.
@@ -443,49 +447,58 @@ class ParallelRunner:
         descriptors: Optional[Mapping[int, MmapTraceDescriptor]] = None,
         obs_ctx: Optional[TaskContext] = None,
     ) -> Iterator[_Shard]:
-        """The call's tasks: runs of consecutive chunks, in serial order.
+        """The call's tasks: runs of consecutive chunks, ready work first.
 
-        Chunks come unit by unit from ``unit.trace.chunks``, lazily, so a
+        Every materialised (:class:`WriteTrace`) unit's tasks come before any
+        streaming unit's, so the pool works on ready chunks while the parent
+        produces streamed ones; each group keeps unit order and each unit
+        chunk order.  Chunks come from ``unit.trace.chunks``, lazily, so a
         streaming source advances only as fast as the consumer pulls.  One
-        task packs a run of consecutive chunks that share one encoder object
-        (encoders compare by identity), equal disturbance models and one
-        ``chunk_size``, and that together hold at most ``chunk_size`` lines:
-        a full chunk is a task of its own, so only short traces and tails
-        share one.  A full task is yielded at once, any other once the chunk
-        that starts the next task has been read.  A unit whose trace has a
-        transport descriptor (``descriptors`` is keyed by ``id(trace)``, see
-        :meth:`_export`) ships each chunk as its ``[start, stop)`` line range
-        instead of its data.  Each chunk's disturbance stream is seeded from
-        the unit's position, as ``evaluate_trace(..., unit_index=i)`` seeds
-        it.
+        task packs a run of consecutive chunks of one group that share one
+        encoder object (encoders compare by identity), equal disturbance
+        models and one ``chunk_size``, and that together hold at most
+        ``chunk_size`` lines: a full chunk is a task of its own, so only
+        short traces and tails share one.  A full task is yielded at once,
+        any other once the chunk that starts the next task has been read or
+        its group ends (no streamed chunk is read before the materialised
+        tasks are out).  A unit whose trace has a transport descriptor
+        (``descriptors`` is keyed by ``id(trace)``, see :meth:`_export`)
+        ships each chunk as its ``[start, stop)`` line range instead of its
+        data.  Each chunk's disturbance stream is seeded from the unit's
+        position in ``units``, as ``evaluate_trace(..., unit_index=i)``
+        seeds it.
         """
-        run: List[_Window] = []
-        lines = 0
-        for unit_index, unit in enumerate(units):
-            descriptor = descriptors.get(id(unit.trace)) if descriptors else None
-            size = unit.config.chunk_size
-            group = (unit.encoder, unit.disturbance_model, size)
-            for chunk_index, chunk in enumerate(unit.trace.chunks(size)):
-                if run and (group != run_group or lines + len(chunk) > size):
-                    yield _task(run_group, run, obs_ctx)
-                    run, lines = [], 0
-                run_group = group
-                start = chunk_index * size
-                run.append(_Window(
-                    unit_index,
-                    chunk_index,
-                    chunk_stream(unit.config, unit_index, chunk_index),
-                    chunk if descriptor is None else None,
-                    descriptor,
-                    start,
-                    start + len(chunk),
-                ))
-                lines += len(chunk)
-                if lines >= size:  # full: dispatch now, without reading ahead
-                    yield _task(run_group, run, obs_ctx)
-                    run, lines = [], 0
-        if run:
-            yield _task(run_group, run, obs_ctx)
+        ready = [isinstance(unit.trace, WriteTrace) for unit in units]
+        for group_ready in (True, False):
+            run: List[_Window] = []
+            lines = 0
+            for unit_index, unit in enumerate(units):
+                if ready[unit_index] != group_ready:
+                    continue
+                descriptor = descriptors.get(id(unit.trace)) if descriptors else None
+                size = unit.config.chunk_size
+                group = (unit.encoder, unit.disturbance_model, size)
+                for chunk_index, chunk in enumerate(unit.trace.chunks(size)):
+                    if run and (group != run_group or lines + len(chunk) > size):
+                        yield _task(run_group, run, obs_ctx)
+                        run, lines = [], 0
+                    run_group = group
+                    start = chunk_index * size
+                    run.append(_Window(
+                        unit_index,
+                        chunk_index,
+                        chunk_stream(unit.config, unit_index, chunk_index),
+                        chunk if descriptor is None else None,
+                        descriptor,
+                        start,
+                        start + len(chunk),
+                    ))
+                    lines += len(chunk)
+                    if lines >= size:  # full: dispatch now, without reading ahead
+                        yield _task(run_group, run, obs_ctx)
+                        run, lines = [], 0
+            if run:
+                yield _task(run_group, run, obs_ctx)
 
     def map(self, units: Sequence[WorkUnit]) -> List[WriteMetrics]:
         """Evaluate every unit and return one :class:`WriteMetrics` per unit.
@@ -507,17 +520,16 @@ class ParallelRunner:
             with span(
                 "parallel_map", units=len(units), n_jobs=self.n_jobs, backend=self.backend
             ):
+                ready = sum(n_chunks_of(unit.trace, unit.config)
+                            for unit in units if isinstance(unit.trace, WriteTrace))
                 # A streaming unit counts as one chunk: its length is unknown
                 # until it is read.
-                n_chunks = sum(
-                    n_chunks_of(unit.trace, unit.config)
-                    if isinstance(unit.trace, WriteTrace)
-                    else 1
-                    for unit in units
-                )
+                n_chunks = ready + sum(not isinstance(trace, WriteTrace) for trace in traces)
                 shards = self._shards(units, self._export(traces, n_chunks), task_context())
-                head = list(islice(shards, 2))
-                pooled = self._pooled(sum(len(shard.windows) for shard in head))
+                # Pooling counts chunks.  When the materialised ones decide
+                # it, no streamed chunk is read before their tasks are out.
+                head = [] if self._pooled(ready) else list(islice(shards, 2))
+                pooled = self._pooled(max(ready, sum(len(shard.windows) for shard in head)))
                 for results, payload in self._execute(_evaluate_shard, chain(head, shards), pooled):
                     absorb(payload)
                     for unit_index, metrics in results:
@@ -552,8 +564,8 @@ class ParallelRunner:
     def run(self, units: Sequence[WorkUnit]) -> Dict[Hashable, WriteMetrics]:
         """Evaluate every unit and reduce the results by ``unit.key``.
 
-        Keys appear in first-submission order; units sharing a key are merged
-        in submission order (so e.g. per-granularity totals accumulate their
+        Keys appear in the order of their first unit; units sharing a key are
+        merged in unit order (so e.g. per-granularity totals accumulate their
         traces exactly like the serial sweep loop did).
         """
         units = list(units)
@@ -606,8 +618,9 @@ class ParallelRunner:
         """Whether a call goes to the pool (else inline), by its chunk count.
 
         A ``map`` call counts its chunks, not its tasks: two chunks go to the
-        pool even when they pack into one task.  A ``starmap`` call counts
-        its tasks.
+        pool even when they pack into one task, and the first two tasks are
+        read only when the materialised chunks do not decide.  A ``starmap``
+        call counts its tasks.
         """
         return self.n_jobs > 1 and n_chunks > 1
 
@@ -626,12 +639,12 @@ class ParallelRunner:
         ``items`` may be a lazy stream.  Unless ``pooled`` (see
         :meth:`_pooled`), everything runs inline, one item at a time.
         Otherwise items are pulled only while fewer than :attr:`window`
-        (default ``4 x n_jobs``) tasks are in flight, so the producer, the
-        pool and the reducer stay within a bounded number of tasks of each
-        other however long the stream is.  Results come back in submission
-        order on both backends, which the metric reduction relies on for
-        float determinism; worker failures self-heal (see the class
-        docstring).
+        (default ``4 x n_jobs``) tasks that carry chunk data are in flight,
+        so the parent holds a bounded number of a stream's chunks however
+        long it is (a descriptor-only task holds none and is not counted).
+        Results come back in submission order on both backends, which the
+        metric reduction relies on for float determinism; worker failures
+        self-heal (see the class docstring).
         """
         if not pooled:
             for item in items:
@@ -657,10 +670,12 @@ class ParallelRunner:
     ) -> Iterator[Any]:
         """The pooled execution engine: windowed dispatch that self-heals.
 
-        Tasks are submitted individually (at most ``window`` in flight) and
-        results are consumed strictly from the *oldest* outstanding future,
-        so yields happen in submission order whatever the completion order --
-        the invariant every reduction above this relies on.  Waiting only on
+        Tasks are submitted individually, at most ``window`` in flight that
+        carry chunk data (``window_occupancy`` and ``backpressure_stalls``
+        measure this incremental count), and results are consumed strictly
+        from the *oldest* outstanding future, so yields happen in submission
+        order whatever the completion order -- the invariant every
+        reduction above this relies on.  Waiting only on
         the head is also what makes recovery deterministic: when the head
         fails (broken pool, watchdog timeout, transient task error) nothing
         newer has been reduced yet, so rebuilding the pool and resubmitting
@@ -670,7 +685,8 @@ class ParallelRunner:
         degrades to inline serial execution of everything left instead of
         failing the run.
         """
-        pending: "deque[List[Any]]" = deque()  # [item, future] in submit order
+        pending: "deque[List[Any]]" = deque()  # [item, future, carries data, retries]
+        held = 0  # pending entries that carry chunk data
         exhausted = False
         consecutive_rebuilds = 0
 
@@ -709,17 +725,24 @@ class ParallelRunner:
             return True
 
         while True:
-            while not exhausted and len(pending) < window:
+            while not exhausted and held < window:
                 try:
                     item = next(items)
                 except StopIteration:
                     exhausted = True
                     break
-                pending.append([item, submit(item)])
-                observe("window_occupancy", len(pending))
+                # Every task holds chunk data in the parent but a _Shard
+                # whose chunks all ship as descriptors.
+                data = not isinstance(item, _Shard) or any(
+                    window.descriptor is None for window in item.windows
+                )
+                pending.append([item, submit(item), data, 0])
+                if data:
+                    held += 1
+                    observe("window_occupancy", held)
             if not pending:
                 return
-            if not exhausted and len(pending) >= window:
+            if not exhausted and held >= window:
                 # The producer is ahead of the drain: the blocking wait
                 # below is the backpressure that bounds streaming memory.
                 count("backpressure_stalls")
@@ -739,17 +762,15 @@ class ParallelRunner:
             except TransientError:
                 # Only this task failed; retry it alone (bounded), still
                 # waiting on it first so the yield order is unchanged.
-                if len(head) < 3:
-                    head.append(0)
-                head[2] += 1
-                if head[2] > self.task_retries:
+                head[3] += 1
+                if head[3] > self.task_retries:
                     raise
                 count("tasks_retried")
                 head[0] = _strip_inject(head[0])
                 head[1] = submit(head[0])
             else:
                 consecutive_rebuilds = 0
-                pending.popleft()
+                held -= pending.popleft()[2]
                 yield result
 
         # Rebuild budget exhausted: degrade to serial for everything left

@@ -64,6 +64,7 @@ import numpy as np
 from ..core.errors import TraceError
 from ..core.line import LineBatch
 from ..core.symbols import WORDS_PER_LINE
+from ..obs import span
 from ..workloads.generator import LineGenerator
 from ..workloads.profiles import get_profile
 from ..workloads.trace import WriteTrace, rechunk_traces
@@ -628,10 +629,21 @@ class StreamingSynthesizer:
         self._types = types
 
     def feed(self, addresses: np.ndarray) -> WriteTrace:
-        """Synthesise the next chunk of the stream and return it."""
+        """Synthesise the next chunk of the stream and return it.
+
+        Observed, each call is one ``synthesize`` span: ``chunk``,
+        ``requests`` and the ``fresh`` addresses first seen in it.
+        """
         addresses = np.ascontiguousarray(
             np.asarray(addresses, dtype=np.uint64).reshape(-1)
         )
+        seen = self.unique_lines
+        with span("synthesize", chunk=self._chunk_index, requests=len(addresses)) as record:
+            trace = self._synthesize(addresses)
+            record.set(fresh=self.unique_lines - seen)
+        return trace
+
+    def _synthesize(self, addresses: np.ndarray) -> WriteTrace:
         n = len(addresses)
         chunk_index = self._chunk_index
         self._chunk_index += 1

@@ -138,18 +138,26 @@ class TestOneEncodePerChunk:
 def packed_tasks(units):
     """Number of tasks of the packing rule, from unit lengths and encoders alone.
 
-    Consecutive chunks share a task while they have one encoder object and
-    together hold at most ``chunk_size`` lines.
+    Tasks are generated for the materialised units first, then for the
+    streamed ones, each group in unit order.  Consecutive chunks of a group
+    share a task while they have one encoder object and together hold at
+    most ``chunk_size`` lines.
     """
-    tasks, lines, encoder = 0, 0, None
-    for unit, length in units:
-        size = unit.config.chunk_size
-        for start in range(0, length, size):
-            n = min(size, length - start)
-            if lines and (unit.encoder is not encoder or lines + n > size):
-                tasks, lines = tasks + 1, 0
-            encoder, lines = unit.encoder, lines + n
-    return tasks + bool(lines)
+    units = list(units)
+    tasks = 0
+    for streamed in (False, True):
+        lines, encoder = 0, None
+        for unit, length in units:
+            if isinstance(unit.trace, StreamingSource) != streamed:
+                continue
+            size = unit.config.chunk_size
+            for start in range(0, length, size):
+                n = min(size, length - start)
+                if lines and (unit.encoder is not encoder or lines + n > size):
+                    tasks, lines = tasks + 1, 0
+                encoder, lines = unit.encoder, lines + n
+        tasks += bool(lines)
+    return tasks
 
 
 #: One persistent runner per (n_jobs, backend), shared by the examples.

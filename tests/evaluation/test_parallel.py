@@ -21,7 +21,7 @@ from repro.evaluation.runner import (
     evaluate_trace,
 )
 from repro.evaluation.sweeps import compression_coverage, granularity_sweep
-from repro.obs import observation
+from repro.obs import absorb, observation
 
 #: Small chunks so every work unit splits into several shards.
 CONFIG = EvaluationConfig(chunk_size=32)
@@ -34,6 +34,41 @@ def _scheme_units(trace, config):
         WorkUnit(name, make_scheme(name), trace, config)
         for name in available_schemes()
     ]
+
+
+class Stream:
+    """A trace seen only through ``chunks``: a streaming unit.
+
+    With a ``log`` it appends ``("read", name)`` when its first chunk is read.
+    """
+
+    def __init__(self, trace, log=None, name="stream"):
+        self.name = name
+        self._trace = trace
+        self._log = log
+
+    def chunks(self, chunk_size):
+        for chunk_index, chunk in enumerate(self._trace.chunks(chunk_size)):
+            if chunk_index == 0 and self._log is not None:
+                self._log.append(("read", self.name))
+            yield chunk
+
+
+def record_submissions(monkeypatch, log):
+    """Append ``("submit", task)`` to ``log`` for every task a runner hands its pool."""
+    pool_of = ParallelRunner._pool
+
+    def recording_pool(runner):
+        pool = pool_of(runner)
+
+        class Recorder:
+            def submit(self, worker, item):
+                log.append(("submit", item))
+                return pool.submit(worker, item)
+
+        return Recorder()
+
+    monkeypatch.setattr(ParallelRunner, "_pool", recording_pool)
 
 
 class TestResolveNJobs:
@@ -204,9 +239,11 @@ class TestRunnerSemantics:
         with pytest.raises(TypeError, match="transport"):
             ParallelRunner(n_jobs=2, transport="pickle")
 
-    @pytest.mark.parametrize("backend", ["process", "thread"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_materialised_call_keeps_at_most_window_in_flight(self, gcc_trace, backend):
-        """A materialised call is windowed like a stream, not submitted at once."""
+        """Thread tasks carry their chunks, so a materialised call on the
+        thread backend is windowed like a stream (the process backend's
+        descriptor tasks are not: see the test below)."""
         encoder = make_scheme("baseline")
         trace = gcc_trace[:192]  # six shards
         with observation() as session:
@@ -217,6 +254,83 @@ class TestRunnerSemantics:
         assert occupancy["count"] == 6  # one observation per submitted shard
         assert occupancy["max"] == 2
         assert result == evaluate_trace(encoder, trace, CONFIG)
+
+    def test_descriptor_tasks_are_not_held_back(self, gcc_trace, monkeypatch):
+        """A spill-backed task ships a descriptor, not lines: all six tasks
+        reach the pool before the first result is reduced, and the window
+        never stalls."""
+        log = []
+        record_submissions(monkeypatch, log)
+
+        def reduce_and_log(payload):
+            log.append(("reduce", None))
+            absorb(payload)
+
+        monkeypatch.setattr("repro.evaluation.parallel.absorb", reduce_and_log)
+        encoder = make_scheme("baseline")
+        trace = gcc_trace[:192]  # six shards
+        with observation() as session:
+            result = ParallelRunner(2, window=2).map([WorkUnit("k", encoder, trace, CONFIG)])[0]
+        assert [kind for kind, _ in log].index("reduce") == 6
+        assert all(
+            window.descriptor is not None for _, task in log[:6] for window in task.windows
+        )
+        snapshot = session.metrics.snapshot()
+        assert snapshot["trace_export{kind=spill}"]["value"] == 1
+        assert "backpressure_stalls" not in snapshot
+        assert result == evaluate_trace(encoder, trace, CONFIG)
+
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_streamed_call_keeps_at_most_window_in_flight(self, gcc_trace, backend):
+        """The memory bound: a stream's chunks carry their lines, so at most
+        ``window`` of them are in flight on either backend."""
+        encoder = make_scheme("baseline")
+        trace = gcc_trace[:192]  # six chunks
+        with observation() as session:
+            result = ParallelRunner(2, window=2, backend=backend).map(
+                [WorkUnit("k", encoder, Stream(trace), CONFIG)]
+            )[0]
+        snapshot = session.metrics.snapshot()
+        assert snapshot["window_occupancy"]["count"] == 6  # one per submitted chunk
+        assert snapshot["window_occupancy"]["max"] == 2
+        assert snapshot["backpressure_stalls"]["value"] > 0
+        assert result == evaluate_trace(encoder, trace, CONFIG)
+
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_materialised_tasks_dispatch_before_streamed_chunks(
+        self, gcc_trace, backend, monkeypatch
+    ):
+        """Ready work first.  Of units ``[S0, M1, S2, M3]``, M1 and M3 share
+        one encoder and pack into one task; their two chunks decide pooling,
+        so that task reaches the pool before S0's first chunk is read.  Each
+        unit keeps its position's disturbance streams."""
+        log = []
+        record_submissions(monkeypatch, log)
+        config = EvaluationConfig(chunk_size=64, sample_disturbance=True, seed=3)
+        shared = make_scheme("wlcrc-16")
+        units = [
+            WorkUnit(0, make_scheme("baseline"), Stream(gcc_trace[60:160], log, "S0"), config),
+            WorkUnit(1, shared, gcc_trace[:30], config),
+            WorkUnit(2, shared, Stream(gcc_trace[160:200], log, "S2"), config),
+            WorkUnit(3, shared, gcc_trace[30:60], config),
+        ]
+        with ParallelRunner(2, backend=backend) as runner:
+            mapped = runner.map(units)
+
+        ready = [
+            (at, task)
+            for at, (kind, task) in enumerate(log)
+            if kind == "submit" and all(w.unit_index in (1, 3) for w in task.windows)
+        ]
+        assert [[(w.unit_index, w.chunk_index) for w in task.windows] for _, task in ready] == [
+            [(1, 0), (3, 0)]
+        ]
+        assert all(at < log.index(("read", "S0")) for at, _ in ready)
+        assert log.index(("read", "S0")) < log.index(("read", "S2"))
+        if backend == "process":
+            assert all(w.descriptor is not None for _, task in ready for w in task.windows)
+        for i, unit in enumerate(units):
+            assert mapped[i] == evaluate_trace(unit.encoder, unit.trace, config, unit_index=i)
 
 
 class TestRewiredHelpers:

@@ -12,6 +12,8 @@ The test also asserts the fault really *fired* (``injected_counts``), so a
 green run cannot mean "the chaos never happened".
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro import faults
@@ -20,7 +22,10 @@ from repro.core.config import EvaluationConfig
 from repro.evaluation.parallel import ParallelRunner, WorkUnit
 from repro.evaluation.runner import evaluate_schemes
 from repro.obs import observation
+from repro.traces import IngestChunkSource, load_trace, stream_ingest_to_wtrc
 from repro.workloads.generator import generate_benchmark_trace
+
+SAMPLE = Path(__file__).resolve().parents[1] / "data" / "sample_ramulator2.trace"
 
 #: chunk_size 32 on a 128-line trace -> four shards per unit, so ordinals
 #: beyond 1 exist on every matrix point and crash mid-run, not at the edges.
@@ -154,6 +159,61 @@ def test_packed_task_recovers_bit_identical(monkeypatch):
     assert {task.inject.kind for task in submitted if task.inject} == {
         "worker-crash", "attach-fail"
     }
+
+
+def test_mixed_call_recovers_bit_identical(tmp_path, monkeypatch):
+    """Faults on a call that streams a text trace beside a corpus-backed
+    copy of the same content (992 lines, chunk_size 64: 16 descriptor
+    tasks, generated first and not held back by the window of 8).  Both
+    sites fire on descriptor tasks, the crash finds more than ``window`` of
+    them in flight, the pool rebuilds, every resubmitted task runs without
+    a directive, and the result matches the serial run."""
+    encoder = make_scheme("wlcrc-16")
+    config = EvaluationConfig(chunk_size=64, sample_disturbance=True, seed=5)
+    units = [
+        WorkUnit("streamed", encoder, IngestChunkSource(SAMPLE), config),
+        WorkUnit(
+            "mmap", encoder, load_trace(stream_ingest_to_wtrc(SAMPLE, tmp_path / "s.wtrc")), config
+        ),
+    ]
+    clean = ParallelRunner(n_jobs=1).map(units)
+
+    submitted = []
+    pool_of = ParallelRunner._pool
+
+    def recording_pool(runner):
+        pool = pool_of(runner)
+
+        class Recorder:
+            def submit(self, worker, item):
+                submitted.append(item)
+                return pool.submit(worker, item)
+
+        return Recorder()
+
+    monkeypatch.setattr(ParallelRunner, "_pool", recording_pool)
+    faults.install("worker-crash@task:2,attach-fail@attach:1")
+    runner = ParallelRunner(n_jobs=2, retry_backoff_s=0.001)
+    with observation() as session:
+        result = runner.map(units)
+    assert faults.injected_counts() == {"task": 1, "attach": 1}
+    assert session.metrics.snapshot()["pool_rebuilds"]["value"] >= 1
+    assert result == clean
+
+    seen = set()
+    resubmitted = []
+    for task in submitted:
+        key = tuple((window.unit_index, window.chunk_index) for window in task.windows)
+        if key in seen:
+            resubmitted.append(task)
+        seen.add(key)
+    assert len(seen) == 32
+    described = [t for t in resubmitted if all(w.descriptor is not None for w in t.windows)]
+    assert len(described) > 4 * runner.n_jobs  # the default window
+    assert resubmitted and all(task.inject is None for task in resubmitted)
+    fired = [task for task in submitted if task.inject]
+    assert {task.inject.kind for task in fired} == {"worker-crash", "attach-fail"}
+    assert all(w.unit_index == 1 and w.descriptor is not None for t in fired for w in t.windows)
 
 
 def test_evaluate_schemes_end_to_end_under_chaos(gcc_trace):

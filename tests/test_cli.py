@@ -538,6 +538,16 @@ class TestObservability:
         assert "parallel_map" in summary["spans"]
         assert summary["metrics"]["lines_encoded{scheme=baseline}"] == 64
 
+    def test_profile_of_a_raw_trace_shows_its_ingest(self, capsys, tmp_path):
+        """The observation opens before ``--trace`` is ingested, so the
+        parent's ``synthesize`` spans appear beside the evaluation."""
+        out = tmp_path / "ingest.trace.json"
+        assert main(["evaluate", "--scheme", "wlcrc-16", "--trace", str(SAMPLE_TRACE),
+                     "--jobs", "2", "--trace-out", str(out), "--profile", "--json"]) == 0
+        assert "synthesize" in capsys.readouterr().err
+        events = [e for e in json.loads(out.read_text())["traceEvents"] if e["ph"] == "X"]
+        assert {"synthesize", "evaluate_shard"} <= {e["name"] for e in events}
+
     def test_profile_command_missing_file(self, capsys, tmp_path):
         assert main(["profile", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err

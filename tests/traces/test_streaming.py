@@ -381,6 +381,42 @@ class TestStreamingEvaluation:
         ]
 
 
+class TestSynthesizeSpans:
+    """The parent's synthesis shows in profiles: one span per quantum."""
+
+    def test_one_span_per_quantum_inside_a_session(self):
+        addresses = _addresses(np.random.default_rng(5), 2500, span=600)
+        synthesizer = StreamingSynthesizer()
+        with observation() as session:
+            for start in range(0, len(addresses), 1024):
+                synthesizer.feed(addresses[start:start + 1024])
+        spans = [record for record in session.spans if record.name == "synthesize"]
+        assert [(r.attrs["chunk"], r.attrs["requests"]) for r in spans] == [
+            (0, 1024), (1, 1024), (2, 452)
+        ]
+        assert spans[0].attrs["fresh"] == len(np.unique(addresses[:1024]))
+        assert sum(r.attrs["fresh"] for r in spans) == synthesizer.unique_lines
+
+    def test_no_span_is_built_outside_a_session(self, monkeypatch):
+        import repro.obs.core as obs_core
+
+        built = []
+
+        class CountingSpan(obs_core._Span):
+            def __init__(self, session, name, attrs):
+                built.append(name)
+                super().__init__(session, name, attrs)
+
+        monkeypatch.setattr(obs_core, "_Span", CountingSpan)
+        addresses = _addresses(np.random.default_rng(6), 300)
+        plain = synthesize_write_trace(addresses, chunk_lines=128)
+        assert built == []
+        with observation():
+            traced = synthesize_write_trace(addresses, chunk_lines=128)
+        assert built == ["synthesize"] * 3
+        assert traced.new == plain.new and traced.old == plain.old
+
+
 class TestBoundedMemory:
     """Peak memory tracks the window/quantum, not the trace length."""
 
@@ -446,7 +482,19 @@ class TestBoundedMemory:
         if large_n <= 200_000:  # full materialisation affordable: close the loop
             in_memory = ingest_trace_file(large, chunk_lines=self.QUANTUM)
             assert evaluate_trace(encoder, in_memory, config) == streamed_metrics
-        parallel_metrics = ParallelRunner(4, window=4).map(
-            [WorkUnit("k", encoder, mmap_trace, config)]
-        )[0]
-        assert parallel_metrics == mmap_metrics
+        # Pooled, the parent submits every descriptor task of the mmap trace
+        # at once (they carry no lines) and holds at most `window` streamed
+        # chunks beside them: its peak stays window-bounded either way.
+        def evaluate_pooled(*sources):
+            return ParallelRunner(4, window=4).map(
+                [WorkUnit(i, encoder, source, config) for i, source in enumerate(sources)]
+            )
+
+        parallel_metrics, pooled_peak = self._traced_peak(lambda: evaluate_pooled(mmap_trace))
+        assert pooled_peak < max(4 * small_peak, trace_bytes // 4)
+        assert parallel_metrics == [mmap_metrics]
+        mixed_metrics, mixed_peak = self._traced_peak(lambda: evaluate_pooled(
+            IngestChunkSource(large, chunk_lines=self.QUANTUM), mmap_trace
+        ))
+        assert mixed_peak < max(4 * small_peak, trace_bytes // 4)
+        assert mixed_metrics == [streamed_metrics, mmap_metrics]
