@@ -46,9 +46,9 @@ Every call -- materialised traces, streaming sources, or a mix; ``map`` or
   ``n_jobs=1`` or a single chunk inline and otherwise keeps at most
   ``window`` tasks that carry chunk data in flight, so a trace larger than
   RAM evaluates with memory bounded by ``window x chunk_size`` lines (tasks
-  that carry only descriptors go to the pool at once) while the
-  submission-order reduction keeps the result bit-identical to the serial
-  path;
+  that carry only descriptors go to the pool at once, up to
+  ``16 x window`` pending) while the submission-order reduction keeps the
+  result bit-identical to the serial path;
 * **one pool owner** -- the worker pool and the exporter live on the runner.
   A persistent runner (a context manager, ``persistent=True``, or
   :func:`shared_runner`) keeps them across calls, so sweep helpers and
@@ -101,6 +101,11 @@ from ..workloads.trace import ChunkSource, WriteTrace
 from .runner import chunk_stream, evaluate_chunk, n_chunks_of
 
 logger = logging.getLogger(__name__)
+
+#: Cap on a pooled call's pending tasks of any kind, per unit of ``window``
+#: (64 per worker by default): it bounds the parent's bookkeeping, ~2.4 KB a
+#: task, however many descriptor-only tasks a long trace makes.
+_PENDING_PER_WINDOW = 16
 
 
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:
@@ -316,7 +321,8 @@ class ParallelRunner:
     window:
         In-flight cap of every pooled call on tasks that carry chunk data
         (streamed, pickled-fallback and thread-backend chunks, ``starmap``
-        items; not tasks of transport descriptors only).  Tasks are produced
+        items; not tasks of transport descriptors only, which are capped
+        at ``16 x window`` pending instead).  Tasks are produced
         lazily and at most ``window`` such tasks exist between the producer
         and the reducer -- the backpressure that bounds a streaming
         :class:`~repro.workloads.trace.ChunkSource` to ``window x
@@ -672,7 +678,10 @@ class ParallelRunner:
 
         Tasks are submitted individually, at most ``window`` in flight that
         carry chunk data (``window_occupancy`` and ``backpressure_stalls``
-        measure this incremental count), and results are consumed strictly
+        measure this incremental count) and at most
+        ``_PENDING_PER_WINDOW x window`` in all, so descriptor-only tasks
+        reach the pool at once yet the parent's bookkeeping stays bounded
+        however long the trace is.  Results are consumed strictly
         from the *oldest* outstanding future, so yields happen in submission
         order whatever the completion order -- the invariant every
         reduction above this relies on.  Waiting only on
@@ -687,6 +696,7 @@ class ParallelRunner:
         """
         pending: "deque[List[Any]]" = deque()  # [item, future, carries data, retries]
         held = 0  # pending entries that carry chunk data
+        cap = _PENDING_PER_WINDOW * window  # pending entries of any kind
         exhausted = False
         consecutive_rebuilds = 0
 
@@ -725,7 +735,7 @@ class ParallelRunner:
             return True
 
         while True:
-            while not exhausted and held < window:
+            while not exhausted and held < window and len(pending) < cap:
                 try:
                     item = next(items)
                 except StopIteration:
@@ -742,7 +752,7 @@ class ParallelRunner:
                     observe("window_occupancy", held)
             if not pending:
                 return
-            if not exhausted and held >= window:
+            if not exhausted and (held >= window or len(pending) >= cap):
                 # The producer is ahead of the drain: the blocking wait
                 # below is the backpressure that bounds streaming memory.
                 count("backpressure_stalls")

@@ -64,7 +64,7 @@ import numpy as np
 from ..core.errors import TraceError
 from ..core.line import LineBatch
 from ..core.symbols import WORDS_PER_LINE
-from ..obs import span
+from ..obs import is_active, peak_rss_bytes, span
 from ..workloads.generator import LineGenerator
 from ..workloads.profiles import get_profile
 from ..workloads.trace import WriteTrace, rechunk_traces
@@ -565,6 +565,29 @@ def _chunk_entropy(digest: bytes, chunk_index: int, seed: Optional[int]) -> List
     return entropy
 
 
+#: Requests per mutation step: a round is applied in blocks of at most this
+#: many, so the mutation temporaries stay small whatever the round's size.
+_MUTATION_BLOCK = 4096
+
+
+def _mutation_rounds(inverse: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Requests in round order, and the offsets of each round in it.
+
+    A request's round is its occurrence index among the chunk's writes to
+    its address, from a stable sort by address; a round keeps stream order.
+    """
+    n = len(inverse)
+    order = np.argsort(inverse, kind="stable")
+    sorted_inverse = inverse[order]
+    boundaries = np.flatnonzero(np.diff(sorted_inverse)) + 1
+    starts = np.concatenate([[0], boundaries])
+    group_sizes = np.diff(np.concatenate([starts, [n]]))
+    occurrence = np.empty(n, dtype=np.int64)
+    occurrence[order] = np.arange(n) - np.repeat(starts, group_sizes)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(occurrence))])
+    return np.argsort(occurrence, kind="stable"), offsets
+
+
 class StreamingSynthesizer:
     """Turn an address-only write stream into (old, new) contents, chunk-wise.
 
@@ -632,7 +655,9 @@ class StreamingSynthesizer:
         """Synthesise the next chunk of the stream and return it.
 
         Observed, each call is one ``synthesize`` span: ``chunk``,
-        ``requests`` and the ``fresh`` addresses first seen in it.
+        ``requests``, the ``fresh`` addresses first seen in it and the
+        process's ``peak_rss_bytes`` (VmHWM) at its end, so a profile shows
+        which quantum set the ingest's peak.
         """
         addresses = np.ascontiguousarray(
             np.asarray(addresses, dtype=np.uint64).reshape(-1)
@@ -641,6 +666,8 @@ class StreamingSynthesizer:
         with span("synthesize", chunk=self._chunk_index, requests=len(addresses)) as record:
             trace = self._synthesize(addresses)
             record.set(fresh=self.unique_lines - seen)
+            if is_active():
+                record.set(peak_rss_bytes=peak_rss_bytes())
         return trace
 
     def _synthesize(self, addresses: np.ndarray) -> WriteTrace:
@@ -676,41 +703,31 @@ class StreamingSynthesizer:
             self._grow_state(len(fresh))
             self._words[base:base + len(fresh)] = state.words
             self._types[base:base + len(fresh)] = types
+            del state, types
             rows[fresh] = base + np.arange(len(fresh))
             self._seen = np.insert(self._seen, at[fresh], unique[fresh])
             self._seen_rows = np.insert(self._seen_rows, at[fresh], rows[fresh])
 
         request_rows = rows[inverse]
         plan = generator.plan_mutations(n, self._types[request_rows])
-
-        # Occurrence index of each request among the chunk's writes to the
-        # same address (0 for the first in-chunk write, ...), vectorised via
-        # a stable sort by address -- cross-chunk chains continue through the
-        # persistent per-address state.
-        order = np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[order]
-        boundaries = np.flatnonzero(np.diff(sorted_inverse)) + 1
-        starts = np.concatenate([[0], boundaries])
-        group_sizes = np.diff(np.concatenate([starts, [n]]))
-        occurrence = np.empty(n, dtype=np.int64)
-        occurrence[order] = np.arange(n) - np.repeat(starts, group_sizes)
+        round_order, offsets = _mutation_rounds(inverse)
+        del unique, inverse, at, known, rows, fresh
 
         old_words = np.empty((n, WORDS_PER_LINE), dtype=np.uint64)
         new_words = np.empty_like(old_words)
-        occurrence_order = np.argsort(occurrence, kind="stable")
-        round_counts = np.bincount(occurrence)
-        offsets = np.concatenate([[0], np.cumsum(round_counts)])
         # Round r rewrites every address receiving its (r+1)-th in-chunk
         # write; within a round each address appears once, so the value
-        # updates vectorise cleanly and total work stays O(n).
-        for r in range(len(round_counts)):
-            idx = occurrence_order[offsets[r]:offsets[r + 1]]
-            touched = request_rows[idx]
-            prev = self._words[touched]
-            old_words[idx] = prev
-            value = generator.apply_mutations(plan, prev, idx)
-            self._words[touched] = value
-            new_words[idx] = value
+        # updates vectorise cleanly and total work stays O(n).  A round is
+        # applied _MUTATION_BLOCK requests at a time.
+        for r in range(len(offsets) - 1):
+            for start in range(offsets[r], offsets[r + 1], _MUTATION_BLOCK):
+                idx = round_order[start:min(start + _MUTATION_BLOCK, offsets[r + 1])]
+                touched = request_rows[idx]
+                prev = self._words[touched]
+                old_words[idx] = prev
+                value = generator.apply_mutations(plan, prev, idx)
+                self._words[touched] = value
+                new_words[idx] = value
         return WriteTrace(
             old=LineBatch(old_words),
             new=LineBatch(new_words),

@@ -71,10 +71,9 @@ class MutationPlan:
 
     #: ``(n, 8)`` int8: ``KEEP``, ``DRAWN``, ``COMPLEMENT`` or ``LOW_RANDOM`` per word.
     kind: np.ndarray
-    #: ``(n, 8)`` new values of the ``DRAWN`` words.
-    drawn: np.ndarray
-    #: ``(n, 8)`` low-32-bit fills of the ``LOW_RANDOM`` words.
-    low_random: np.ndarray
+    #: ``(n, 8)`` new values of the ``DRAWN`` words and low-32-bit fills of the
+    #: ``LOW_RANDOM`` words; zero elsewhere.
+    value: np.ndarray
 
 
 class LineGenerator:
@@ -234,25 +233,30 @@ class LineGenerator:
         actions = list(self.profile.mutation_mix.keys())
         probs = np.array([self.profile.mutation_mix[a] for a in actions])
         probs = probs / probs.sum()
-        action_index = _choice(self.rng, probs, (n, WORDS_PER_LINE))
-        independent = {
-            "same_type": self.generate_lines(n, types)[0].words,
-            "type_change": self.generate_lines(n)[0].words,
-            "ones_fill": ~(self._raw(n) & np.uint64(0xFFFF)),
-        }
-        low_random = self._raw(n) & np.uint64(0xFFFFFFFF)
-        # A 0/1-flag product ORed in selects each word's source (in place: read once).
-        drawn = np.zeros((n, WORDS_PER_LINE), dtype=np.uint64)  # zero_fill
-        for index, action in enumerate(actions):
-            if action in independent:
-                source = independent[action]
-                source *= action_index == index
-                drawn |= source
+        # Each word's action index, or len(actions) for a word that keeps its value.
+        action = _choice(self.rng, probs, (n, WORDS_PER_LINE))
+        action[~change] = len(actions)
+        del change
         kinds = {"complement": COMPLEMENT, "low_random": LOW_RANDOM}
-        kind_of = np.array([kinds.get(a, DRAWN) for a in actions], dtype=np.int8)
-        # np.where, not a flag product: the product's heap placement added 2 MB of peak RSS.
-        kind = np.where(change, kind_of[action_index], np.int8(KEEP))
-        return MutationPlan(kind=kind, drawn=drawn, low_random=low_random)
+        kind_of = np.array([kinds.get(a, DRAWN) for a in actions] + [KEEP], dtype=np.int8)
+        kind = kind_of[action]
+        # Every source is drawn, in this order, whether the mix uses it or not,
+        # and folded into ``value`` as soon as it is drawn: a 0/1-flag product
+        # (in place) ORed in.  No two sources share a word.
+        value = np.zeros((n, WORDS_PER_LINE), dtype=np.uint64)  # zero_fill
+        sources = (
+            ("same_type", lambda: self.generate_lines(n, types)[0].words),
+            ("type_change", lambda: self.generate_lines(n)[0].words),
+            ("ones_fill", lambda: ~(self._raw(n) & np.uint64(0xFFFF))),
+            ("low_random", lambda: self._raw(n) & np.uint64(0xFFFFFFFF)),
+        )
+        for name, draw in sources:
+            source = draw()
+            if name in actions:
+                source *= action == actions.index(name)
+                value |= source
+            del source
+        return MutationPlan(kind=kind, value=value)
 
     def apply_mutations(
         self,
@@ -269,10 +273,9 @@ class LineGenerator:
         kind = plan.kind[rows]
         # Each word's kind picks one value: a product with a 0/1 flag, ORed in.
         value = words * (kind == KEEP)
-        value |= plan.drawn[rows] * (kind == DRAWN)
+        value |= plan.value[rows]
         value |= ~words * (kind == COMPLEMENT)
-        low = (words & ~np.uint64(0xFFFFFFFF)) | plan.low_random[rows]
-        value |= low * (kind == LOW_RANDOM)
+        value |= (words & ~np.uint64(0xFFFFFFFF)) * (kind == LOW_RANDOM)
         return value
 
     def mutate_lines(self, lines: LineBatch, types: np.ndarray) -> LineBatch:

@@ -280,6 +280,30 @@ class TestRunnerSemantics:
         assert "backpressure_stalls" not in snapshot
         assert result == evaluate_trace(encoder, trace, CONFIG)
 
+    def test_pending_descriptor_tasks_stop_at_the_cap(self, gcc_trace, monkeypatch):
+        """More descriptor tasks than ``16 x window``: the parent holds at
+        most that many pending, not the whole trace, and the result is the
+        serial one."""
+        log = []
+        record_submissions(monkeypatch, log)
+
+        def reduce_and_log(payload):
+            log.append(("reduce", None))
+            absorb(payload)
+
+        monkeypatch.setattr("repro.evaluation.parallel.absorb", reduce_and_log)
+        config = EvaluationConfig(chunk_size=8)
+        encoder = make_scheme("baseline")
+        result = ParallelRunner(2, window=1).map([WorkUnit("k", encoder, gcc_trace, config)])[0]
+        tasks = [task for kind, task in log if kind == "submit"]
+        assert len(tasks) == 25
+        assert all(window.descriptor is not None for task in tasks for window in task.windows)
+        pending = [0]
+        for kind, _ in log:
+            pending.append(pending[-1] + (1 if kind == "submit" else -1))
+        assert max(pending) == 16
+        assert result == evaluate_trace(encoder, gcc_trace, config)
+
     @pytest.mark.parametrize("backend", ["process", "thread"])
     def test_streamed_call_keeps_at_most_window_in_flight(self, gcc_trace, backend):
         """The memory bound: a stream's chunks carry their lines, so at most

@@ -60,6 +60,24 @@ def write_mixed_ramulator(path: Path, n_requests: int = 6000, seed: int = 77) ->
     return path
 
 
+def write_wide_ramulator(path: Path, n_requests: int = 20_000, seed: int = 81) -> Path:
+    """A seeded ramulator2 text over 16,384 lines, ingested as one quantum.
+
+    Its 48,641 line writes touch 15,559 distinct lines, so the first two
+    mutation rounds each span three full 4,096-request blocks and a partial
+    fourth.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = rng.choice((64, 128, 256), size=n_requests, p=(0.6, 0.25, 0.15))
+    addr = 0x4000_0000 + rng.integers(0, 1 << 20, size=n_requests)
+    is_write = rng.random(n_requests) < 0.9
+    path.write_text("".join(
+        f"{'W' if w else 'R'} 0x{a:X} 0x{s:X}\n"
+        for w, a, s in zip(is_write.tolist(), addr.tolist(), sizes.tolist())
+    ))
+    return path
+
+
 def write_tracehm(path: Path, n: int = 400, seed: int = 5) -> Path:
     rng = np.random.default_rng(seed)
     addr = 0x4000_0000 + rng.integers(0, 9, n) * 0x1000 + rng.integers(0, 64, n)
@@ -94,6 +112,8 @@ INGEST_GOLDEN = {
                 "69a859e02ff39711bcc92c048b56dbd39b2f92f1a8e019f42ca03ca43192b951"),
     "inst": (write_ramulator_inst, {"fmt": "ramulator2-inst", "chunk_lines": 64},
              "714e25646b77e1a065812141b86e84b20d71c33048121ac7d26a24861c829ca1"),
+    "wide": (write_wide_ramulator, {},
+             "58222c2742776f7a37164c0ba5b1738bcd776e242efb54bf5873b8bf89174a13"),
 }
 
 #: profile -> sha256 of the old then new words of a 300-line seed-2018 trace.

@@ -264,6 +264,16 @@ class TestStreamedIngestIdentity:
         assert streamed.read_bytes() == reference.read_bytes()
         assert read_trace_header(streamed).n_lines == 0
 
+    @pytest.mark.parametrize("block", [1000, 1 << 30])
+    def test_mutation_block_size_does_not_change_the_trace(self, monkeypatch, block):
+        """A first round of 6,602 requests gives the same words in
+        4,096-request blocks (the default), 1,000-request blocks or whole."""
+        addresses = _addresses(np.random.default_rng(9), 12_000, span=9_000)
+        default = synthesize_write_trace(addresses)
+        monkeypatch.setattr("repro.traces.ingest._MUTATION_BLOCK", block)
+        other = synthesize_write_trace(addresses)
+        assert other.old == default.old and other.new == default.new
+
     def test_synthesis_quantum_boundaries_do_not_leak(self):
         """Same stream, same quantum, different feed granularity: identical."""
         rng = np.random.default_rng(6)
@@ -396,6 +406,9 @@ class TestSynthesizeSpans:
         ]
         assert spans[0].attrs["fresh"] == len(np.unique(addresses[:1024]))
         assert sum(r.attrs["fresh"] for r in spans) == synthesizer.unique_lines
+        # The process's high-water mark after each quantum: positive, never falling.
+        peaks = [r.attrs["peak_rss_bytes"] for r in spans]
+        assert peaks[0] > 0 and peaks == sorted(peaks)
 
     def test_no_span_is_built_outside_a_session(self, monkeypatch):
         import repro.obs.core as obs_core
@@ -435,6 +448,17 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         return result, peak
+
+    def test_one_quantum_synthesis_peak(self):
+        """A default 65,536-request quantum over ~32k distinct lines returns
+        8.4 MB of old and new words; synthesising it peaks at most 21 MB
+        (one value array in the plan, rounds applied in 4,096-request blocks;
+        36 MB before either)."""
+        addresses = _addresses(np.random.default_rng(3), 65536, span=40_000)
+        synthesizer = StreamingSynthesizer()
+        _, peak = self._traced_peak(lambda: synthesizer.feed(addresses))
+        assert synthesizer.unique_lines > 30_000
+        assert peak <= 21_000_000, f"one-quantum synthesis peak {peak}"
 
     @pytest.mark.tier2
     def test_streaming_convert_and_evaluate_peak_is_window_bounded(self, tmp_path):
@@ -482,19 +506,20 @@ class TestBoundedMemory:
         if large_n <= 200_000:  # full materialisation affordable: close the loop
             in_memory = ingest_trace_file(large, chunk_lines=self.QUANTUM)
             assert evaluate_trace(encoder, in_memory, config) == streamed_metrics
-        # Pooled, the parent submits every descriptor task of the mmap trace
-        # at once (they carry no lines) and holds at most `window` streamed
-        # chunks beside them: its peak stays window-bounded either way.
+        # Pooled, the parent submits the mmap trace's descriptor tasks at
+        # once (they carry no lines) but holds at most 16 x window = 64 of
+        # them pending (~2.4 KB each) and at most `window` streamed chunks
+        # beside them: neither peak grows with the trace.
         def evaluate_pooled(*sources):
             return ParallelRunner(4, window=4).map(
                 [WorkUnit(i, encoder, source, config) for i, source in enumerate(sources)]
             )
 
         parallel_metrics, pooled_peak = self._traced_peak(lambda: evaluate_pooled(mmap_trace))
-        assert pooled_peak < max(4 * small_peak, trace_bytes // 4)
+        assert pooled_peak < 1 << 20, f"descriptor-only map peak {pooled_peak}"
         assert parallel_metrics == [mmap_metrics]
         mixed_metrics, mixed_peak = self._traced_peak(lambda: evaluate_pooled(
             IngestChunkSource(large, chunk_lines=self.QUANTUM), mmap_trace
         ))
-        assert mixed_peak < max(4 * small_peak, trace_bytes // 4)
+        assert mixed_peak < 4 * small_peak
         assert mixed_metrics == [streamed_metrics, mmap_metrics]
